@@ -102,33 +102,3 @@ def estimate_channel(gains, pilot_power, noise_var: float,
     obs = gains * x_p + np.sqrt(noise_var) * crandn(gains.shape, rng)
     gains_hat = (pp / (pp + noise_var)) * obs / x_p
     return ChannelEstimate(gains_hat, pp)
-
-
-def gains_to_csv(path, gains) -> None:
-    """Dump a gain matrix as rows of (row, col, re, im)."""
-    gains = np.asarray(gains, dtype=np.complex128)
-    with open(path, "w") as fh:
-        fh.write("row,col,re,im\n")
-        for r in range(gains.shape[0]):
-            for c in range(gains.shape[1]):
-                fh.write(f"{r},{c},{float(gains[r, c].real)!r},{float(gains[r, c].imag)!r}\n")
-
-
-def gains_from_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "row,col,re,im":
-            raise ValueError(f"unexpected gains CSV header {header!r}")
-        for line in fh:
-            if line.strip():
-                r, c, re, im = line.strip().split(",")
-                rows.append((int(r), int(c), float(re), float(im)))
-    if not rows:
-        raise ValueError("empty gains CSV")
-    n_r = max(r for r, *_ in rows) + 1
-    n_c = max(c for _, c, *_ in rows) + 1
-    gains = np.zeros((n_r, n_c), dtype=np.complex128)
-    for r, c, re, im in rows:
-        gains[r, c] = re + 1j * im
-    return gains

@@ -17,9 +17,10 @@ from .harness import (
     run_ldpc_ber,
     run_scatter,
     run_viterbi_ber,
+    train_user_model,
     user_constellation,
 )
-from .mmse_net import TrainConfig, default_sizes, make_dataset, save_model, train
+from .mmse_net import save_model
 
 RUNNERS = {
     "gmi-sweep": run_gmi_sweep,
@@ -35,19 +36,12 @@ def _train_net_command(cfg):
         raise SystemExit("train-net requires an output path (--out or out =)")
     ss = np.random.SeedSequence((cfg.seed, 3))
     rng = np.random.default_rng(ss)
-    snr = cfg.snr_db[0]
-    noise_var = noise_var_for(cfg, snr)
+    noise_var = noise_var_for(cfg, cfg.snr_db[0])
     gains = sample_gains(cfg.users, cfg.antennas, rng)
-    est = estimate_channel(gains, pilot_power_value(cfg), noise_var, rng)
+    gains_hat = estimate_channel(gains, pilot_power_value(cfg), noise_var, rng).gains_hat
     consts = user_constellation(cfg)
     for user, seq in enumerate(ss.spawn(cfg.users)):
-        seed = int(np.random.default_rng(seq).integers(2**31))
-        dataset = make_dataset(est.gains_hat, consts, noise_var, user,
-                               cfg.net_samples, np.random.default_rng((seed, 17)))
-        tc = TrainConfig(samples=cfg.net_samples, epochs=cfg.net_epochs,
-                         batch_size=cfg.net_batch, learning_rate=cfg.net_lr,
-                         seed=seed)
-        model, trace = train(dataset, default_sizes(cfg.antennas), tc)
+        model, trace = train_user_model(cfg, gains_hat, consts, noise_var, user, seq)
         path = f"{cfg.out}.user{user + 1}.npz"
         save_model(path, model)
         print(f"user {user + 1}: final training loss {trace[-1]:.5g} -> {path}")

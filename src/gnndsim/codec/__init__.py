@@ -1,10 +1,10 @@
 from .conv import ConvCode, conv_encode, exhaustive_decode, make_conv_code_57, viterbi
 from .ldpc import LdpcCode, bp_decode, bp_decode_batch, encode, gf2_rank, ldpc_build, syndrome
-from .llr import LLR_MAX_DEFAULT, LlrVector, bit_llrs, estimate_residual_var, llr_init
+from .llr import LLR_MAX_DEFAULT, bit_llrs
 
 __all__ = [
-    "ConvCode", "LdpcCode", "LlrVector", "LLR_MAX_DEFAULT",
+    "ConvCode", "LdpcCode", "LLR_MAX_DEFAULT",
     "bit_llrs", "bp_decode", "bp_decode_batch", "conv_encode", "encode",
-    "estimate_residual_var", "exhaustive_decode", "gf2_rank", "ldpc_build",
-    "llr_init", "make_conv_code_57", "syndrome", "viterbi",
+    "exhaustive_decode", "gf2_rank", "ldpc_build", "make_conv_code_57",
+    "syndrome", "viterbi",
 ]

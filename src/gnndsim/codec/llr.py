@@ -2,27 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..constellation import Constellation, label_set_indices
-from ..posterior import JointEnumeration
-from ..channel import ChannelInstance, crandn
-from ..fronts import qpsk_estimates
 
 LLR_MAX_DEFAULT = 30.0
-
-
-@dataclass(frozen=True)
-class LlrVector:
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", vals)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("LLRs must be finite after clamping")
 
 
 def _lse(a, axis):
@@ -49,69 +33,3 @@ def bit_llrs(tables, c: Constellation, noise_scale: float,
         i1 = label_set_indices(c, j, 1)
         out[:, j - 1] = _lse(z[:, i0], 1) - _lse(z[:, i1], 1)
     return np.clip(out, -llr_max, llr_max).ravel()
-
-
-def llr_init(source: str, c: Constellation, *, noise_scale: float | None = None,
-             llr_max: float = LLR_MAX_DEFAULT, estimates=None, y=None,
-             scalar_gain: float | None = None) -> LlrVector:
-    """Initial decoder LLRs for one user's symbol sequence.
-
-    source "gnnd": ``estimates`` holds the processed observations g(y)
-    (unit scaling function) and ``noise_scale`` the mean-square residual of
-    the equivalent additive channel. source "cl": ``y`` holds the
-    whitened/combined scalar observations, ``scalar_gain`` the scalar
-    channel coefficient, and the postulated noise is unit (default).
-    source "awgn": ``y`` holds direct observations of the symbol and
-    ``noise_scale`` the true noise variance.
-    """
-    if source == "gnnd":
-        if estimates is None or noise_scale is None:
-            raise ValueError("gnnd LLRs need estimates and noise_scale")
-        g = np.asarray(estimates, dtype=np.complex128).ravel()
-        tables = np.abs(g[:, None] - c.points[None, :]) ** 2
-        scale = noise_scale
-    elif source == "cl":
-        if y is None or scalar_gain is None:
-            raise ValueError("cl LLRs need y and scalar_gain")
-        ys = np.asarray(y, dtype=np.complex128).ravel()
-        tables = np.abs(ys[:, None] - scalar_gain * c.points[None, :]) ** 2
-        scale = 1.0 if noise_scale is None else noise_scale
-    elif source == "awgn":
-        if y is None or noise_scale is None:
-            raise ValueError("awgn LLRs need y and noise_scale")
-        ys = np.asarray(y, dtype=np.complex128).ravel()
-        tables = np.abs(ys[:, None] - c.points[None, :]) ** 2
-        scale = noise_scale
-    else:
-        raise ValueError(f"unknown LLR source {source!r}")
-    return LlrVector(bit_llrs(tables, c, scale, llr_max))
-
-
-def estimate_residual_var(ch: ChannelInstance, constellations, user: int,
-                          n_samples: int, rng, mean_fn=None,
-                          chunk: int = 16384, dtype=np.complex128) -> float:
-    """Monte-Carlo mean of |g(y) - x_user|^2 over fresh channel uses.
-
-    g is the unit-scaling processed observation built from the conditional
-    mean of the target user; ``mean_fn`` (mapping a batch of observations
-    (L, n) to means (n,)) overrides the exact enumeration, e.g. with a
-    trained approximator.
-    """
-    from ..constellation import sample_symbols  # local to avoid cycle noise
-
-    consts = (list(constellations) if not isinstance(constellations, Constellation)
-              else [constellations] * ch.n_users)
-    if mean_fn is None:
-        enum = JointEnumeration(ch.gains, ch.noise_var, consts, 0, dtype=dtype)
-        mean_fn = lambda yy: enum.evaluate(yy).mean(user)
-    total, count = 0.0, 0
-    remaining = n_samples
-    while remaining > 0:
-        n = min(chunk, remaining)
-        remaining -= n
-        x = np.stack([sample_symbols(consts[u], n, rng) for u in range(ch.n_users)])
-        y = ch.gains @ x + np.sqrt(ch.noise_var) * crandn((ch.n_antennas, n), rng)
-        g = qpsk_estimates(np.asarray(mean_fn(y)), consts[user].power)
-        total += float(np.sum(np.abs(g - x[user]) ** 2))
-        count += n
-    return total / count

@@ -142,33 +142,11 @@ def sample_symbols(c: Constellation, n: int, rng: np.random.Generator) -> np.nda
     return c.points[idx]
 
 
-def to_text(c: Constellation) -> str:
-    """Serialize as one ``re im prob label`` row per point."""
-    labeling = c.require_labeling()
-    m = labeling.bits_per_symbol
-    lines = []
-    for p, pr, lab in zip(c.points, c.probabilities, labeling.point_to_label):
-        lines.append(f"{float(p.real)!r} {float(p.imag)!r} {float(pr)!r} {lab:0{m}b}")
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> Constellation:
-    points, probs, labels = [], [], []
-    width = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        re_s, im_s, pr_s, lab_s = line.split()
-        points.append(float(re_s) + 1j * float(im_s))
-        probs.append(float(pr_s))
-        labels.append(int(lab_s, 2))
-        if width is None:
-            width = len(lab_s)
-        elif width != len(lab_s):
-            raise ValueError("inconsistent label widths")
-    if width is None:
-        raise ValueError("empty constellation text")
-    power = float(np.asarray(probs) @ np.abs(np.asarray(points)) ** 2)
-    labeling = BitLabeling(width, np.asarray(labels))
-    return Constellation(np.asarray(points), np.asarray(probs), power, labeling)
+def per_user(constellations, n_users: int) -> list[Constellation]:
+    """One constellation per user: a single alphabet is shared by all."""
+    if isinstance(constellations, Constellation):
+        return [constellations] * n_users
+    constellations = list(constellations)
+    if len(constellations) != n_users:
+        raise ValueError(f"need {n_users} constellations, got {len(constellations)}")
+    return constellations

@@ -1,6 +1,6 @@
 """Decoding fronts: optimal nearest-neighbor processing/scaling pairs found
-by conditional-moment matching, the whitened matched-filter front of channel
-linearization, and exact per-symbol likelihood metrics."""
+by conditional-moment matching, and the whitened matched-filter front of
+channel linearization."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation
-from .posterior import DEFAULT_ENUM_CAP, JointEnumeration
 
 ARTANH_CLIP = 1.0 - 1e-12
 CONSTANT_MODULUS_TOL = 1e-9
@@ -45,20 +44,6 @@ class GnndFront:
     @property
     def g(self) -> complex:
         return (self.alpha - 1j * self.beta) / self.f
-
-
-@dataclass(frozen=True)
-class MetricTable:
-    """Metric value per candidate point of the target user."""
-
-    values: np.ndarray
-    tag: str
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", vals)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("metric table entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -210,12 +195,6 @@ def tilted_pmf(front: GnndFront, prior: Constellation) -> np.ndarray:
     return w
 
 
-def gnnd_metric_table(front: GnndFront, c: Constellation) -> MetricTable:
-    """d(a) = |g - f a|^2 per candidate point."""
-    g, f = front.g, front.f
-    return MetricTable(np.abs(g - f * c.points) ** 2, "gnnd")
-
-
 def cl_front(gains, noise_var: float, user: int, powers,
              cancelled=()) -> ClFront:
     """Channel-linearization front for one user.
@@ -247,28 +226,3 @@ def cl_front(gains, noise_var: float, user: int, powers,
     combiner = sol / scalar_gain  # y_s = combiner^H y = scalar_gain * x + w
     return ClFront(effective_gain=h, residual_cov=delta,
                    combiner=combiner, scalar_gain=float(scalar_gain))
-
-
-def cl_metric_table(front: ClFront, y, c: Constellation) -> MetricTable:
-    """Weighted nearest-neighbor metric, evaluated in scalar-channel form.
-
-    ``y`` must already have any cancelled users' contributions removed.
-    """
-    y_s = complex(front.apply(np.asarray(y, dtype=np.complex128)))
-    return MetricTable(np.abs(y_s - front.scalar_gain * c.points) ** 2, "cl")
-
-
-def ml_metric_table(y, gains, noise_var, constellations, user: int,
-                    prefix=(), cap: int = DEFAULT_ENUM_CAP) -> MetricTable:
-    """-log p(y | x_user = a_i, prefix), interferers marginalized exactly."""
-    gains = np.asarray(gains, dtype=np.complex128)
-    prefix = np.asarray(prefix, dtype=np.complex128).ravel()
-    y = np.asarray(y, dtype=np.complex128)
-    if prefix.size:
-        y = y - gains[:, :prefix.size] @ prefix
-    if prefix.size > user:
-        raise ValueError("prefix may cover only users before the target user")
-    enum = JointEnumeration(gains, noise_var, constellations,
-                            first_user=prefix.size, cap=cap)
-    ll = enum.evaluate(y).user_log_likelihood(user)[:, 0]
-    return MetricTable(-ll, "ml")

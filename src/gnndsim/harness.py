@@ -34,6 +34,7 @@ BER_CSV_COLUMNS = ("kind", "K", "L", "snr_db", "method", "receiver", "pilot_powe
 SCATTER_CSV_COLUMNS = ("true_re", "true_im", "gnnd_re", "gnnd_im",
                        "lmmse_re", "lmmse_im")
 SIGMA_U_SAMPLES = 2048
+ENUM_SLICE_BYTES = 2**28   # one (M, n) complex64 block of scatter log weights
 
 
 @dataclass
@@ -79,15 +80,15 @@ def noise_var_for(cfg: ExperimentConfig, snr_db: float) -> float:
     return cfg.power / 10 ** (snr_db / 10)
 
 
-def make_instance(cfg: ExperimentConfig, snr_db: float,
-                  rng: np.random.Generator) -> ChannelInstance:
-    gains = sample_gains(cfg.users, cfg.antennas, rng)
-    powers = np.full(cfg.users, cfg.power / cfg.users)
-    return ChannelInstance(gains, noise_var_for(cfg, snr_db), powers)
-
-
 def user_constellation(cfg: ExperimentConfig):
     return make_qpsk(cfg.power / cfg.users)
+
+
+def nn_tables(est, points, gain=1.0) -> np.ndarray:
+    """Nearest-neighbor metric |est - gain a|^2 of every observation against
+    every candidate point a, (n, |A|). The GNND front reads it with gain 1
+    on g(y), CL with its scalar gain on the combined observation."""
+    return np.abs(est[:, None] - gain * points[None, :]) ** 2
 
 
 # --------------------------------------------------------------------------
@@ -166,8 +167,9 @@ def run_scatter(cfg: ExperimentConfig) -> SweepResult:
     start = time.time()
     ss = np.random.SeedSequence((cfg.seed, 0))
     rng = np.random.default_rng(ss)
-    snr = cfg.snr_db[0]
-    ch = make_instance(cfg, snr, rng)
+    ch = ChannelInstance(sample_gains(cfg.users, cfg.antennas, rng),
+                         noise_var_for(cfg, cfg.snr_db[0]),
+                         np.full(cfg.users, cfg.power / cfg.users))
     consts = user_constellation(cfg)
     n = cfg.samples
     idx = np.stack([rng.choice(4, size=n, p=consts.probabilities)
@@ -175,12 +177,17 @@ def run_scatter(cfg: ExperimentConfig) -> SweepResult:
     x = consts.points[idx]
     y = ch.gains @ x + np.sqrt(ch.noise_var) * crandn((cfg.antennas, n), rng)
     if cfg.net:
-        model = _train_user_model(cfg, ch.gains, consts, ch.noise_var, 0, ss.spawn(1)[0])
+        model, _ = train_user_model(cfg, ch.gains, consts, ch.noise_var, 0,
+                                    ss.spawn(1)[0])
         means = mean_fn(model)(y)
     else:
+        # column slices of at most ENUM_SLICE_BYTES of 8-byte complex64 weights
         enum = JointEnumeration(ch.gains, ch.noise_var, consts, 0,
                                 dtype=np.complex64)
-        means = enum.evaluate(y, keep_log_weights=False).mean(0)
+        step = max(1, ENUM_SLICE_BYTES // (8 * enum.n_combos))
+        means = np.concatenate([
+            enum.evaluate(y[:, i:i + step], keep_log_weights=False).mean(0)
+            for i in range(0, n, step)])
     gnnd = qpsk_estimates(means, consts.power)
     lmmse = lmmse_estimates(ch, y, 0)
     gnnd = gnnd / np.sqrt(np.mean(np.abs(gnnd) ** 2))
@@ -217,7 +224,7 @@ def cluster_separation(true_symbols, estimates) -> float:
 # successive interference cancellation
 
 
-def sic_receiver(y, ch: ChannelInstance, order, decode_user, genie_symbols=None):
+def sic_receiver(y, order, decode_user, genie_symbols=None):
     """Sequential decoding along ``order``; each decoded user's re-modulated
     symbols condition the later ones. ``decode_user(user, y, prefix_users,
     prefix_symbols)`` returns (bits, symbols). With ``genie_symbols`` the
@@ -283,7 +290,6 @@ def _viterbi_block(args):
     # permute users so cancellation order is the natural index order
     gains = sample_gains(cfg.users, cfg.antennas, rng)[:, order]
     powers = np.full(cfg.users, cfg.power / cfg.users)
-    ch = ChannelInstance(gains, noise_var, powers)
     bits = rng.integers(0, 2, size=(cfg.users, cfg.info_bits))
     symbols = np.stack([modulate(conv_encode(bits[k], code), consts)
                         for k in range(cfg.users)])
@@ -306,8 +312,7 @@ def _viterbi_block(args):
                 y_eff = y_full
             if method == "cl":
                 front = cl_front(gains, noise_var, k, powers, cancelled=prefix_users)
-                ys = front.apply(y_eff)
-                tables = np.abs(ys[:, None] - front.scalar_gain * consts.points[None, :]) ** 2
+                tables = nn_tables(front.apply(y_eff), consts.points, front.scalar_gain)
             else:
                 if cfg.receiver == "no-sic":
                     batch = shared_batch
@@ -317,8 +322,8 @@ def _viterbi_block(args):
                     batch = enum_k.evaluate(y_eff,
                                             keep_log_weights=(method == "ml"))
                 if method == "gnnd":
-                    g = qpsk_estimates(batch.mean(k), consts.power)
-                    tables = np.abs(g[:, None] - consts.points[None, :]) ** 2
+                    tables = nn_tables(qpsk_estimates(batch.mean(k), consts.power),
+                                       consts.points)
                 elif method == "ml":
                     tables = -batch.user_log_likelihood(k).T
                 else:
@@ -327,7 +332,7 @@ def _viterbi_block(args):
             return decoded, modulate(conv_encode(decoded, code), consts)
 
         if cfg.receiver == "sic":
-            decoded_bits, _ = sic_receiver(y, ch, range(cfg.users), decode_user)
+            decoded_bits, _ = sic_receiver(y, range(cfg.users), decode_user)
         else:
             decoded_bits = {k: decode_user(k, y, [], None)[0] for k in range(cfg.users)}
         for k in range(cfg.users):
@@ -393,15 +398,16 @@ def _append_ber_rows(result, cfg, kind, snr, counter, bits_per_user_block):
 # LDPC BER
 
 
-def _train_user_model(cfg, gains_hat, consts, noise_var, user, seed_seq):
+def train_user_model(cfg, gains_hat, consts, noise_var, user, seed_seq):
+    """Conditional-mean network of one user, trained on the receiver's
+    channel knowledge; returns (model, epoch losses)."""
     seed = int(np.random.default_rng(seed_seq).integers(2**31))
     dataset = make_dataset(gains_hat, consts, noise_var, user, cfg.net_samples,
                            np.random.default_rng((seed, 17)))
     tc = TrainConfig(samples=cfg.net_samples, epochs=cfg.net_epochs,
                      batch_size=cfg.net_batch, learning_rate=cfg.net_lr,
                      seed=seed)
-    model, _ = train(dataset, default_sizes(gains_hat.shape[0]), tc)
-    return model
+    return train(dataset, default_sizes(gains_hat.shape[0]), tc)
 
 
 def _batched_sigma_u(gains_hat, noise_var, consts, means_all_fn, n_users,
@@ -439,8 +445,8 @@ class _LdpcRealization:
                                               self.noise_var, rng).gains_hat
         powers = np.full(cfg.users, cfg.power / cfg.users)
         if cfg.net:
-            models = [_train_user_model(cfg, self.gains_hat, self.consts,
-                                        self.noise_var, u, s)
+            models = [train_user_model(cfg, self.gains_hat, self.consts,
+                                       self.noise_var, u, s)[0]
                       for u, s in enumerate(seed_seq.spawn(cfg.users))]
             fns = [mean_fn(m) for m in models]
             self._means_all = lambda y: np.stack([f(y) for f in fns])
@@ -457,8 +463,15 @@ class _LdpcRealization:
         self.cl_fronts = [cl_front(self.gains_hat, self.noise_var, u, powers)
                           for u in range(cfg.users)]
 
-    def means_all(self, y):
-        return self._means_all(y)
+    def tables(self, method, y):
+        """Per-user metric tables of one method, and the noise scale each
+        user's tables are read at: the residual scale for gnnd, 1 for cl."""
+        points = self.consts.points
+        if method == "gnnd":
+            return ([nn_tables(qpsk_estimates(m, self.consts.power), points)
+                     for m in self._means_all(y)], self.sigma_u)
+        return ([nn_tables(f.apply(y), points, f.scalar_gain) for f in self.cl_fronts],
+                np.ones(len(self.cl_fronts)))
 
 
 def _ldpc_block(cfg, real: _LdpcRealization, code, rng):
@@ -471,25 +484,12 @@ def _ldpc_block(cfg, real: _LdpcRealization, code, rng):
     y = (real.gains @ symbols
          + np.sqrt(real.noise_var) * crandn((cfg.antennas, n_sym), rng))
     out = {}
-    if "gnnd" in cfg.methods:
-        means = real.means_all(y)
-        llrs = np.stack([
-            bit_llrs(np.abs(qpsk_estimates(means[u], consts.power)[:, None]
-                            - consts.points[None, :]) ** 2,
-                     consts, float(real.sigma_u[u]), cfg.llr_max)
-            for u in range(k_users)])
+    for method in cfg.methods:
+        tables, scales = real.tables(method, y)
+        llrs = np.stack([bit_llrs(t, consts, float(s), cfg.llr_max)
+                         for t, s in zip(tables, scales)])
         hard, _ = bp_decode_batch(code, llrs, cfg.bp_iters)
-        out["gnnd"] = np.array([np.sum(hard[u, :code.info_length] != bits[u])
-                                for u in range(k_users)])
-    if "cl" in cfg.methods:
-        llrs = np.stack([
-            bit_llrs(np.abs(real.cl_fronts[u].apply(y)[:, None]
-                            - real.cl_fronts[u].scalar_gain * consts.points[None, :]) ** 2,
-                     consts, 1.0, cfg.llr_max)
-            for u in range(k_users)])
-        hard, _ = bp_decode_batch(code, llrs, cfg.bp_iters)
-        out["cl"] = np.array([np.sum(hard[u, :code.info_length] != bits[u])
-                              for u in range(k_users)])
+        out[method] = np.sum(hard[:, :code.info_length] != bits, axis=1)
     return out
 
 

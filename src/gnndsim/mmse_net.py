@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import crandn
-from .constellation import Constellation, sample_symbols
+from .constellation import per_user, sample_symbols
 
 HIDDEN_LAYERS = (200, 100, 50)
 CHECKPOINT_VERSION = 1
@@ -83,8 +83,7 @@ def make_dataset(gains, constellations, noise_var: float, user: int,
     """
     gains = np.asarray(gains, dtype=np.complex128)
     n_ant, n_users = gains.shape
-    consts = (list(constellations) if not isinstance(constellations, Constellation)
-              else [constellations] * n_users)
+    consts = per_user(constellations, n_users)
     x = np.stack([sample_symbols(consts[u], n_samples, rng) for u in range(n_users)])
     y = gains @ x + np.sqrt(noise_var) * crandn((n_ant, n_samples), rng)
     inputs = np.concatenate([y.real.T, y.imag.T], axis=1)

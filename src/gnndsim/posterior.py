@@ -1,35 +1,18 @@
 """Exact conditional moments and marginals by enumeration of the joint
-constellation, given a received vector and an optional decoded prefix."""
+constellation, for a batch of received vectors. Users before ``first_user``
+form a known prefix whose contribution the caller removes from y."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import per_user
 
-DEFAULT_ENUM_CAP = 4**10
+ENUM_CAP = 4**10
 
 
 class EnumerationCapError(ValueError):
     """Joint alphabet too large for exact enumeration."""
-
-
-@dataclass(frozen=True)
-class PosteriorMoments:
-    mean: complex
-    second: float
-    log_norm: float
-
-
-def _as_constellation_list(constellations, n_users: int) -> list[Constellation]:
-    if isinstance(constellations, Constellation):
-        return [constellations] * n_users
-    constellations = list(constellations)
-    if len(constellations) != n_users:
-        raise ValueError(f"need {n_users} constellations, got {len(constellations)}")
-    return constellations
 
 
 class JointEnumeration:
@@ -42,20 +25,20 @@ class JointEnumeration:
     """
 
     def __init__(self, gains, noise_var: float, constellations, first_user: int = 0,
-                 cap: int = DEFAULT_ENUM_CAP, dtype=np.complex128):
+                 dtype=np.complex128):
         gains = np.asarray(gains, dtype=np.complex128)
         n_ant, n_users = gains.shape
         if not 0 <= first_user < n_users:
             raise ValueError(f"first_user {first_user} out of range")
         if noise_var <= 0:
             raise ValueError("noise variance must be positive for enumeration")
-        self.constellations = _as_constellation_list(constellations, n_users)
+        self.constellations = per_user(constellations, n_users)
         active = self.constellations[first_user:]
         sizes = [c.size for c in active]
         total = int(np.prod(sizes, dtype=np.int64))
-        if total > cap:
+        if total > ENUM_CAP:
             raise EnumerationCapError(
-                f"joint alphabet size {total} exceeds cap {cap}; "
+                f"joint alphabet size {total} exceeds cap {ENUM_CAP}; "
                 "use the neural conditional-mean approximator for this size")
         self.first_user = first_user
         self.n_users = n_users
@@ -167,43 +150,3 @@ class PosteriorBatch:
             np.sum(np.exp(shaped - top), axis=axes))
         logp = np.log(self.enum.constellations[user].probabilities)
         return lse - logp[:, None]
-
-
-def _effective_observation(y, gains, prefix):
-    y = np.asarray(y, dtype=np.complex128)
-    prefix = np.asarray(prefix, dtype=np.complex128).ravel()
-    gains = np.asarray(gains, dtype=np.complex128)
-    if prefix.size:
-        y = y - gains[:, :prefix.size] @ prefix
-    return y, prefix.size
-
-
-def posterior_moments(y, gains, noise_var, constellations, user: int,
-                      prefix=(), cap: int = DEFAULT_ENUM_CAP) -> PosteriorMoments:
-    """Exact E[x_user | y, prefix] and E[|x_user|^2 | y, prefix].
-
-    ``prefix`` holds known symbols of users 0..p-1 with p <= user; their
-    contribution is removed from y and the remaining users are enumerated.
-    """
-    gains = np.asarray(gains, dtype=np.complex128)
-    y_eff, p = _effective_observation(y, gains, prefix)
-    if p > user:
-        raise ValueError("prefix may cover only users before the target user")
-    enum = JointEnumeration(gains, noise_var, constellations, first_user=p, cap=cap)
-    batch = enum.evaluate(y_eff)
-    return PosteriorMoments(
-        mean=complex(batch.mean(user)[0]),
-        second=float(batch.second_moment(user)[0]),
-        log_norm=float(batch.log_evidence[0]),
-    )
-
-
-def posterior_pmf(y, gains, noise_var, constellations, user: int,
-                  prefix=(), cap: int = DEFAULT_ENUM_CAP) -> np.ndarray:
-    """Exact marginal posterior p(x_user = a_i | y, prefix)."""
-    gains = np.asarray(gains, dtype=np.complex128)
-    y_eff, p = _effective_observation(y, gains, prefix)
-    if p > user:
-        raise ValueError("prefix may cover only users before the target user")
-    enum = JointEnumeration(gains, noise_var, constellations, first_user=p, cap=cap)
-    return enum.evaluate(y_eff).pmf(user)[:, 0]

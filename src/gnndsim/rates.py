@@ -8,12 +8,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelInstance, crandn
-from .constellation import Constellation
+from .constellation import Constellation, per_user
 from .fronts import artanh_clamped, cl_front
-from .posterior import DEFAULT_ENUM_CAP, JointEnumeration
+from .posterior import JointEnumeration
 
 LN2 = float(np.log(2.0))
-DEFAULT_CHUNK = 16384
+SAMPLE_CHUNK = 16384     # channel uses per enumeration batch
+GOLDEN_ITERS = 60        # golden-section steps of the metric-temperature fit
+BRACKET_DOUBLINGS = 40
 RATE_METHODS = ("gnnd", "cl", "mi")
 
 
@@ -47,15 +49,6 @@ def combine_rates(estimates) -> RateEstimate:
     return RateEstimate(value, se, min(e.samples for e in estimates))
 
 
-def average_rates(estimates) -> RateEstimate:
-    """Average of independent estimates (e.g. across channel draws)."""
-    estimates = list(estimates)
-    d = len(estimates)
-    value = sum(e.value for e in estimates) / d
-    se = float(np.sqrt(sum(e.std_error**2 for e in estimates)) / d)
-    return RateEstimate(value, se, sum(e.samples for e in estimates))
-
-
 def is_equiprobable_qpsk(c: Constellation) -> bool:
     if c.size != 4 or not np.allclose(c.probabilities, 0.25, atol=1e-12):
         return False
@@ -70,12 +63,11 @@ def _logcosh(z):
     return z + np.log1p(np.exp(-2.0 * z)) - LN2
 
 
-def maximize_concave(fn, lo: float, hi: float, iters: int = 60,
-                     max_expand: int = 40) -> tuple[float, float]:
+def maximize_concave(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximum of a concave fn on [lo, hi], expanding lo
     by doubling while the objective still improves at the left edge."""
     f_lo = fn(lo)
-    for _ in range(max_expand):
+    for _ in range(BRACKET_DOUBLINGS):
         f_2 = fn(2.0 * lo)
         if f_2 <= f_lo:
             break
@@ -87,7 +79,7 @@ def maximize_concave(fn, lo: float, hi: float, iters: int = 60,
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(GOLDEN_ITERS):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -120,8 +112,8 @@ def gnnd_gmi_from_means(means, power: float) -> RateEstimate:
     return _estimate_from_nats(gnnd_gmi_samples(means, power))
 
 
-def gmi_from_tables(tables, tx_idx, probabilities, scale: float = 1.0,
-                    theta_iters: int = 60) -> tuple[RateEstimate, float]:
+def gmi_from_tables(tables, tx_idx, probabilities,
+                    scale: float = 1.0) -> tuple[RateEstimate, float]:
     """Generalized mutual information of an arbitrary metric.
 
     ``tables[t, i]`` is the metric of candidate i at observation t and
@@ -143,12 +135,12 @@ def gmi_from_tables(tables, tx_idx, probabilities, scale: float = 1.0,
         return theta * own - lse
 
     theta, _ = maximize_concave(lambda th: samples_at(th).mean(),
-                                -2.0 / scale, -1e-6 / scale, iters=theta_iters)
+                                -2.0 / scale, -1e-6 / scale)
     return _estimate_from_nats(samples_at(theta)), theta
 
 
-def cl_gmi_from_scalar(y_scalar, x, gain: float, power: float,
-                       theta_iters: int = 60) -> tuple[RateEstimate, float]:
+def cl_gmi_from_scalar(y_scalar, x, gain: float,
+                       power: float) -> tuple[RateEstimate, float]:
     """GMI of the linearized-channel metric for QPSK, cosh form.
 
     ``y_scalar`` is the whitened/combined scalar observation, ``x`` the
@@ -164,8 +156,7 @@ def cl_gmi_from_scalar(y_scalar, x, gain: float, power: float,
         return (-2.0 * v * cross - _logcosh(root * v * y_scalar.real)
                 - _logcosh(root * v * y_scalar.imag))
 
-    theta, _ = maximize_concave(lambda th: samples_at(th).mean(),
-                                -2.0, -1e-6, iters=theta_iters)
+    theta, _ = maximize_concave(lambda th: samples_at(th).mean(), -2.0, -1e-6)
     return _estimate_from_nats(samples_at(theta)), theta
 
 
@@ -196,8 +187,7 @@ def _kl_samples_qpsk(pmf, means, c: Constellation) -> np.ndarray:
 def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
                         methods=RATE_METHODS, receiver: str = "no-sic",
                         n_samples: int = 200_000, rng=None, *,
-                        want_kl: bool = False, chunk: int = DEFAULT_CHUNK,
-                        cap: int = DEFAULT_ENUM_CAP) -> dict:
+                        want_kl: bool = False) -> dict:
     """Shared Monte-Carlo engine for all per-user rate quantities.
 
     Returns {method: {user: RateEstimate}}; the "kl" entry (if requested)
@@ -210,10 +200,7 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
         raise ValueError("an explicit rng is required for reproducibility")
     if receiver not in ("no-sic", "sic"):
         raise ValueError(f"unknown receiver mode {receiver!r}")
-    consts = (list(constellations) if not isinstance(constellations, Constellation)
-              else [constellations] * ch.n_users)
-    if len(consts) != ch.n_users:
-        raise ValueError("need one constellation per user")
+    consts = per_user(constellations, ch.n_users)
     users = list(range(ch.n_users)) if users is None else list(users)
     methods = list(methods)
     for m in methods:
@@ -227,14 +214,14 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
     n_enum = [None] * ch.n_users
     cl_fronts = {}
     if receiver == "no-sic":
-        shared = JointEnumeration(ch.gains, ch.noise_var, consts, 0, cap=cap)
+        shared = JointEnumeration(ch.gains, ch.noise_var, consts, 0)
         for u in users:
             n_enum[u] = shared
         for u in users:
             cl_fronts[u] = cl_front(ch.gains, ch.noise_var, u, ch.powers)
     else:
         for u in users:
-            n_enum[u] = JointEnumeration(ch.gains, ch.noise_var, consts, u, cap=cap)
+            n_enum[u] = JointEnumeration(ch.gains, ch.noise_var, consts, u)
             cl_fronts[u] = cl_front(ch.gains, ch.noise_var, u, ch.powers,
                                     cancelled=range(u))
 
@@ -245,7 +232,7 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
 
     remaining = n_samples
     while remaining > 0:
-        c = min(chunk, remaining)
+        c = min(SAMPLE_CHUNK, remaining)
         remaining -= c
         idx = np.stack([rng.choice(consts[u].size, size=c, p=consts[u].probabilities)
                         for u in range(ch.n_users)])

@@ -24,6 +24,7 @@ from gnndsim.constellation import make_qpsk, modulate, sample_symbols
 from gnndsim.fronts import cl_front, qpsk_estimates, qpsk_front, solve_front, tilted_pmf
 from gnndsim.harness import (
     average_sum_rows,
+    nn_tables,
     run_gmi_sweep,
     run_ldpc_ber,
     run_viterbi_ber,
@@ -179,14 +180,12 @@ def test_criterion_5_decoder_oracles():
         y = transmit(ch, np.stack([sym, interferer]), rng)
         enum = JointEnumeration(gains, noise_var, consts)
         batch = enum.evaluate(y)
-        g = qpsk_estimates(batch.mean(0), consts.power)
-        tables = {
-            "gnnd": np.abs(g[:, None] - consts.points[None, :]) ** 2,
-            "ml": -batch.user_log_likelihood(0).T,
-        }
         front = cl_front(gains, noise_var, 0, [0.5, 0.5])
-        ys = front.apply(y)
-        tables["cl"] = np.abs(ys[:, None] - front.scalar_gain * consts.points[None, :]) ** 2
+        tables = {
+            "gnnd": nn_tables(qpsk_estimates(batch.mean(0), consts.power), consts.points),
+            "ml": -batch.user_log_likelihood(0).T,
+            "cl": nn_tables(front.apply(y), consts.points, front.scalar_gain),
+        }
         for name, tab in tables.items():
             got = viterbi(tab, code, consts)
             want = exhaustive_decode(tab, code, consts)

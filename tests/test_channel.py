@@ -4,8 +4,6 @@ import pytest
 from gnndsim.channel import (
     ChannelInstance,
     estimate_channel,
-    gains_from_csv,
-    gains_to_csv,
     sample_gains,
     transmit,
 )
@@ -115,13 +113,6 @@ def test_estimate_error_variance(rng):
     v = np.abs(err) ** 2
     se = v.std(ddof=1) / np.sqrt(n)
     assert abs(v.mean() - mmse) < 3 * se
-
-
-def test_gains_csv_roundtrip(tmp_path, rng):
-    gains = sample_gains(3, 2, rng)
-    path = tmp_path / "gains.csv"
-    gains_to_csv(path, gains)
-    np.testing.assert_array_equal(gains_from_csv(path), gains)
 
 
 def test_instance_validation():

@@ -7,12 +7,10 @@ from gnndsim.constellation import (
     BitLabeling,
     Constellation,
     demodulate_hard,
-    from_text,
     label_set,
     make_qpsk,
     modulate,
     sample_symbols,
-    to_text,
 )
 
 
@@ -107,12 +105,3 @@ def test_constellation_invariants_enforced():
 def test_labeling_must_be_bijection():
     with pytest.raises(ValueError):
         BitLabeling(2, np.array([0, 1, 1, 3]))
-
-
-def test_text_roundtrip():
-    q = make_qpsk(0.5)
-    r = from_text(to_text(q))
-    np.testing.assert_allclose(r.points, q.points)
-    np.testing.assert_allclose(r.probabilities, q.probabilities)
-    assert r.power == pytest.approx(q.power, abs=1e-12)
-    np.testing.assert_array_equal(r.labeling.point_to_label, q.labeling.point_to_label)

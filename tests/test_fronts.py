@@ -7,14 +7,12 @@ from gnndsim.fronts import (
     FrontSolverError,
     GnndFront,
     cl_front,
-    cl_metric_table,
-    gnnd_metric_table,
-    ml_metric_table,
     qpsk_front,
     solve_front,
     tilted_pmf,
 )
-from gnndsim.posterior import posterior_moments, posterior_pmf
+from gnndsim.harness import nn_tables
+from gnndsim.posterior import JointEnumeration
 
 from conftest import make_square16
 
@@ -92,17 +90,38 @@ def test_solve_front_symmetric_fixed_point():
     np.testing.assert_allclose(tilted_pmf(f, q), q.probabilities, atol=1e-12)
 
 
+def _moments(y, gains, noise_var, c):
+    """Exact (mean, second moment) of user 0 for one observation."""
+    b = JointEnumeration(gains, noise_var, c).evaluate(np.asarray(y)[:, None])
+    return complex(b.mean(0)[0]), float(b.second_moment(0)[0])
+
+
+def _gnnd_table(front, c):
+    return nn_tables(np.array([front.g]), c.points, front.f)[0]
+
+
+def _cl_table(front, y, c):
+    return nn_tables(front.apply(np.asarray(y, dtype=complex)[:, None]), c.points,
+                     front.scalar_gain)[0]
+
+
+def _ml_table(y, gains, noise_var, c, user):
+    """-log p(y | x_user = a_i), interferers marginalized exactly."""
+    b = JointEnumeration(gains, noise_var, c).evaluate(np.asarray(y)[:, None])
+    return -b.user_log_likelihood(user)[:, 0]
+
+
 def test_solve_front_16point_moment_matching(rng):
     c16 = make_square16(1.0)
     gains = np.array([[1.0 + 0j]])
     for _ in range(5):
         x = sample_symbols(c16, 1, rng)
         y = transmit(ChannelInstance(gains, 1.0, [1.0]), x, rng)
-        m = posterior_moments(y, gains, 1.0, c16, 0)
-        front = solve_front(m.mean, m.second, c16)
+        mean, second = _moments(y, gains, 1.0, c16)
+        front = solve_front(mean, second, c16)
         pmf = tilted_pmf(front, c16)
-        assert abs(pmf @ c16.points - m.mean) <= 1e-8
-        assert abs(pmf @ np.abs(c16.points) ** 2 - m.second) <= 1e-8
+        assert abs(pmf @ c16.points - mean) <= 1e-8
+        assert abs(pmf @ np.abs(c16.points) ** 2 - second) <= 1e-8
         assert front.gamma > 0
 
 
@@ -112,9 +131,9 @@ def test_solve_front_16point_matches_grid_oracle(rng):
     for _ in range(3):
         x = sample_symbols(c16, 1, rng)
         y = transmit(ChannelInstance(gains, 1.0, [1.0]), x, rng)
-        m = posterior_moments(y, gains, 1.0, c16, 0)
-        front = solve_front(m.mean, m.second, c16)
-        oracle = grid_search_front(m.mean, m.second, c16)
+        mean, second = _moments(y, gains, 1.0, c16)
+        front = solve_front(mean, second, c16)
+        oracle = grid_search_front(mean, second, c16)
         assert front.alpha == pytest.approx(oracle[0], abs=1e-4)
         assert front.beta == pytest.approx(oracle[1], abs=1e-4)
         assert front.gamma == pytest.approx(oracle[2], abs=1e-4)
@@ -124,9 +143,8 @@ def test_solve_front_objective_monotone(rng):
     c16 = make_square16(1.0)
     gains = np.array([[1.0 + 0j]])
     y = transmit(ChannelInstance(gains, 0.5, [1.0]), sample_symbols(c16, 1, rng), rng)
-    m = posterior_moments(y, gains, 0.5, c16, 0)
     trace = []
-    solve_front(m.mean, m.second, c16, trace=trace)
+    solve_front(*_moments(y, gains, 0.5, c16), c16, trace=trace)
     diffs = np.diff(np.asarray(trace))
     assert np.all(diffs <= 1e-12)
 
@@ -152,11 +170,10 @@ def test_tilted_pmf_prior_at_zero_front():
 
 def test_gnnd_metric_table_symmetry_and_anchor():
     q = make_qpsk(2.0)
-    t = gnnd_metric_table(GnndFront(0.0, 0.0, 1.0), q)
-    np.testing.assert_allclose(t.values, 2.0)
+    np.testing.assert_allclose(_gnnd_table(GnndFront(0.0, 0.0, 1.0), q), 2.0)
     a1 = q.points[0]
     at_corner = GnndFront(a1.real, -a1.imag, 1.0)  # g = a1, f = 1
-    vals = gnnd_metric_table(at_corner, q).values
+    vals = _gnnd_table(at_corner, q)
     assert vals[0] == pytest.approx(0.0, abs=1e-12)
     assert np.all(vals[1:] > 0)
 
@@ -167,8 +184,8 @@ def test_gnnd_metric_argmin_is_sign_decision(rng):
     for _ in range(50):
         mean = complex(rng.uniform(-0.99, 0.99) * amp,
                        rng.uniform(-0.99, 0.99) * amp)
-        table = gnnd_metric_table(qpsk_front(mean, q.power), q)
-        best = q.points[np.argmin(table.values)]
+        table = _gnnd_table(qpsk_front(mean, q.power), q)
+        best = q.points[np.argmin(table)]
         assert np.sign(best.real) == np.sign(mean.real) or mean.real == 0
         assert np.sign(best.imag) == np.sign(mean.imag) or mean.imag == 0
 
@@ -178,12 +195,12 @@ def test_cl_front_single_user_is_matched_filter(rng):
     front = cl_front(np.array([[1.0 + 0j]]), 1.0, 0, [2.0])
     np.testing.assert_allclose(front.residual_cov, np.eye(1), atol=1e-12)
     y = 0.4 - 0.7j
-    table = cl_metric_table(front, [y], q)
+    table = _cl_table(front, [y], q)
     euclid = np.abs(y - q.points) ** 2
     # equal up to a symbol-independent affine map with positive slope
-    d = table.values - euclid
+    d = table - euclid
     np.testing.assert_allclose(d, d[0], atol=1e-10)
-    assert np.argmin(table.values) == np.argmin(euclid)
+    assert np.argmin(table) == np.argmin(euclid)
 
 
 def test_cl_effective_gain_monte_carlo(rng):
@@ -223,7 +240,7 @@ def test_cl_metric_matches_direct_formula(rng):
     front = cl_front(gains, noise_var, 0, powers)
     y = transmit(ChannelInstance(gains, noise_var, powers),
                  sample_symbols(q, 2, rng), rng)
-    table = cl_metric_table(front, y, q)
+    table = _cl_table(front, y, q)
     qvec = powers[0] * gains[:, 0]
     delta = (powers[1] * np.outer(gains[:, 1], gains[:, 1].conj())
              + noise_var * np.eye(2))
@@ -231,7 +248,7 @@ def test_cl_metric_matches_direct_formula(rng):
     direct = np.array([
         np.abs(qvec.conj() @ np.linalg.solve(delta, y - qvec * a / powers[0])) ** 2 / rho
         for a in q.points])
-    np.testing.assert_allclose(table.values, direct, atol=1e-10)
+    np.testing.assert_allclose(table, direct, atol=1e-10)
 
 
 def test_cl_argmin_invariant_to_common_scaling(rng):
@@ -239,9 +256,9 @@ def test_cl_argmin_invariant_to_common_scaling(rng):
     gains = sample_gains(2, 2, rng)
     powers = np.array([1.0, 1.0])
     y = transmit(ChannelInstance(gains, 0.6, powers), sample_symbols(q, 2, rng), rng)
-    t1 = cl_metric_table(cl_front(gains, 0.6, 0, powers), y, q)
-    t2 = cl_metric_table(cl_front(gains, 3.0, 0, 5.0 * powers), y, make_qpsk(5.0))
-    assert np.argmin(t1.values) == np.argmin(t2.values)
+    t1 = _cl_table(cl_front(gains, 0.6, 0, powers), y, q)
+    t2 = _cl_table(cl_front(gains, 3.0, 0, 5.0 * powers), y, make_qpsk(5.0))
+    assert np.argmin(t1) == np.argmin(t2)
 
 
 def test_ml_metric_single_user(rng):
@@ -249,9 +266,9 @@ def test_ml_metric_single_user(rng):
     h = 0.8 - 0.3j
     y = np.array([0.5 + 0.2j])
     noise_var = 0.7
-    table = ml_metric_table(y, [[h]], noise_var, q, 0)
+    table = _ml_table(y, [[h]], noise_var, q, 0)
     direct = np.abs(y[0] - h * q.points) ** 2 / noise_var
-    d = table.values - direct
+    d = table - direct
     np.testing.assert_allclose(d, d[0], atol=1e-10)
 
 
@@ -260,14 +277,14 @@ def test_ml_metric_consistent_with_posterior(rng):
     gains = sample_gains(3, 2, rng)
     y = transmit(ChannelInstance(gains, 0.5, np.full(3, 1.0)),
                  sample_symbols(q, 3, rng), rng)
-    table = ml_metric_table(y, gains, 0.5, q, 1)
-    lik = np.exp(-(table.values - table.values.min()))
-    np.testing.assert_allclose(lik / lik.sum(),
-                               posterior_pmf(y, gains, 0.5, q, 1), atol=1e-12)
+    table = _ml_table(y, gains, 0.5, q, 1)
+    lik = np.exp(-(table - table.min()))
+    pmf = JointEnumeration(gains, 0.5, q).evaluate(y[:, None]).pmf(1)[:, 0]
+    np.testing.assert_allclose(lik / lik.sum(), pmf, atol=1e-12)
 
 
 def test_ml_metric_flat_at_huge_noise(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(2, 2, rng)
-    table = ml_metric_table(np.array([0.1 + 0j, -0.2j]), gains, 1e9, q, 0)
-    assert np.ptp(table.values) < 1e-6
+    table = _ml_table(np.array([0.1 + 0j, -0.2j]), gains, 1e9, q, 0)
+    assert np.ptp(table) < 1e-6

@@ -10,6 +10,7 @@ from gnndsim.fronts import qpsk_estimates
 from gnndsim.harness import (
     cluster_separation,
     lmmse_estimates,
+    nn_tables,
     run_gmi_sweep,
     run_ldpc_ber,
     run_scatter,
@@ -215,11 +216,9 @@ def _genie_decoder(gains, noise_var, consts, code):
     def decode_user(k, y, prefix_users, prefix_syms):
         if prefix_users:
             y = y - gains[:, prefix_users] @ prefix_syms
-        enum = JointEnumeration(gains, noise_var, consts, 0)
         # single remaining-user decode only valid when all others cancelled
         batch = JointEnumeration(gains[:, [k]], noise_var, consts, 0).evaluate(y)
-        g = qpsk_estimates(batch.mean(0), consts.power)
-        tables = np.abs(g[:, None] - consts.points[None, :]) ** 2
+        tables = nn_tables(qpsk_estimates(batch.mean(0), consts.power), consts.points)
         bits = viterbi(tables, code, consts)
         return bits, modulate(conv_encode(bits, code), consts)
     return decode_user
@@ -234,10 +233,9 @@ def test_sic_receiver_genie_prefix_equals_single_user(rng):
     syms = np.stack([modulate(conv_encode(bits[k], code), consts) for k in range(2)])
     y = gains @ syms + np.sqrt(noise_var) * (
         rng.standard_normal((2, syms.shape[1])) + 1j * rng.standard_normal((2, syms.shape[1]))) / np.sqrt(2)
-    ch = ChannelInstance(gains, noise_var, [0.5, 0.5])
     decode = _genie_decoder(gains, noise_var, consts, code)
     # genie symbols condition user 1 on the true user-0 interference
-    got, _ = sic_receiver(y, ch, [0, 1], decode, genie_symbols=syms)
+    got, _ = sic_receiver(y, [0, 1], decode, genie_symbols=syms)
     y_clean = y - gains[:, [0]] @ syms[[0]]
     solo = decode(1, y_clean, [], None)[0]
     np.testing.assert_array_equal(got[1], solo)
@@ -257,12 +255,11 @@ def test_sic_receiver_error_propagation(rng):
         y = gains @ syms + np.sqrt(noise_var / 2) * (
             rng.standard_normal((2, syms.shape[1]))
             + 1j * rng.standard_normal((2, syms.shape[1])))
-        ch = ChannelInstance(gains, noise_var, [0.5, 0.5])
         decode = _genie_decoder(gains, noise_var, consts, code)
-        got_genie, _ = sic_receiver(y, ch, [0, 1], decode, genie_symbols=syms)
+        got_genie, _ = sic_receiver(y, [0, 1], decode, genie_symbols=syms)
         wrong = syms.copy()
         wrong[0] = -wrong[0]  # force a completely wrong prefix
-        got_forced, _ = sic_receiver(y, ch, [0, 1], decode, genie_symbols=wrong)
+        got_forced, _ = sic_receiver(y, [0, 1], decode, genie_symbols=wrong)
         genie_errs += int(np.sum(got_genie[1] != bits[1]))
         forced_errs += int(np.sum(got_forced[1] != bits[1]))
     assert forced_errs > genie_errs
@@ -278,6 +275,29 @@ def test_snr_at_ber_interpolation():
     # non-monotone wobble: use the final descent
     assert snr_at_ber([0, 2, 4, 6], [1e-2, 1e-4, 2e-3, 1e-4], 1e-3) == pytest.approx(
         4 + 2 * (np.log10(2e-3) - np.log10(1e-3)) / (np.log10(2e-3) - np.log10(1e-4)))
+
+
+def test_scatter_column_slices_match_one_block(monkeypatch):
+    # the rows pass float32 means through artanh, which near saturation
+    # magnifies last-bit differences between BLAS calls of other widths, so
+    # the sliced quantity itself, the conditional mean, is compared
+    cfg = ExperimentConfig(kind="scatter", seed=5, users=4, antennas=4,
+                           snr_db=(10.0,), samples=300)
+    means, widths = [], []
+    estimates, evaluate = harness.qpsk_estimates, JointEnumeration.evaluate
+    monkeypatch.setattr(harness, "qpsk_estimates",
+                        lambda m, power: means.append(m) or estimates(m, power))
+    monkeypatch.setattr(JointEnumeration, "evaluate",
+                        lambda self, y, **kw: widths.append(y.shape[1]) or evaluate(self, y, **kw))
+    whole = run_scatter(cfg).rows
+    assert widths == [300]
+    # a budget of 7 columns of 4^4 complex64 weights
+    monkeypatch.setattr(harness, "ENUM_SLICE_BYTES", 7 * 256 * 8)
+    sliced = run_scatter(cfg).rows
+    assert widths[1:] == [7] * 42 + [6]
+    np.testing.assert_allclose(means[1], means[0], rtol=1e-5, atol=1e-5)
+    for key in ("true_re", "true_im", "lmmse_re", "lmmse_im"):
+        assert [r[key] for r in sliced] == [r[key] for r in whole]
 
 
 def test_lmmse_estimates_shrink_toward_mean(rng):

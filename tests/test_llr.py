@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from gnndsim.channel import ChannelInstance
-from gnndsim.codec import bit_llrs, estimate_residual_var, llr_init
+from gnndsim.codec import bit_llrs
 from gnndsim.constellation import BitLabeling, Constellation, make_qpsk
 from gnndsim.fronts import qpsk_estimates
+from gnndsim.harness import _batched_sigma_u, nn_tables
 from gnndsim.posterior import JointEnumeration
+
+
+def _gnnd_llrs(g, q, noise_scale, **kw):
+    return bit_llrs(nn_tables(np.asarray(g, dtype=complex), q.points), q, noise_scale, **kw)
 
 
 def test_zero_estimate_gives_zero_llrs():
     q = make_qpsk(2.0)
-    out = llr_init("gnnd", q, estimates=np.zeros(5, dtype=complex), noise_scale=1.0)
-    np.testing.assert_array_equal(out.values, np.zeros(10))
+    out = _gnnd_llrs(np.zeros(5), q, 1.0)
+    np.testing.assert_array_equal(out, np.zeros(10))
 
 
 def test_gnnd_matches_exact_awgn_llrs_at_unit_noise(rng):
@@ -25,15 +29,15 @@ def test_gnnd_matches_exact_awgn_llrs_at_unit_noise(rng):
     means = enum.evaluate(y[None, :]).mean(0)
     g = qpsk_estimates(means, q.power)
     np.testing.assert_allclose(g, y, atol=1e-9)
-    gnnd = llr_init("gnnd", q, estimates=g, noise_scale=1.0)
-    awgn = llr_init("awgn", q, y=y, noise_scale=noise_var)
-    np.testing.assert_allclose(gnnd.values, awgn.values, atol=1e-9)
+    gnnd = _gnnd_llrs(g, q, 1.0)
+    awgn = bit_llrs(nn_tables(y, q.points), q, noise_var)
+    np.testing.assert_allclose(gnnd, awgn, atol=1e-9)
 
 
 def test_llr_sign_follows_estimate_sign(rng):
     q = make_qpsk(2.0)
     g = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-    out = llr_init("gnnd", q, estimates=g, noise_scale=0.7).values.reshape(-1, 2)
+    out = _gnnd_llrs(g, q, 0.7).reshape(-1, 2)
     np.testing.assert_array_equal(np.sign(out[:, 0]), np.sign(g.real))
     np.testing.assert_array_equal(np.sign(out[:, 1]), np.sign(g.imag))
 
@@ -51,17 +55,16 @@ def test_label_complement_flips_llr_sign(rng):
 
 def test_llrs_are_clamped(rng):
     q = make_qpsk(2.0)
-    out = llr_init("gnnd", q, estimates=np.array([100 + 100j]), noise_scale=1e-3)
-    assert np.max(np.abs(out.values)) <= 30.0
-    wide = llr_init("gnnd", q, estimates=np.array([100 + 100j]), noise_scale=1e-3,
-                    llr_max=50.0)
-    assert np.max(np.abs(wide.values)) == 50.0
+    out = _gnnd_llrs([100 + 100j], q, 1e-3)
+    assert np.max(np.abs(out)) <= 30.0
+    wide = _gnnd_llrs([100 + 100j], q, 1e-3, llr_max=50.0)
+    assert np.max(np.abs(wide)) == 50.0
 
 
 def test_cl_llr_reduces_to_scaled_matched_filter():
     q = make_qpsk(2.0)
     y = np.array([0.5 - 0.3j])
-    out = llr_init("cl", q, y=y, scalar_gain=2.0).values
+    out = bit_llrs(nn_tables(y, q.points, 2.0), q, 1.0)
     amp = np.sqrt(q.power / 2)
     expect0 = 4 * amp * 2.0 * y[0].real  # per-dimension factorization
     assert out[0] == pytest.approx(expect0, abs=1e-12)
@@ -69,41 +72,38 @@ def test_cl_llr_reduces_to_scaled_matched_filter():
 
 def test_scale_validation():
     q = make_qpsk(2.0)
-    with pytest.raises(ValueError):
-        llr_init("gnnd", q, estimates=np.zeros(1, dtype=complex), noise_scale=0.0)
-    with pytest.raises(ValueError):
-        llr_init("gnnd", q, estimates=np.zeros(1, dtype=complex))
-    with pytest.raises(ValueError):
-        llr_init("bogus", q, estimates=np.zeros(1, dtype=complex), noise_scale=1.0)
+    tables = nn_tables(np.zeros(1, dtype=complex), q.points)
+    for scale in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            bit_llrs(tables, q, scale)
+
+
+def _sigma_u(gains, noise_var, q, n_samples, seed):
+    """Residual scale of the one user of ``gains`` through the LDPC path."""
+    gains = np.asarray(gains, dtype=complex)
+    enum = JointEnumeration(gains, noise_var, q)
+    return _batched_sigma_u(gains, noise_var, q, lambda y: enum.evaluate(y).means_all(),
+                            1, n_samples, np.random.default_rng(seed))[0]
 
 
 def test_residual_var_single_user_closed_form():
     # h=1: g(y) = y / noise_var, so E|g - x|^2 = P (1 - v)^2 / v^2 + 1 / v
     power, noise_var = 2.0, 0.8
-    ch = ChannelInstance(np.array([[1.0 + 0j]]), noise_var, [power])
-    q = make_qpsk(power)
-    est = estimate_residual_var(ch, q, 0, 200_000, np.random.default_rng(3))
+    est = _sigma_u([[1.0]], noise_var, make_qpsk(power), 200_000, 3)
     expect = power * (1 - noise_var) ** 2 / noise_var**2 + 1 / noise_var
     assert est == pytest.approx(expect, rel=0.02)
 
 
 def test_residual_var_unit_at_matched_noise():
-    ch = ChannelInstance(np.array([[1.0 + 0j]]), 1.0, [2.0])
-    q = make_qpsk(2.0)
-    est = estimate_residual_var(ch, q, 0, 100_000, np.random.default_rng(4))
+    est = _sigma_u([[1.0]], 1.0, make_qpsk(2.0), 100_000, 4)
     assert est == pytest.approx(1.0, rel=0.02)
 
 
 def test_residual_var_huge_noise_tends_to_power():
-    ch = ChannelInstance(np.array([[1.0 + 0j]]), 1e6, [2.0])
-    q = make_qpsk(2.0)
-    est = estimate_residual_var(ch, q, 0, 20_000, np.random.default_rng(5))
+    est = _sigma_u([[1.0]], 1e6, make_qpsk(2.0), 20_000, 5)
     assert est == pytest.approx(2.0, rel=0.05)
 
 
 def test_residual_var_deterministic():
-    ch = ChannelInstance(np.array([[1.0 + 0j], [0.5j]]), 0.5, [1.0])
-    q = make_qpsk(1.0)
-    a = estimate_residual_var(ch, q, 0, 5000, np.random.default_rng(6))
-    b = estimate_residual_var(ch, q, 0, 5000, np.random.default_rng(6))
-    assert a == b
+    gains, q = [[1.0], [0.5j]], make_qpsk(1.0)
+    assert _sigma_u(gains, 0.5, q, 5000, 6) == _sigma_u(gains, 0.5, q, 5000, 6)

@@ -3,7 +3,8 @@ import pytest
 
 from gnndsim.channel import ChannelInstance, sample_gains, transmit
 from gnndsim.constellation import make_qpsk, sample_symbols
-from gnndsim.fronts import cl_front, gnnd_metric_table, ml_metric_table, qpsk_front
+from gnndsim.fronts import cl_front, qpsk_estimates
+from gnndsim.harness import nn_tables
 from gnndsim.posterior import JointEnumeration
 from gnndsim.rates import (
     RateEstimate,
@@ -83,22 +84,15 @@ def _sampled_tables(ch, consts, user, n, rng, kind):
                       for _ in range(ch.n_users)])
     x = consts.points[x_idx]
     y = transmit(ch, x, rng)
-    tables = np.empty((n, 4))
-    if kind == "ml":
-        for t in range(n):
-            tables[t] = ml_metric_table(y[:, t], ch.gains, ch.noise_var, consts,
-                                        user).values
-    elif kind == "gnnd":
-        enum = JointEnumeration(ch.gains, ch.noise_var, consts)
-        means = enum.evaluate(y).mean(user)
-        for t in range(n):
-            tables[t] = gnnd_metric_table(qpsk_front(complex(means[t]), consts.power),
-                                          consts).values
-    elif kind == "cl":
+    if kind == "cl":
         front = cl_front(ch.gains, ch.noise_var, user, ch.powers)
         ys = front.apply(y)
-        tables = np.abs(ys[:, None] - front.scalar_gain * consts.points[None, :]) ** 2
-        return tables, x_idx[user], ys, x[user], front
+        return nn_tables(ys, consts.points, front.scalar_gain), x_idx[user], ys, x[user], front
+    batch = JointEnumeration(ch.gains, ch.noise_var, consts).evaluate(y)
+    if kind == "ml":
+        tables = -batch.user_log_likelihood(user).T
+    else:
+        tables = nn_tables(qpsk_estimates(batch.mean(user), consts.power), consts.points)
     return tables, x_idx[user]
 
 
