@@ -25,6 +25,12 @@ def test_gmi_sweep_golden(tmp_path):
            draws=1, samples=2000)
 
 
+def test_gmi_sweep_sic_golden(tmp_path):
+    _check(run_gmi_sweep, "gmi_sweep_sic_small.csv", tmp_path, kind="gmi-sweep",
+           seed=7, users=2, antennas=2, receiver="sic", snr_db=(0.0, 10.0),
+           methods=("gnnd", "cl", "mi"), draws=1, samples=2000)
+
+
 def test_scatter_golden(tmp_path):
     _check(run_scatter, "scatter_small.csv", tmp_path, kind="scatter", seed=7,
            users=2, antennas=2, snr_db=(12.0,), samples=8)
@@ -37,6 +43,18 @@ def test_scatter_golden(tmp_path):
 def test_viterbi_ber_golden(tmp_path):
     _check(run_viterbi_ber, "viterbi_small.csv", tmp_path, kind="viterbi-ber",
            seed=7, users=4, antennas=4, receiver="sic",
+           methods=("gnnd", "cl", "ml"), snr_db=(2.0, 6.0), blocks=3, info_bits=32)
+
+
+def test_viterbi_ber_no_sic_golden(tmp_path):
+    _check(run_viterbi_ber, "viterbi_nosic_small.csv", tmp_path, kind="viterbi-ber",
+           seed=7, users=3, antennas=3, receiver="no-sic",
+           methods=("gnnd", "cl", "ml"), snr_db=(2.0, 6.0), blocks=3, info_bits=32)
+
+
+def test_viterbi_ber_sic_order_golden(tmp_path):
+    _check(run_viterbi_ber, "viterbi_order_small.csv", tmp_path, kind="viterbi-ber",
+           seed=7, users=3, antennas=3, receiver="sic", sic_order="2,0,1",
            methods=("gnnd", "cl", "ml"), snr_db=(2.0, 6.0), blocks=3, info_bits=32)
 
 
