@@ -7,13 +7,13 @@ from .channel import ChannelEstimate, ChannelInstance, estimate_channel, sample_
 from .constellation import BitLabeling, Constellation, label_set, make_qpsk, modulate
 from .fronts import ClFront, FrontSolverError, GnndFront, cl_front, qpsk_front, solve_front, tilted_pmf
 from .posterior import EnumerationCapError, JointEnumeration
-from .rates import RateEstimate, gmi_cl_qpsk, gmi_gnnd_qpsk, kl_gap, mutual_information, sum_rate
+from .rates import RateEstimate, evaluate_user_rates
 
 __all__ = [
     "BitLabeling", "ChannelEstimate", "ChannelInstance", "ClFront",
     "Constellation", "EnumerationCapError", "FrontSolverError", "GnndFront",
     "JointEnumeration", "RateEstimate",
-    "cl_front", "estimate_channel", "gmi_cl_qpsk", "gmi_gnnd_qpsk", "kl_gap",
-    "label_set", "make_qpsk", "modulate", "mutual_information", "qpsk_front",
-    "sample_gains", "solve_front", "sum_rate", "tilted_pmf", "transmit",
+    "cl_front", "estimate_channel", "evaluate_user_rates", "label_set",
+    "make_qpsk", "modulate", "qpsk_front", "sample_gains", "solve_front",
+    "tilted_pmf", "transmit",
 ]

@@ -94,8 +94,7 @@ def viterbi(tables, code: ConvCode, c: Constellation) -> np.ndarray:
     one trellis step per transmitted symbol, flush steps included. Ties are
     broken toward the lexicographically smaller (previous state, input).
     """
-    tables = np.atleast_2d(np.asarray(
-        [t.values if hasattr(t, "values") else t for t in tables], dtype=np.float64))
+    tables = np.atleast_2d(np.asarray(tables, dtype=np.float64))
     n_steps = tables.shape[0]
     if n_steps <= code.n_flush:
         raise ValueError("table count does not cover flush steps")
@@ -144,8 +143,7 @@ def exhaustive_decode(tables, code: ConvCode, c: Constellation,
     Enumerates every information word through the code's generator matrix,
     so cost is 2^k; refuse blocks beyond ``max_info_bits``.
     """
-    tables = np.atleast_2d(np.asarray(
-        [t.values if hasattr(t, "values") else t for t in tables], dtype=np.float64))
+    tables = np.atleast_2d(np.asarray(tables, dtype=np.float64))
     n_info = tables.shape[0] - code.n_flush
     if n_info > max_info_bits:
         raise ValueError(f"{n_info} info bits is too large for exhaustion")

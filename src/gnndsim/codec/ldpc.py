@@ -208,11 +208,6 @@ def bp_decode_batch(code, llrs, max_iters: int = BP_MAX_ITERS,
     return hard, converged
 
 
-def bp_decode(code, llr, max_iters: int = BP_MAX_ITERS):
-    hard, conv = bp_decode_batch(code, np.atleast_2d(llr), max_iters)
-    return hard[0], bool(conv[0])
-
-
 def gf2_rank(matrix) -> int:
     """Rank over GF(2) by elimination on packed rows."""
     rows = [int("".join(map(str, r)), 2) for r in np.asarray(matrix, dtype=np.uint8)]

@@ -8,6 +8,10 @@ from dataclasses import dataclass, fields, replace
 KINDS = ("gmi-sweep", "scatter", "viterbi-ber", "ldpc-ber", "train-net")
 RECEIVERS = ("no-sic", "sic")
 KNOWN_METHODS = ("gnnd", "cl", "mi", "ml")
+# the methods each runner implements; scatter and train-net read none
+RUNNER_METHODS = {"gmi-sweep": ("gnnd", "cl", "mi"),
+                  "viterbi-ber": ("gnnd", "cl", "ml"),
+                  "ldpc-ber": ("gnnd", "cl")}
 
 
 class ConfigError(ValueError):
@@ -48,10 +52,12 @@ class ExperimentConfig:
         if self.receiver not in RECEIVERS:
             raise ConfigError(f"unknown receiver {self.receiver!r}")
         for m in self.methods:
-            if m not in KNOWN_METHODS:
-                raise ConfigError(f"unknown method {m!r}")
-        if not self.methods and self.kind in ("gmi-sweep", "viterbi-ber", "ldpc-ber"):
+            if m not in RUNNER_METHODS.get(self.kind, KNOWN_METHODS):
+                raise ConfigError(f"method {m!r} not available for {self.kind} runs")
+        if not self.methods and self.kind in RUNNER_METHODS:
             raise ConfigError("method list must not be empty")
+        if self.kind == "ldpc-ber" and self.receiver != "no-sic":
+            raise ConfigError("the LDPC experiment runs parallel decoding only")
         if not self.snr_db:
             raise ConfigError("snr grid must not be empty")
         positive = ("users", "antennas", "power", "draws", "samples", "blocks",

@@ -101,14 +101,13 @@ def _gmi_task(args):
     gain_rng, sample_seed = np.random.default_rng(ss), ss.spawn(len(cfg.snr_db))
     gains = sample_gains(cfg.users, cfg.antennas, gain_rng)
     consts = user_constellation(cfg)
-    methods = [m for m in cfg.methods if m != "ml"]
     rows = []
     for i, snr in enumerate(cfg.snr_db):
         ch = ChannelInstance(gains, noise_var_for(cfg, snr),
                              np.full(cfg.users, cfg.power / cfg.users))
-        res = evaluate_user_rates(ch, consts, None, methods, cfg.receiver,
+        res = evaluate_user_rates(ch, consts, None, cfg.methods, cfg.receiver,
                                   cfg.samples, np.random.default_rng(sample_seed[i]))
-        for method in methods:
+        for method in cfg.methods:
             per_user = [res[method][u] for u in range(cfg.users)]
             rows.append(dict(draw=draw, snr_db=snr, method=method,
                              per_user=per_user, total=combine_rates(per_user)))
@@ -221,30 +220,6 @@ def cluster_separation(true_symbols, estimates) -> float:
 
 
 # --------------------------------------------------------------------------
-# successive interference cancellation
-
-
-def sic_receiver(y, order, decode_user, genie_symbols=None):
-    """Sequential decoding along ``order``; each decoded user's re-modulated
-    symbols condition the later ones. ``decode_user(user, y, prefix_users,
-    prefix_symbols)`` returns (bits, symbols). With ``genie_symbols`` the
-    prefix uses true symbols instead of decisions (rate-style conditioning).
-    """
-    y = np.asarray(y)
-    bits_out, syms_out = {}, {}
-    prefix_users: list[int] = []
-    prefix_syms: list[np.ndarray] = []
-    for k in order:
-        stack = np.asarray(prefix_syms) if prefix_syms else np.zeros((0, y.shape[1]),
-                                                                     dtype=complex)
-        bits, syms = decode_user(k, y, list(prefix_users), stack)
-        bits_out[k], syms_out[k] = bits, syms
-        prefix_users.append(k)
-        prefix_syms.append(genie_symbols[k] if genie_symbols is not None else syms)
-    return bits_out, syms_out
-
-
-# --------------------------------------------------------------------------
 # convolutional-code BER
 
 
@@ -280,12 +255,16 @@ def _viterbi_block(args):
 
     The channel, data, and noise draws happen before any decoding, so the
     result for one method never depends on which other methods are active.
+    Under SIC, user k is decoded from y less the re-encoded decisions of
+    users 0..k-1, with those users left out of its enumeration and its CL
+    interference; without SIC one enumeration serves every user.
     """
     cfg, snr_db, seed, active = args
     rng = np.random.default_rng(seed)
     code = make_conv_code_57()
     consts = user_constellation(cfg)
     order = cfg.user_order()
+    sic = cfg.receiver == "sic"
     noise_var = noise_var_for(cfg, snr_db)
     # permute users so cancellation order is the natural index order
     gains = sample_gains(cfg.users, cfg.antennas, rng)[:, order]
@@ -296,51 +275,31 @@ def _viterbi_block(args):
     n_steps = symbols.shape[1]
     y = gains @ symbols + np.sqrt(noise_var) * crandn((cfg.antennas, n_steps), rng)
 
-    shared_batch = None
-    if cfg.receiver == "no-sic" and set(active) - {"cl"}:
-        enum = JointEnumeration(gains, noise_var, consts, 0, dtype=np.complex64)
-        shared_batch = enum.evaluate(y, keep_log_weights="ml" in active)
-
     out = {}
     for method in active:
+        decided = np.zeros_like(symbols)
         errs = np.zeros(cfg.users, dtype=np.int64)
-
-        def decode_user(k, y_full, prefix_users, prefix_syms, method=method):
-            if prefix_users:
-                y_eff = y_full - gains[:, prefix_users] @ prefix_syms
-            else:
-                y_eff = y_full
+        batch = None
+        for k in range(cfg.users):
+            first = k if sic else 0
+            y_k = y - gains[:, :k] @ decided[:k] if sic else y
             if method == "cl":
-                front = cl_front(gains, noise_var, k, powers, cancelled=prefix_users)
-                tables = nn_tables(front.apply(y_eff), consts.points, front.scalar_gain)
+                front = cl_front(gains, noise_var, k, powers, cancelled=range(first))
+                tables = nn_tables(front.apply(y_k), consts.points, front.scalar_gain)
             else:
-                if cfg.receiver == "no-sic":
-                    batch = shared_batch
-                else:
-                    enum_k = JointEnumeration(gains, noise_var, consts, k,
-                                              dtype=np.complex64)
-                    batch = enum_k.evaluate(y_eff,
-                                            keep_log_weights=(method == "ml"))
+                if sic or batch is None:
+                    enum = JointEnumeration(gains, noise_var, consts, first,
+                                            dtype=np.complex64)
+                    batch = enum.evaluate(y_k, keep_log_weights=(method == "ml"))
                 if method == "gnnd":
                     tables = nn_tables(qpsk_estimates(batch.mean(k), consts.power),
                                        consts.points)
-                elif method == "ml":
-                    tables = -batch.user_log_likelihood(k).T
                 else:
-                    raise ValueError(f"method {method!r} not available for viterbi runs")
+                    tables = -batch.user_log_likelihood(k).T
             decoded = viterbi(tables, code, consts)
-            return decoded, modulate(conv_encode(decoded, code), consts)
-
-        if cfg.receiver == "sic":
-            decoded_bits, _ = sic_receiver(y, range(cfg.users), decode_user)
-        else:
-            decoded_bits = {k: decode_user(k, y, [], None)[0] for k in range(cfg.users)}
-        for k in range(cfg.users):
-            errs[k] = int(np.sum(decoded_bits[k] != bits[k]))
-        # report errors against the original user ids
-        out[method] = np.zeros(cfg.users, dtype=np.int64)
-        for pos, user in enumerate(order):
-            out[method][user] = errs[pos]
+            decided[k] = modulate(conv_encode(decoded, code), consts)
+            errs[order[k]] = np.sum(decoded != bits[k])  # original user id
+        out[method] = errs
     return out
 
 
@@ -500,11 +459,6 @@ def run_ldpc_ber(cfg: ExperimentConfig) -> SweepResult:
     per codeword, sampled from ``draws`` realizations per SNR point in
     round-robin order so per-realization receiver preparation is reused.
     """
-    if cfg.receiver != "no-sic":
-        raise ValueError("the LDPC experiment runs parallel decoding only")
-    for m in cfg.methods:
-        if m not in ("gnnd", "cl"):
-            raise ValueError(f"method {m!r} not available for LDPC runs")
     start = time.time()
     code = ldpc_build()
     result = SweepResult(cfg, BER_CSV_COLUMNS)

@@ -16,7 +16,7 @@ LN2 = float(np.log(2.0))
 SAMPLE_CHUNK = 16384     # channel uses per enumeration batch
 GOLDEN_ITERS = 60        # golden-section steps of the metric-temperature fit
 BRACKET_DOUBLINGS = 40
-RATE_METHODS = ("gnnd", "cl", "mi")
+RATE_METHODS = ("gnnd", "cl", "mi", "kl")
 
 
 @dataclass(frozen=True)
@@ -185,16 +185,16 @@ def _kl_samples_qpsk(pmf, means, c: Constellation) -> np.ndarray:
 
 
 def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
-                        methods=RATE_METHODS, receiver: str = "no-sic",
-                        n_samples: int = 200_000, rng=None, *,
-                        want_kl: bool = False) -> dict:
+                        methods=("gnnd", "cl", "mi"), receiver: str = "no-sic",
+                        n_samples: int = 200_000, rng=None) -> dict:
     """Shared Monte-Carlo engine for all per-user rate quantities.
 
-    Returns {method: {user: RateEstimate}}; the "kl" entry (if requested)
-    estimates the mutual-information/GMI gap of the optimal front. All
-    requested quantities are evaluated on the same sampled transmissions.
-    With receiver="sic", user k is conditioned on the true symbols of users
-    0..k-1 (the information-theoretic successive-cancellation rate).
+    Returns {method: {user: RateEstimate}}; method "kl" estimates the
+    mutual-information/GMI gap of the optimal front. All requested
+    quantities are evaluated on the same sampled transmissions. With
+    receiver="sic", user k is conditioned on the true symbols of users
+    0..k-1 (the information-theoretic successive-cancellation rate);
+    without it one enumeration per chunk serves every user.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
@@ -206,29 +206,18 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
     for m in methods:
         if m not in RATE_METHODS:
             raise ValueError(f"unknown method {m!r}")
-    needs_front = ("gnnd" in methods) or want_kl
-    if needs_front and not all(is_equiprobable_qpsk(consts[u]) for u in users):
+    if {"gnnd", "kl"} & set(methods) and not all(is_equiprobable_qpsk(consts[u])
+                                                 for u in users):
         raise NotImplementedError(
             "optimal-front rate estimation is implemented for equiprobable QPSK")
 
-    n_enum = [None] * ch.n_users
-    cl_fronts = {}
-    if receiver == "no-sic":
-        shared = JointEnumeration(ch.gains, ch.noise_var, consts, 0)
-        for u in users:
-            n_enum[u] = shared
-        for u in users:
-            cl_fronts[u] = cl_front(ch.gains, ch.noise_var, u, ch.powers)
-    else:
-        for u in users:
-            n_enum[u] = JointEnumeration(ch.gains, ch.noise_var, consts, u)
-            cl_fronts[u] = cl_front(ch.gains, ch.noise_var, u, ch.powers,
-                                    cancelled=range(u))
-
-    acc = {m: {u: [] for u in users} for m in methods}
-    if want_kl:
-        acc["kl"] = {u: [] for u in users}
-    cl_data = {u: ([], []) for u in users}  # (y_scalar chunks, x chunks)
+    sic = receiver == "sic"
+    first = {u: u if sic else 0 for u in users}
+    enums = {f: JointEnumeration(ch.gains, ch.noise_var, consts, f)
+             for f in sorted(set(first.values()))}
+    fronts = {u: cl_front(ch.gains, ch.noise_var, u, ch.powers,
+                          cancelled=range(first[u])) for u in users}
+    acc = {m: {u: [] for u in users} for m in methods}  # cl: (y_scalar, x) pairs
 
     remaining = n_samples
     while remaining > 0:
@@ -239,87 +228,31 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
         x = np.stack([consts[u].points[idx[u]] for u in range(ch.n_users)])
         y = ch.gains @ x + np.sqrt(ch.noise_var) * crandn((ch.n_antennas, c), rng)
 
-        evaluated = {}
+        batch = None
         for u in users:
-            enum = n_enum[u]
-            key = id(enum)
-            y_eff = y if enum.first_user == 0 else (
-                y - ch.gains[:, :enum.first_user] @ x[:enum.first_user])
-            if key not in evaluated:
-                evaluated[key] = (enum.evaluate(y_eff), y_eff)
-            batch, y_eff = evaluated[key]
-
-            if "gnnd" in methods or want_kl:
+            y_u = y - ch.gains[:, :u] @ x[:u] if sic else y
+            if sic or batch is None:
+                batch = enums[first[u]].evaluate(y_u)
+            if "gnnd" in methods or "kl" in methods:
                 means = batch.mean(u)
             if "gnnd" in methods:
-                acc["gnnd"][u].append(
-                    gnnd_gmi_samples(means, consts[u].power))
-            if want_kl:
-                acc["kl"][u].append(
-                    _kl_samples_qpsk(batch.pmf(u), means, consts[u]))
+                acc["gnnd"][u].append(gnnd_gmi_samples(means, consts[u].power))
+            if "kl" in methods:
+                acc["kl"][u].append(_kl_samples_qpsk(batch.pmf(u), means, consts[u]))
             if "mi" in methods:
                 ull = batch.user_log_likelihood(u)
-                cond = ull[idx[u], np.arange(c)] + enum.gauss_log_const
-                acc["mi"][u].append(cond - batch.log_evidence)
+                acc["mi"][u].append(ull[idx[u], np.arange(c)]
+                                    + batch.enum.gauss_log_const - batch.log_evidence)
             if "cl" in methods:
-                ys = cl_fronts[u].apply(y_eff)
-                cl_data[u][0].append(ys)
-                cl_data[u][1].append(x[u])
+                acc["cl"][u].append((fronts[u].apply(y_u), x[u]))
 
-    out = {m: {} for m in acc}
-    for m in acc:
+    out = {m: {} for m in methods}
+    for m in methods:
         for u in users:
             if m == "cl":
-                ys = np.concatenate(cl_data[u][0])
-                xs = np.concatenate(cl_data[u][1])
+                ys, xs = (np.concatenate(part) for part in zip(*acc[m][u]))
                 out[m][u], _ = cl_gmi_from_scalar(
-                    ys, xs, cl_fronts[u].scalar_gain, consts[u].power)
+                    ys, xs, fronts[u].scalar_gain, consts[u].power)
             else:
                 out[m][u] = _estimate_from_nats(np.concatenate(acc[m][u]))
     return out
-
-
-def gmi_gnnd_qpsk(ch: ChannelInstance, constellations, user: int,
-                  n_samples: int, rng, receiver: str = "no-sic") -> RateEstimate:
-    res = evaluate_user_rates(ch, constellations, [user], ["gnnd"],
-                              receiver, n_samples, rng)
-    return res["gnnd"][user]
-
-
-def gmi_cl_qpsk(ch: ChannelInstance, constellations, user: int,
-                n_samples: int, rng, receiver: str = "no-sic") -> RateEstimate:
-    res = evaluate_user_rates(ch, constellations, [user], ["cl"],
-                              receiver, n_samples, rng)
-    return res["cl"][user]
-
-
-def mutual_information(ch: ChannelInstance, constellations, user=None,
-                       receiver: str = "no-sic", n_samples: int = 200_000,
-                       rng=None) -> RateEstimate:
-    """Per-user mutual information, or the joint rate when user is None.
-
-    The joint rate is the chain-rule sum of successive conditional terms.
-    """
-    if user is None:
-        res = evaluate_user_rates(ch, constellations, None, ["mi"], "sic",
-                                  n_samples, rng)
-        return combine_rates(res["mi"].values())
-    res = evaluate_user_rates(ch, constellations, [user], ["mi"], receiver,
-                              n_samples, rng)
-    return res["mi"][user]
-
-
-def kl_gap(ch: ChannelInstance, constellations, user: int,
-           n_samples: int, rng, receiver: str = "no-sic") -> RateEstimate:
-    res = evaluate_user_rates(ch, constellations, [user], [], receiver,
-                              n_samples, rng, want_kl=True)
-    return res["kl"][user]
-
-
-def sum_rate(ch: ChannelInstance, constellations, receiver: str, method: str,
-             n_samples: int, rng) -> tuple[dict, RateEstimate]:
-    """Per-user rates for one method plus their sum."""
-    res = evaluate_user_rates(ch, constellations, None, [method], receiver,
-                              n_samples, rng)
-    per_user = res[method]
-    return per_user, combine_rates(per_user.values())

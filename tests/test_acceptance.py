@@ -98,10 +98,9 @@ def test_criterion_3_gap_identity():
         gains = sample_gains(2, 2, np.random.default_rng((SEED, 20, inst)))
         for snr in (0.0, 10.0):
             ch = ChannelInstance(gains, 1.0 / 10 ** (snr / 10), [0.5, 0.5])
-            res = evaluate_user_rates(ch, q, [0], ("gnnd", "mi"), "no-sic",
+            res = evaluate_user_rates(ch, q, [0], ("gnnd", "mi", "kl"), "no-sic",
                                       200_000,
-                                      np.random.default_rng((SEED, 21, inst)),
-                                      want_kl=True)
+                                      np.random.default_rng((SEED, 21, inst)))
             mi, gn, kl = res["mi"][0], res["gnnd"][0], res["kl"][0]
             comb = np.sqrt(mi.std_error**2 + gn.std_error**2 + kl.std_error**2)
             ratio = abs((mi.value - gn.value) - kl.value) / (3 * comb)

@@ -64,6 +64,19 @@ def test_empty_methods_rejected():
         parse_config("kind = gmi-sweep\nseed = 1\nmethods =\n")
 
 
+@pytest.mark.parametrize("kind, methods, bad", [
+    ("gmi-sweep", "ml", "ml"),
+    ("gmi-sweep", "gnnd, ml", "ml"),
+    ("viterbi-ber", "gnnd, cl, mi", "mi"),  # the default list
+    ("ldpc-ber", "gnnd, mi", "mi"),
+    ("ldpc-ber", "cl, ml", "ml"),
+    ("scatter", "bogus", "bogus"),
+])
+def test_runner_rejects_foreign_method(kind, methods, bad):
+    with pytest.raises(ConfigError, match=f"method '{bad}' not available for {kind}"):
+        parse_config(f"kind = {kind}\nseed = 1\nmethods = {methods}\n")
+
+
 def test_empty_snr_grid_rejected():
     with pytest.raises(ConfigError, match="snr"):
         parse_config("kind = gmi-sweep\nseed = 1\nsnr_db =\n")
@@ -88,13 +101,12 @@ def test_pilot_power_forms():
 
 
 def test_user_order():
-    cfg = ExperimentConfig(kind="viterbi-ber", seed=1, users=3, antennas=3,
-                           sic_order="2,0,1")
+    base = dict(kind="viterbi-ber", seed=1, users=3, antennas=3,
+                methods=("gnnd", "cl", "ml"))
+    cfg = ExperimentConfig(**base, sic_order="2,0,1")
     assert cfg.user_order() == [2, 0, 1]
-    assert ExperimentConfig(kind="viterbi-ber", seed=1, users=3,
-                            antennas=3).user_order() == [0, 1, 2]
-    bad = ExperimentConfig(kind="viterbi-ber", seed=1, users=3, antennas=3,
-                           sic_order="0,0,1")
+    assert ExperimentConfig(**base).user_order() == [0, 1, 2]
+    bad = ExperimentConfig(**base, sic_order="0,0,1")
     with pytest.raises(ConfigError):
         bad.user_order()
 

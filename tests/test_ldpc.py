@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gnndsim.codec import bp_decode, bp_decode_batch, encode, gf2_rank, ldpc_build, syndrome
+from gnndsim.codec import bp_decode_batch, encode, gf2_rank, ldpc_build, syndrome
 from gnndsim.codec.ldpc import ParityGraph, parse_base_matrix
 
 
@@ -40,7 +40,7 @@ def test_zero_noise_roundtrip(code, rng):
     bits = rng.integers(0, 2, size=440)
     word = encode(code, bits)
     llr = 40.0 * (1.0 - 2.0 * word)
-    decoded, converged = bp_decode(code, np.clip(llr, -30, 30))
+    (decoded,), (converged,) = bp_decode_batch(code, np.clip(llr, -30, 30))
     assert converged
     np.testing.assert_array_equal(decoded, word)
 
@@ -48,13 +48,13 @@ def test_zero_noise_roundtrip(code, rng):
 def test_huge_correct_llrs_decode_in_one_iteration(code, rng):
     word = encode(code, rng.integers(0, 2, size=440))
     llr = 30.0 * (1.0 - 2.0 * word)
-    decoded, converged = bp_decode(code, llr, max_iters=1)
+    (decoded,), (converged,) = bp_decode_batch(code, llr, max_iters=1)
     assert converged
     np.testing.assert_array_equal(decoded, word)
 
 
 def test_all_zero_llrs_do_not_converge(code):
-    _, converged = bp_decode(code, np.zeros(528))
+    _, (converged,) = bp_decode_batch(code, np.zeros(528))
     assert not converged
 
 
@@ -64,7 +64,7 @@ def test_converged_output_satisfies_checks(code, rng):
     hits = 0
     for _ in range(10):
         llr = 4.0 * (1.0 - 2.0 * word) + rng.normal(0, 2.0, size=528)
-        decoded, converged = bp_decode(code, np.clip(llr, -30, 30))
+        (decoded,), (converged,) = bp_decode_batch(code, np.clip(llr, -30, 30))
         if converged:
             hits += 1
             assert not syndrome(code, decoded).any()
@@ -76,14 +76,14 @@ def test_bp_corrects_moderate_noise(code, rng):
     ok = 0
     for _ in range(10):
         llr = np.clip(6.0 * (1.0 - 2.0 * word) + rng.normal(0, 3.0, size=528), -30, 30)
-        decoded, converged = bp_decode(code, llr)
+        (decoded,), (converged,) = bp_decode_batch(code, llr)
         ok += converged and np.array_equal(decoded, word)
     assert ok >= 8
 
 
 def test_llr_length_mismatch(code):
     with pytest.raises(ValueError):
-        bp_decode(code, np.zeros(100))
+        bp_decode_batch(code, np.zeros(100))
 
 
 def test_parse_rejects_bad_shift():

@@ -7,23 +7,26 @@ from gnndsim.fronts import cl_front, qpsk_estimates
 from gnndsim.harness import nn_tables
 from gnndsim.posterior import JointEnumeration
 from gnndsim.rates import (
+    LN2,
     RateEstimate,
     cl_gmi_from_scalar,
     combine_rates,
     evaluate_user_rates,
-    gmi_cl_qpsk,
     gmi_from_tables,
-    gmi_gnnd_qpsk,
     gnnd_gmi_from_means,
-    kl_gap,
-    mutual_information,
-    sum_rate,
 )
 
 
 def _single_user_channel(snr_db, power=1.0, h=1.0 + 0j):
     noise_var = power / 10 ** (snr_db / 10)
     return ChannelInstance(np.array([[h]]), noise_var, [power])
+
+
+def _user0(ch, consts, methods, n, seed):
+    """Rates of user 0 without cancellation, {method: RateEstimate}."""
+    res = evaluate_user_rates(ch, consts, [0], methods, "no-sic", n,
+                              np.random.default_rng(seed))
+    return {m: res[m][0] for m in methods}
 
 
 def _bpsk_mi_bits(amp, real_noise_var):
@@ -42,10 +45,7 @@ def _bpsk_mi_bits(amp, real_noise_var):
 def test_single_user_estimators_agree():
     ch = _single_user_channel(10.0)
     q = make_qpsk(1.0)
-    vals = {}
-    for name, fn in (("gnnd", gmi_gnnd_qpsk), ("cl", gmi_cl_qpsk)):
-        vals[name] = fn(ch, q, 0, 40_000, np.random.default_rng(1))
-    vals["mi"] = mutual_information(ch, q, 0, "no-sic", 40_000, np.random.default_rng(1))
+    vals = _user0(ch, q, ("gnnd", "cl", "mi"), 40_000, 1)
     for a in vals:
         for b in vals:
             tol = 2 * np.hypot(vals[a].std_error, vals[b].std_error) + 1e-3
@@ -56,7 +56,7 @@ def test_mutual_information_gauss_hermite_oracle():
     ch = _single_user_channel(10.0)
     q = make_qpsk(1.0)
     oracle = 2 * _bpsk_mi_bits(np.sqrt(0.5), ch.noise_var / 2)
-    est = mutual_information(ch, q, 0, "no-sic", 200_000, np.random.default_rng(2))
+    est = _user0(ch, q, ("mi",), 200_000, 2)["mi"]
     assert abs(est.value - oracle) < 0.01
     assert 1.9 < oracle < 2.0  # about 1.99 bits at 10 dB
 
@@ -64,9 +64,7 @@ def test_mutual_information_gauss_hermite_oracle():
 def test_rates_vanish_at_huge_noise():
     ch = ChannelInstance(np.array([[1.0 + 0j]]), 1e7, [1.0])
     q = make_qpsk(1.0)
-    for est in (gmi_gnnd_qpsk(ch, q, 0, 20_000, np.random.default_rng(0)),
-                gmi_cl_qpsk(ch, q, 0, 20_000, np.random.default_rng(0)),
-                mutual_information(ch, q, 0, "no-sic", 20_000, np.random.default_rng(0))):
+    for est in _user0(ch, q, ("gnnd", "cl", "mi"), 20_000, 0).values():
         assert abs(est.value) < 0.01
 
 
@@ -104,7 +102,7 @@ def test_gmi_from_tables_matched_metric_achieves_mi():
     n = 4000
     tables, tx = _sampled_tables(ch, consts, 0, n, np.random.default_rng(4), "ml")
     est, theta = gmi_from_tables(tables, tx, consts.probabilities)
-    mi = mutual_information(ch, consts, 0, "no-sic", 40_000, np.random.default_rng(5))
+    mi = _user0(ch, consts, ("mi",), 40_000, 5)["mi"]
     assert abs(est.value - mi.value) < 2 * np.hypot(est.std_error, mi.std_error) + 5e-3
     assert theta < 0
 
@@ -116,7 +114,7 @@ def test_gmi_from_tables_matches_closed_form_on_gnnd_metric():
     n = 20_000
     tables, tx = _sampled_tables(ch, q, 0, n, np.random.default_rng(7), "gnnd")
     est, _ = gmi_from_tables(tables, tx, q.probabilities)
-    closed = gmi_gnnd_qpsk(ch, q, 0, 20_000, np.random.default_rng(8))
+    closed = _user0(ch, q, ("gnnd",), 20_000, 8)["gnnd"]
     assert abs(est.value - closed.value) < 2 * np.hypot(est.std_error, closed.std_error) + 5e-3
 
 
@@ -129,7 +127,7 @@ def test_any_metric_bounded_by_mi():
     tables, tx = _sampled_tables(ch, q, 0, n, rng, "ml")
     tables = tables + rng.normal(0, 0.3, size=tables.shape)  # corrupt the metric
     est, _ = gmi_from_tables(tables, tx, q.probabilities)
-    mi = mutual_information(ch, q, 0, "no-sic", 40_000, np.random.default_rng(11))
+    mi = _user0(ch, q, ("mi",), 40_000, 11)["mi"]
     assert est.value <= mi.value + 2 * np.hypot(est.std_error, mi.std_error) + 5e-3
 
 
@@ -148,7 +146,7 @@ def test_cl_cosh_form_agrees_with_table_form():
 def test_kl_gap_nonnegative_and_zero_single_user():
     ch = _single_user_channel(5.0)
     q = make_qpsk(1.0)
-    est = kl_gap(ch, q, 0, 20_000, np.random.default_rng(14))
+    est = _user0(ch, q, ("kl",), 20_000, 14)["kl"]
     assert est.value >= -2 * est.std_error
     assert est.value < 1e-6  # matched metric: tilted pmf equals the posterior
 
@@ -157,7 +155,7 @@ def test_kl_gap_positive_multiuser():
     gains = sample_gains(2, 1, np.random.default_rng(15))
     ch = ChannelInstance(gains, 0.2, [0.5, 0.5])
     q = make_qpsk(0.5)
-    est = kl_gap(ch, q, 0, 20_000, np.random.default_rng(16))
+    est = _user0(ch, q, ("kl",), 20_000, 16)["kl"]
     assert est.value >= -2 * est.std_error
 
 
@@ -165,30 +163,44 @@ def test_corollary_identity_small():
     gains = sample_gains(2, 2, np.random.default_rng(17))
     ch = ChannelInstance(gains, 0.1, [0.5, 0.5])
     q = make_qpsk(0.5)
-    res = evaluate_user_rates(ch, q, [0], ("gnnd", "mi"), "no-sic", 60_000,
-                              np.random.default_rng(18), want_kl=True)
-    mi, gn, kl = res["mi"][0], res["gnnd"][0], res["kl"][0]
+    res = _user0(ch, q, ("gnnd", "mi", "kl"), 60_000, 18)
+    mi, gn, kl = res["mi"], res["gnnd"], res["kl"]
     comb = np.sqrt(mi.std_error**2 + gn.std_error**2 + kl.std_error**2)
     assert abs((mi.value - gn.value) - kl.value) <= 3 * comb
 
 
-def test_sum_rate_sic_matches_joint_mi():
+def test_sic_mi_chain_rule_matches_joint_mi():
+    # sum_k I(x_k; y | x_0..x_{k-1}) = I(x; y), the joint MI estimated
+    # independently as E[log p(y|x) - log p(y)] on fresh samples
     gains = sample_gains(2, 2, np.random.default_rng(19))
     ch = ChannelInstance(gains, 0.3, [0.5, 0.5])
     q = make_qpsk(0.5)
-    per_user, total = sum_rate(ch, q, "sic", "mi", 30_000, np.random.default_rng(20))
-    joint = mutual_information(ch, q, None, "sic", 30_000, np.random.default_rng(20))
-    assert total.value == pytest.approx(joint.value, abs=1e-12)
-    assert len(per_user) == 2
+    res = evaluate_user_rates(ch, q, None, ("mi",), "sic", 30_000,
+                              np.random.default_rng(20))
+    chain = combine_rates(res["mi"].values())
+    rng = np.random.default_rng(21)
+    n = 30_000
+    x = q.points[rng.integers(0, 4, size=(2, n))]
+    y = transmit(ch, x, rng)
+    enum = JointEnumeration(gains, ch.noise_var, q, 0)
+    log_cond = enum.gauss_log_const - np.sum(np.abs(y - gains @ x) ** 2, axis=0) / ch.noise_var
+    nats = log_cond - enum.evaluate(y).log_evidence
+    joint, joint_se = nats.mean() / LN2, nats.std(ddof=1) / np.sqrt(n) / LN2
+    assert len(res["mi"]) == 2
+    assert abs(chain.value - joint) <= 3 * np.hypot(chain.std_error, joint_se)
+    assert 1.0 < joint < 4.0
 
 
 def test_sic_at_least_no_sic():
     gains = sample_gains(3, 3, np.random.default_rng(21))
     ch = ChannelInstance(gains, 0.2, np.full(3, 1 / 3))
     q = make_qpsk(1 / 3)
+    no_sic_res, sic_res = (evaluate_user_rates(ch, q, None, ("gnnd", "cl", "mi"), receiver,
+                                               20_000, np.random.default_rng(22))
+                           for receiver in ("no-sic", "sic"))
     for method in ("gnnd", "cl", "mi"):
-        _, no_sic = sum_rate(ch, q, "no-sic", method, 20_000, np.random.default_rng(22))
-        _, sic = sum_rate(ch, q, "sic", method, 20_000, np.random.default_rng(22))
+        no_sic = combine_rates(no_sic_res[method].values())
+        sic = combine_rates(sic_res[method].values())
         slack = 2 * np.hypot(no_sic.std_error, sic.std_error)
         assert sic.value >= no_sic.value - slack
 
@@ -223,10 +235,10 @@ def test_deterministic_given_seed():
     gains = sample_gains(2, 2, np.random.default_rng(27))
     ch = ChannelInstance(gains, 0.2, [0.5, 0.5])
     q = make_qpsk(0.5)
-    a = evaluate_user_rates(ch, q, None, ("gnnd", "cl", "mi"), "no-sic", 10_000,
-                            np.random.default_rng(42), want_kl=True)
-    b = evaluate_user_rates(ch, q, None, ("gnnd", "cl", "mi"), "no-sic", 10_000,
-                            np.random.default_rng(42), want_kl=True)
+    a = evaluate_user_rates(ch, q, None, ("gnnd", "cl", "mi", "kl"), "no-sic", 10_000,
+                            np.random.default_rng(42))
+    b = evaluate_user_rates(ch, q, None, ("gnnd", "cl", "mi", "kl"), "no-sic", 10_000,
+                            np.random.default_rng(42))
     for m in a:
         for u in a[m]:
             assert a[m][u] == b[m][u]
