@@ -63,19 +63,27 @@ def _transition_tables(code: ConvCode):
 
 
 def conv_encode(bits, code: ConvCode) -> np.ndarray:
-    """Encode with zero termination; two coded bits per trellis step."""
-    bits = np.asarray(bits, dtype=np.int64).ravel()
+    """Encode with zero termination; two coded bits per trellis step.
+
+    ``bits`` is one word ``(n,)`` or a batch ``(B, n)``; each output row is
+    ``2 (n + n_flush)`` coded bits. Every generator tap XORs in a shifted
+    copy of the zero-padded input.
+    """
+    bits = np.asarray(bits, dtype=np.int64)
+    words = np.atleast_2d(bits)
+    if words.ndim != 2:
+        raise ValueError("bits must be (n,) or (B, n)")
     if bits.size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("bits must be 0/1")
-    full = np.concatenate([bits, np.zeros(code.n_flush, dtype=np.int64)])
-    out = np.empty(2 * full.size, dtype=np.int64)
-    state = 0
-    for t, b in enumerate(full):
-        reg = (state << 1) | int(b)
-        out[2 * t] = _parity(reg & code.generators[0])
-        out[2 * t + 1] = _parity(reg & code.generators[1])
-        state = reg & (code.n_states - 1)
-    return out
+    full = np.pad(words, ((0, 0), (0, code.n_flush)))
+    n_steps = full.shape[1]
+    out = np.zeros((words.shape[0], n_steps, 2), dtype=np.int64)
+    for j, g in enumerate(code.generators):
+        for i in range(code.constraint_length):
+            if g >> i & 1:
+                out[:, i:, j] ^= full[:, :n_steps - i]
+    out = out.reshape(words.shape[0], 2 * n_steps)
+    return out if bits.ndim == 2 else out[0]
 
 
 def _symbol_index_tables(code: ConvCode, c: Constellation):
@@ -90,12 +98,19 @@ def _symbol_index_tables(code: ConvCode, c: Constellation):
 def viterbi(tables, code: ConvCode, c: Constellation) -> np.ndarray:
     """Exact minimum-metric path; returns the information bits.
 
-    ``tables[t, i]`` is the branch metric of constellation point i at step t,
-    one trellis step per transmitted symbol, flush steps included. Ties are
-    broken toward the lexicographically smaller (previous state, input).
+    ``tables[..., t, i]`` is the branch metric of constellation point i at
+    step t, one trellis step per transmitted symbol, flush steps included.
+    A single word ``(T, |A|)`` gives ``(T - n_flush,)`` bits; a batch
+    ``(B, T, |A|)`` decodes all B words at once and gives ``(B, T - n_flush)``.
+    Ties are broken toward the lexicographically smaller (previous state, input).
     """
-    tables = np.atleast_2d(np.asarray(tables, dtype=np.float64))
-    n_steps = tables.shape[0]
+    tables = np.asarray(tables, dtype=np.float64)
+    single = tables.ndim == 2
+    if single:
+        tables = tables[None]
+    if tables.ndim != 3:
+        raise ValueError("tables must be (T, |A|) or (B, T, |A|)")
+    n_words, n_steps = tables.shape[:2]
     if n_steps <= code.n_flush:
         raise ValueError("table count does not cover flush steps")
     n_info = n_steps - code.n_flush
@@ -116,43 +131,22 @@ def viterbi(tables, code: ConvCode, c: Constellation) -> np.ndarray:
             fill[d] += 1
 
     big = np.inf
-    pm = np.full(s_count, big)
-    pm[0] = 0.0
-    prev_choice = np.zeros((n_steps, s_count), dtype=np.int8)
+    pm = np.full((n_words, s_count), big)
+    pm[:, 0] = 0.0
+    took_second = np.empty((n_steps, n_words, s_count), dtype=bool)
     for t in range(n_steps):
-        cand = pm[inc_prev] + tables[t][inc_sym]
+        cand = pm[:, inc_prev] + tables[:, t][:, inc_sym]  # (B, S, 2)
         if t >= n_info:  # flush: only input 0 branches are valid
             cand = np.where(inc_input == 0, cand, big)
-        choice = np.argmin(cand, axis=1)  # first occurrence wins ties
-        prev_choice[t] = choice
-        pm = cand[np.arange(s_count), choice]
+        second = cand[..., 1] < cand[..., 0]  # the first branch wins ties
+        took_second[t] = second
+        pm = np.where(second, cand[..., 1], cand[..., 0])
 
-    state = 0  # zero termination
-    bits = np.empty(n_steps, dtype=np.int64)
+    rows = np.arange(n_words)
+    state = np.zeros(n_words, dtype=np.int64)  # zero termination
+    bits = np.empty((n_words, n_steps), dtype=np.int64)
     for t in range(n_steps - 1, -1, -1):
-        c_idx = prev_choice[t, state]
-        bits[t] = inc_input[state, c_idx]
+        c_idx = took_second[t, rows, state].astype(np.int64)
+        bits[:, t] = inc_input[state, c_idx]
         state = inc_prev[state, c_idx]
-    return bits[:n_info]
-
-
-def exhaustive_decode(tables, code: ConvCode, c: Constellation,
-                      max_info_bits: int = 20) -> np.ndarray:
-    """Brute-force minimum summed metric over all codewords (oracle-grade).
-
-    Enumerates every information word through the code's generator matrix,
-    so cost is 2^k; refuse blocks beyond ``max_info_bits``.
-    """
-    tables = np.atleast_2d(np.asarray(tables, dtype=np.float64))
-    n_info = tables.shape[0] - code.n_flush
-    if n_info > max_info_bits:
-        raise ValueError(f"{n_info} info bits is too large for exhaustion")
-    labeling = c.require_labeling()
-    gen = np.stack([conv_encode(np.eye(n_info, dtype=np.int64)[i], code)
-                    for i in range(n_info)])  # (n_info, 2 n_steps)
-    shifts = np.arange(n_info - 1, -1, -1)
-    words = (np.arange(1 << n_info)[:, None] >> shifts[None, :]) & 1
-    coded = words @ gen & 1
-    idx = labeling.label_to_point[2 * coded[:, 0::2] + coded[:, 1::2]]
-    metrics = tables[np.arange(tables.shape[0])[None, :], idx].sum(axis=1)
-    return words[int(np.argmin(metrics))]
+    return bits[0, :n_info] if single else bits[:, :n_info]

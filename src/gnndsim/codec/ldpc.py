@@ -74,11 +74,6 @@ class ParityGraph:
         ce, ve = np.nonzero(h)
         return cls(h.shape[1], h.shape[0], ce, ve)
 
-    def dense(self) -> np.ndarray:
-        h = np.zeros((self.n_checks, self.n), dtype=np.uint8)
-        h[self.check_of_edge, self.var_of_edge] = 1
-        return h
-
 
 @dataclass(frozen=True)
 class LdpcCode:
@@ -111,9 +106,6 @@ class LdpcCode:
     @property
     def n_checks(self) -> int:
         return self.graph.n_checks
-
-    def dense_parity_check(self) -> np.ndarray:
-        return self.graph.dense()
 
 
 def ldpc_build(info_length: int = 440, rate: Fraction = Fraction(5, 6),
@@ -206,18 +198,3 @@ def bp_decode_batch(code, llrs, max_iters: int = BP_MAX_ITERS,
     if return_posteriors:
         return hard, converged, total
     return hard, converged
-
-
-def gf2_rank(matrix) -> int:
-    """Rank over GF(2) by elimination on packed rows."""
-    rows = [int("".join(map(str, r)), 2) for r in np.asarray(matrix, dtype=np.uint8)]
-    rank = 0
-    while rows:
-        pivot = max(rows)
-        rows.remove(pivot)
-        if pivot == 0:
-            continue
-        rank += 1
-        top = pivot.bit_length() - 1
-        rows = [r ^ pivot if (r >> top) & 1 else r for r in rows]
-    return rank

@@ -126,17 +126,6 @@ def modulate(bits, c: Constellation) -> np.ndarray:
     return c.points[labeling.label_to_point[labels]]
 
 
-def demodulate_hard(symbols, c: Constellation) -> np.ndarray:
-    """Nearest-point hard demapping back to bits."""
-    labeling = c.require_labeling()
-    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
-    idx = np.argmin(np.abs(symbols[:, None] - c.points[None, :]), axis=1)
-    m = labeling.bits_per_symbol
-    labels = labeling.point_to_label[idx]
-    shifts = np.arange(m - 1, -1, -1)
-    return ((labels[:, None] >> shifts[None, :]) & 1).ravel()
-
-
 def sample_symbols(c: Constellation, n: int, rng: np.random.Generator) -> np.ndarray:
     idx = rng.choice(c.size, size=n, p=c.probabilities)
     return c.points[idx]

@@ -35,6 +35,7 @@ SCATTER_CSV_COLUMNS = ("true_re", "true_im", "gnnd_re", "gnnd_im",
                        "lmmse_re", "lmmse_im")
 SIGMA_U_SAMPLES = 2048
 ENUM_SLICE_BYTES = 2**28   # one (M, n) complex64 block of scatter log weights
+VITERBI_WAVE = 16          # blocks per wave; more words per viterbi call cost RSS
 
 
 @dataclass
@@ -202,23 +203,6 @@ def run_scatter(cfg: ExperimentConfig) -> SweepResult:
     return result
 
 
-def cluster_separation(true_symbols, estimates) -> float:
-    """Minimum inter-centroid distance over mean within-cluster RMS spread."""
-    true_symbols = np.asarray(true_symbols)
-    estimates = np.asarray(estimates)
-    points = np.unique(true_symbols)
-    centroids, spreads = [], []
-    for p in points:
-        cloud = estimates[true_symbols == p]
-        c = cloud.mean()
-        centroids.append(c)
-        spreads.append(np.sqrt(np.mean(np.abs(cloud - c) ** 2)))
-    centroids = np.asarray(centroids)
-    dists = [abs(a - b) for i, a in enumerate(centroids)
-             for b in centroids[i + 1:]]
-    return float(min(dists) / np.mean(spreads))
-
-
 # --------------------------------------------------------------------------
 # convolutional-code BER
 
@@ -250,57 +234,70 @@ class _BerCounter:
         return all(self.frozen.values())
 
 
-def _viterbi_block(args):
-    """Decode one block under the still-active methods; returns error counts.
+def _word_tables(method, gains, noise_var, consts, y, users):
+    """Metric tables of one method for each user of the range ``users``
+    from one block's observation y, from which every user before the range
+    is already cancelled."""
+    first = users.start
+    if method == "cl":
+        powers = np.full(gains.shape[1], consts.power)
+        fronts = [cl_front(gains, noise_var, u, powers, cancelled=range(first))
+                  for u in users]
+        return [nn_tables(f.apply(y), consts.points, f.scalar_gain) for f in fronts]
+    enum = JointEnumeration(gains, noise_var, consts, first, dtype=np.complex64)
+    batch = enum.evaluate(y, keep_log_weights=(method == "ml"))
+    if method == "gnnd":
+        return [nn_tables(qpsk_estimates(batch.mean(u), consts.power), consts.points)
+                for u in users]
+    return [-batch.user_log_likelihood(u).T for u in users]
 
-    The channel, data, and noise draws happen before any decoding, so the
-    result for one method never depends on which other methods are active.
-    Under SIC, user k is decoded from y less the re-encoded decisions of
-    users 0..k-1, with those users left out of its enumeration and its CL
-    interference; without SIC one enumeration serves every user.
+
+def _viterbi_block(args):
+    """Decode a list of blocks under the still-active methods; returns one
+    {method: per-user error counts} per block, in seed order.
+
+    Each block draws its channel, data and noise from its own seed before
+    any decoding, so the result of one block and method never depends on
+    the other blocks or methods decoded with it. Under SIC, user k is
+    decoded from y less the re-encoded decisions of users 0..k-1, with those
+    users left out of its enumeration and its CL interference; without SIC
+    one enumeration per block and method serves every user. The words of
+    user k, one per (method, block), go through one ``viterbi`` call.
     """
-    cfg, snr_db, seed, active = args
-    rng = np.random.default_rng(seed)
+    cfg, snr_db, seeds, active = args
     code = make_conv_code_57()
     consts = user_constellation(cfg)
     order = cfg.user_order()
     sic = cfg.receiver == "sic"
     noise_var = noise_var_for(cfg, snr_db)
+    n_blocks, n_users, n_steps = len(seeds), cfg.users, cfg.info_bits + code.n_flush
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     # permute users so cancellation order is the natural index order
-    gains = sample_gains(cfg.users, cfg.antennas, rng)[:, order]
-    powers = np.full(cfg.users, cfg.power / cfg.users)
-    bits = rng.integers(0, 2, size=(cfg.users, cfg.info_bits))
-    symbols = np.stack([modulate(conv_encode(bits[k], code), consts)
-                        for k in range(cfg.users)])
-    n_steps = symbols.shape[1]
-    y = gains @ symbols + np.sqrt(noise_var) * crandn((cfg.antennas, n_steps), rng)
+    gains = [sample_gains(n_users, cfg.antennas, rng)[:, order] for rng in rngs]
+    bits = np.stack([rng.integers(0, 2, size=(n_users, cfg.info_bits)) for rng in rngs])
+    symbols = modulate(conv_encode(bits.reshape(-1, cfg.info_bits), code),
+                       consts).reshape(n_blocks, n_users, n_steps)
+    ys = [g @ x + np.sqrt(noise_var) * crandn((cfg.antennas, n_steps), rng)
+          for g, x, rng in zip(gains, symbols, rngs)]
 
-    out = {}
-    for method in active:
-        decided = np.zeros_like(symbols)
-        errs = np.zeros(cfg.users, dtype=np.int64)
-        batch = None
-        for k in range(cfg.users):
-            first = k if sic else 0
-            y_k = y - gains[:, :k] @ decided[:k] if sic else y
-            if method == "cl":
-                front = cl_front(gains, noise_var, k, powers, cancelled=range(first))
-                tables = nn_tables(front.apply(y_k), consts.points, front.scalar_gain)
-            else:
-                if sic or batch is None:
-                    enum = JointEnumeration(gains, noise_var, consts, first,
-                                            dtype=np.complex64)
-                    batch = enum.evaluate(y_k, keep_log_weights=(method == "ml"))
-                if method == "gnnd":
-                    tables = nn_tables(qpsk_estimates(batch.mean(k), consts.power),
-                                       consts.points)
-                else:
-                    tables = -batch.user_log_likelihood(k).T
-            decoded = viterbi(tables, code, consts)
-            decided[k] = modulate(conv_encode(decoded, code), consts)
-            errs[order[k]] = np.sum(decoded != bits[k])  # original user id
-        out[method] = errs
-    return out
+    words = [(m, b) for m in active for b in range(n_blocks)]
+    blocks = [b for _, b in words]
+    decided = np.zeros((len(words), n_users, n_steps), dtype=np.complex128)
+    errs = np.zeros((len(words), n_users), dtype=np.int64)
+    for k in range(n_users):
+        if sic or k == 0:
+            users = range(k, k + 1) if sic else range(n_users)
+            tables = np.empty((len(users), len(words), n_steps, consts.size))
+            for i, (method, b) in enumerate(words):
+                y = ys[b] - gains[b][:, :k] @ decided[i, :k] if sic else ys[b]
+                tables[:, i] = _word_tables(method, gains[b], noise_var, consts, y, users)
+        decoded = viterbi(tables[k - users.start], code, consts)
+        if sic and k < n_users - 1:  # only later users cancel these decisions
+            decided[:, k] = modulate(conv_encode(decoded, code),
+                                     consts).reshape(len(words), n_steps)
+        errs[:, order[k]] = np.sum(decoded != bits[blocks, k], axis=1)  # original user id
+    errs = errs.reshape(len(active), n_blocks, n_users)
+    return [{m: errs[j, b] for j, m in enumerate(active)} for b in range(n_blocks)]
 
 
 def run_viterbi_ber(cfg: ExperimentConfig) -> SweepResult:
@@ -311,24 +308,31 @@ def run_viterbi_ber(cfg: ExperimentConfig) -> SweepResult:
     along a curve are thus paired, like the fading ensemble of
     ``run_ldpc_ber``, and differ by SNR rather than by which channels
     each point happened to draw.
+
+    Blocks are decoded in waves of ``VITERBI_WAVE``, split into ``threads``
+    contiguous chunks. Counters take the results in block order and freeze
+    per method at the stop rule, so a method's rows do not depend on the
+    wave or the thread count; blocks of a wave past its stop are decoded
+    and then discarded.
     """
     start = time.time()
     result = SweepResult(cfg, BER_CSV_COLUMNS)
     block_seeds = np.random.SeedSequence((cfg.seed, 1)).spawn(cfg.blocks)
-    wave = max(cfg.threads, 4)
     for snr in cfg.snr_db:
         counter = _BerCounter(cfg.methods, cfg.users, cfg.min_errors, cfg.blocks)
         block_bits = np.full(cfg.users, cfg.info_bits, dtype=np.int64)
         next_block = 0
         while not counter.done and next_block < cfg.blocks:
-            hi = min(next_block + wave, cfg.blocks)
+            wave = block_seeds[next_block:next_block + VITERBI_WAVE]
             active = tuple(m for m in cfg.methods if not counter.frozen[m])
-            tasks = [(cfg, snr, block_seeds[b], active)
-                     for b in range(next_block, hi)]
-            for res in parallel_map(_viterbi_block, tasks, cfg.threads):
-                for method in active:
-                    counter.update(method, res[method], block_bits)
-            next_block = hi
+            parts = min(cfg.threads, len(wave))
+            cuts = [len(wave) * i // parts for i in range(parts + 1)]
+            tasks = [(cfg, snr, wave[lo:hi], active) for lo, hi in zip(cuts, cuts[1:])]
+            for chunk in parallel_map(_viterbi_block, tasks, cfg.threads):
+                for res in chunk:
+                    for method in active:
+                        counter.update(method, res[method], block_bits)
+            next_block += len(wave)
         _append_ber_rows(result, cfg, "viterbi-ber", snr, counter, cfg.info_bits)
     result.runtime = time.time() - start
     if cfg.out:

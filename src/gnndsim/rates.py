@@ -213,8 +213,10 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
 
     sic = receiver == "sic"
     first = {u: u if sic else 0 for u in users}
+    # the CL metric reads no posterior: a CL-only call enumerates nothing
+    need_enum = bool({"gnnd", "kl", "mi"} & set(methods))
     enums = {f: JointEnumeration(ch.gains, ch.noise_var, consts, f)
-             for f in sorted(set(first.values()))}
+             for f in sorted(set(first.values()))} if need_enum else {}
     fronts = {u: cl_front(ch.gains, ch.noise_var, u, ch.powers,
                           cancelled=range(first[u])) for u in users}
     acc = {m: {u: [] for u in users} for m in methods}  # cl: (y_scalar, x) pairs
@@ -231,7 +233,7 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
         batch = None
         for u in users:
             y_u = y - ch.gains[:, :u] @ x[:u] if sic else y
-            if sic or batch is None:
+            if need_enum and (sic or batch is None):
                 batch = enums[first[u]].evaluate(y_u)
             if "gnnd" in methods or "kl" in methods:
                 means = batch.mean(u)

@@ -1,0 +1,76 @@
+"""Brute-force and reference helpers that only the tests use."""
+
+import numpy as np
+
+from gnndsim.codec import conv_encode
+
+
+def exhaustive_decode(tables, code, c, max_info_bits: int = 20) -> np.ndarray:
+    """Brute-force minimum summed metric over all codewords (oracle-grade).
+
+    Enumerates every information word through the code's generator matrix,
+    so cost is 2^k; refuse blocks beyond ``max_info_bits``.
+    """
+    tables = np.atleast_2d(np.asarray(tables, dtype=np.float64))
+    n_info = tables.shape[0] - code.n_flush
+    if n_info > max_info_bits:
+        raise ValueError(f"{n_info} info bits is too large for exhaustion")
+    labeling = c.require_labeling()
+    gen = conv_encode(np.eye(n_info, dtype=np.int64), code)  # (n_info, 2 n_steps)
+    shifts = np.arange(n_info - 1, -1, -1)
+    words = (np.arange(1 << n_info)[:, None] >> shifts[None, :]) & 1
+    coded = words @ gen & 1
+    idx = labeling.label_to_point[2 * coded[:, 0::2] + coded[:, 1::2]]
+    metrics = tables[np.arange(tables.shape[0])[None, :], idx].sum(axis=1)
+    return words[int(np.argmin(metrics))]
+
+
+def gf2_rank(matrix) -> int:
+    """Rank over GF(2) by elimination on packed rows."""
+    rows = [int("".join(map(str, r)), 2) for r in np.asarray(matrix, dtype=np.uint8)]
+    rank = 0
+    while rows:
+        pivot = max(rows)
+        rows.remove(pivot)
+        if pivot == 0:
+            continue
+        rank += 1
+        top = pivot.bit_length() - 1
+        rows = [r ^ pivot if (r >> top) & 1 else r for r in rows]
+    return rank
+
+
+def dense_parity_check(code) -> np.ndarray:
+    """The parity-check matrix of an LDPC code as a dense 0/1 array."""
+    g = code.graph
+    h = np.zeros((g.n_checks, g.n), dtype=np.uint8)
+    h[g.check_of_edge, g.var_of_edge] = 1
+    return h
+
+
+def demodulate_hard(symbols, c) -> np.ndarray:
+    """Nearest-point hard demapping back to bits."""
+    labeling = c.require_labeling()
+    symbols = np.asarray(symbols, dtype=np.complex128).ravel()
+    idx = np.argmin(np.abs(symbols[:, None] - c.points[None, :]), axis=1)
+    m = labeling.bits_per_symbol
+    labels = labeling.point_to_label[idx]
+    shifts = np.arange(m - 1, -1, -1)
+    return ((labels[:, None] >> shifts[None, :]) & 1).ravel()
+
+
+def cluster_separation(true_symbols, estimates) -> float:
+    """Minimum inter-centroid distance over mean within-cluster RMS spread."""
+    true_symbols = np.asarray(true_symbols)
+    estimates = np.asarray(estimates)
+    points = np.unique(true_symbols)
+    centroids, spreads = [], []
+    for p in points:
+        cloud = estimates[true_symbols == p]
+        c = cloud.mean()
+        centroids.append(c)
+        spreads.append(np.sqrt(np.mean(np.abs(cloud - c) ** 2)))
+    centroids = np.asarray(centroids)
+    dists = [abs(a - b) for i, a in enumerate(centroids)
+             for b in centroids[i + 1:]]
+    return float(min(dists) / np.mean(spreads))

@@ -14,7 +14,6 @@ from gnndsim.channel import ChannelInstance, sample_gains, transmit
 from gnndsim.codec import (
     bp_decode_batch,
     conv_encode,
-    exhaustive_decode,
     make_conv_code_57,
     viterbi,
 )
@@ -39,6 +38,7 @@ from gnndsim.rates import (
 )
 
 from conftest import make_square16
+from oracles import exhaustive_decode
 from test_fronts import grid_search_front
 
 SEED = 314159

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from gnndsim.constellation import (
     BitLabeling,
     Constellation,
-    demodulate_hard,
     label_set,
     make_qpsk,
     modulate,
     sample_symbols,
 )
+from oracles import demodulate_hard
 
 
 def test_qpsk_points_and_probs():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from gnndsim.channel import ChannelInstance, transmit
-from gnndsim.codec import conv_encode, exhaustive_decode, make_conv_code_57, viterbi
+from gnndsim.codec import conv_encode, make_conv_code_57, viterbi
 from gnndsim.codec.conv import ConvCode
 from gnndsim.constellation import make_qpsk, modulate
+from oracles import exhaustive_decode
 
 
 def test_all_zero_input_gives_all_zero_output():
@@ -91,3 +92,52 @@ def test_viterbi_deterministic_tie_breaking():
     b = viterbi(tables, code, q)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, np.zeros(4, dtype=int))
+
+
+@pytest.mark.parametrize("kind", ["float", "ties"])
+def test_batched_viterbi_matches_per_word(rng, kind):
+    code = make_conv_code_57()
+    q = make_qpsk(2.0)
+    for n_info in (1, 5, 12):
+        shape = (40, n_info + code.n_flush, 4)
+        # small integers make equal path metrics, so the tie rule decides
+        tables = (rng.normal(0, 1, size=shape) ** 2 if kind == "float"
+                  else rng.integers(0, 3, size=shape).astype(float))
+        batched = viterbi(tables, code, q)
+        assert batched.shape == (40, n_info)
+        for row, tab in zip(batched, tables):
+            np.testing.assert_array_equal(row, viterbi(tab, code, q))
+            if kind == "float":
+                np.testing.assert_array_equal(row, exhaustive_decode(tab, code, q))
+
+
+def test_batched_encode_matches_per_word(rng):
+    code = make_conv_code_57()
+    bits = rng.integers(0, 2, size=(9, 17))
+    coded = conv_encode(bits, code)
+    assert coded.shape == (9, 2 * (17 + code.n_flush))
+    for row, word in zip(coded, bits):
+        np.testing.assert_array_equal(row, conv_encode(word, code))
+
+
+def test_single_and_batched_shapes_round_trip(rng):
+    code = make_conv_code_57()
+    q = make_qpsk(2.0)
+    bits = rng.integers(0, 2, size=(3, 10))
+    for words in (bits[0], bits[:1], bits):
+        coded = conv_encode(words, code)
+        assert coded.ndim == words.ndim
+        sym = modulate(coded, q).reshape(coded.shape[:-1] + (-1,))
+        tables = np.abs(sym[..., None] - q.points) ** 2
+        np.testing.assert_array_equal(viterbi(tables, code, q), words)
+
+
+def test_batch_shapes_are_checked():
+    code = make_conv_code_57()
+    q = make_qpsk(2.0)
+    with pytest.raises(ValueError):
+        conv_encode(np.zeros((2, 2, 3), dtype=int), code)
+    with pytest.raises(ValueError):
+        viterbi(np.zeros((2, 2, 6, 4)), code, q)
+    with pytest.raises(ValueError):
+        viterbi(np.zeros(4), code, q)

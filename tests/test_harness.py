@@ -6,7 +6,6 @@ from gnndsim.channel import ChannelInstance, sample_gains
 from gnndsim.config import ExperimentConfig
 from gnndsim.constellation import make_qpsk
 from gnndsim.harness import (
-    cluster_separation,
     lmmse_estimates,
     run_gmi_sweep,
     run_ldpc_ber,
@@ -16,6 +15,7 @@ from gnndsim.harness import (
     average_sum_rows,
 )
 from gnndsim.posterior import JointEnumeration
+from oracles import cluster_separation
 
 
 def _small_gmi_cfg(**kw):
@@ -127,8 +127,8 @@ _VITERBI_BLOCK = harness._viterbi_block
 
 
 def _block_recording_gains(args):
-    """One Viterbi block that also returns the fading gains it drew; module
-    level so that worker processes can run it."""
+    """Viterbi blocks whose results also carry the fading gains each block
+    drew; module level so that worker processes can run it."""
     drawn = []
     real = harness.sample_gains
 
@@ -138,10 +138,10 @@ def _block_recording_gains(args):
 
     harness.sample_gains = recording
     try:
-        res = _VITERBI_BLOCK(args)
+        results = _VITERBI_BLOCK(args)
     finally:
         harness.sample_gains = real
-    return dict(res, gains=drawn[0])
+    return [dict(res, gains=g) for res, g in zip(results, drawn)]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -152,8 +152,8 @@ def test_viterbi_ber_pairs_blocks_across_snr(monkeypatch, threads):
 
     def recording_map(fn, tasks, n_threads):
         results = real_map(fn, tasks, n_threads)
-        for (_, snr, _, _), res in zip(tasks, results):
-            drawn.setdefault(snr, []).append(res["gains"])
+        for (_, snr, _, _), chunk in zip(tasks, results):
+            drawn.setdefault(snr, []).extend(res["gains"] for res in chunk)
         return results
 
     monkeypatch.setattr(harness, "_viterbi_block", _block_recording_gains)
@@ -168,6 +168,21 @@ def test_viterbi_ber_pairs_blocks_across_snr(monkeypatch, threads):
     for g_low, g_high in zip(low, high):
         np.testing.assert_array_equal(g_low, g_high)
     assert not np.array_equal(low[0], low[1])  # blocks are distinct draws
+
+
+@pytest.mark.parametrize("receiver", ["sic", "no-sic"])
+def test_viterbi_ber_threads_match_serial(receiver):
+    def run(threads):
+        return run_viterbi_ber(ExperimentConfig(
+            kind="viterbi-ber", seed=6, users=2, antennas=2, receiver=receiver,
+            methods=("gnnd", "cl", "ml"), snr_db=(4.0, 8.0), blocks=40,
+            min_errors=40, info_bits=16, threads=threads)).rows
+
+    serial = run(1)
+    # the stop rule must fire inside a wave for the check to mean anything
+    assert any(r["blocks"] < 40 and r["blocks"] % harness.VITERBI_WAVE
+               for r in serial)
+    assert run(2) == serial
 
 
 def test_viterbi_ber_no_sic_runs():

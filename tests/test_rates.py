@@ -244,6 +244,23 @@ def test_deterministic_given_seed():
             assert a[m][u] == b[m][u]
 
 
+@pytest.mark.parametrize("receiver", ["no-sic", "sic"])
+def test_cl_only_call_skips_enumeration(monkeypatch, receiver):
+    gains = sample_gains(3, 3, np.random.default_rng(28))
+    ch = ChannelInstance(gains, 0.2, np.full(3, 1 / 3))
+    q = make_qpsk(1 / 3)
+    both = evaluate_user_rates(ch, q, None, ("gnnd", "cl"), receiver, 5_000,
+                               np.random.default_rng(43))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CL-only call evaluated the enumeration")
+
+    monkeypatch.setattr(JointEnumeration, "evaluate", refuse)
+    cl = evaluate_user_rates(ch, q, None, ("cl",), receiver, 5_000,
+                             np.random.default_rng(43))
+    assert cl["cl"] == both["cl"]
+
+
 def test_combine_rates():
     total = combine_rates([RateEstimate(1.0, 0.3, 100), RateEstimate(2.0, 0.4, 100)])
     assert total.value == 3.0
