@@ -3,17 +3,17 @@ for multiuser uplink interference suppression."""
 
 __version__ = "0.1.0"
 
-from .channel import ChannelEstimate, ChannelInstance, estimate_channel, sample_gains, transmit
+from .channel import ChannelInstance, estimate_channel, sample_gains, transmit
 from .constellation import BitLabeling, Constellation, label_set, make_qpsk, modulate
-from .fronts import ClFront, FrontSolverError, GnndFront, cl_front, qpsk_front, solve_front, tilted_pmf
+from .fronts import ClFront, FrontSolverError, cl_front, qpsk_estimates, solve_front, tilted_pmf
 from .posterior import EnumerationCapError, JointEnumeration
 from .rates import RateEstimate, evaluate_user_rates
 
 __all__ = [
-    "BitLabeling", "ChannelEstimate", "ChannelInstance", "ClFront",
-    "Constellation", "EnumerationCapError", "FrontSolverError", "GnndFront",
+    "BitLabeling", "ChannelInstance", "ClFront",
+    "Constellation", "EnumerationCapError", "FrontSolverError",
     "JointEnumeration", "RateEstimate",
     "cl_front", "estimate_channel", "evaluate_user_rates", "label_set",
-    "make_qpsk", "modulate", "qpsk_front", "sample_gains", "solve_front",
+    "make_qpsk", "modulate", "qpsk_estimates", "sample_gains", "solve_front",
     "tilted_pmf", "transmit",
 ]

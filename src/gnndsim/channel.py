@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PERFECT = "perfect"
-
 
 @dataclass(frozen=True)
 class ChannelInstance:
@@ -45,15 +43,6 @@ class ChannelInstance:
         return self.gains.shape[1]
 
 
-@dataclass(frozen=True)
-class ChannelEstimate:
-    gains_hat: np.ndarray
-    pilot_power: float | str
-
-    def __post_init__(self):
-        object.__setattr__(self, "gains_hat", np.asarray(self.gains_hat, dtype=np.complex128))
-
-
 def sample_gains(n_users: int, n_antennas: int, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. CN(0, 1) gain matrix, held fixed for a codeword."""
     if n_users < 1 or n_antennas < 1:
@@ -80,25 +69,24 @@ def transmit(ch: ChannelInstance, x, rng: np.random.Generator) -> np.ndarray:
 
 
 def estimate_channel(gains, pilot_power, noise_var: float,
-                     rng: np.random.Generator) -> ChannelEstimate:
+                     rng: np.random.Generator) -> np.ndarray:
     """Per-entry scalar LMMSE estimate from one orthogonal pilot per user.
 
     Each user sends a lone pilot of energy `pilot_power` in its own slot;
     under the CN(0, 1) gain prior the per-entry estimator is a shrinkage of
-    the matched-filter observation. `pilot_power` may be the string
-    "perfect", returning the true gains.
+    the matched-filter observation. Returns the estimated gain matrix.
+    `pilot_power` may be the string "perfect", returning the true gains.
     """
     gains = np.asarray(gains, dtype=np.complex128)
     if isinstance(pilot_power, str):
-        if pilot_power != PERFECT:
+        if pilot_power != "perfect":
             raise ValueError(f"unknown pilot power spec {pilot_power!r}")
-        return ChannelEstimate(gains.copy(), PERFECT)
+        return gains.copy()
     pp = float(pilot_power)
     if pp <= 0:
         raise ValueError("pilot power must be positive")
     if noise_var == 0:
-        return ChannelEstimate(gains.copy(), pp)
+        return gains.copy()
     x_p = np.sqrt(pp)
     obs = gains * x_p + np.sqrt(noise_var) * crandn(gains.shape, rng)
-    gains_hat = (pp / (pp + noise_var)) * obs / x_p
-    return ChannelEstimate(gains_hat, pp)
+    return (pp / (pp + noise_var)) * obs / x_p

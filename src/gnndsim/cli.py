@@ -38,7 +38,7 @@ def _train_net_command(cfg):
     rng = np.random.default_rng(ss)
     noise_var = noise_var_for(cfg, cfg.snr_db[0])
     gains = sample_gains(cfg.users, cfg.antennas, rng)
-    gains_hat = estimate_channel(gains, pilot_power_value(cfg), noise_var, rng).gains_hat
+    gains_hat = estimate_channel(gains, pilot_power_value(cfg), noise_var, rng)
     consts = user_constellation(cfg)
     for user, seq in enumerate(ss.spawn(cfg.users)):
         model, trace = train_user_model(cfg, gains_hat, consts, noise_var, user, seq)

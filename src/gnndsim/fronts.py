@@ -12,38 +12,19 @@ from .constellation import Constellation
 
 ARTANH_CLIP = 1.0 - 1e-12
 CONSTANT_MODULUS_TOL = 1e-9
+NEWTON_TOL = 1e-8     # moment residual, relative to sqrt(P) and P
+NEWTON_ITERS = 200    # Newton steps per row
 
 
 class FrontSolverError(RuntimeError):
-    def __init__(self, message, residuals=None):
+    """A row of ``solve_front`` did not converge. ``residuals`` holds the
+    (first, second) moment residuals of every row at its last check and
+    ``front`` the last iterate (g, f) of every row."""
+
+    def __init__(self, message, residuals, front):
         super().__init__(message)
         self.residuals = residuals
-
-
-@dataclass(frozen=True)
-class GnndFront:
-    """Per-observation metric parameters (alpha, beta, gamma).
-
-    The induced metric on a candidate symbol a is
-        gamma |a|^2 - 2 alpha Re a + 2 beta Im a   (+ a symbol-independent offset),
-    equivalently |g - f a|^2 with alpha = Re{conj(g) f}, beta = Im{conj(g) f},
-    gamma = |f|^2. The (g, f) representation requires gamma > 0; the
-    conventional pick is f real positive.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-
-    @property
-    def f(self) -> float:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive to realize a scaling function")
-        return float(np.sqrt(self.gamma))
-
-    @property
-    def g(self) -> complex:
-        return (self.alpha - 1j * self.beta) / self.f
+        self.front = front
 
 
 @dataclass(frozen=True)
@@ -67,132 +48,117 @@ class ClFront:
         return self.combiner.conj() @ y
 
 
-def artanh_clamped(x):
-    """artanh with arguments clamped into (-1, 1) to keep fronts finite."""
-    return np.arctanh(np.clip(x, -ARTANH_CLIP, ARTANH_CLIP))
-
-
-def qpsk_front(mean: complex, power: float) -> GnndFront:
-    """Closed-form optimal front for equiprobable QPSK from E[x | y]."""
-    s = np.sqrt(2.0 / power)
-    alpha = artanh_clamped(s * mean.real) / np.sqrt(2.0 * power)
-    beta = -artanh_clamped(s * mean.imag) / np.sqrt(2.0 * power)
-    return GnndFront(float(alpha), float(beta), 1.0)
+def nn_tables(est, points, gain=1.0) -> np.ndarray:
+    """Nearest-neighbor metric |est - gain a|^2 of every observation against
+    every candidate point a, (n, |A|). ``gain`` is a scalar or one value per
+    observation. The GNND front reads it with g(y) and f(y), CL with its
+    scalar gain on the combined observation."""
+    return np.abs(est[:, None] - np.asarray(gain)[..., None] * points[None, :]) ** 2
 
 
 def qpsk_estimates(means, power: float) -> np.ndarray:
-    """Vectorized g(y) of the QPSK front (f = 1) for an array of means."""
+    """g(y) of the closed-form optimal front for equiprobable QPSK (f = 1)
+    from an array of conditional means: artanh of the scaled mean per
+    dimension, clamped into (-1, 1) to keep the front finite."""
     means = np.asarray(means)
     s = np.sqrt(2.0 / power)
-    scale = 1.0 / np.sqrt(2.0 * power)
-    return scale * (artanh_clamped(s * means.real)
-                    + 1j * artanh_clamped(s * means.imag))
+    t = np.arctanh(np.clip(s * np.stack([means.real, means.imag]),
+                           -ARTANH_CLIP, ARTANH_CLIP))
+    return (1.0 / np.sqrt(2.0 * power)) * (t[0] + 1j * t[1])
 
 
-def _tilt_stats(front_vec, points, log_prior):
-    """Tilted pmf and its moments for parameters (alpha, beta, gamma)."""
-    alpha, beta, gamma = front_vec
-    r, q, u = points.real, points.imag, np.abs(points) ** 2
-    t = 2.0 * alpha * r - 2.0 * beta * q - gamma * u
-    logw = log_prior + t
-    logw -= logw.max()
-    w = np.exp(logw)
-    w /= w.sum()
-    return w, (w @ r, w @ q, w @ u)
+def tilted_pmf(g, f, prior: Constellation) -> np.ndarray:
+    """Auxiliary pmf p(a) exp(-|g - f a|^2) / Z of each observation, (n, |A|)."""
+    z = np.log(prior.probabilities) - nn_tables(g, prior.points, f)
+    w = np.exp(z - z.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
 
 
-def _objective(front_vec, points, log_prior, mean, second):
-    alpha, beta, gamma = front_vec
-    r, q, u = points.real, points.imag, np.abs(points) ** 2
-    t = 2.0 * alpha * r - 2.0 * beta * q - gamma * u
-    logw = log_prior + t
-    top = logw.max()
-    lse = top + np.log(np.exp(logw - top).sum())
-    return gamma * second - 2.0 * alpha * mean.real + 2.0 * beta * mean.imag + lse
+def solve_front(means, seconds, prior: Constellation):
+    """Optimal fronts (g, f), each of shape (n,), whose tilted pmfs match the
+    conditional moments (means, seconds) of n observations.
 
-
-def solve_front(mean: complex, second: float, prior: Constellation,
-                tol: float = 1e-8, max_iter: int = 200,
-                trace: list | None = None) -> GnndFront:
-    """Match the tilted distribution's conditional moments to (mean, second).
-
-    Damped Newton on the strictly convex per-observation objective; the
-    Hessian is the covariance of the tilt statistics under the current
-    tilted distribution. For constant-modulus alphabets the |a|^2 statistic
-    is degenerate, gamma is a flat direction, and it is pinned to 1.
-    ``trace``, if given, collects the objective value per iteration.
+    Each row minimizes the strictly convex objective
+        gamma s - 2 alpha Re m + 2 beta Im m
+            + log sum_a p(a) exp(2 alpha Re a - 2 beta Im a - gamma |a|^2)
+    in x = (alpha, beta, gamma) = (f Re g, -f Im g, f^2), by damped Newton
+    from (0, 0, 1/P). The Hessian is the covariance of the tilt statistics
+    under the row's tilted pmf. Every row takes its own Armijo step and
+    freezes once its moment residuals are under NEWTON_TOL. For
+    constant-modulus alphabets the |a|^2 statistic is degenerate, gamma is
+    a flat direction, and it is pinned to 1. A row whose gamma ends at or
+    below 0 has no nearest-neighbor form and gets the constant metric
+    g = f = 0; at the symmetric point (0, P) that is the exact answer, the
+    prior itself.
     """
-    mean = complex(mean)
-    second = float(second)
-    if second < abs(mean) ** 2 - 1e-12:
+    means = np.asarray(means, dtype=np.complex128)
+    seconds = np.broadcast_to(np.asarray(seconds, dtype=np.float64), means.shape)
+    if np.any(seconds < np.abs(means) ** 2 - 1e-12):
         raise ValueError("inconsistent moments: second < |mean|^2")
-    points = prior.points
-    log_prior = np.log(prior.probabilities)
     power = float(prior.power)
-    u = np.abs(points) ** 2
-    constant_modulus = np.ptp(u) <= CONSTANT_MODULUS_TOL * max(power, 1.0)
+    log_prior = np.log(prior.probabilities)
+    stats = np.stack([2.0 * prior.points.real, -2.0 * prior.points.imag,
+                      -np.abs(prior.points) ** 2])                # (3, |A|)
+    target = np.stack([2.0 * means.real, -2.0 * means.imag, -seconds], axis=1)
+    constant_modulus = np.ptp(stats[2]) <= CONSTANT_MODULUS_TOL * max(power, 1.0)
+    free = np.array([1.0, 1.0, 0.0 if constant_modulus else 1.0])
+    x = np.tile([0.0, 0.0, 1.0 if constant_modulus else 1.0 / power], (len(means), 1))
+    scale = NEWTON_TOL * np.array([np.sqrt(power), power])
 
-    x = np.array([0.0, 0.0, 1.0 / power])
-    if constant_modulus:
-        x[2] = 1.0
-    free = np.array([True, True, not constant_modulus])
+    # row-wise sums rather than BLAS products, whose rounding can depend on
+    # the batch size: a row's iterates must not depend on the other rows
+    def tilt(x, target):
+        """Tilted pmfs (rows, |A|) and objective values at x."""
+        z = log_prior + np.sum(x[:, :, None] * stats, axis=1)
+        top = z.max(axis=1, keepdims=True)
+        w = np.exp(z - top)
+        total = w.sum(axis=1)
+        return w / total[:, None], top[:, 0] + np.log(total) - np.sum(x * target, axis=1)
 
-    scale1 = tol * max(np.sqrt(power), 1e-30)
-    scale2 = tol * max(power, 1e-30)
-    f_cur = _objective(x, points, log_prior, mean, second)
-    if trace is not None:
-        trace.append(f_cur)
-    resid = None
-    for _ in range(max_iter):
-        w, (m_r, m_q, m_u) = _tilt_stats(x, points, log_prior)
-        res1 = np.hypot(m_r - mean.real, m_q - mean.imag)
-        res2 = abs(m_u - second)
-        resid = (res1, res2)
-        if res1 <= scale1 and (constant_modulus or res2 <= scale2):
-            return GnndFront(float(x[0]), float(x[1]), float(x[2]))
-        grad = np.array([2.0 * (m_r - mean.real),
-                         2.0 * (mean.imag - m_q),
-                         second - m_u])
-        stats = np.stack([2.0 * points.real, -2.0 * points.imag, -u])
-        centered = stats - (stats @ w)[:, None]
-        hess = (centered * w) @ centered.T
-        g = grad[free]
-        h = hess[np.ix_(free, free)]
-        ridge = 1e-14 * max(np.trace(h), 1.0)
-        try:
-            step = np.linalg.solve(h + ridge * np.eye(h.shape[0]), -g)
-        except np.linalg.LinAlgError:
-            step = -g
-        if g @ step >= 0:  # not a descent direction; fall back to gradient
-            step = -g
-        direction = np.zeros(3)
-        direction[free] = step
-        t_step = 1.0
-        decrement = g @ step
-        f_new = None
-        while t_step > 1e-14:
-            cand = x + t_step * direction
-            f_new = _objective(cand, points, log_prior, mean, second)
-            if f_new <= f_cur + 1e-4 * t_step * decrement:
+    rows = np.arange(len(means))                 # rows still iterating
+    resid = np.zeros((len(means), 2))
+    for _ in range(NEWTON_ITERS):
+        w, obj = tilt(x[rows], target[rows])
+        mom = np.sum(w[:, None, :] * stats, axis=2)
+        grad = (mom - target[rows]) * free
+        resid[rows] = np.stack([np.hypot(grad[:, 0], grad[:, 1]) / 2.0,
+                                np.abs(grad[:, 2])], axis=1)
+        keep = np.any(resid[rows] > scale, axis=1)
+        rows, w, obj, grad = rows[keep], w[keep], obj[keep], grad[keep]
+        if rows.size == 0:
+            break
+        centered = stats - mom[keep][:, :, None]
+        hess = ((centered * w[:, None, :]) @ centered.transpose(0, 2, 1)
+                * np.outer(free, free))
+        ridge = 1e-14 * np.maximum(np.trace(hess, axis1=1, axis2=2), 1.0)
+        hess += ridge[:, None, None] * np.eye(3) + np.diag(1.0 - free)
+        step = np.linalg.solve(hess, -grad[:, :, None])[:, :, 0]
+        decrement = np.sum(grad * step, axis=1)
+        ascent = decrement >= 0  # not a descent direction; fall back to the gradient
+        step[ascent] = -grad[ascent]
+        decrement[ascent] = -np.sum(grad[ascent] ** 2, axis=1)
+        t = np.ones(rows.size)
+        searching = np.ones(rows.size, dtype=bool)
+        while True:
+            i = np.flatnonzero(searching & (t > 1e-14))
+            if i.size == 0:
                 break
-            t_step *= 0.5
-        else:
-            break  # step stalled at numerical precision
-        x = x + t_step * direction
-        f_cur = f_new
-        if trace is not None:
-            trace.append(f_cur)
-    raise FrontSolverError(
-        f"no convergence after {max_iter} iterations; "
-        f"moment residuals first={resid[0]:.3e} second={resid[1]:.3e}",
-        residuals=resid)
-
-
-def tilted_pmf(front: GnndFront, prior: Constellation) -> np.ndarray:
-    """Auxiliary distribution p(a) exp(-|g - f a|^2) normalized over the prior."""
-    w, _ = _tilt_stats((front.alpha, front.beta, front.gamma),
-                       prior.points, np.log(prior.probabilities))
-    return w
+            _, obj_new = tilt(x[rows[i]] + t[i, None] * step[i], target[rows[i]])
+            accept = obj_new <= obj[i] + 1e-4 * t[i] * decrement[i]
+            searching[i[accept]] = False
+            t[i[~accept]] *= 0.5
+        x[rows[~searching]] += t[~searching, None] * step[~searching]
+        rows = rows[~searching]  # a row whose step stalls at precision stops here
+    converged = np.all(resid <= scale, axis=1)
+    f = np.sqrt(np.maximum(x[:, 2], 0.0))
+    front = ((x[:, 0] - 1j * x[:, 1]) / np.where(f > 0.0, f, np.inf), f)
+    if not converged.all():
+        worst = resid[~converged].max(axis=0)
+        raise FrontSolverError(
+            f"{np.count_nonzero(~converged)} of {len(means)} rows not converged "
+            f"after {NEWTON_ITERS} iterations; moment residuals up to "
+            f"first={worst[0]:.3e} second={worst[1]:.3e}", resid, front)
+    return front
 
 
 def cl_front(gains, noise_var: float, user: int, powers,

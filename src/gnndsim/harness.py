@@ -22,7 +22,7 @@ from .codec import (
 )
 from .config import ExperimentConfig, config_echo, pilot_power_value
 from .constellation import make_qpsk, modulate
-from .fronts import cl_front, qpsk_estimates
+from .fronts import cl_front, nn_tables, qpsk_estimates
 from .mmse_net import TrainConfig, default_sizes, make_dataset, mean_fn, train
 from .posterior import JointEnumeration
 from .rates import combine_rates, evaluate_user_rates
@@ -83,13 +83,6 @@ def noise_var_for(cfg: ExperimentConfig, snr_db: float) -> float:
 
 def user_constellation(cfg: ExperimentConfig):
     return make_qpsk(cfg.power / cfg.users)
-
-
-def nn_tables(est, points, gain=1.0) -> np.ndarray:
-    """Nearest-neighbor metric |est - gain a|^2 of every observation against
-    every candidate point a, (n, |A|). The GNND front reads it with gain 1
-    on g(y), CL with its scalar gain on the combined observation."""
-    return np.abs(est[:, None] - gain * points[None, :]) ** 2
 
 
 # --------------------------------------------------------------------------
@@ -404,8 +397,7 @@ class _LdpcRealization:
             crandn(self.gains.shape, rng)  # keep rng aligned across pilot settings
             self.gains_hat = self.gains.copy()
         else:
-            self.gains_hat = estimate_channel(self.gains, pilot,
-                                              self.noise_var, rng).gains_hat
+            self.gains_hat = estimate_channel(self.gains, pilot, self.noise_var, rng)
         powers = np.full(cfg.users, cfg.power / cfg.users)
         if cfg.net:
             models = [train_user_model(cfg, self.gains_hat, self.consts,

@@ -9,7 +9,7 @@ import numpy as np
 
 from .channel import ChannelInstance, crandn
 from .constellation import Constellation, per_user
-from .fronts import artanh_clamped, cl_front
+from .fronts import ARTANH_CLIP, cl_front, qpsk_estimates, tilted_pmf
 from .posterior import JointEnumeration
 
 LN2 = float(np.log(2.0))
@@ -101,8 +101,8 @@ def gnnd_gmi_samples(means, power: float) -> np.ndarray:
     means = np.asarray(means)
     s = np.sqrt(2.0 / power)
     out = 0.0
-    for u in (np.clip(s * means.real, -1 + 1e-12, 1 - 1e-12),
-              np.clip(s * means.imag, -1 + 1e-12, 1 - 1e-12)):
+    for u in (np.clip(s * means.real, -ARTANH_CLIP, ARTANH_CLIP),
+              np.clip(s * means.imag, -ARTANH_CLIP, ARTANH_CLIP)):
         out = out + u * np.arctanh(u) + 0.5 * np.log1p(-u * u)
     return out
 
@@ -160,24 +160,9 @@ def cl_gmi_from_scalar(y_scalar, x, gain: float,
     return _estimate_from_nats(samples_at(theta)), theta
 
 
-def _kl_samples_qpsk(pmf, means, c: Constellation) -> np.ndarray:
-    """Per-observation KL between the exact posterior over one user's QPSK
-    symbols and the tilted distribution of the closed-form front.
-
-    For QPSK the tilt log-weight of point (r, q) reduces to
-    t_r * sign(r) + t_i * sign(q) with t = artanh of the scaled mean.
-    """
-    power = float(c.power)
-    amp = np.sqrt(power / 2.0)
-    s = np.sqrt(2.0 / power)
-    t_r = artanh_clamped(s * means.real)
-    t_i = artanh_clamped(s * means.imag)
-    signs_r = np.sign(c.points.real) * (np.abs(c.points.real) / amp)
-    signs_q = np.sign(c.points.imag) * (np.abs(c.points.imag) / amp)
-    log_tilt = signs_r[:, None] * t_r[None, :] + signs_q[:, None] * t_i[None, :]
-    log_tilt -= log_tilt.max(axis=0, keepdims=True)
-    tilted = np.exp(log_tilt)
-    tilted /= tilted.sum(axis=0, keepdims=True)
+def _kl_samples(pmf, tilted) -> np.ndarray:
+    """Per-observation KL between the exact posterior pmf over one user's
+    symbols and the tilted pmf of its front, both (|A|, n)."""
     log_ratio = np.where(pmf > 0.0,
                          np.log(np.maximum(pmf, 1e-300)) - np.log(np.maximum(tilted, 1e-300)),
                          0.0)
@@ -240,7 +225,9 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
             if "gnnd" in methods:
                 acc["gnnd"][u].append(gnnd_gmi_samples(means, consts[u].power))
             if "kl" in methods:
-                acc["kl"][u].append(_kl_samples_qpsk(batch.pmf(u), means, consts[u]))
+                g = qpsk_estimates(means, consts[u].power)
+                tilted = tilted_pmf(g, 1.0, consts[u]).T
+                acc["kl"][u].append(_kl_samples(batch.pmf(u), tilted))
             if "mi" in methods:
                 ull = batch.user_log_likelihood(u)
                 acc["mi"][u].append(ull[idx[u], np.arange(c)]

@@ -20,7 +20,7 @@ from gnndsim.codec import (
 from gnndsim.codec.ldpc import ParityGraph
 from gnndsim.config import ExperimentConfig
 from gnndsim.constellation import make_qpsk, modulate, sample_symbols
-from gnndsim.fronts import cl_front, qpsk_estimates, qpsk_front, solve_front, tilted_pmf
+from gnndsim.fronts import cl_front, qpsk_estimates, solve_front, tilted_pmf
 from gnndsim.harness import (
     average_sum_rows,
     nn_tables,
@@ -117,40 +117,33 @@ def test_criterion_4_solver_correctness():
     q = make_qpsk(2.0)
     amp = np.sqrt(q.power / 2.0)
     rng = np.random.default_rng((SEED, 30))
-    worst_param, worst_res = 0.0, 0.0
-    for _ in range(1000):
-        mean = complex(rng.uniform(-0.98, 0.98) * amp,
-                       rng.uniform(-0.98, 0.98) * amp)
-        closed = qpsk_front(mean, q.power)
-        solved = solve_front(mean, q.power, q)
-        worst_param = max(worst_param, abs(solved.alpha - closed.alpha),
-                          abs(solved.beta - closed.beta))
-        pmf = tilted_pmf(solved, q)
-        worst_res = max(worst_res, abs(pmf @ q.points - mean) / np.sqrt(q.power))
+    parts = rng.uniform(-0.98, 0.98, size=(1000, 2)) * amp  # real, imag in turn
+    means = parts[:, 0] + 1j * parts[:, 1]
+    closed = qpsk_estimates(means, q.power)  # alpha = Re g, beta = -Im g at f = 1
+    g, f = solve_front(means, q.power, q)
+    worst_param = max(np.abs(f * g.real - closed.real).max(),
+                      np.abs(f * g.imag - closed.imag).max())
+    pmf = tilted_pmf(g, f, q)
+    worst_res = np.max(np.abs(pmf @ q.points - means)) / np.sqrt(q.power)
     ok_qpsk = worst_param <= 1e-6 and worst_res <= 1e-8
 
     c16 = make_square16(1.0)
     gains = np.array([[1.0 + 0j]])
     rng16 = np.random.default_rng((SEED, 31))
-    worst16_res, worst16_grid = 0.0, 0.0
-    for i in range(10):
-        x = sample_symbols(c16, 1, rng16)
-        y = transmit(ChannelInstance(gains, 1.0, [1.0]), x, rng16)
-        enum = JointEnumeration(gains, 1.0, c16)
-        batch = enum.evaluate(y[:, None] if y.ndim == 1 else y)
-        mean = complex(batch.mean(0)[0])
-        second = float(batch.second_moment(0)[0])
-        front = solve_front(mean, second, c16)
-        pmf = tilted_pmf(front, c16)
-        worst16_res = max(worst16_res,
-                          abs(pmf @ c16.points - mean),
-                          abs(pmf @ np.abs(c16.points) ** 2 - second))
-        if i < 4:
-            oracle = grid_search_front(mean, second, c16)
-            worst16_grid = max(worst16_grid,
-                               abs(front.alpha - oracle[0]),
-                               abs(front.beta - oracle[1]),
-                               abs(front.gamma - oracle[2]))
+    ch = ChannelInstance(gains, 1.0, [1.0])
+    y = np.stack([transmit(ch, sample_symbols(c16, 1, rng16), rng16) for _ in range(10)],
+                 axis=1)
+    batch = JointEnumeration(gains, 1.0, c16).evaluate(y)
+    means16, seconds16 = batch.mean(0), batch.second_moment(0)
+    g16, f16 = solve_front(means16, seconds16, c16)
+    pmf16 = tilted_pmf(g16, f16, c16)
+    worst16_res = max(np.max(np.abs(pmf16 @ c16.points - means16)),
+                      np.max(np.abs(pmf16 @ np.abs(c16.points) ** 2 - seconds16)))
+    worst16_grid = 0.0
+    for i in range(4):
+        oracle = grid_search_front(means16[i], seconds16[i], c16)
+        front = (f16[i] * g16[i].real, -f16[i] * g16[i].imag, f16[i] ** 2)
+        worst16_grid = max(worst16_grid, *np.abs(np.subtract(front, oracle)))
     ok_16 = worst16_res <= 1e-8 and worst16_grid <= 1e-4
     _report("criterion 4 (solver correctness)", ok_qpsk and ok_16,
             f"1000 closed-form posteriors: max parameter gap {worst_param:.2e}"

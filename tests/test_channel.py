@@ -73,9 +73,9 @@ def test_transmit_linear_at_fixed_noise():
 def test_estimate_channel_perfect_and_noiseless(rng):
     gains = sample_gains(2, 2, rng)
     est = estimate_channel(gains, "perfect", 0.5, rng)
-    np.testing.assert_array_equal(est.gains_hat, gains)
+    np.testing.assert_array_equal(est, gains)
     est0 = estimate_channel(gains, 16.0, 0.0, rng)
-    np.testing.assert_array_equal(est0.gains_hat, gains)
+    np.testing.assert_array_equal(est0, gains)
 
 
 def _conditional_mean_oracle(obs, pilot, noise_var):
@@ -95,11 +95,11 @@ def test_estimate_channel_shrinkage_matches_posterior_mean(rng):
     gains = np.array([[0.4 - 0.2j]])
     est = estimate_channel(gains, pilot_power, noise_var, np.random.default_rng(3))
     # reconstruct the pilot observation the estimator saw
-    obs = est.gains_hat[0, 0] * (pilot_power + noise_var) / np.sqrt(pilot_power)
+    obs = est[0, 0] * (pilot_power + noise_var) / np.sqrt(pilot_power)
     oracle = _conditional_mean_oracle(obs, np.sqrt(pilot_power), noise_var)
-    assert abs(est.gains_hat[0, 0] - oracle) < 1e-6
+    assert abs(est[0, 0] - oracle) < 1e-6
     # shrinkage factor 16/16.1 applied to the matched-filter observation
-    np.testing.assert_allclose(est.gains_hat[0, 0],
+    np.testing.assert_allclose(est[0, 0],
                                (16.0 / 16.1) * obs / np.sqrt(pilot_power), atol=1e-12)
 
 
@@ -108,7 +108,7 @@ def test_estimate_error_variance(rng):
     n = 100_000
     gains = sample_gains(1, n, rng)
     est = estimate_channel(gains, pilot_power, noise_var, rng)
-    err = (est.gains_hat - gains).ravel()
+    err = (est - gains).ravel()
     mmse = noise_var / (pilot_power + noise_var)
     v = np.abs(err) ** 2
     se = v.std(ddof=1) / np.sqrt(n)

@@ -1,39 +1,41 @@
 import numpy as np
 import pytest
 
+from gnndsim import fronts
 from gnndsim.channel import ChannelInstance, sample_gains, transmit
 from gnndsim.constellation import make_qpsk, sample_symbols
 from gnndsim.fronts import (
     FrontSolverError,
-    GnndFront,
     cl_front,
-    qpsk_front,
+    nn_tables,
+    qpsk_estimates,
     solve_front,
     tilted_pmf,
 )
-from gnndsim.harness import nn_tables
 from gnndsim.posterior import JointEnumeration
 
 from conftest import make_square16
+
+
+def front_objective(alpha, beta, gamma, mean, second, prior):
+    """The moment-matching objective of one observation, written out
+    independently of the solver; broadcasts over the parameters."""
+    pts = prior.points
+    r, q, u = pts.real, pts.imag, np.abs(pts) ** 2
+    alpha, beta, gamma = (np.asarray(v, dtype=float) for v in (alpha, beta, gamma))
+    t = (2.0 * alpha[..., None] * r - 2.0 * beta[..., None] * q
+         - gamma[..., None] * u)
+    z = np.log(prior.probabilities) + t
+    top = z.max(axis=-1)
+    lse = top + np.log(np.exp(z - top[..., None]).sum(axis=-1))
+    return (gamma * second - 2.0 * alpha * mean.real
+            + 2.0 * beta * mean.imag + lse)
 
 
 def grid_search_front(mean, second, prior, span=3.0, n=81, refinements=2,
                       gamma_center=None):
     """Independent oracle: dense grid minimization of the front objective,
     refined around the incumbent. Returns (alpha, beta, gamma)."""
-    pts = prior.points
-    logp = np.log(prior.probabilities)
-    r, q, u = pts.real, pts.imag, np.abs(pts) ** 2
-
-    def objective(alpha, beta, gamma):
-        t = (2.0 * alpha[..., None] * r - 2.0 * beta[..., None] * q
-             - gamma[..., None] * u)
-        z = logp + t
-        top = z.max(axis=-1)
-        lse = top + np.log(np.exp(z - top[..., None]).sum(axis=-1))
-        return (gamma * second - 2.0 * alpha * mean.real
-                + 2.0 * beta * mean.imag + lse)
-
     if gamma_center is None:
         gamma_center = 1.0 / prior.power
     center = np.array([0.0, 0.0, gamma_center])
@@ -41,63 +43,76 @@ def grid_search_front(mean, second, prior, span=3.0, n=81, refinements=2,
     for _ in range(refinements + 1):
         axes = [np.linspace(c - h, c + h, n) for c, h in zip(center, half)]
         a, b, g = np.meshgrid(*axes, indexing="ij")
-        vals = objective(a, b, g)
+        vals = front_objective(a, b, g, mean, second, prior)
         i = np.unravel_index(np.argmin(vals), vals.shape)
         center = np.array([a[i], b[i], g[i]])
         half = half * (2.0 / (n - 1))
     return center
 
 
+def _uniform_means(rng, n, amp, width):
+    """n means whose real and imaginary parts are drawn in turn from
+    U(-width, width) amp."""
+    u = rng.uniform(-width, width, size=(n, 2)) * amp
+    return u[:, 0] + 1j * u[:, 1]
+
+
 def test_qpsk_front_zero_mean():
-    f = qpsk_front(0j, 2.0)
-    assert f.alpha == 0 and f.beta == 0 and f.g == 0
+    g = qpsk_estimates(np.array([0j]), 2.0)
+    assert g[0] == 0  # alpha = Re g and beta = -Im g at f = 1
 
 
 def test_qpsk_front_reproduces_observation():
     # artanh of tanh recovers the matched-filter observation y / noise_var
-    mean = np.tanh(0.6) + 1j * np.tanh(0.2)
-    f = qpsk_front(mean, 2.0)
-    assert f.g == pytest.approx(0.3 + 0.1j, abs=1e-12)
-    assert f.f == 1.0
+    mean = np.array([np.tanh(0.6) + 1j * np.tanh(0.2)])
+    g = qpsk_estimates(mean, 2.0)
+    assert g[0] == pytest.approx(0.3 + 0.1j, abs=1e-12)
+    # the closed form is the f = 1 front that the solver returns for QPSK
+    _, f = solve_front(mean, 2.0, make_qpsk(2.0))
+    assert f[0] == 1.0
 
 
 def test_qpsk_front_clamps_boundary():
     amp = np.sqrt(2.0 / 2.0)
-    f = qpsk_front(amp * (1 - 1e-12) + 0j, 2.0)
-    assert np.isfinite(f.g)
+    g = qpsk_estimates(np.array([amp * (1 - 1e-12) + 0j]), 2.0)
+    assert np.isfinite(g[0])
 
 
 def test_solve_front_matches_qpsk_closed_form(rng):
     q = make_qpsk(2.0)
-    amp = np.sqrt(q.power / 2.0)
-    for _ in range(200):
-        mean = complex(rng.uniform(-0.98, 0.98) * amp,
-                       rng.uniform(-0.98, 0.98) * amp)
-        closed = qpsk_front(mean, q.power)
-        solved = solve_front(mean, q.power, q)
-        assert solved.alpha == pytest.approx(closed.alpha, abs=1e-6)
-        assert solved.beta == pytest.approx(closed.beta, abs=1e-6)
-        assert solved.gamma == 1.0
-        pmf = tilted_pmf(solved, q)
-        assert abs(pmf @ q.points - mean) <= 1e-8 * np.sqrt(q.power)
+    means = _uniform_means(rng, 200, np.sqrt(q.power / 2.0), 0.98)
+    closed = qpsk_estimates(means, q.power)  # f = 1
+    g, f = solve_front(means, q.power, q)
+    np.testing.assert_allclose(f * g.real, closed.real, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(-f * g.imag, -closed.imag, rtol=0, atol=1e-6)
+    assert np.all(f == 1.0)
+    pmf = tilted_pmf(g, f, q)
+    assert np.all(np.abs(pmf @ q.points - means) <= 1e-8 * np.sqrt(q.power))
 
 
 def test_solve_front_symmetric_fixed_point():
     q = make_qpsk(2.0)
-    f = solve_front(0j, 2.0, q)
-    assert f.alpha == pytest.approx(0.0, abs=1e-12)
-    assert f.beta == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(tilted_pmf(f, q), q.probabilities, atol=1e-12)
+    g, f = solve_front(np.zeros(1, dtype=complex), 2.0, q)
+    assert f[0] * g[0].real == pytest.approx(0.0, abs=1e-12)
+    assert -f[0] * g[0].imag == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(tilted_pmf(g, f, q)[0], q.probabilities, atol=1e-12)
 
 
 def _moments(y, gains, noise_var, c):
-    """Exact (mean, second moment) of user 0 for one observation."""
-    b = JointEnumeration(gains, noise_var, c).evaluate(np.asarray(y)[:, None])
-    return complex(b.mean(0)[0]), float(b.second_moment(0)[0])
+    """Exact (means, second moments) of user 0 for observations y, (L, n)."""
+    b = JointEnumeration(gains, noise_var, c).evaluate(y)
+    return b.mean(0), b.second_moment(0)
 
 
-def _gnnd_table(front, c):
-    return nn_tables(np.array([front.g]), c.points, front.f)[0]
+def _observations(c, gains, noise_var, n, rng):
+    """n single-user observations (L, n), one symbol and noise draw at a time."""
+    ch = ChannelInstance(gains, noise_var, [c.power])
+    return np.stack([transmit(ch, sample_symbols(c, 1, rng), rng) for _ in range(n)],
+                    axis=1)
+
+
+def _gnnd_table(g, f, c):
+    return nn_tables(np.array([g]), c.points, f)[0]
 
 
 def _cl_table(front, y, c):
@@ -114,77 +129,106 @@ def _ml_table(y, gains, noise_var, c, user):
 def test_solve_front_16point_moment_matching(rng):
     c16 = make_square16(1.0)
     gains = np.array([[1.0 + 0j]])
-    for _ in range(5):
-        x = sample_symbols(c16, 1, rng)
-        y = transmit(ChannelInstance(gains, 1.0, [1.0]), x, rng)
-        mean, second = _moments(y, gains, 1.0, c16)
-        front = solve_front(mean, second, c16)
-        pmf = tilted_pmf(front, c16)
-        assert abs(pmf @ c16.points - mean) <= 1e-8
-        assert abs(pmf @ np.abs(c16.points) ** 2 - second) <= 1e-8
-        assert front.gamma > 0
+    means, seconds = _moments(_observations(c16, gains, 1.0, 5, rng), gains, 1.0, c16)
+    g, f = solve_front(means, seconds, c16)
+    pmf = tilted_pmf(g, f, c16)
+    assert np.all(np.abs(pmf @ c16.points - means) <= 1e-8)
+    assert np.all(np.abs(pmf @ np.abs(c16.points) ** 2 - seconds) <= 1e-8)
+    assert np.all(f ** 2 > 0)
 
 
 def test_solve_front_16point_matches_grid_oracle(rng):
     c16 = make_square16(1.0)
     gains = np.array([[1.0 + 0j]])
-    for _ in range(3):
-        x = sample_symbols(c16, 1, rng)
-        y = transmit(ChannelInstance(gains, 1.0, [1.0]), x, rng)
-        mean, second = _moments(y, gains, 1.0, c16)
-        front = solve_front(mean, second, c16)
-        oracle = grid_search_front(mean, second, c16)
-        assert front.alpha == pytest.approx(oracle[0], abs=1e-4)
-        assert front.beta == pytest.approx(oracle[1], abs=1e-4)
-        assert front.gamma == pytest.approx(oracle[2], abs=1e-4)
+    means, seconds = _moments(_observations(c16, gains, 1.0, 3, rng), gains, 1.0, c16)
+    g, f = solve_front(means, seconds, c16)
+    for i in range(3):
+        oracle = grid_search_front(means[i], seconds[i], c16)
+        assert f[i] * g[i].real == pytest.approx(oracle[0], abs=1e-4)
+        assert -f[i] * g[i].imag == pytest.approx(oracle[1], abs=1e-4)
+        assert f[i] ** 2 == pytest.approx(oracle[2], abs=1e-4)
 
 
-def test_solve_front_objective_monotone(rng):
+def test_solve_front_objective_monotone(rng, monkeypatch):
+    # the iterate after k Newton steps, from the start point (0, 0, 1/P)
     c16 = make_square16(1.0)
     gains = np.array([[1.0 + 0j]])
-    y = transmit(ChannelInstance(gains, 0.5, [1.0]), sample_symbols(c16, 1, rng), rng)
-    trace = []
-    solve_front(*_moments(y, gains, 0.5, c16), c16, trace=trace)
-    diffs = np.diff(np.asarray(trace))
+    means, seconds = _moments(_observations(c16, gains, 0.5, 1, rng), gains, 0.5, c16)
+    values = [front_objective(0.0, 0.0, 1.0 / c16.power, means[0], seconds[0], c16)]
+    for budget in range(1, 50):
+        monkeypatch.setattr(fronts, "NEWTON_ITERS", budget)
+        try:
+            g, f = solve_front(means, seconds, c16)
+            done = True
+        except FrontSolverError as err:
+            g, f = err.front
+            done = False
+        values.append(front_objective(f[0] * g[0].real, -f[0] * g[0].imag, f[0] ** 2,
+                                      means[0], seconds[0], c16))
+        if done:
+            break
+    assert done and budget > 2
+    diffs = np.diff(np.asarray(values))
     assert np.all(diffs <= 1e-12)
 
 
-def test_solve_front_reports_residuals_on_budget_exhaustion():
+def test_batched_solve_rows_are_independent(rng):
+    # each row takes its own Armijo step and freezes on its own, so a row
+    # solved in a batch gets the front it gets alone. A user's posteriors
+    # under 16-point interference at low noise include rows whose full
+    # Newton step is rejected while the other rows take theirs.
+    c16 = make_square16(1.0)
+    gains = sample_gains(2, 1, rng)
+    means, seconds = [np.zeros(1, dtype=complex)], [np.array([c16.power])]
+    for noise_var in (0.01, 0.05, 0.3):
+        ch = ChannelInstance(gains, noise_var, [c16.power] * 2)
+        y = transmit(ch, np.stack([sample_symbols(c16, 64, rng) for _ in range(2)]), rng)
+        batch = JointEnumeration(gains, noise_var, c16).evaluate(y)
+        means.append(batch.mean(0))
+        seconds.append(batch.second_moment(0))
+    means, seconds = np.concatenate(means), np.concatenate(seconds)
+    g, f = solve_front(means, seconds, c16)
+    for i in range(means.size):
+        g1, f1 = solve_front(means[i:i + 1], seconds[i:i + 1], c16)
+        assert abs(g1[0] - g[i]) <= 1e-12 and abs(f1[0] - f[i]) <= 1e-12
+    # at the symmetric point (0, P) the tilt is the prior: a constant metric
+    assert g[0] == 0 and f[0] == 0
+    np.testing.assert_allclose(tilted_pmf(g, f, c16)[0], c16.probabilities, atol=1e-15)
+
+
+def test_solve_front_reports_residuals_on_budget_exhaustion(monkeypatch):
     q = make_qpsk(2.0)
+    monkeypatch.setattr(fronts, "NEWTON_ITERS", 1)
     with pytest.raises(FrontSolverError) as err:
-        solve_front(0.9 + 0.9j, 2.0, q, max_iter=1)
+        solve_front(np.array([0.9 + 0.9j]), 2.0, q)
     assert err.value.residuals is not None
 
 
 def test_solve_front_rejects_inconsistent_moments():
     q = make_qpsk(2.0)
     with pytest.raises(ValueError):
-        solve_front(1.4 + 1.4j, 0.5, q)
+        solve_front(np.array([1.4 + 1.4j]), 0.5, q)
 
 
 def test_tilted_pmf_prior_at_zero_front():
     q = make_qpsk(2.0)
-    np.testing.assert_allclose(tilted_pmf(GnndFront(0.0, 0.0, 1.0), q),
+    np.testing.assert_allclose(tilted_pmf(np.zeros(1, dtype=complex), 1.0, q)[0],
                                q.probabilities, atol=1e-15)
 
 
 def test_gnnd_metric_table_symmetry_and_anchor():
     q = make_qpsk(2.0)
-    np.testing.assert_allclose(_gnnd_table(GnndFront(0.0, 0.0, 1.0), q), 2.0)
-    a1 = q.points[0]
-    at_corner = GnndFront(a1.real, -a1.imag, 1.0)  # g = a1, f = 1
-    vals = _gnnd_table(at_corner, q)
+    np.testing.assert_allclose(_gnnd_table(0j, 1.0, q), 2.0)
+    vals = _gnnd_table(q.points[0], 1.0, q)  # g = a1, f = 1
     assert vals[0] == pytest.approx(0.0, abs=1e-12)
     assert np.all(vals[1:] > 0)
 
 
 def test_gnnd_metric_argmin_is_sign_decision(rng):
     q = make_qpsk(2.0)
-    amp = np.sqrt(q.power / 2.0)
-    for _ in range(50):
-        mean = complex(rng.uniform(-0.99, 0.99) * amp,
-                       rng.uniform(-0.99, 0.99) * amp)
-        table = _gnnd_table(qpsk_front(mean, q.power), q)
+    means = _uniform_means(rng, 50, np.sqrt(q.power / 2.0), 0.99)
+    for mean, g in zip(means, qpsk_estimates(means, q.power)):
+        table = _gnnd_table(g, 1.0, q)
         best = q.points[np.argmin(table)]
         assert np.sign(best.real) == np.sign(mean.real) or mean.real == 0
         assert np.sign(best.imag) == np.sign(mean.imag) or mean.imag == 0
