@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from gnndsim.config import ExperimentConfig
 from gnndsim.harness import run_gmi_sweep, run_ldpc_ber, run_scatter, run_viterbi_ber
 
@@ -69,3 +71,15 @@ def test_ldpc_ber_net_golden(tmp_path):
            users=2, antennas=4, methods=("gnnd", "cl"), snr_db=(6.0,),
            pilot_power="16P", net=True, net_samples=2000, net_epochs=1,
            draws=2, blocks=4, min_errors=10**6)
+
+
+# the stop rule freezes each method at its own block, and fewer blocks than
+# draws are decoded at the lower points, so not every realization is used
+
+
+@pytest.mark.parametrize("pilot, golden", [("perfect", "ldpc_stop_small.csv"),
+                                           ("16P", "ldpc_stop_pilot16_small.csv")])
+def test_ldpc_ber_stop_rule_golden(tmp_path, pilot, golden):
+    _check(run_ldpc_ber, golden, tmp_path, kind="ldpc-ber", seed=7, users=3,
+           antennas=4, methods=("gnnd", "cl"), snr_db=(4.0, 7.0, 10.0),
+           pilot_power=pilot, draws=4, blocks=12, min_errors=40)
