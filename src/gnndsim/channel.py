@@ -75,9 +75,11 @@ def estimate_channel(gains, pilot_power, noise_var: float,
     Each user sends a lone pilot of energy `pilot_power` in its own slot;
     under the CN(0, 1) gain prior the per-entry estimator is a shrinkage of
     the matched-filter observation. Returns the estimated gain matrix.
-    `pilot_power` may be the string "perfect", returning the true gains.
+    `pilot_power` may be the string "perfect", returning the true gains; the
+    pilot noise is drawn either way, so rng ends in the same state.
     """
     gains = np.asarray(gains, dtype=np.complex128)
+    noise = crandn(gains.shape, rng)
     if isinstance(pilot_power, str):
         if pilot_power != "perfect":
             raise ValueError(f"unknown pilot power spec {pilot_power!r}")
@@ -88,5 +90,5 @@ def estimate_channel(gains, pilot_power, noise_var: float,
     if noise_var == 0:
         return gains.copy()
     x_p = np.sqrt(pp)
-    obs = gains * x_p + np.sqrt(noise_var) * crandn(gains.shape, rng)
+    obs = gains * x_p + np.sqrt(noise_var) * noise
     return (pp / (pp + noise_var)) * obs / x_p

@@ -4,7 +4,6 @@ per-symbol metric tables, so any front can supply the branch metric."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -17,7 +16,6 @@ class ConvCode:
 
     generators: tuple[int, int]
     constraint_length: int
-    rate: Fraction = Fraction(1, 2)
 
     def __post_init__(self):
         if any(g <= 0 for g in self.generators):

@@ -9,7 +9,8 @@ from importlib import resources
 
 import numpy as np
 
-DEFAULT_BASE_RESOURCE = "qc_base_rate56.txt"
+BASE_RESOURCE = "qc_base_rate56.txt"  # the pinned construction and its shape
+INFO_LENGTH, CODE_RATE = 440, Fraction(5, 6)
 BP_MAX_ITERS = 50
 _ATANH_CAP = 0.9999999999999998  # keep arctanh finite
 
@@ -33,8 +34,8 @@ def parse_base_matrix(text: str) -> tuple[np.ndarray, int]:
     return base, z
 
 
-def load_base_matrix(name: str = DEFAULT_BASE_RESOURCE) -> tuple[np.ndarray, int]:
-    text = resources.files("gnndsim.codec").joinpath("data", name).read_text()
+def load_base_matrix() -> tuple[np.ndarray, int]:
+    text = resources.files("gnndsim.codec").joinpath("data", BASE_RESOURCE).read_text()
     return parse_base_matrix(text)
 
 
@@ -80,7 +81,6 @@ class LdpcCode:
     base_matrix: np.ndarray
     lifting: int
     info_length: int
-    rate: Fraction
     graph: ParityGraph = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -108,19 +108,15 @@ class LdpcCode:
         return self.graph.n_checks
 
 
-def ldpc_build(info_length: int = 440, rate: Fraction = Fraction(5, 6),
-               resource: str = DEFAULT_BASE_RESOURCE) -> LdpcCode:
-    """Load the pinned base matrix and check it fits the requested shape."""
-    base, z = load_base_matrix(resource)
+def ldpc_build() -> LdpcCode:
+    """Load the pinned base matrix and check it has the pinned shape."""
+    base, z = load_base_matrix()
     mb, nb = base.shape
     k = (nb - mb) * z
-    if k != info_length:
-        raise ValueError(f"pinned construction gives info length {k}, "
-                         f"requested {info_length}")
-    if Fraction(k, nb * z) != rate:
-        raise ValueError(f"pinned construction gives rate {Fraction(k, nb * z)}, "
-                         f"requested {rate}")
-    return LdpcCode(base, z, k, rate)
+    if (k, Fraction(k, nb * z)) != (INFO_LENGTH, CODE_RATE):
+        raise ValueError(f"pinned construction gives info length {k} at rate "
+                         f"{Fraction(k, nb * z)}, expected {INFO_LENGTH} at {CODE_RATE}")
+    return LdpcCode(base, z, k)
 
 
 def encode(code: LdpcCode, bits) -> np.ndarray:

@@ -69,6 +69,8 @@ class ExperimentConfig:
         if self.constellation != "qpsk":
             raise ConfigError("only the qpsk constellation is wired into experiments")
         pilot_power_value(self)  # validate the spec early
+        if self.user_order() != list(range(self.users)) and self.kind != "viterbi-ber":
+            raise ConfigError(f"sic_order is not read by {self.kind} runs")
 
     def user_order(self) -> list[int]:
         if self.sic_order == "natural":
@@ -108,7 +110,7 @@ _BOOL = {"on": True, "off": False, "true": True, "false": False,
          "yes": True, "no": False}
 
 
-def _parse_value(name: str, kind, raw: str):
+def _parse_value(kind, raw: str):
     if kind == "int":
         return int(raw)
     if kind == "float":
@@ -141,7 +143,7 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _parse_value(key, spec[key], val)
+            values[key] = _parse_value(spec[key], val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
     if "kind" not in values:

@@ -240,9 +240,13 @@ def _word_tables(method, gains, noise_var, consts, y, users):
     enum = JointEnumeration(gains, noise_var, consts, first, dtype=np.complex64)
     batch = enum.evaluate(y, keep_log_weights=(method == "ml"))
     if method == "gnnd":
-        return [nn_tables(qpsk_estimates(batch.mean(u), consts.power), consts.points)
-                for u in users]
+        return [_gnnd_table(batch.mean(u), consts) for u in users]
     return [-batch.user_log_likelihood(u).T for u in users]
+
+
+def _gnnd_table(means, consts):
+    """GNND metric table of one user from its conditional means (net or exact)."""
+    return nn_tables(qpsk_estimates(means, consts.power), consts.points)
 
 
 def _viterbi_block(args):
@@ -326,14 +330,14 @@ def run_viterbi_ber(cfg: ExperimentConfig) -> SweepResult:
                     for method in active:
                         counter.update(method, res[method], block_bits)
             next_block += len(wave)
-        _append_ber_rows(result, cfg, "viterbi-ber", snr, counter, cfg.info_bits)
+        _append_ber_rows(result, cfg, "viterbi-ber", snr, counter)
     result.runtime = time.time() - start
     if cfg.out:
         result.write_csv(cfg.out)
     return result
 
 
-def _append_ber_rows(result, cfg, kind, snr, counter, bits_per_user_block):
+def _append_ber_rows(result, cfg, kind, snr, counter):
     for method in cfg.methods:
         base = dict(kind=kind, K=cfg.users, L=cfg.antennas, snr_db=snr,
                     method=method, receiver=cfg.receiver,
@@ -385,62 +389,53 @@ def _batched_sigma_u(gains_hat, noise_var, consts, means_all_fn, n_users,
 
 class _LdpcRealization:
     """One quasi-static channel draw with its receiver-side preparation:
-    pilot estimate, conditional-mean path, residual scales, linear fronts."""
+    the pilot estimate and, when gnnd is decoded, the conditional-mean path
+    and the residual scales its LLRs are read at."""
 
     def __init__(self, cfg, snr_db, seed_seq):
         rng = np.random.default_rng(seed_seq)
         self.noise_var = noise_var_for(cfg, snr_db)
-        self.consts = user_constellation(cfg)
+        consts = user_constellation(cfg)
         self.gains = sample_gains(cfg.users, cfg.antennas, rng)
-        pilot = pilot_power_value(cfg)
-        if pilot == "perfect":
-            crandn(self.gains.shape, rng)  # keep rng aligned across pilot settings
-            self.gains_hat = self.gains.copy()
-        else:
-            self.gains_hat = estimate_channel(self.gains, pilot, self.noise_var, rng)
-        powers = np.full(cfg.users, cfg.power / cfg.users)
+        self.gains_hat = estimate_channel(self.gains, pilot_power_value(cfg),
+                                          self.noise_var, rng)
+        if "gnnd" not in cfg.methods:
+            return
         if cfg.net:
-            models = [train_user_model(cfg, self.gains_hat, self.consts,
+            models = [train_user_model(cfg, self.gains_hat, consts,
                                        self.noise_var, u, s)[0]
                       for u, s in enumerate(seed_seq.spawn(cfg.users))]
             fns = [mean_fn(m) for m in models]
-            self._means_all = lambda y: np.stack([f(y) for f in fns])
+            self.means_all = lambda y: np.stack([f(y) for f in fns])
         else:
-            enum = JointEnumeration(self.gains_hat, self.noise_var, self.consts,
+            enum = JointEnumeration(self.gains_hat, self.noise_var, consts,
                                     0, dtype=np.complex64)
-            self._means_all = lambda y: enum.evaluate(
+            self.means_all = lambda y: enum.evaluate(
                 y, keep_log_weights=False).means_all()
         # the residual scale is estimated against the receiver's own channel
         # knowledge, the best an implementable receiver can simulate
         self.sigma_u = _batched_sigma_u(
-            self.gains_hat, self.noise_var, self.consts, self._means_all,
+            self.gains_hat, self.noise_var, consts, self.means_all,
             cfg.users, SIGMA_U_SAMPLES, np.random.default_rng(seed_seq.spawn(1)[0]))
-        self.cl_fronts = [cl_front(self.gains_hat, self.noise_var, u, powers)
-                          for u in range(cfg.users)]
-
-    def tables(self, method, y):
-        """Per-user metric tables of one method, and the noise scale each
-        user's tables are read at: the residual scale for gnnd, 1 for cl."""
-        points = self.consts.points
-        if method == "gnnd":
-            return ([nn_tables(qpsk_estimates(m, self.consts.power), points)
-                     for m in self._means_all(y)], self.sigma_u)
-        return ([nn_tables(f.apply(y), points, f.scalar_gain) for f in self.cl_fronts],
-                np.ones(len(self.cl_fronts)))
 
 
-def _ldpc_block(cfg, real: _LdpcRealization, code, rng):
-    consts = real.consts
-    k_users = cfg.users
-    bits = rng.integers(0, 2, size=(k_users, code.info_length))
-    words = np.stack([ldpc_encode(code, bits[k]) for k in range(k_users)])
-    symbols = np.stack([modulate(words[k], consts) for k in range(k_users)])
-    n_sym = symbols.shape[1]
+def _ldpc_block(cfg, real: _LdpcRealization, code, rng, methods):
+    """Per-user error counts of one block under each of ``methods``; its bits
+    and noise are drawn first, whichever methods are decoded."""
+    consts = user_constellation(cfg)
+    bits = rng.integers(0, 2, size=(cfg.users, code.info_length))
+    symbols = np.stack([modulate(ldpc_encode(code, b), consts) for b in bits])
     y = (real.gains @ symbols
-         + np.sqrt(real.noise_var) * crandn((cfg.antennas, n_sym), rng))
+         + np.sqrt(real.noise_var) * crandn((cfg.antennas, symbols.shape[1]), rng))
     out = {}
-    for method in cfg.methods:
-        tables, scales = real.tables(method, y)
+    for method in methods:
+        # gnnd LLRs are read at the residual scale, cl ones at unit scale
+        if method == "gnnd":
+            tables, scales = [_gnnd_table(m, consts) for m in real.means_all(y)], real.sigma_u
+        else:
+            tables = _word_tables(method, real.gains_hat, real.noise_var, consts,
+                                  y, range(cfg.users))
+            scales = np.ones(cfg.users)
         llrs = np.stack([bit_llrs(t, consts, float(s), cfg.llr_max)
                          for t, s in zip(tables, scales)])
         hard, _ = bp_decode_batch(code, llrs, cfg.bp_iters)
@@ -454,6 +449,9 @@ def run_ldpc_ber(cfg: ExperimentConfig) -> SweepResult:
     Parallel single-user decoding (no cancellation); fading is quasi-static
     per codeword, sampled from ``draws`` realizations per SNR point in
     round-robin order so per-realization receiver preparation is reused.
+    A realization is prepared at its first block, so an SNR point whose
+    stop rule is met early prepares only those it decodes, and each block
+    decodes only the methods not yet frozen.
     """
     start = time.time()
     code = ldpc_build()
@@ -462,20 +460,22 @@ def run_ldpc_ber(cfg: ExperimentConfig) -> SweepResult:
         # the fading ensemble is keyed by the seed alone: every SNR point and
         # every pilot setting reuses the same channel and pilot-noise draws,
         # so curves and their comparisons are paired across runs
-        real_seeds = [np.random.SeedSequence((cfg.seed, 2, r))
-                      for r in range(cfg.draws)]
-        reals = [_LdpcRealization(cfg, snr, s) for s in real_seeds]
+        reals = []
         block_rng = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, 3, int(round(snr * 4096)) & 0xFFFFFFFF)))
         counter = _BerCounter(cfg.methods, cfg.users, cfg.min_errors, cfg.blocks)
         block_bits = np.full(cfg.users, code.info_length, dtype=np.int64)
         b = 0
         while not counter.done and b < cfg.blocks:
-            res = _ldpc_block(cfg, reals[b % cfg.draws], code, block_rng)
-            for method in cfg.methods:
+            if b < cfg.draws:  # realization b is first used by block b
+                reals.append(_LdpcRealization(
+                    cfg, snr, np.random.SeedSequence((cfg.seed, 2, b))))
+            active = tuple(m for m in cfg.methods if not counter.frozen[m])
+            res = _ldpc_block(cfg, reals[b % cfg.draws], code, block_rng, active)
+            for method in active:
                 counter.update(method, res[method], block_bits)
             b += 1
-        _append_ber_rows(result, cfg, "ldpc-ber", snr, counter, code.info_length)
+        _append_ber_rows(result, cfg, "ldpc-ber", snr, counter)
     result.runtime = time.time() - start
     if cfg.out:
         result.write_csv(cfg.out)

@@ -12,6 +12,7 @@ from .constellation import per_user, sample_symbols
 
 HIDDEN_LAYERS = (200, 100, 50)
 CHECKPOINT_VERSION = 1
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -26,9 +27,6 @@ class TrainConfig:
     epochs: int
     batch_size: int
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -151,17 +149,17 @@ def train(dataset, sizes, config: TrainConfig):
             epoch_loss += loss
             n_batches += 1
             step += 1
-            corr1 = 1.0 - config.beta1**step
-            corr2 = 1.0 - config.beta2**step
+            corr1 = 1.0 - ADAM_BETA1**step
+            corr2 = 1.0 - ADAM_BETA2**step
             for params, grads, ms, vs in ((model.weights, gw, m_w, v_w),
                                           (model.biases, gb, m_b, v_b)):
                 for p, g, m, v in zip(params, grads, ms, vs):
-                    m *= config.beta1
-                    m += (1 - config.beta1) * g
-                    v *= config.beta2
-                    v += (1 - config.beta2) * g * g
+                    m *= ADAM_BETA1
+                    m += (1 - ADAM_BETA1) * g
+                    v *= ADAM_BETA2
+                    v += (1 - ADAM_BETA2) * g * g
                     p -= (config.learning_rate * (m / corr1)
-                          / (np.sqrt(v / corr2) + config.eps))
+                          / (np.sqrt(v / corr2) + ADAM_EPS))
         trace.append(epoch_loss / max(n_batches, 1))
         bad_epochs = bad_epochs + 1 if trace[-1] > 10.0 * initial_loss else 0
         if bad_epochs >= 3:

@@ -51,7 +51,6 @@ class JointEnumeration:
         # index of each active user's symbol in every combination; axis order
         # matches self.sizes so reshapes expose one axis per user
         grids = np.indices(sizes).reshape(self.n_active, total)
-        self._idx = grids
         points = np.stack([active[u].points[grids[u]] for u in range(self.n_active)])
         self._points = points  # (n_active, M)
         means = gains[:, first_user:] @ points

@@ -78,6 +78,18 @@ def test_estimate_channel_perfect_and_noiseless(rng):
     np.testing.assert_array_equal(est0, gains)
 
 
+def test_estimate_channel_draws_pilot_noise_for_every_setting():
+    # the rng ends in the same state whatever the pilot power
+    gains = sample_gains(3, 2, np.random.default_rng(5))
+    after = []
+    for pilot in ("perfect", 16.0, 1.0):
+        rng = np.random.default_rng(9)
+        estimate_channel(gains, pilot, 0.3, rng)
+        after.append(rng.standard_normal(4))
+    np.testing.assert_array_equal(after[0], after[1])
+    np.testing.assert_array_equal(after[0], after[2])
+
+
 def _conditional_mean_oracle(obs, pilot, noise_var):
     """Posterior mean of h ~ CN(0,1) given obs = h*pilot + CN(0, noise_var),
     by 2-D Gauss-Hermite quadrature centered on the likelihood."""

@@ -106,9 +106,34 @@ def test_user_order():
     cfg = ExperimentConfig(**base, sic_order="2,0,1")
     assert cfg.user_order() == [2, 0, 1]
     assert ExperimentConfig(**base).user_order() == [0, 1, 2]
-    bad = ExperimentConfig(**base, sic_order="0,0,1")
     with pytest.raises(ConfigError):
-        bad.user_order()
+        ExperimentConfig(**base, sic_order="0,0,1")
+
+
+@pytest.mark.parametrize("fields", [
+    # not a permutation of the users, caught at parse time
+    dict(kind="viterbi-ber", users=4, antennas=4, receiver="sic",
+         methods=("gnnd", "cl", "ml"), sic_order="0,1"),
+    dict(kind="viterbi-ber", users=3, antennas=3, receiver="sic",
+         methods=("gnnd", "cl", "ml"), sic_order="0,x,1"),
+    # a runner that never reads the order must not be given one
+    dict(kind="gmi-sweep", users=3, antennas=3, receiver="sic", sic_order="2,0,1"),
+    dict(kind="ldpc-ber", users=3, antennas=3, methods=("gnnd",), sic_order="1,0,2"),
+])
+def test_sic_order_checked_at_parse(fields):
+    ExperimentConfig(seed=1, **dict(fields, sic_order="natural"))  # valid otherwise
+    with pytest.raises(ConfigError):
+        ExperimentConfig(seed=1, **fields)
+    text = "\n".join(f"{k} = {','.join(v) if isinstance(v, tuple) else v}"
+                     for k, v in dict(seed=1, **fields).items())
+    with pytest.raises(ConfigError):
+        parse_config(text)
+
+
+def test_natural_sic_order_accepted_everywhere():
+    cfg = ExperimentConfig(kind="gmi-sweep", seed=1, users=3, antennas=3,
+                           receiver="sic", sic_order="0,1,2")
+    assert cfg.user_order() == [0, 1, 2]
 
 
 def test_paper_scale_overrides():

@@ -222,6 +222,59 @@ def test_ldpc_ber_zero_noise():
         assert row["errors"] == 0
 
 
+def _ldpc_stop_cfg(**kw):
+    base = dict(kind="ldpc-ber", seed=7, users=3, antennas=4, methods=("gnnd", "cl"),
+                snr_db=(4.0, 10.0), draws=4, blocks=12, min_errors=40)
+    base.update(kw)
+    return ExperimentConfig(**base)
+
+
+def test_ldpc_ber_cl_only_skips_enumeration(monkeypatch):
+    both = run_ldpc_ber(_ldpc_stop_cfg())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CL-only run evaluated the enumeration")
+
+    monkeypatch.setattr(JointEnumeration, "evaluate", refuse)
+    cl = run_ldpc_ber(_ldpc_stop_cfg(methods=("cl",)))
+    assert cl.rows == [r for r in both.rows if r["method"] == "cl"]
+
+
+def test_ldpc_ber_prepares_only_decoded_realizations(monkeypatch):
+    built = []
+    real_init = JointEnumeration.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(JointEnumeration, "__init__", recording)
+    # every method meets the stop rule in the first block of each point
+    res = run_ldpc_ber(_ldpc_stop_cfg(snr_db=(2.0, 4.0), min_errors=1))
+    assert {r["blocks"] for r in res.rows} == {1}
+    assert len(built) == 2  # realization 0 at each point, not all 4 draws
+    # both points prepare the same realization from the same estimate
+    np.testing.assert_array_equal(built[0], built[1])
+    built.clear()
+    run_ldpc_ber(_ldpc_stop_cfg(snr_db=(4.0,), blocks=6, min_errors=10**6))
+    assert len(built) == 4  # six blocks reuse the four realizations
+
+
+def test_ldpc_ber_decodes_only_active_methods(monkeypatch):
+    calls = []
+    real_bp = harness.bp_decode_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_bp(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "bp_decode_batch", counting)
+    res = run_ldpc_ber(_ldpc_stop_cfg())
+    blocks = {(r["snr_db"], r["method"]): r["blocks"] for r in res.rows}
+    assert blocks[(10.0, "gnnd")] != blocks[(10.0, "cl")]  # frozen apart
+    assert len(calls) == sum(blocks.values())
+
+
 def test_snr_at_ber_interpolation():
     snrs = [0, 2, 4, 6]
     bers = [1e-1, 1e-2, 1e-3, 1e-4]
