@@ -9,13 +9,12 @@ import numpy as np
 
 from .channel import ChannelInstance, crandn
 from .constellation import Constellation, per_user
-from .fronts import ARTANH_CLIP, cl_front, qpsk_estimates, tilted_pmf
+from .fronts import ARTANH_CLIP, cl_front, nn_tables, qpsk_estimates, tilted_pmf
 from .posterior import JointEnumeration
 
 LN2 = float(np.log(2.0))
 SAMPLE_CHUNK = 16384     # channel uses per enumeration batch
-GOLDEN_ITERS = 60        # golden-section steps of the metric-temperature fit
-BRACKET_DOUBLINGS = 40
+THETA_ITERS = 100        # Newton steps of the metric-temperature fit
 RATE_METHODS = ("gnnd", "cl", "mi", "kl")
 
 
@@ -58,40 +57,6 @@ def is_equiprobable_qpsk(c: Constellation) -> bool:
                             atol=1e-9 * max(amp, 1.0)))
 
 
-def _logcosh(z):
-    z = np.abs(z)
-    return z + np.log1p(np.exp(-2.0 * z)) - LN2
-
-
-def maximize_concave(fn, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section maximum of a concave fn on [lo, hi], expanding lo
-    by doubling while the objective still improves at the left edge."""
-    f_lo = fn(lo)
-    for _ in range(BRACKET_DOUBLINGS):
-        f_2 = fn(2.0 * lo)
-        if f_2 <= f_lo:
-            break
-        lo, f_lo = 2.0 * lo, f_2
-    else:
-        raise RuntimeError("bracket expansion failed: objective keeps improving")
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(GOLDEN_ITERS):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    x = (a + b) / 2.0
-    return x, fn(x)
-
-
 def gnnd_gmi_samples(means, power: float) -> np.ndarray:
     """Per-observation integrand (nats) of the optimal-front GMI for QPSK.
 
@@ -112,52 +77,70 @@ def gnnd_gmi_from_means(means, power: float) -> RateEstimate:
     return _estimate_from_nats(gnnd_gmi_samples(means, power))
 
 
-def gmi_from_tables(tables, tx_idx, probabilities,
-                    scale: float = 1.0) -> tuple[RateEstimate, float]:
+def gmi_from_tables(tables, tx_idx, probabilities) -> tuple[RateEstimate, float]:
     """Generalized mutual information of an arbitrary metric.
 
     ``tables[t, i]`` is the metric of candidate i at observation t and
-    ``tx_idx[t]`` the transmitted index. Maximizes over the metric
-    temperature theta < 0 by golden section on a concave objective;
-    ``scale`` sets the initial bracket [-2/scale, -1e-6/scale].
+    ``tx_idx[t]`` the transmitted index. The GMI is the maximum over the
+    metric temperature theta < 0 of the mean of the per-observation samples
+        -log sum_a p(a) exp(theta (tables[t, a] - tables[t, tx_idx[t]])),
+    a concave function of theta (Ganti, Lapidoth & Telatar 2000). The
+    metric is taken relative to the transmitted candidate's before theta
+    multiplies it, so a term common to every candidate (the |y|^2 of a
+    nearest-neighbor metric) cancels exactly; with the tilted pmf q at
+    theta, the slope is -mean E_q[d] and the curvature -mean Var_q[d].
+    Newton from theta = -1, each step halved until the objective does not
+    fall, so the fit cannot fail: after THETA_ITERS steps, or once a step
+    or its predicted gain is at rounding level, the last iterate is used.
     Returns the estimate and the maximizing theta.
     """
     tables = np.asarray(tables, dtype=np.float64)
-    tx_idx = np.asarray(tx_idx)
-    logp = np.log(np.asarray(probabilities, dtype=np.float64))
-    n = tables.shape[0]
-    own = tables[np.arange(n), tx_idx]
+    # (|A|, n): reductions over the short candidate axis run along rows
+    d = (tables - tables[np.arange(tables.shape[0]), tx_idx][:, None]).T.copy()
+    logp = np.log(np.asarray(probabilities, dtype=np.float64))[:, None]
 
-    def samples_at(theta):
-        z = theta * tables + logp[None, :]
-        top = z.max(axis=1)
-        lse = top + np.log(np.exp(z - top[:, None]).sum(axis=1))
-        return theta * own - lse
+    def tilt(theta):
+        """Tilted pmfs q (|A|, n) and per-observation samples at theta."""
+        z = theta * d + logp
+        top = z.max(axis=0)
+        w = np.exp(z - top)
+        total = w.sum(axis=0)
+        return w / total, -top - np.log(total)
 
-    theta, _ = maximize_concave(lambda th: samples_at(th).mean(),
-                                -2.0 / scale, -1e-6 / scale)
-    return _estimate_from_nats(samples_at(theta)), theta
+    theta = -1.0
+    q, samples = tilt(theta)
+    eps = np.finfo(np.float64).eps
+    for _ in range(THETA_ITERS):
+        mean_d = np.sum(q * d, axis=0)
+        slope = -mean_d.mean()
+        var_d = np.mean(np.sum(q * (d - mean_d) ** 2, axis=0))  # -f''
+        if var_d <= 0.0:
+            break
+        step = min(slope / var_d, -theta / 2.0)  # theta stays negative
+        value = samples.mean()
+        if abs(slope * step) <= eps * abs(value):  # the gain is at rounding level
+            break
+        while abs(step) > eps * abs(theta):
+            q_new, samples_new = tilt(theta + step)
+            if samples_new.mean() >= value:
+                break
+            step /= 2.0
+        else:
+            break
+        theta, q, samples = theta + step, q_new, samples_new
+    return _estimate_from_nats(samples), theta
 
 
-def cl_gmi_from_scalar(y_scalar, x, gain: float,
-                       power: float) -> tuple[RateEstimate, float]:
-    """GMI of the linearized-channel metric for QPSK, cosh form.
+def cl_gmi_from_scalar(y_scalar, tx_idx, gain: float,
+                       c: Constellation) -> tuple[RateEstimate, float]:
+    """GMI of the linearized-channel metric |y_s - gain a|^2 on any alphabet.
 
-    ``y_scalar`` is the whitened/combined scalar observation, ``x`` the
-    transmitted symbol, ``gain`` the scalar channel coefficient.
+    ``y_scalar`` is the whitened/combined scalar observation, ``tx_idx`` the
+    index of the transmitted point of ``c``, ``gain`` the scalar channel
+    coefficient.
     """
-    y_scalar = np.asarray(y_scalar, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    root = np.sqrt(2.0 * power)
-    cross = y_scalar.real * x.real + y_scalar.imag * x.imag
-
-    def samples_at(theta):
-        v = gain * theta
-        return (-2.0 * v * cross - _logcosh(root * v * y_scalar.real)
-                - _logcosh(root * v * y_scalar.imag))
-
-    theta, _ = maximize_concave(lambda th: samples_at(th).mean(), -2.0, -1e-6)
-    return _estimate_from_nats(samples_at(theta)), theta
+    tables = nn_tables(np.asarray(y_scalar, dtype=np.complex128), c.points, gain)
+    return gmi_from_tables(tables, tx_idx, c.probabilities)
 
 
 def _kl_samples(pmf, tilted) -> np.ndarray:
@@ -204,7 +187,7 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
              for f in sorted(set(first.values()))} if need_enum else {}
     fronts = {u: cl_front(ch.gains, ch.noise_var, u, ch.powers,
                           cancelled=range(first[u])) for u in users}
-    acc = {m: {u: [] for u in users} for m in methods}  # cl: (y_scalar, x) pairs
+    acc = {m: {u: [] for u in users} for m in methods}  # cl: (y_scalar, index) pairs
 
     remaining = n_samples
     while remaining > 0:
@@ -233,15 +216,14 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
                 acc["mi"][u].append(ull[idx[u], np.arange(c)]
                                     + batch.enum.gauss_log_const - batch.log_evidence)
             if "cl" in methods:
-                acc["cl"][u].append((fronts[u].apply(y_u), x[u]))
+                acc["cl"][u].append((fronts[u].apply(y_u), idx[u]))
 
     out = {m: {} for m in methods}
     for m in methods:
         for u in users:
             if m == "cl":
-                ys, xs = (np.concatenate(part) for part in zip(*acc[m][u]))
-                out[m][u], _ = cl_gmi_from_scalar(
-                    ys, xs, fronts[u].scalar_gain, consts[u].power)
+                ys, tx = (np.concatenate(part) for part in zip(*acc[m][u]))
+                out[m][u], _ = cl_gmi_from_scalar(ys, tx, fronts[u].scalar_gain, consts[u])
             else:
                 out[m][u] = _estimate_from_nats(np.concatenate(acc[m][u]))
     return out

@@ -3,6 +3,10 @@
 import numpy as np
 
 from gnndsim.codec import conv_encode
+from gnndsim.rates import LN2, RateEstimate, _estimate_from_nats
+
+GOLDEN_ITERS = 60        # golden-section steps of the metric-temperature fit
+BRACKET_DOUBLINGS = 40
 
 
 def exhaustive_decode(tables, code, c, max_info_bits: int = 20) -> np.ndarray:
@@ -74,3 +78,59 @@ def cluster_separation(true_symbols, estimates) -> float:
     dists = [abs(a - b) for i, a in enumerate(centroids)
              for b in centroids[i + 1:]]
     return float(min(dists) / np.mean(spreads))
+
+
+def _logcosh(z):
+    z = np.abs(z)
+    return z + np.log1p(np.exp(-2.0 * z)) - LN2
+
+
+def maximize_concave(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section maximum of a concave fn on [lo, hi], expanding lo
+    by doubling while the objective still improves at the left edge."""
+    f_lo = fn(lo)
+    for _ in range(BRACKET_DOUBLINGS):
+        f_2 = fn(2.0 * lo)
+        if f_2 <= f_lo:
+            break
+        lo, f_lo = 2.0 * lo, f_2
+    else:
+        raise RuntimeError("bracket expansion failed: objective keeps improving")
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(GOLDEN_ITERS):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fn(d)
+    x = (a + b) / 2.0
+    return x, fn(x)
+
+
+def cl_gmi_cosh_form(y_scalar, x, gain: float,
+                     power: float) -> tuple[RateEstimate, float]:
+    """GMI of the linearized-channel metric for QPSK, cosh form, fitted by
+    golden section: the reference for ``rates.cl_gmi_from_scalar``.
+
+    ``y_scalar`` is the whitened/combined scalar observation, ``x`` the
+    transmitted symbol, ``gain`` the scalar channel coefficient.
+    """
+    y_scalar = np.asarray(y_scalar, dtype=np.complex128)
+    x = np.asarray(x, dtype=np.complex128)
+    root = np.sqrt(2.0 * power)
+    cross = y_scalar.real * x.real + y_scalar.imag * x.imag
+
+    def samples_at(theta):
+        v = gain * theta
+        return (-2.0 * v * cross - _logcosh(root * v * y_scalar.real)
+                - _logcosh(root * v * y_scalar.imag))
+
+    theta, _ = maximize_concave(lambda th: samples_at(th).mean(), -2.0, -1e-6)
+    return _estimate_from_nats(samples_at(theta)), theta

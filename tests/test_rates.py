@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
 
+from conftest import make_square16
+from gnndsim import rates
 from gnndsim.channel import ChannelInstance, sample_gains, transmit
+from gnndsim.config import ExperimentConfig
 from gnndsim.constellation import make_qpsk, sample_symbols
-from gnndsim.fronts import cl_front, qpsk_estimates
-from gnndsim.harness import nn_tables
+from gnndsim.fronts import qpsk_estimates
+from gnndsim.harness import nn_tables, run_gmi_sweep
 from gnndsim.posterior import JointEnumeration
 from gnndsim.rates import (
     LN2,
     RateEstimate,
-    cl_gmi_from_scalar,
     combine_rates,
     evaluate_user_rates,
     gmi_from_tables,
     gnnd_gmi_from_means,
 )
+from oracles import cl_gmi_cosh_form
 
 
 def _single_user_channel(snr_db, power=1.0, h=1.0 + 0j):
@@ -82,10 +85,6 @@ def _sampled_tables(ch, consts, user, n, rng, kind):
                       for _ in range(ch.n_users)])
     x = consts.points[x_idx]
     y = transmit(ch, x, rng)
-    if kind == "cl":
-        front = cl_front(ch.gains, ch.noise_var, user, ch.powers)
-        ys = front.apply(y)
-        return nn_tables(ys, consts.points, front.scalar_gain), x_idx[user], ys, x[user], front
     batch = JointEnumeration(ch.gains, ch.noise_var, consts).evaluate(y)
     if kind == "ml":
         tables = -batch.user_log_likelihood(user).T
@@ -131,16 +130,65 @@ def test_any_metric_bounded_by_mi():
     assert est.value <= mi.value + 2 * np.hypot(est.std_error, mi.std_error) + 5e-3
 
 
-def test_cl_cosh_form_agrees_with_table_form():
-    consts = make_qpsk(0.5)
-    gains = sample_gains(2, 2, np.random.default_rng(12))
-    ch = ChannelInstance(gains, 0.3, [0.5, 0.5])
-    n = 20_000
-    tables, tx, ys, xs, front = _sampled_tables(ch, consts, 0, n,
-                                                np.random.default_rng(13), "cl")
-    table_est, _ = gmi_from_tables(tables, tx, consts.probabilities)
-    cosh_est, _ = cl_gmi_from_scalar(ys, xs, front.scalar_gain, consts.power)
-    assert cosh_est.value == pytest.approx(table_est.value, abs=1e-6)
+def _cl_fits(monkeypatch, run):
+    """Inputs and results of every CL GMI fit that ``run()`` makes."""
+    fits = []
+    real = rates.cl_gmi_from_scalar
+
+    def recording(*args):
+        out = real(*args)
+        fits.append((args, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(rates, "cl_gmi_from_scalar", recording)
+        run()
+    return fits
+
+
+def _gmi_sweep_cl(**fields):
+    return lambda: run_gmi_sweep(ExperimentConfig(kind="gmi-sweep", methods=("cl",),
+                                                  draws=1, **fields))
+
+
+def _single_call_cl(gains, noise_var, powers, n, seed):
+    ch = ChannelInstance(gains, noise_var, powers)
+    return lambda: evaluate_user_rates(ch, make_qpsk(float(ch.powers[0])), None, ("cl",),
+                                       "no-sic", n, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("run, n_fits, saturated", [
+    # two users without cancellation at moderate noise
+    (_single_call_cl(sample_gains(2, 2, np.random.default_rng(12)), 0.3, [0.5, 0.5],
+                     20_000, 13), 2, None),
+    # the four fits of tests/golden/gmi_sweep_sic_small.csv
+    (_gmi_sweep_cl(seed=7, users=2, antennas=2, receiver="sic", snr_db=(0.0, 10.0),
+                   samples=2000), 4, None),
+    # draw 0 of a saturated run: no sample of user 2 at 10 dB is in error
+    (_gmi_sweep_cl(seed=129, users=4, antennas=4, receiver="no-sic",
+                   snr_db=(-5.0, 0.0, 5.0, 10.0, 15.0, 20.0), samples=4096), 24, 13),
+    # a rate of nearly zero
+    (_single_call_cl([[1.0]], 1e7, [1.0], 20_000, 0), 1, None),
+])
+def test_cl_cosh_form_agrees_with_table_form(monkeypatch, run, n_fits, saturated):
+    fits = _cl_fits(monkeypatch, run)
+    assert len(fits) == n_fits
+    for (ys, tx, gain, c), (table_est, theta) in fits:
+        cosh_est, _ = cl_gmi_cosh_form(ys, c.points[tx], gain, c.power)
+        assert abs(table_est.value - cosh_est.value) <= 1e-11
+        assert abs(table_est.std_error - cosh_est.std_error) <= 1e-8
+        assert theta < 0
+    if saturated is not None:
+        assert fits[saturated][1][0].value > 2.0 - 1e-9
+
+
+@pytest.mark.parametrize("noise_var", [0.3, 0.01])
+def test_cl_gmi_on_sixteen_points(noise_var):
+    ch = ChannelInstance([[1.0]], noise_var, [1.0])
+    res = _user0(ch, make_square16(1.0), ("cl", "mi"), 20_000, 30)
+    cl, mi = res["cl"], res["mi"]
+    assert 0.0 <= cl.value <= mi.value + 3 * np.hypot(cl.std_error, mi.std_error)
+    assert cl.value <= 4.0 + 1e-9
 
 
 def test_kl_gap_nonnegative_and_zero_single_user():
