@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,12 +70,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def parallel_map(fn, tasks, threads: int):
-    """Apply fn over tasks, optionally in a process pool; order preserved."""
-    if threads <= 1 or len(tasks) <= 1:
+def worker_pool(threads: int):
+    """Context manager giving a process pool of ``threads`` workers, or None
+    for threads <= 1. A runner holds one for its whole call, so workers
+    start once and none outlives it."""
+    return ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+
+
+def parallel_map(fn, tasks, pool):
+    """Apply fn over tasks, in ``pool`` when there is one; order preserved."""
+    if pool is None or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks))
+    return list(pool.map(fn, tasks))
 
 
 def noise_var_for(cfg: ExperimentConfig, snr_db: float) -> float:
@@ -111,8 +118,8 @@ def _gmi_task(args):
 def run_gmi_sweep(cfg: ExperimentConfig) -> SweepResult:
     """Sum rates per (draw, SNR, method); rows flattened per user plus sum."""
     start = time.time()
-    chunks = parallel_map(_gmi_task, [(cfg, d) for d in range(cfg.draws)],
-                          cfg.threads)
+    with worker_pool(cfg.threads) as pool:
+        chunks = parallel_map(_gmi_task, [(cfg, d) for d in range(cfg.draws)], pool)
     result = SweepResult(cfg, RATE_CSV_COLUMNS)
     for chunk in chunks:
         for entry in chunk:
@@ -315,22 +322,23 @@ def run_viterbi_ber(cfg: ExperimentConfig) -> SweepResult:
     start = time.time()
     result = SweepResult(cfg, BER_CSV_COLUMNS)
     block_seeds = np.random.SeedSequence((cfg.seed, 1)).spawn(cfg.blocks)
-    for snr in cfg.snr_db:
-        counter = _BerCounter(cfg.methods, cfg.users, cfg.min_errors, cfg.blocks)
-        block_bits = np.full(cfg.users, cfg.info_bits, dtype=np.int64)
-        next_block = 0
-        while not counter.done and next_block < cfg.blocks:
-            wave = block_seeds[next_block:next_block + VITERBI_WAVE]
-            active = tuple(m for m in cfg.methods if not counter.frozen[m])
-            parts = min(cfg.threads, len(wave))
-            cuts = [len(wave) * i // parts for i in range(parts + 1)]
-            tasks = [(cfg, snr, wave[lo:hi], active) for lo, hi in zip(cuts, cuts[1:])]
-            for chunk in parallel_map(_viterbi_block, tasks, cfg.threads):
-                for res in chunk:
-                    for method in active:
-                        counter.update(method, res[method], block_bits)
-            next_block += len(wave)
-        _append_ber_rows(result, cfg, "viterbi-ber", snr, counter)
+    with worker_pool(cfg.threads) as pool:
+        for snr in cfg.snr_db:
+            counter = _BerCounter(cfg.methods, cfg.users, cfg.min_errors, cfg.blocks)
+            block_bits = np.full(cfg.users, cfg.info_bits, dtype=np.int64)
+            next_block = 0
+            while not counter.done and next_block < cfg.blocks:
+                wave = block_seeds[next_block:next_block + VITERBI_WAVE]
+                active = tuple(m for m in cfg.methods if not counter.frozen[m])
+                parts = min(cfg.threads, len(wave))
+                cuts = [len(wave) * i // parts for i in range(parts + 1)]
+                tasks = [(cfg, snr, wave[lo:hi], active) for lo, hi in zip(cuts, cuts[1:])]
+                for chunk in parallel_map(_viterbi_block, tasks, pool):
+                    for res in chunk:
+                        for method in active:
+                            counter.update(method, res[method], block_bits)
+                next_block += len(wave)
+            _append_ber_rows(result, cfg, "viterbi-ber", snr, counter)
     result.runtime = time.time() - start
     if cfg.out:
         result.write_csv(cfg.out)

@@ -150,8 +150,8 @@ def test_viterbi_ber_pairs_blocks_across_snr(monkeypatch, threads):
     drawn = {}
     real_map = harness.parallel_map
 
-    def recording_map(fn, tasks, n_threads):
-        results = real_map(fn, tasks, n_threads)
+    def recording_map(fn, tasks, pool):
+        results = real_map(fn, tasks, pool)
         for (_, snr, _, _), chunk in zip(tasks, results):
             drawn.setdefault(snr, []).extend(res["gains"] for res in chunk)
         return results
@@ -168,6 +168,25 @@ def test_viterbi_ber_pairs_blocks_across_snr(monkeypatch, threads):
     for g_low, g_high in zip(low, high):
         np.testing.assert_array_equal(g_low, g_high)
     assert not np.array_equal(low[0], low[1])  # blocks are distinct draws
+
+
+@pytest.mark.parametrize("threads, pools", [(1, 0), (2, 1)])
+def test_viterbi_ber_starts_one_pool_per_call(monkeypatch, threads, pools):
+    started = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    cfg = ExperimentConfig(kind="viterbi-ber", seed=6, users=2, antennas=2,
+                           receiver="sic", methods=("cl",), snr_db=(3.0, 9.0),
+                           blocks=2 * harness.VITERBI_WAVE + 1, min_errors=10**6,
+                           info_bits=16, threads=threads)
+    rows = run_viterbi_ber(cfg).rows
+    assert {r["blocks"] for r in rows} == {cfg.blocks}  # three waves per SNR point
+    assert len(started) == pools
 
 
 @pytest.mark.parametrize("receiver", ["sic", "no-sic"])
