@@ -157,29 +157,30 @@ def _single_call_cl(gains, noise_var, powers, n, seed):
                                        "no-sic", n, np.random.default_rng(seed))
 
 
-@pytest.mark.parametrize("run, n_fits, saturated", [
-    # two users without cancellation at moderate noise
-    (_single_call_cl(sample_gains(2, 2, np.random.default_rng(12)), 0.3, [0.5, 0.5],
-                     20_000, 13), 2, None),
-    # the four fits of tests/golden/gmi_sweep_sic_small.csv
-    (_gmi_sweep_cl(seed=7, users=2, antennas=2, receiver="sic", snr_db=(0.0, 10.0),
-                   samples=2000), 4, None),
-    # draw 0 of a saturated run: no sample of user 2 at 10 dB is in error
-    (_gmi_sweep_cl(seed=129, users=4, antennas=4, receiver="no-sic",
-                   snr_db=(-5.0, 0.0, 5.0, 10.0, 15.0, 20.0), samples=4096), 24, 13),
-    # a rate of nearly zero
-    (_single_call_cl([[1.0]], 1e7, [1.0], 20_000, 0), 1, None),
-])
-def test_cl_cosh_form_agrees_with_table_form(monkeypatch, run, n_fits, saturated):
-    fits = _cl_fits(monkeypatch, run)
-    assert len(fits) == n_fits
-    for (ys, tx, gain, c), (table_est, theta) in fits:
-        cosh_est, _ = cl_gmi_cosh_form(ys, c.points[tx], gain, c.power)
-        assert abs(table_est.value - cosh_est.value) <= 1e-11
-        assert abs(table_est.std_error - cosh_est.std_error) <= 1e-8
-        assert theta < 0
-    if saturated is not None:
-        assert fits[saturated][1][0].value > 2.0 - 1e-9
+def test_cl_cosh_form_agrees_with_table_form(monkeypatch):
+    cases = [  # (run, number of CL fits, index of a saturated fit)
+        # two users without cancellation at moderate noise
+        (_single_call_cl(sample_gains(2, 2, np.random.default_rng(12)), 0.3, [0.5, 0.5],
+                         20_000, 13), 2, None),
+        # the four fits of tests/golden/gmi_sweep_sic_small.csv
+        (_gmi_sweep_cl(seed=7, users=2, antennas=2, receiver="sic", snr_db=(0.0, 10.0),
+                       samples=2000), 4, None),
+        # draw 0 of a saturated run: no sample of user 2 at 10 dB is in error
+        (_gmi_sweep_cl(seed=129, users=4, antennas=4, receiver="no-sic",
+                       snr_db=(-5.0, 0.0, 5.0, 10.0, 15.0, 20.0), samples=4096), 24, 13),
+        # a rate of nearly zero
+        (_single_call_cl([[1.0]], 1e7, [1.0], 20_000, 0), 1, None),
+    ]
+    for run, n_fits, saturated in cases:
+        fits = _cl_fits(monkeypatch, run)
+        assert len(fits) == n_fits
+        for (ys, tx, gain, c), (table_est, theta) in fits:
+            cosh_est, _ = cl_gmi_cosh_form(ys, c.points[tx], gain, c.power)
+            assert abs(table_est.value - cosh_est.value) <= 1e-11
+            assert abs(table_est.std_error - cosh_est.std_error) <= 1e-8
+            assert theta < 0
+        if saturated is not None:
+            assert fits[saturated][1][0].value > 2.0 - 1e-9
 
 
 @pytest.mark.parametrize("noise_var", [0.3, 0.01])
