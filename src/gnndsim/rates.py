@@ -81,17 +81,18 @@ def gmi_from_tables(tables, tx_idx, probabilities) -> tuple[RateEstimate, float]
     """Generalized mutual information of an arbitrary metric.
 
     ``tables[t, i]`` is the metric of candidate i at observation t and
-    ``tx_idx[t]`` the transmitted index. The GMI is the maximum over the
-    metric temperature theta < 0 of the mean of the per-observation samples
-        -log sum_a p(a) exp(theta (tables[t, a] - tables[t, tx_idx[t]])),
-    a concave function of theta (Ganti, Lapidoth & Telatar 2000). The
-    metric is taken relative to the transmitted candidate's before theta
-    multiplies it, so a term common to every candidate (the |y|^2 of a
-    nearest-neighbor metric) cancels exactly; with the tilted pmf q at
-    theta, the slope is -mean E_q[d] and the curvature -mean Var_q[d].
-    Newton from theta = -1, each step halved until the objective does not
-    fall, so the fit cannot fail: after THETA_ITERS steps, or once a step
-    or its predicted gain is at rounding level, the last iterate is used.
+    ``tx_idx[t]`` the transmitted index. With d[t, a] = tables[t, a] -
+    tables[t, tx_idx[t]], the GMI is the maximum over the metric
+    temperature theta < 0 of the mean of the per-observation samples
+        -log sum_a p(a) exp(theta d[t, a]),
+    a concave function of theta (Ganti, Lapidoth & Telatar 2000). Taking
+    the metric relative to the transmitted candidate's cancels a term common
+    to every candidate, such as the |y|^2 of a nearest-neighbor metric,
+    before theta multiplies it. With q the tilted pmf at theta, the slope is
+    -mean E_q[d] and the curvature -mean Var_q[d]. Newton runs from
+    theta = -1, each step halved until the objective does not fall, so the
+    fit cannot fail: after THETA_ITERS steps, or once a step or its
+    predicted gain is at rounding level, the last iterate is used.
     Returns the estimate and the maximizing theta.
     """
     tables = np.asarray(tables, dtype=np.float64)
@@ -125,7 +126,7 @@ def gmi_from_tables(tables, tx_idx, probabilities) -> tuple[RateEstimate, float]
             if samples_new.mean() >= value:
                 break
             step /= 2.0
-        else:
+        else:  # no step above rounding level raises the objective
             break
         theta, q, samples = theta + step, q_new, samples_new
     return _estimate_from_nats(samples), theta
