@@ -179,6 +179,8 @@ def test_cl_cosh_form_agrees_with_table_form(monkeypatch):
             assert abs(table_est.value - cosh_est.value) <= 1e-11
             assert abs(table_est.std_error - cosh_est.std_error) <= 1e-8
             assert theta < 0
+            # every sample is at most -log p(tx): no rate above log2 |A|, even by rounding
+            assert table_est.value <= np.log2(c.size)
         if saturated is not None:
             assert fits[saturated][1][0].value > 2.0 - 1e-9
 
