@@ -88,11 +88,13 @@ def gmi_from_tables(tables, tx_idx, probabilities) -> tuple[RateEstimate, float]
     a concave function of theta (Ganti, Lapidoth & Telatar 2000). Taking
     the metric relative to the transmitted candidate's cancels a term common
     to every candidate, such as the |y|^2 of a nearest-neighbor metric,
-    before theta multiplies it. With q the tilted pmf at theta, the slope is
-    -mean E_q[d] and the curvature -mean Var_q[d]. Newton runs from
-    theta = -1, each step halved until the objective does not fall, so the
-    fit cannot fail: after THETA_ITERS steps, or once a step or its
-    predicted gain is at rounding level, the last iterate is used.
+    before theta multiplies it, and keeps the transmitted term at exactly
+    log p(tx), so no sample exceeds -log p(tx) at any theta. With q the
+    tilted pmf at theta, the slope is -mean E_q[d] and the curvature
+    -mean Var_q[d]. Newton runs from theta = -1, each step halved until the
+    objective does not fall, so the fit cannot fail: after THETA_ITERS
+    steps, or once a step or its predicted gain is at rounding level, the
+    last iterate is used.
     Returns the estimate and the maximizing theta.
     """
     tables = np.asarray(tables, dtype=np.float64)
