@@ -25,7 +25,7 @@ from .config import ExperimentConfig, config_echo, pilot_power_value
 from .constellation import make_qpsk, modulate
 from .fronts import cl_front, nn_tables, qpsk_estimates
 from .mmse_net import TrainConfig, default_sizes, make_dataset, mean_fn, train
-from .posterior import JointEnumeration
+from .posterior import ENUM_SLICE_BYTES, JointEnumeration
 from .rates import combine_rates, evaluate_user_rates
 
 RATE_CSV_COLUMNS = ("instance_id", "K", "L", "snr_db", "method", "receiver",
@@ -35,7 +35,6 @@ BER_CSV_COLUMNS = ("kind", "K", "L", "snr_db", "method", "receiver", "pilot_powe
 SCATTER_CSV_COLUMNS = ("true_re", "true_im", "gnnd_re", "gnnd_im",
                        "lmmse_re", "lmmse_im")
 SIGMA_U_SAMPLES = 2048
-ENUM_SLICE_BYTES = 2**28   # one (M, n) complex64 block of scatter log weights
 VITERBI_WAVE = 16          # blocks per wave; more words per viterbi call cost RSS
 
 

@@ -9,6 +9,10 @@ import numpy as np
 from .constellation import per_user
 
 ENUM_CAP = 4**10
+ENUM_SLICE_BYTES = 2**28   # one (M, n) block of an enumeration's per-column arrays
+# exponent floor of the normalised weights, per real dtype: e**floor and its
+# products with the points stay far above the smallest normal number
+EXP_FLOOR = {np.float32: -80.0, np.float64: -700.0}
 
 
 class EnumerationCapError(ValueError):
@@ -21,7 +25,9 @@ class JointEnumeration:
     Precomputes the candidate received means H x over the joint alphabet so
     that batches of observations can be scored with one matrix product.
     Likelihoods are handled in the log domain with per-observation max
-    subtraction, so no overflow occurs even at tiny noise levels.
+    subtraction, so no overflow occurs even at tiny noise levels, and the
+    exponent is raised to ``EXP_FLOOR`` before it is taken, so no weight
+    underflows into the slow subnormal range.
     """
 
     def __init__(self, gains, noise_var: float, constellations, first_user: int = 0,
@@ -65,6 +71,25 @@ class JointEnumeration:
         self._row_offset = ((self._mean_sq / self.noise_var)
                             - self._log_prior).astype(self.rdtype)
         self.gauss_log_const = -n_ant * np.log(np.pi * self.noise_var)
+        self._indicator = None
+
+    @property
+    def indicator(self) -> np.ndarray:
+        """0/1 matrix (sum of |A_u|, M) whose row offset[k] + a marks the
+        combinations in which active user k sends its symbol a; built on
+        first use."""
+        if self._indicator is None:
+            grids = np.indices(self.sizes).reshape(self.n_active, -1)
+            self._indicator = np.concatenate(
+                [grids[k] == np.arange(m)[:, None] for k, m in enumerate(self.sizes)]
+            ).astype(self.rdtype)
+        return self._indicator
+
+    def marginal_rows(self, user: int) -> slice:
+        """Rows of ``indicator`` (and of ``PosteriorBatch.marginals``) of one user."""
+        k = self.active_index(user)
+        start = sum(self.sizes[:k])
+        return slice(start, start + self.sizes[k])
 
     @property
     def n_combos(self) -> int:
@@ -87,13 +112,19 @@ class JointEnumeration:
         return logw
 
     def evaluate(self, y, keep_log_weights: bool = True) -> "PosteriorBatch":
+        """Normalised posterior weights of a batch of observations.
+
+        The weights are exp(max(logw - top, EXP_FLOOR)): a combination more
+        than -EXP_FLOOR nats below the best one keeps a weight of
+        e**EXP_FLOOR relative to it, mass far below anything the sums
+        resolve. The kept log weights are the unfloored ones.
+        """
         logw = self.log_weights(y)
         top = logw.max(axis=0)
-        if keep_log_weights:
-            w = np.exp(logw - top[None, :])
-        else:
-            logw -= top[None, :]
-            w = np.exp(logw, out=logw)
+        w = np.subtract(logw, top[None, :], out=None if keep_log_weights else logw)
+        np.maximum(w, EXP_FLOOR[self.rdtype], out=w)
+        np.exp(w, out=w)
+        if not keep_log_weights:
             logw = None
         norm = w.sum(axis=0)
         w /= norm[None, :]
@@ -109,6 +140,7 @@ class PosteriorBatch:
         self._logw = logw
         self._w = weights
         self.log_evidence = log_evidence
+        self._marginals = None
 
     def mean(self, user: int) -> np.ndarray:
         k = self.enum.active_index(user)
@@ -124,13 +156,16 @@ class PosteriorBatch:
         """Conditional means of every enumerated user, (n_active, n)."""
         return self.enum._points_re @ self._w + 1j * (self.enum._points_im @ self._w)
 
+    def marginals(self) -> np.ndarray:
+        """Marginal posteriors of every enumerated user, stacked (sum of
+        |A_u|, n), from one product with the enumeration's indicator."""
+        if self._marginals is None:
+            self._marginals = self.enum.indicator @ self._w
+        return self._marginals
+
     def pmf(self, user: int) -> np.ndarray:
         """Marginal posterior over user symbols, (m_user, n)."""
-        k = self.enum.active_index(user)
-        n = self._w.shape[1]
-        shaped = self._w.reshape(self.enum.sizes + [n])
-        axes = tuple(a for a in range(self.enum.n_active) if a != k)
-        return shaped.sum(axis=axes)
+        return self.marginals()[self.enum.marginal_rows(user)]
 
     def user_log_likelihood(self, user: int) -> np.ndarray:
         """log p(y | x_user = a_i) for every candidate a_i, (m_user, n).

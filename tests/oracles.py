@@ -134,3 +134,12 @@ def cl_gmi_cosh_form(y_scalar, x, gain: float,
 
     theta, _ = maximize_concave(lambda th: samples_at(th).mean(), -2.0, -1e-6)
     return _estimate_from_nats(samples_at(theta)), theta
+
+
+def mi_samples_lse(batch, user: int, tx_idx) -> np.ndarray:
+    """Per-observation MI integrand (nats) log p(y | x_user = tx) - log p(y),
+    from the user's log-likelihood table and the log evidence: the reference
+    for ``rates.mi_samples``. ``batch`` must keep its log weights."""
+    ull = batch.user_log_likelihood(user)
+    return (ull[tx_idx, np.arange(tx_idx.size)]
+            + batch.enum.gauss_log_const - batch.log_evidence)

@@ -17,7 +17,7 @@ from gnndsim.rates import (
     gmi_from_tables,
     gnnd_gmi_from_means,
 )
-from oracles import cl_gmi_cosh_form
+from oracles import cl_gmi_cosh_form, mi_samples_lse
 
 
 def _single_user_channel(snr_db, power=1.0, h=1.0 + 0j):
@@ -322,3 +322,87 @@ def test_estimator_requires_rng():
     ch = _single_user_channel(0.0)
     with pytest.raises(ValueError):
         evaluate_user_rates(ch, make_qpsk(1.0), None, ("mi",), "no-sic", 100, None)
+
+
+def _assert_mi_matches_oracle(batch, y, user, tx):
+    got = rates.mi_samples(batch, y, user, tx)
+    np.testing.assert_allclose(got, mi_samples_lse(batch, user, tx), rtol=0, atol=1e-12)
+    return got
+
+
+@pytest.mark.parametrize("receiver", ["no-sic", "sic"])
+@pytest.mark.parametrize("snr_db", [-5.0, 0.0, 5.0, 10.0, 15.0, 20.0])
+def test_mi_samples_match_lse_oracle(receiver, snr_db):
+    # K = L = 4: the MI read from the marginals against log p(y | x_u) - log p(y)
+    gains = sample_gains(4, 4, np.random.default_rng(31))
+    q = make_qpsk(0.25)
+    ch = ChannelInstance(gains, 10 ** (-snr_db / 10), np.full(4, 0.25))
+    rng = np.random.default_rng(32)
+    idx = rng.integers(0, 4, size=(4, 2048))
+    x = q.points[idx]
+    y = transmit(ch, x, rng)
+    for u in range(4):
+        first = u if receiver == "sic" else 0
+        y_u = y - gains[:, :first] @ x[:first]
+        batch = JointEnumeration(gains, ch.noise_var, q, first).evaluate(y_u)
+        _assert_mi_matches_oracle(batch, y_u, u, idx[u])
+
+
+@pytest.mark.parametrize("noise_var", [1e-3, 1e-4])
+def test_mi_samples_fallback_matches_lse_oracle(noise_var):
+    # y on a neighbour of the sent point, 2180 nats likelier: P(tx | y) is
+    # about e**-2180, far below the floored weights, so only the log-domain
+    # fallback reads it
+    q = make_qpsk(1090 * noise_var)
+    dist2 = np.abs(q.points[:, None] - q.points[None, :]) ** 2
+    tx, on = np.nonzero(dist2 < 3 * q.power)  # each point and its two neighbours
+    y = q.points[on][None, :]
+    batch = JointEnumeration([[1.0]], noise_var, q).evaluate(y)
+    wrong = tx != on
+    p_tx = batch.pmf(0)[tx, np.arange(tx.size)]
+    assert np.all(p_tx[wrong] < rates.MI_FALLBACK_MASS)
+    assert np.all(p_tx[~wrong] > 0.5)
+    got = _assert_mi_matches_oracle(batch, y, 0, tx)
+    np.testing.assert_allclose(got[wrong], -2180.0 + np.log(4.0), rtol=1e-13)
+
+
+@pytest.mark.parametrize("seed", [23, 129, 1])
+def test_mi_rows_at_most_log2_alphabet(seed):
+    # the gmi-4x4 benchmark config: at these seeds saturated users read
+    # 2.0000000000000004 bits at 15 or 20 dB before P(tx | y) was clamped at 1
+    cfg = ExperimentConfig(kind="gmi-sweep", seed=seed, users=4, antennas=4,
+                           snr_db=(-5.0, 0.0, 5.0, 10.0, 15.0, 20.0), methods=("mi",),
+                           draws=1, samples=16384)
+    rows = run_gmi_sweep(cfg).rows
+    assert max(r["rate_bits"] for r in rows if r["user"] != "sum") <= 2.0
+    assert max(r["rate_bits"] for r in rows if r["user"] == "sum") <= 8.0
+
+
+@pytest.mark.parametrize("receiver, per_chunk", [("no-sic", 1), ("sic", 3)])
+def test_rate_chunk_follows_enumeration_budget(monkeypatch, receiver, per_chunk):
+    # one evaluate per chunk without SIC, one per user with it
+    widths = []
+    evaluate = JointEnumeration.evaluate
+    monkeypatch.setattr(JointEnumeration, "evaluate",
+                        lambda self, y, **kw: widths.append(y.shape[1]) or evaluate(self, y, **kw))
+    gains = sample_gains(3, 3, np.random.default_rng(33))
+    ch = ChannelInstance(gains, 0.2, np.full(3, 1 / 3))
+    q = make_qpsk(1 / 3)
+
+    def chunks(n_samples):
+        widths.clear()
+        evaluate_user_rates(ch, q, None, ("gnnd", "mi"), receiver, n_samples,
+                            np.random.default_rng(34))
+        return widths[::per_chunk]
+
+    # the K <= 5 QPSK streams keep their SAMPLE_CHUNK columns
+    assert rates.ENUM_SLICE_BYTES // (16 * 4**5) >= rates.SAMPLE_CHUNK
+    # a budget of 40 columns of 4^3 combinations at 16 bytes each
+    monkeypatch.setattr(rates, "ENUM_SLICE_BYTES", 40 * 64 * 16 + 15)
+    assert chunks(100) == [40, 40, 20]
+    assert len(widths) == 3 * per_chunk
+    monkeypatch.setattr(rates, "ENUM_SLICE_BYTES", 1)  # below one column
+    assert chunks(3) == [1, 1, 1]
+    monkeypatch.setattr(rates, "ENUM_SLICE_BYTES", 2**40)
+    monkeypatch.setattr(rates, "SAMPLE_CHUNK", 30)
+    assert chunks(100) == [30, 30, 30, 10]
