@@ -69,12 +69,6 @@ class ParityGraph:
         object.__setattr__(self, "var_starts",
                            np.searchsorted(ve[var_perm], np.arange(self.n)))
 
-    @classmethod
-    def from_dense(cls, h) -> "ParityGraph":
-        h = np.asarray(h, dtype=np.uint8)
-        ce, ve = np.nonzero(h)
-        return cls(h.shape[1], h.shape[0], ce, ve)
-
 
 @dataclass(frozen=True)
 class LdpcCode:

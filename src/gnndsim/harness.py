@@ -25,7 +25,7 @@ from .config import ExperimentConfig, config_echo, pilot_power_value
 from .constellation import make_qpsk, modulate
 from .fronts import cl_front, nn_tables, qpsk_estimates
 from .mmse_net import TrainConfig, default_sizes, make_dataset, mean_fn, train
-from .posterior import ENUM_SLICE_BYTES, JointEnumeration
+from .posterior import JointEnumeration
 from .rates import combine_rates, evaluate_user_rates
 
 RATE_CSV_COLUMNS = ("instance_id", "K", "L", "snr_db", "method", "receiver",
@@ -137,16 +137,6 @@ def run_gmi_sweep(cfg: ExperimentConfig) -> SweepResult:
     return result
 
 
-def average_sum_rows(result: SweepResult, method: str, snr_db: float):
-    """Across-draw average of the sum-rate rows for one method and SNR."""
-    vals = [r for r in result.rows
-            if r["method"] == method and r["user"] == "sum"
-            and r["snr_db"] == snr_db]
-    mean = float(np.mean([r["rate_bits"] for r in vals]))
-    se = float(np.sqrt(np.sum([r["std_err"] ** 2 for r in vals])) / len(vals))
-    return mean, se
-
-
 # --------------------------------------------------------------------------
 # scattergrams
 
@@ -171,7 +161,7 @@ def run_scatter(cfg: ExperimentConfig) -> SweepResult:
                          np.full(cfg.users, cfg.power / cfg.users))
     consts = user_constellation(cfg)
     n = cfg.samples
-    idx = np.stack([rng.choice(4, size=n, p=consts.probabilities)
+    idx = np.stack([rng.choice(consts.size, size=n, p=consts.probabilities)
                     for _ in range(cfg.users)])
     x = consts.points[idx]
     y = ch.gains @ x + np.sqrt(ch.noise_var) * crandn((cfg.antennas, n), rng)
@@ -180,13 +170,9 @@ def run_scatter(cfg: ExperimentConfig) -> SweepResult:
                                     ss.spawn(1)[0])
         means = mean_fn(model)(y)
     else:
-        # column slices of at most ENUM_SLICE_BYTES of 8-byte complex64 weights
         enum = JointEnumeration(ch.gains, ch.noise_var, consts, 0,
                                 dtype=np.complex64)
-        step = max(1, ENUM_SLICE_BYTES // (8 * enum.n_combos))
-        means = np.concatenate([
-            enum.evaluate(y[:, i:i + step], keep_log_weights=False).mean(0)
-            for i in range(0, n, step)])
+        means = enum.evaluate_sliced(y, lambda batch: batch.mean(0))
     gnnd = qpsk_estimates(means, consts.power)
     lmmse = lmmse_estimates(ch, y, 0)
     gnnd = gnnd / np.sqrt(np.mean(np.abs(gnnd) ** 2))
@@ -244,10 +230,10 @@ def _word_tables(method, gains, noise_var, consts, y, users):
                   for u in users]
         return [nn_tables(f.apply(y), consts.points, f.scalar_gain) for f in fronts]
     enum = JointEnumeration(gains, noise_var, consts, first, dtype=np.complex64)
-    batch = enum.evaluate(y, keep_log_weights=(method == "ml"))
     if method == "gnnd":
+        batch = enum.evaluate(y)
         return [_gnnd_table(batch.mean(u), consts) for u in users]
-    return [-batch.user_log_likelihood(u).T for u in users]
+    return [-t.T for t in enum.user_log_likelihood(y, users)]
 
 
 def _gnnd_table(means, consts):
@@ -417,8 +403,8 @@ class _LdpcRealization:
         else:
             enum = JointEnumeration(self.gains_hat, self.noise_var, consts,
                                     0, dtype=np.complex64)
-            self.means_all = lambda y: enum.evaluate(
-                y, keep_log_weights=False).means_all()
+            self.means_all = lambda y: enum.evaluate_sliced(
+                y, lambda batch: batch.means_all())
         # the residual scale is estimated against the receiver's own channel
         # knowledge, the best an implementable receiver can simulate
         self.sigma_u = _batched_sigma_u(
@@ -487,23 +473,3 @@ def run_ldpc_ber(cfg: ExperimentConfig) -> SweepResult:
     if cfg.out:
         result.write_csv(cfg.out)
     return result
-
-
-# --------------------------------------------------------------------------
-# curve utilities
-
-
-def snr_at_ber(snrs, bers, target: float = 1e-3):
-    """SNR where the curve last crosses the target, by log-linear
-    interpolation; None when the crossing is outside the measured grid."""
-    snrs = np.asarray(snrs, dtype=float)
-    bers = np.asarray(bers, dtype=float)
-    order = np.argsort(snrs)
-    snrs, bers = snrs[order], np.maximum(bers[order], 1e-12)
-    above = np.flatnonzero(bers >= target)
-    if above.size == 0 or above[-1] == len(bers) - 1:
-        return None
-    i = above[-1]  # last point at or above target; everything after is below
-    l0, l1 = np.log10(bers[i]), np.log10(bers[i + 1])
-    t = (np.log10(target) - l0) / (l1 - l0)
-    return float(snrs[i] + t * (snrs[i + 1] - snrs[i]))

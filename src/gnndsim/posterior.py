@@ -13,6 +13,13 @@ ENUM_SLICE_BYTES = 2**28   # one (M, n) block of an enumeration's per-column arr
 # exponent floor of the normalised weights, per real dtype: e**floor and its
 # products with the points stay far above the smallest normal number
 EXP_FLOOR = {np.float32: -80.0, np.float64: -700.0}
+MI_FALLBACK_MASS = 1e-250  # marginals below this are recomputed by log-sum-exp
+
+
+def _lse(z) -> np.ndarray:
+    """log sum exp over axis 0."""
+    top = z.max(axis=0)
+    return top + np.log(np.exp(z - top).sum(axis=0))
 
 
 class EnumerationCapError(ValueError):
@@ -95,6 +102,12 @@ class JointEnumeration:
     def n_combos(self) -> int:
         return self._points.shape[1]
 
+    @property
+    def slice_columns(self) -> int:
+        """Observations per evaluation whose (M, n) block of ``dtype`` products
+        stays within ENUM_SLICE_BYTES; at least one."""
+        return max(1, ENUM_SLICE_BYTES // (self.dtype.itemsize * self.n_combos))
+
     def active_index(self, user: int) -> int:
         k = user - self.first_user
         if not 0 <= k < self.n_active:
@@ -111,33 +124,59 @@ class JointEnumeration:
         logw -= (ysq / self.noise_var)[None, :].astype(self.rdtype)
         return logw
 
-    def evaluate(self, y, keep_log_weights: bool = True) -> "PosteriorBatch":
+    def evaluate(self, y) -> "PosteriorBatch":
         """Normalised posterior weights of a batch of observations.
 
         The weights are exp(max(logw - top, EXP_FLOOR)): a combination more
         than -EXP_FLOOR nats below the best one keeps a weight of
         e**EXP_FLOOR relative to it, mass far below anything the sums
-        resolve. The kept log weights are the unfloored ones.
+        resolve. ``PosteriorBatch.log_pmf_at`` compensates where it counts.
         """
         logw = self.log_weights(y)
         top = logw.max(axis=0)
-        w = np.subtract(logw, top[None, :], out=None if keep_log_weights else logw)
+        w = np.subtract(logw, top[None, :], out=logw)
         np.maximum(w, EXP_FLOOR[self.rdtype], out=w)
         np.exp(w, out=w)
-        if not keep_log_weights:
-            logw = None
         norm = w.sum(axis=0)
         w /= norm[None, :]
         log_evidence = top + np.log(norm) + self.gauss_log_const
-        return PosteriorBatch(self, logw, w, log_evidence)
+        return PosteriorBatch(self, y, w, log_evidence)
+
+    def evaluate_sliced(self, y, read) -> np.ndarray:
+        """``read(batch)`` of each slice of ``slice_columns`` observations of
+        y, (L, n), concatenated along the last axis, so no batch outgrows
+        the byte budget."""
+        step = self.slice_columns
+        return np.concatenate([read(self.evaluate(y[:, i:i + step]))
+                               for i in range(0, y.shape[1], step)], axis=-1)
+
+    def user_log_likelihood(self, y, users) -> list[np.ndarray]:
+        """log p(y | x_user = a_i) for every candidate a_i, one (m_user, n)
+        table per user of ``users``, from one pass of unfloored log weights.
+
+        Omits the Gaussian normalizer (see ``gauss_log_const``), which
+        cancels in likelihood ratios.
+        """
+        logw = self.log_weights(y)
+        shaped = logw.reshape(self.sizes + [logw.shape[1]])
+        tables = []
+        for user in users:
+            k = self.active_index(user)
+            axes = tuple(a for a in range(self.n_active) if a != k)
+            top = shaped.max(axis=axes, keepdims=True)
+            lse = np.squeeze(top, axis=axes) + np.log(
+                np.sum(np.exp(shaped - top), axis=axes))
+            logp = np.log(self.constellations[user].probabilities)
+            tables.append(lse - logp[:, None])
+        return tables
 
 
 class PosteriorBatch:
     """Normalized posterior weights for a batch of observations."""
 
-    def __init__(self, enum: JointEnumeration, logw, weights, log_evidence):
+    def __init__(self, enum: JointEnumeration, y, weights, log_evidence):
         self.enum = enum
-        self._logw = logw
+        self._y = y  # the observations evaluated, (L, n)
         self._w = weights
         self.log_evidence = log_evidence
         self._marginals = None
@@ -167,20 +206,21 @@ class PosteriorBatch:
         """Marginal posterior over user symbols, (m_user, n)."""
         return self.marginals()[self.enum.marginal_rows(user)]
 
-    def user_log_likelihood(self, user: int) -> np.ndarray:
-        """log p(y | x_user = a_i) for every candidate a_i, (m_user, n).
+    def log_pmf_at(self, user: int, idx) -> np.ndarray:
+        """Exact log P(x_user = idx[t] | y_t) for every observation t.
 
-        Omits the Gaussian normalizer (see ``enum.gauss_log_const``), which
-        cancels in likelihood ratios.
+        P is read from the marginals and clamped at 1, since it is a
+        probability. A column whose P is below MI_FALLBACK_MASS, where the
+        floored weights of ``evaluate`` could count, is recomputed exactly
+        from its own unfloored log weights by log-sum-exp.
         """
-        if self._logw is None:
-            raise ValueError("batch was evaluated with keep_log_weights=False")
-        k = self.enum.active_index(user)
-        n = self._logw.shape[1]
-        shaped = self._logw.reshape(self.enum.sizes + [n])
-        axes = tuple(a for a in range(self.enum.n_active) if a != k)
-        top = shaped.max(axis=axes, keepdims=True)
-        lse = np.squeeze(top, axis=axes) + np.log(
-            np.sum(np.exp(shaped - top), axis=axes))
-        logp = np.log(self.enum.constellations[user].probabilities)
-        return lse - logp[:, None]
+        enum = self.enum
+        rows = enum.marginal_rows(user)
+        p = np.minimum(self.marginals()[rows][idx, np.arange(idx.size)], 1.0)
+        log_p = np.log(p)
+        low = np.flatnonzero(p < MI_FALLBACK_MASS)
+        if low.size:
+            logw = enum.log_weights(self._y[:, low])  # (M, len(low))
+            own = enum.indicator[rows][idx[low]].T > 0
+            log_p[low] = _lse(np.where(own, logw, -np.inf)) - _lse(logw)
+        return log_p

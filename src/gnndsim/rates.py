@@ -10,12 +10,11 @@ import numpy as np
 from .channel import ChannelInstance, crandn
 from .constellation import Constellation, per_user
 from .fronts import ARTANH_CLIP, cl_front, nn_tables, qpsk_estimates, tilted_pmf
-from .posterior import ENUM_SLICE_BYTES, JointEnumeration
+from .posterior import JointEnumeration
 
 LN2 = float(np.log(2.0))
 SAMPLE_CHUNK = 16384     # most channel uses per enumeration batch
 THETA_ITERS = 100        # Newton steps of the metric-temperature fit
-MI_FALLBACK_MASS = 1e-250  # transmitted marginals below this are recomputed by lse
 RATE_METHODS = ("gnnd", "cl", "mi", "kl")
 
 
@@ -71,11 +70,6 @@ def gnnd_gmi_samples(means, power: float) -> np.ndarray:
               np.clip(s * means.imag, -ARTANH_CLIP, ARTANH_CLIP)):
         out = out + u * np.arctanh(u) + 0.5 * np.log1p(-u * u)
     return out
-
-
-def gnnd_gmi_from_means(means, power: float) -> RateEstimate:
-    """Optimal-front QPSK GMI from sampled conditional means."""
-    return _estimate_from_nats(gnnd_gmi_samples(means, power))
 
 
 def gmi_from_tables(tables, tx_idx, probabilities) -> tuple[RateEstimate, float]:
@@ -147,32 +141,12 @@ def cl_gmi_from_scalar(y_scalar, tx_idx, gain: float,
     return gmi_from_tables(tables, tx_idx, c.probabilities)
 
 
-def _lse(z) -> np.ndarray:
-    """log sum exp over axis 0."""
-    top = z.max(axis=0)
-    return top + np.log(np.exp(z - top).sum(axis=0))
-
-
-def mi_samples(batch, y, user: int, tx_idx) -> np.ndarray:
+def mi_samples(batch, user: int, tx_idx) -> np.ndarray:
     """Per-observation mutual-information integrand (nats) of one user,
-    log P(x_user = tx | y) - log p(tx), read from the batch's marginals.
-
-    P is clamped at 1, since it is a probability, so no sample exceeds
-    -log p(tx). A column whose P is below MI_FALLBACK_MASS, where the
-    floored weights of ``JointEnumeration.evaluate`` could count, is
-    recomputed exactly from its own log weights by log-sum-exp. ``y`` is the
-    observation batch evaluated, one column per entry of ``tx_idx``.
-    """
-    enum = batch.enum
-    rows = enum.marginal_rows(user)
-    p_tx = np.minimum(batch.marginals()[rows][tx_idx, np.arange(tx_idx.size)], 1.0)
-    log_p_tx = np.log(p_tx)
-    low = np.flatnonzero(p_tx < MI_FALLBACK_MASS)
-    if low.size:
-        logw = enum.log_weights(y[:, low])  # (M, len(low)), unfloored
-        own = enum.indicator[rows][tx_idx[low]].T > 0
-        log_p_tx[low] = _lse(np.where(own, logw, -np.inf)) - _lse(logw)
-    return log_p_tx - np.log(enum.constellations[user].probabilities)[tx_idx]
+    log P(x_user = tx | y) - log p(tx), from ``PosteriorBatch.log_pmf_at``;
+    no sample exceeds -log p(tx)."""
+    return (batch.log_pmf_at(user, tx_idx)
+            - np.log(batch.enum.constellations[user].probabilities)[tx_idx])
 
 
 def _kl_samples(pmf, tilted) -> np.ndarray:
@@ -220,10 +194,7 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
     fronts = {u: cl_front(ch.gains, ch.noise_var, u, ch.powers,
                           cancelled=range(first[u])) for u in users}
     acc = {m: {u: [] for u in users} for m in methods}  # cl: (y_scalar, index) pairs
-    # a chunk's (M, c) block of complex128 products, 16 bytes a combination,
-    # stays within the enumeration byte budget
-    chunk = min(SAMPLE_CHUNK, max(1, ENUM_SLICE_BYTES // (
-        16 * max(e.n_combos for e in enums.values())))) if enums else SAMPLE_CHUNK
+    chunk = min([SAMPLE_CHUNK] + [e.slice_columns for e in enums.values()])
 
     remaining = n_samples
     while remaining > 0:
@@ -238,7 +209,7 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
         for u in users:
             y_u = y - ch.gains[:, :u] @ x[:u] if sic else y
             if need_enum and (sic or batch is None):
-                batch = enums[first[u]].evaluate(y_u, keep_log_weights=False)
+                batch = enums[first[u]].evaluate(y_u)
             if "gnnd" in methods or "kl" in methods:
                 means = batch.mean(u)
             if "gnnd" in methods:
@@ -248,7 +219,7 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
                 tilted = tilted_pmf(g, 1.0, consts[u]).T
                 acc["kl"][u].append(_kl_samples(batch.pmf(u), tilted))
             if "mi" in methods:
-                acc["mi"][u].append(mi_samples(batch, y_u, u, idx[u]))
+                acc["mi"][u].append(mi_samples(batch, u, idx[u]))
             if "cl" in methods:
                 acc["cl"][u].append((fronts[u].apply(y_u), idx[u]))
 

@@ -3,7 +3,9 @@
 import numpy as np
 
 from gnndsim.codec import conv_encode
-from gnndsim.rates import LN2, RateEstimate, _estimate_from_nats
+from gnndsim.codec.ldpc import ParityGraph
+from gnndsim.harness import SweepResult
+from gnndsim.rates import LN2, RateEstimate, _estimate_from_nats, gnnd_gmi_samples
 
 GOLDEN_ITERS = 60        # golden-section steps of the metric-temperature fit
 BRACKET_DOUBLINGS = 40
@@ -136,10 +138,48 @@ def cl_gmi_cosh_form(y_scalar, x, gain: float,
     return _estimate_from_nats(samples_at(theta)), theta
 
 
-def mi_samples_lse(batch, user: int, tx_idx) -> np.ndarray:
+def mi_samples_lse(batch, y, user: int, tx_idx) -> np.ndarray:
     """Per-observation MI integrand (nats) log p(y | x_user = tx) - log p(y),
     from the user's log-likelihood table and the log evidence: the reference
-    for ``rates.mi_samples``. ``batch`` must keep its log weights."""
-    ull = batch.user_log_likelihood(user)
+    for ``rates.mi_samples``. ``y`` is the observation batch evaluated."""
+    ull = batch.enum.user_log_likelihood(y, [user])[0]
     return (ull[tx_idx, np.arange(tx_idx.size)]
             + batch.enum.gauss_log_const - batch.log_evidence)
+
+
+def parity_graph_from_dense(h) -> ParityGraph:
+    """The Tanner graph of a dense 0/1 parity-check matrix."""
+    h = np.asarray(h, dtype=np.uint8)
+    ce, ve = np.nonzero(h)
+    return ParityGraph(h.shape[1], h.shape[0], ce, ve)
+
+
+def gnnd_gmi_from_means(means, power: float) -> RateEstimate:
+    """Optimal-front QPSK GMI from sampled conditional means."""
+    return _estimate_from_nats(gnnd_gmi_samples(means, power))
+
+
+def average_sum_rows(result: SweepResult, method: str, snr_db: float):
+    """Across-draw average of the sum-rate rows for one method and SNR."""
+    vals = [r for r in result.rows
+            if r["method"] == method and r["user"] == "sum"
+            and r["snr_db"] == snr_db]
+    mean = float(np.mean([r["rate_bits"] for r in vals]))
+    se = float(np.sqrt(np.sum([r["std_err"] ** 2 for r in vals])) / len(vals))
+    return mean, se
+
+
+def snr_at_ber(snrs, bers, target: float = 1e-3):
+    """SNR where the curve last crosses the target, by log-linear
+    interpolation; None when the crossing is outside the measured grid."""
+    snrs = np.asarray(snrs, dtype=float)
+    bers = np.asarray(bers, dtype=float)
+    order = np.argsort(snrs)
+    snrs, bers = snrs[order], np.maximum(bers[order], 1e-12)
+    above = np.flatnonzero(bers >= target)
+    if above.size == 0 or above[-1] == len(bers) - 1:
+        return None
+    i = above[-1]  # last point at or above target; everything after is below
+    l0, l1 = np.log10(bers[i]), np.log10(bers[i + 1])
+    t = (np.log10(target) - l0) / (l1 - l0)
+    return float(snrs[i] + t * (snrs[i + 1] - snrs[i]))

@@ -17,28 +17,27 @@ from gnndsim.codec import (
     make_conv_code_57,
     viterbi,
 )
-from gnndsim.codec.ldpc import ParityGraph
 from gnndsim.config import ExperimentConfig
 from gnndsim.constellation import make_qpsk, modulate, sample_symbols
 from gnndsim.fronts import cl_front, qpsk_estimates, solve_front, tilted_pmf
 from gnndsim.harness import (
-    average_sum_rows,
     nn_tables,
     run_gmi_sweep,
     run_ldpc_ber,
     run_viterbi_ber,
-    snr_at_ber,
 )
 from gnndsim.mmse_net import TrainConfig, default_sizes, make_dataset, predict, train
 from gnndsim.posterior import JointEnumeration
-from gnndsim.rates import (
-    combine_rates,
-    evaluate_user_rates,
-    gnnd_gmi_from_means,
-)
+from gnndsim.rates import combine_rates, evaluate_user_rates
 
 from conftest import make_square16
-from oracles import exhaustive_decode
+from oracles import (
+    average_sum_rows,
+    exhaustive_decode,
+    gnnd_gmi_from_means,
+    parity_graph_from_dense,
+    snr_at_ber,
+)
 from test_fronts import grid_search_front
 
 SEED = 314159
@@ -175,7 +174,7 @@ def test_criterion_5_decoder_oracles():
         front = cl_front(gains, noise_var, 0, [0.5, 0.5])
         tables = {
             "gnnd": nn_tables(qpsk_estimates(batch.mean(0), consts.power), consts.points),
-            "ml": -batch.user_log_likelihood(0).T,
+            "ml": -enum.user_log_likelihood(y, [0])[0].T,
             "cl": nn_tables(front.apply(y), consts.points, front.scalar_gain),
         }
         for name, tab in tables.items():
@@ -188,7 +187,7 @@ def test_criterion_5_decoder_oracles():
     tree_h = np.array([[1, 1, 1, 0, 0, 0, 0],
                        [0, 0, 1, 1, 1, 0, 0],
                        [0, 0, 0, 0, 1, 1, 1]], dtype=np.uint8)
-    graph = ParityGraph.from_dense(tree_h)
+    graph = parity_graph_from_dense(tree_h)
     words = np.array([w for w in itertools.product((0, 1), repeat=7)
                       if not ((tree_h @ w) % 2).any()], dtype=np.uint8)
     base = np.array([2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6])
@@ -358,7 +357,7 @@ def test_criterion_8_approximator_fidelity():
     ch = ChannelInstance(gains, noise_var, np.full(k_users, power / k_users))
     y = transmit(ch, x, ho_rng)
     enum = JointEnumeration(gains, noise_var, consts)
-    exact_means = enum.evaluate(y, keep_log_weights=False).mean(0)
+    exact_means = enum.evaluate(y).mean(0)
     net_means = predict(model, y)
 
     err_exact = np.abs(exact_means - x[0]) ** 2

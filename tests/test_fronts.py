@@ -122,8 +122,8 @@ def _cl_table(front, y, c):
 
 def _ml_table(y, gains, noise_var, c, user):
     """-log p(y | x_user = a_i), interferers marginalized exactly."""
-    b = JointEnumeration(gains, noise_var, c).evaluate(np.asarray(y)[:, None])
-    return -b.user_log_likelihood(user)[:, 0]
+    enum = JointEnumeration(gains, noise_var, c)
+    return -enum.user_log_likelihood(np.asarray(y)[:, None], [user])[0][:, 0]
 
 
 def test_solve_front_16point_moment_matching(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnndsim import harness
+from gnndsim import harness, posterior
 from gnndsim.channel import ChannelInstance, sample_gains
 from gnndsim.config import ExperimentConfig
 from gnndsim.constellation import make_qpsk
@@ -11,11 +11,9 @@ from gnndsim.harness import (
     run_ldpc_ber,
     run_scatter,
     run_viterbi_ber,
-    snr_at_ber,
-    average_sum_rows,
 )
 from gnndsim.posterior import JointEnumeration
-from oracles import cluster_separation
+from oracles import average_sum_rows, cluster_separation, snr_at_ber
 
 
 def _small_gmi_cfg(**kw):
@@ -321,13 +319,43 @@ def test_scatter_column_slices_match_one_block(monkeypatch):
     whole = run_scatter(cfg).rows
     assert widths == [300]
     # a budget of 7 columns of 4^4 complex64 weights
-    monkeypatch.setattr(harness, "ENUM_SLICE_BYTES", 7 * 256 * 8)
+    monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 7 * 256 * 8)
     sliced = run_scatter(cfg).rows
     assert widths[1:] == [7] * 42 + [6]
     np.testing.assert_allclose(means[1], means[0], rtol=1e-5, atol=1e-5)
     for key in ("true_re", "true_im", "lmmse_re", "lmmse_im"):
         assert [r[key] for r in sliced] == [r[key] for r in whole]
 
+
+
+def test_ldpc_means_follow_enumeration_budget(monkeypatch):
+    # the ldpc_small.csv golden config: every conditional mean, the 2,048
+    # residual samples of each realization and the blocks alike, comes from
+    # evaluations within the byte budget, and slicing leaves the means as
+    # they were
+    cfg = ExperimentConfig(kind="ldpc-ber", seed=7, users=2, antennas=4,
+                           methods=("gnnd", "cl"), snr_db=(3.0, 6.0),
+                           draws=2, blocks=4, min_errors=10**6)
+    means, widths = [], []
+    estimates, evaluate = harness.qpsk_estimates, JointEnumeration.evaluate
+    monkeypatch.setattr(harness, "qpsk_estimates",
+                        lambda m, power: means.append(m) or estimates(m, power))
+    monkeypatch.setattr(JointEnumeration, "evaluate",
+                        lambda self, y, **kw: widths.append(y.shape[1]) or evaluate(self, y, **kw))
+    whole = run_ldpc_ber(cfg).rows
+    n_whole = len(means)
+    assert max(widths) == harness.SIGMA_U_SAMPLES
+    widths.clear()
+    # a budget of 128 columns of 4^2 complex64 weights; like the default
+    # budget's power-of-two slices it keeps the means byte-equal, where a
+    # width of 100 moves the last float32 bits of the complex64 scores
+    monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 128 * 16 * 8)
+    sliced = run_ldpc_ber(cfg).rows
+    assert widths and max(widths) <= 128
+    assert len(means) == 2 * n_whole
+    for got, want in zip(means[n_whole:], means[:n_whole]):
+        assert np.array_equal(got, want)
+    assert sliced == whole
 
 def test_lmmse_estimates_shrink_toward_mean(rng):
     gains = sample_gains(2, 4, rng)

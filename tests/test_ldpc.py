@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gnndsim.codec import bp_decode_batch, encode, ldpc_build, syndrome
-from gnndsim.codec.ldpc import ParityGraph, parse_base_matrix
-from oracles import dense_parity_check, gf2_rank
+from gnndsim.codec.ldpc import parse_base_matrix
+from oracles import dense_parity_check, gf2_rank, parity_graph_from_dense
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ def _exact_bit_marginals(llr, codewords):
 
 
 def test_bp_exact_on_tree():
-    graph = ParityGraph.from_dense(TREE_H)
+    graph = parity_graph_from_dense(TREE_H)
     codewords = _tree_codewords()
     assert len(codewords) == 16  # (7, 4) code
     base = np.array([2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_square16
-from gnndsim import rates
+from gnndsim import posterior, rates
 from gnndsim.channel import ChannelInstance, sample_gains, transmit
 from gnndsim.config import ExperimentConfig
 from gnndsim.constellation import make_qpsk, sample_symbols
@@ -15,9 +15,8 @@ from gnndsim.rates import (
     combine_rates,
     evaluate_user_rates,
     gmi_from_tables,
-    gnnd_gmi_from_means,
 )
-from oracles import cl_gmi_cosh_form, mi_samples_lse
+from oracles import cl_gmi_cosh_form, gnnd_gmi_from_means, mi_samples_lse
 
 
 def _single_user_channel(snr_db, power=1.0, h=1.0 + 0j):
@@ -85,11 +84,12 @@ def _sampled_tables(ch, consts, user, n, rng, kind):
                       for _ in range(ch.n_users)])
     x = consts.points[x_idx]
     y = transmit(ch, x, rng)
-    batch = JointEnumeration(ch.gains, ch.noise_var, consts).evaluate(y)
+    enum = JointEnumeration(ch.gains, ch.noise_var, consts)
     if kind == "ml":
-        tables = -batch.user_log_likelihood(user).T
+        tables = -enum.user_log_likelihood(y, [user])[0].T
     else:
-        tables = nn_tables(qpsk_estimates(batch.mean(user), consts.power), consts.points)
+        tables = nn_tables(qpsk_estimates(enum.evaluate(y).mean(user), consts.power),
+                           consts.points)
     return tables, x_idx[user]
 
 
@@ -325,8 +325,8 @@ def test_estimator_requires_rng():
 
 
 def _assert_mi_matches_oracle(batch, y, user, tx):
-    got = rates.mi_samples(batch, y, user, tx)
-    np.testing.assert_allclose(got, mi_samples_lse(batch, user, tx), rtol=0, atol=1e-12)
+    got = rates.mi_samples(batch, user, tx)
+    np.testing.assert_allclose(got, mi_samples_lse(batch, y, user, tx), rtol=0, atol=1e-12)
     return got
 
 
@@ -360,7 +360,7 @@ def test_mi_samples_fallback_matches_lse_oracle(noise_var):
     batch = JointEnumeration([[1.0]], noise_var, q).evaluate(y)
     wrong = tx != on
     p_tx = batch.pmf(0)[tx, np.arange(tx.size)]
-    assert np.all(p_tx[wrong] < rates.MI_FALLBACK_MASS)
+    assert np.all(p_tx[wrong] < posterior.MI_FALLBACK_MASS)
     assert np.all(p_tx[~wrong] > 0.5)
     got = _assert_mi_matches_oracle(batch, y, 0, tx)
     np.testing.assert_allclose(got[wrong], -2180.0 + np.log(4.0), rtol=1e-13)
@@ -396,13 +396,13 @@ def test_rate_chunk_follows_enumeration_budget(monkeypatch, receiver, per_chunk)
         return widths[::per_chunk]
 
     # the K <= 5 QPSK streams keep their SAMPLE_CHUNK columns
-    assert rates.ENUM_SLICE_BYTES // (16 * 4**5) >= rates.SAMPLE_CHUNK
+    assert posterior.ENUM_SLICE_BYTES // (16 * 4**5) >= rates.SAMPLE_CHUNK
     # a budget of 40 columns of 4^3 combinations at 16 bytes each
-    monkeypatch.setattr(rates, "ENUM_SLICE_BYTES", 40 * 64 * 16 + 15)
+    monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 40 * 64 * 16 + 15)
     assert chunks(100) == [40, 40, 20]
     assert len(widths) == 3 * per_chunk
-    monkeypatch.setattr(rates, "ENUM_SLICE_BYTES", 1)  # below one column
+    monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 1)  # below one column
     assert chunks(3) == [1, 1, 1]
-    monkeypatch.setattr(rates, "ENUM_SLICE_BYTES", 2**40)
+    monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 2**40)
     monkeypatch.setattr(rates, "SAMPLE_CHUNK", 30)
     assert chunks(100) == [30, 30, 30, 10]
