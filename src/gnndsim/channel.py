@@ -56,16 +56,14 @@ def crandn(shape, rng: np.random.Generator) -> np.ndarray:
 
 
 def transmit(ch: ChannelInstance, x, rng: np.random.Generator) -> np.ndarray:
-    """y = H x + z with z ~ CN(0, noise_var I). Accepts x of shape (K,) or (K, n)."""
+    """y = H x + z with z ~ CN(0, noise_var I), for x of shape (K, n)."""
     x = np.asarray(x, dtype=np.complex128)
-    single = x.ndim == 1
-    cols = x[:, None] if single else x
-    if cols.shape[0] != ch.n_users:
-        raise ValueError(f"x has {cols.shape[0]} rows, expected {ch.n_users}")
-    y = ch.gains @ cols
+    if x.ndim != 2 or x.shape[0] != ch.n_users:
+        raise ValueError(f"x has shape {x.shape}, expected ({ch.n_users}, n)")
+    y = ch.gains @ x
     if ch.noise_var > 0:
         y = y + np.sqrt(ch.noise_var) * crandn(y.shape, rng)
-    return y[:, 0] if single else y
+    return y
 
 
 def estimate_channel(gains, pilot_power, noise_var: float,

@@ -61,27 +61,23 @@ def _transition_tables(code: ConvCode):
 
 
 def conv_encode(bits, code: ConvCode) -> np.ndarray:
-    """Encode with zero termination; two coded bits per trellis step.
-
-    ``bits`` is one word ``(n,)`` or a batch ``(B, n)``; each output row is
-    ``2 (n + n_flush)`` coded bits. Every generator tap XORs in a shifted
-    copy of the zero-padded input.
+    """Encode a batch of words ``(B, n)`` with zero termination; each output
+    row is ``2 (n + n_flush)`` coded bits, two per trellis step. Every
+    generator tap XORs in a shifted copy of the zero-padded input.
     """
     bits = np.asarray(bits, dtype=np.int64)
-    words = np.atleast_2d(bits)
-    if words.ndim != 2:
-        raise ValueError("bits must be (n,) or (B, n)")
+    if bits.ndim != 2:
+        raise ValueError("bits must be (B, n)")
     if bits.size and (bits.min() < 0 or bits.max() > 1):
         raise ValueError("bits must be 0/1")
-    full = np.pad(words, ((0, 0), (0, code.n_flush)))
+    full = np.pad(bits, ((0, 0), (0, code.n_flush)))
     n_steps = full.shape[1]
-    out = np.zeros((words.shape[0], n_steps, 2), dtype=np.int64)
+    out = np.zeros((bits.shape[0], n_steps, 2), dtype=np.int64)
     for j, g in enumerate(code.generators):
         for i in range(code.constraint_length):
             if g >> i & 1:
                 out[:, i:, j] ^= full[:, :n_steps - i]
-    out = out.reshape(words.shape[0], 2 * n_steps)
-    return out if bits.ndim == 2 else out[0]
+    return out.reshape(bits.shape[0], 2 * n_steps)
 
 
 def _symbol_index_tables(code: ConvCode, c: Constellation):
@@ -96,18 +92,15 @@ def _symbol_index_tables(code: ConvCode, c: Constellation):
 def viterbi(tables, code: ConvCode, c: Constellation) -> np.ndarray:
     """Exact minimum-metric path; returns the information bits.
 
-    ``tables[..., t, i]`` is the branch metric of constellation point i at
-    step t, one trellis step per transmitted symbol, flush steps included.
-    A single word ``(T, |A|)`` gives ``(T - n_flush,)`` bits; a batch
-    ``(B, T, |A|)`` decodes all B words at once and gives ``(B, T - n_flush)``.
-    Ties are broken toward the lexicographically smaller (previous state, input).
+    ``tables[b, t, i]`` is the branch metric of constellation point i at
+    step t of word b, one trellis step per transmitted symbol, flush steps
+    included. All B words of ``(B, T, |A|)`` are decoded at once, giving
+    ``(B, T - n_flush)`` bits. Ties are broken toward the lexicographically
+    smaller (previous state, input).
     """
     tables = np.asarray(tables, dtype=np.float64)
-    single = tables.ndim == 2
-    if single:
-        tables = tables[None]
     if tables.ndim != 3:
-        raise ValueError("tables must be (T, |A|) or (B, T, |A|)")
+        raise ValueError("tables must be (B, T, |A|)")
     n_words, n_steps = tables.shape[:2]
     if n_steps <= code.n_flush:
         raise ValueError("table count does not cover flush steps")
@@ -147,4 +140,4 @@ def viterbi(tables, code: ConvCode, c: Constellation) -> np.ndarray:
         c_idx = took_second[t, rows, state].astype(np.int64)
         bits[:, t] = inc_input[state, c_idx]
         state = inc_prev[state, c_idx]
-    return bits[0, :n_info] if single else bits[:, :n_info]
+    return bits[:, :n_info]

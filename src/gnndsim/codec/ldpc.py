@@ -11,7 +11,6 @@ import numpy as np
 
 BASE_RESOURCE = "qc_base_rate56.txt"  # the pinned construction and its shape
 INFO_LENGTH, CODE_RATE = 440, Fraction(5, 6)
-BP_MAX_ITERS = 50
 _ATANH_CAP = 0.9999999999999998  # keep arctanh finite
 
 
@@ -114,54 +113,47 @@ def ldpc_build() -> LdpcCode:
 
 
 def encode(code: LdpcCode, bits) -> np.ndarray:
-    """Systematic encoding via the staircase parity section."""
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
-    if bits.size != code.info_length:
-        raise ValueError(f"expected {code.info_length} information bits")
+    """Systematic encoding of a batch of information words (B, k) into
+    codewords (B, n) via the staircase parity section, whose parity blocks
+    are the running XOR of the information part's block syndromes."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    if bits.ndim != 2 or bits.shape[1] != code.info_length:
+        raise ValueError(f"expected (B, {code.info_length}) information bits")
     base, z = code.base_matrix, code.lifting
     mb, nb = base.shape
     info_blocks = nb - mb
-    u = bits.reshape(info_blocks, z)
-    syn = np.zeros((mb, z), dtype=np.uint8)
+    u = bits.reshape(len(bits), info_blocks, z)
+    syn = np.zeros((len(bits), mb, z), dtype=np.uint8)
     for rb in range(mb):
         for cb in range(info_blocks):
             s = base[rb, cb]
             if s >= 0:
-                syn[rb] ^= np.roll(u[cb], -s)
-    parity = np.zeros((mb, z), dtype=np.uint8)
-    parity[0] = syn[0]
-    for i in range(1, mb):
-        parity[i] = syn[i] ^ parity[i - 1]
-    return np.concatenate([bits, parity.ravel()])
+                syn[:, rb] ^= np.roll(u[:, cb], -s, axis=1)
+    parity = np.bitwise_xor.accumulate(syn, axis=1)
+    return np.concatenate([bits, parity.reshape(len(bits), -1)], axis=1)
 
 
-def _graph_of(code) -> ParityGraph:
-    return code if isinstance(code, ParityGraph) else code.graph
+def syndrome(graph: ParityGraph, words) -> np.ndarray:
+    """Check values of a batch of words (B, n), (B, n_checks)."""
+    words = np.asarray(words, dtype=np.uint8)
+    return np.add.reduceat(words[:, graph.var_of_edge], graph.check_starts, axis=1) & 1
 
 
-def syndrome(code, word) -> np.ndarray:
-    g = _graph_of(code)
-    word = np.asarray(word, dtype=np.uint8).ravel()
-    acc = np.add.reduceat(word[g.var_of_edge], g.check_starts) & 1
-    return acc.astype(np.uint8)
-
-
-def bp_decode_batch(code, llrs, max_iters: int = BP_MAX_ITERS,
-                    return_posteriors: bool = False, early_exit: bool = True):
+def bp_decode_batch(graph: ParityGraph, llrs, max_iters: int, early_exit: bool = True):
     """Flooding sum-product decoding of a batch of LLR vectors.
 
     ``llrs`` has shape (batch, n) with the convention log p(bit=0)/p(bit=1).
-    Returns (hard bits (batch, n), converged (batch,)). Convergence means
-    all checks are satisfied with no undecidable (exactly zero) posterior
-    LLR; decoding stops early once every batch item has converged unless
-    ``early_exit`` is disabled (useful when exact posteriors are wanted).
+    Returns (hard bits (batch, n), converged (batch,), posterior LLRs
+    (batch, n)). Convergence means all checks are satisfied with no
+    undecidable (exactly zero) posterior LLR; decoding stops early once
+    every batch item has converged unless ``early_exit`` is disabled
+    (useful when exact posteriors are wanted).
     """
-    g = _graph_of(code)
-    llrs = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
-    b, n = llrs.shape
-    if n != g.n:
-        raise ValueError(f"LLR length {n} != code length {g.n}")
-    ce, ve = g.check_of_edge, g.var_of_edge
+    llrs = np.asarray(llrs, dtype=np.float64)
+    if llrs.ndim != 2 or llrs.shape[1] != graph.n:
+        raise ValueError(f"LLRs of shape {llrs.shape} are not (batch, {graph.n})")
+    b = llrs.shape[0]
+    ce, ve = graph.check_of_edge, graph.var_of_edge
     v2c = llrs[:, ve].copy()
     c2v = np.zeros_like(v2c)
     total = llrs
@@ -172,19 +164,16 @@ def bp_decode_batch(code, llrs, max_iters: int = BP_MAX_ITERS,
         mag = np.clip(np.abs(t), 1e-300, _ATANH_CAP)
         neg = t < 0
         lt = np.log(mag)
-        sum_lt = np.add.reduceat(lt, g.check_starts, axis=1)
-        sum_neg = np.add.reduceat(neg.astype(np.int64), g.check_starts, axis=1)
+        sum_lt = np.add.reduceat(lt, graph.check_starts, axis=1)
+        sum_neg = np.add.reduceat(neg.astype(np.int64), graph.check_starts, axis=1)
         ext_lt = sum_lt[:, ce] - lt
         ext_sign = 1.0 - 2.0 * ((sum_neg[:, ce] - neg) & 1)
         c2v = 2.0 * np.arctanh(np.minimum(np.exp(ext_lt), _ATANH_CAP)) * ext_sign
-        contrib = np.add.reduceat(c2v[:, g.var_perm], g.var_starts, axis=1)
+        contrib = np.add.reduceat(c2v[:, graph.var_perm], graph.var_starts, axis=1)
         total = llrs + contrib
         v2c = total[:, ve] - c2v
         hard = (total < 0).astype(np.uint8)
-        syn = np.add.reduceat(hard[:, ve], g.check_starts, axis=1) & 1
-        converged = ~syn.any(axis=1) & ~(total == 0.0).any(axis=1)
+        converged = ~syndrome(graph, hard).any(axis=1) & ~(total == 0.0).any(axis=1)
         if early_exit and converged.all():
             break
-    if return_posteriors:
-        return hard, converged, total
-    return hard, converged
+    return hard, converged, total

@@ -102,13 +102,19 @@ def label_set(c: Constellation, position: int, bit_value: int) -> np.ndarray:
     """Points whose label has ``bit_value`` at 1-based ``position``."""
     if bit_value not in (0, 1):
         raise ValueError(f"bit value must be 0 or 1, got {bit_value}")
-    bits = c.require_labeling().bit(position)
-    return c.points[bits == bit_value]
+    return c.points[label_set_indices(c, position, bit_value)]
 
 
 def label_set_indices(c: Constellation, position: int, bit_value: int) -> np.ndarray:
     bits = c.require_labeling().bit(position)
     return np.flatnonzero(bits == bit_value)
+
+
+def lse(z, axis) -> np.ndarray:
+    """log sum exp of z over ``axis`` (an int or a tuple of ints), shifted by
+    the maximum so no term overflows."""
+    top = z.max(axis=axis, keepdims=True)
+    return np.squeeze(top, axis=axis) + np.log(np.exp(z - top).sum(axis=axis))
 
 
 def modulate(bits, c: Constellation) -> np.ndarray:

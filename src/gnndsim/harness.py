@@ -417,7 +417,7 @@ def _ldpc_block(cfg, real: _LdpcRealization, code, rng, methods):
     and noise are drawn first, whichever methods are decoded."""
     consts = user_constellation(cfg)
     bits = rng.integers(0, 2, size=(cfg.users, code.info_length))
-    symbols = np.stack([modulate(ldpc_encode(code, b), consts) for b in bits])
+    symbols = modulate(ldpc_encode(code, bits), consts).reshape(cfg.users, -1)
     y = (real.gains @ symbols
          + np.sqrt(real.noise_var) * crandn((cfg.antennas, symbols.shape[1]), rng))
     out = {}
@@ -431,7 +431,7 @@ def _ldpc_block(cfg, real: _LdpcRealization, code, rng, methods):
             scales = np.ones(cfg.users)
         llrs = np.stack([bit_llrs(t, consts, float(s), cfg.llr_max)
                          for t, s in zip(tables, scales)])
-        hard, _ = bp_decode_batch(code, llrs, cfg.bp_iters)
+        hard, _, _ = bp_decode_batch(code.graph, llrs, cfg.bp_iters)
         out[method] = np.sum(hard[:, :code.info_length] != bits, axis=1)
     return out
 

@@ -26,8 +26,8 @@ class TrainConfig:
     samples: int
     epochs: int
     batch_size: int
-    learning_rate: float = 1e-3
-    seed: int = 0
+    learning_rate: float
+    seed: int
 
     def __post_init__(self):
         if self.samples < self.batch_size:
@@ -168,17 +168,14 @@ def train(dataset, sizes, config: TrainConfig):
     return model, trace
 
 
-def predict(model: MlpModel, y) -> np.ndarray | complex:
-    """Conditional-mean estimate from received vector(s) of shape (L,) or (L, n)."""
+def predict(model: MlpModel, y) -> np.ndarray:
+    """Conditional-mean estimates (n,) from received vectors of shape (L, n)."""
     y = np.asarray(y, dtype=np.complex128)
-    single = y.ndim == 1
-    cols = y[:, None] if single else y
-    if 2 * cols.shape[0] != model.sizes[0]:
-        raise ValueError(f"expected {model.sizes[0] // 2} antennas, got {cols.shape[0]}")
-    feats = np.concatenate([cols.real.T, cols.imag.T], axis=1)
+    if y.ndim != 2 or 2 * y.shape[0] != model.sizes[0]:
+        raise ValueError(f"expected ({model.sizes[0] // 2}, n) observations, got {y.shape}")
+    feats = np.concatenate([y.real.T, y.imag.T], axis=1)
     out = model.forward(feats)
-    est = out[:, 0] + 1j * out[:, 1]
-    return complex(est[0]) if single else est
+    return out[:, 0] + 1j * out[:, 1]
 
 
 def mean_fn(model: MlpModel):

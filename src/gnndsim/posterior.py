@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constellation import per_user
+from .constellation import lse, per_user
 
 ENUM_CAP = 4**10
 ENUM_SLICE_BYTES = 2**28   # one (M, n) block of an enumeration's per-column arrays
@@ -14,12 +14,6 @@ ENUM_SLICE_BYTES = 2**28   # one (M, n) block of an enumeration's per-column arr
 # products with the points stay far above the smallest normal number
 EXP_FLOOR = {np.float32: -80.0, np.float64: -700.0}
 MI_FALLBACK_MASS = 1e-250  # marginals below this are recomputed by log-sum-exp
-
-
-def _lse(z) -> np.ndarray:
-    """log sum exp over axis 0."""
-    top = z.max(axis=0)
-    return top + np.log(np.exp(z - top).sum(axis=0))
 
 
 class EnumerationCapError(ValueError):
@@ -163,11 +157,8 @@ class JointEnumeration:
         for user in users:
             k = self.active_index(user)
             axes = tuple(a for a in range(self.n_active) if a != k)
-            top = shaped.max(axis=axes, keepdims=True)
-            lse = np.squeeze(top, axis=axes) + np.log(
-                np.sum(np.exp(shaped - top), axis=axes))
             logp = np.log(self.constellations[user].probabilities)
-            tables.append(lse - logp[:, None])
+            tables.append(lse(shaped, axes) - logp[:, None])
         return tables
 
 
@@ -222,5 +213,5 @@ class PosteriorBatch:
         if low.size:
             logw = enum.log_weights(self._y[:, low])  # (M, len(low))
             own = enum.indicator[rows][idx[low]].T > 0
-            log_p[low] = _lse(np.where(own, logw, -np.inf)) - _lse(logw)
+            log_p[low] = lse(np.where(own, logw, -np.inf), 0) - lse(logw, 0)
         return log_p

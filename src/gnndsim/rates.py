@@ -158,17 +158,17 @@ def _kl_samples(pmf, tilted) -> np.ndarray:
     return np.sum(pmf * log_ratio, axis=0)
 
 
-def evaluate_user_rates(ch: ChannelInstance, constellations, users=None,
-                        methods=("gnnd", "cl", "mi"), receiver: str = "no-sic",
-                        n_samples: int = 200_000, rng=None) -> dict:
+def evaluate_user_rates(ch: ChannelInstance, constellations, users, methods,
+                        receiver: str, n_samples: int, rng) -> dict:
     """Shared Monte-Carlo engine for all per-user rate quantities.
 
-    Returns {method: {user: RateEstimate}}; method "kl" estimates the
-    mutual-information/GMI gap of the optimal front. All requested
-    quantities are evaluated on the same sampled transmissions. With
-    receiver="sic", user k is conditioned on the true symbols of users
-    0..k-1 (the information-theoretic successive-cancellation rate);
-    without it one enumeration per chunk serves every user.
+    Returns {method: {user: RateEstimate}} for ``users``, or for every user
+    when it is None; method "kl" estimates the mutual-information/GMI gap
+    of the optimal front. All requested quantities are evaluated on the
+    same sampled transmissions. With receiver="sic", user k is conditioned
+    on the true symbols of users 0..k-1 (the information-theoretic
+    successive-cancellation rate); without it one enumeration per chunk
+    serves every user.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")

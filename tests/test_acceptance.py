@@ -130,8 +130,8 @@ def test_criterion_4_solver_correctness():
     gains = np.array([[1.0 + 0j]])
     rng16 = np.random.default_rng((SEED, 31))
     ch = ChannelInstance(gains, 1.0, [1.0])
-    y = np.stack([transmit(ch, sample_symbols(c16, 1, rng16), rng16) for _ in range(10)],
-                 axis=1)
+    y = np.stack([transmit(ch, sample_symbols(c16, 1, rng16)[:, None], rng16)[:, 0]
+                  for _ in range(10)], axis=1)
     batch = JointEnumeration(gains, 1.0, c16).evaluate(y)
     means16, seconds16 = batch.mean(0), batch.second_moment(0)
     g16, f16 = solve_front(means16, seconds16, c16)
@@ -166,7 +166,7 @@ def test_criterion_5_decoder_oracles():
         ch = ChannelInstance(gains, noise_var, [0.5, 0.5])
         consts = make_qpsk(0.5)
         bits = rng.integers(0, 2, size=n_info)
-        sym = modulate(conv_encode(bits, code), consts)
+        sym = modulate(conv_encode(bits[None], code), consts)
         interferer = sample_symbols(consts, sym.size, rng)
         y = transmit(ch, np.stack([sym, interferer]), rng)
         enum = JointEnumeration(gains, noise_var, consts)
@@ -178,7 +178,7 @@ def test_criterion_5_decoder_oracles():
             "cl": nn_tables(front.apply(y), consts.points, front.scalar_gain),
         }
         for name, tab in tables.items():
-            got = viterbi(tab, code, consts)
+            got = viterbi(tab[None], code, consts)[0]
             want = exhaustive_decode(tab, code, consts)
             assert np.array_equal(got, want), f"{name} mismatch on {n_info} bits"
             checked += 1
@@ -198,9 +198,7 @@ def test_criterion_5_decoder_oracles():
             if flip >= 0:
                 word[flip] ^= 1
             llr = base * (1.0 - 2.0 * word)
-            hard, _, post = bp_decode_batch(graph, llr[None, :], max_iters=10,
-                                            return_posteriors=True,
-                                            early_exit=False)
+            hard, _, post = bp_decode_batch(graph, llr[None, :], 10, early_exit=False)
             logp = -(words * llr).sum(axis=1)
             p = np.exp(logp - logp.max())
             p /= p.sum()

@@ -24,14 +24,14 @@ def test_sample_gains_statistics():
 
 def test_transmit_noiseless_identity():
     ch = ChannelInstance(np.array([[1.0 + 0j]]), 0.0, [2.0])
-    y = transmit(ch, [1 + 1j], np.random.default_rng(0))
-    np.testing.assert_allclose(y, [1 + 1j])
+    y = transmit(ch, [[1 + 1j]], np.random.default_rng(0))
+    np.testing.assert_allclose(y, [[1 + 1j]])
 
 
 def test_transmit_shape_mismatch():
     ch = ChannelInstance(np.ones((2, 3), dtype=complex), 0.1, [1, 1, 1])
     with pytest.raises(ValueError):
-        transmit(ch, [1 + 0j, 1 + 0j], np.random.default_rng(0))
+        transmit(ch, [[1 + 0j], [1 + 0j]], np.random.default_rng(0))
 
 
 def test_transmit_second_moment(rng):
@@ -62,8 +62,8 @@ def test_noise_only_covariance(rng):
 
 def test_transmit_linear_at_fixed_noise():
     ch = ChannelInstance(sample_gains(2, 3, np.random.default_rng(1)), 0.5, [1, 1])
-    x1 = np.array([1 + 1j, -1 + 0j])
-    x2 = np.array([0 - 1j, 2 + 2j])
+    x1 = np.array([[1 + 1j], [-1 + 0j]])
+    x2 = np.array([[0 - 1j], [2 + 2j]])
     y1 = transmit(ch, x1, np.random.default_rng(42))
     y2 = transmit(ch, x2, np.random.default_rng(42))
     # identical noise draw cancels in the difference

@@ -100,7 +100,7 @@ net_batch = 200
     assert main(["train-net", "--config", cfg, "--out", str(out)]) == 0
     model = load_model(f"{out}.user1.npz")
     assert model.sizes == [4, 200, 100, 50, 2]
-    assert np.isfinite(predict(model, np.zeros(2, dtype=complex)))
+    assert np.all(np.isfinite(predict(model, np.zeros((2, 3), dtype=complex))))
 
 
 def test_paper_scale_flag_applies(tmp_path, monkeypatch):

@@ -10,27 +10,29 @@ from oracles import exhaustive_decode
 
 def test_all_zero_input_gives_all_zero_output():
     code = make_conv_code_57()
-    np.testing.assert_array_equal(conv_encode(np.zeros(10, dtype=int), code),
-                                  np.zeros(24, dtype=int))
+    np.testing.assert_array_equal(conv_encode(np.zeros((3, 10), dtype=int), code),
+                                  np.zeros((3, 24), dtype=int))
 
 
 def test_hand_traced_shift_register():
-    # state = last two inputs; outputs are (1 + D^2, 1 + D + D^2) taps
+    # state = last two inputs; outputs are (1 + D^2, 1 + D + D^2) taps; the
+    # second word is the first delayed by one step
     code = make_conv_code_57()
-    coded = conv_encode([1, 0, 0], code)
-    np.testing.assert_array_equal(coded, [1, 1, 0, 1, 1, 1, 0, 0, 0, 0])
+    coded = conv_encode([[1, 0, 0], [0, 1, 0]], code)
+    np.testing.assert_array_equal(coded, [[1, 1, 0, 1, 1, 1, 0, 0, 0, 0],
+                                          [0, 0, 1, 1, 0, 1, 1, 1, 0, 0]])
 
 
 def test_impulse_response_matches_generators():
     code = make_conv_code_57()
-    coded = conv_encode([1], code)  # one info bit + 2 flush bits
+    coded = conv_encode([[1]], code)[0]  # one info bit + 2 flush bits
     # columns are (coefficient of D^t in G1, in G2)
     np.testing.assert_array_equal(coded.reshape(-1, 2).T, [[1, 0, 1], [1, 1, 1]])
 
 
 def test_encode_rejects_bad_bits():
     with pytest.raises(ValueError):
-        conv_encode([0, 2], make_conv_code_57())
+        conv_encode([[0, 1], [0, 2]], make_conv_code_57())
 
 
 def test_generator_validation():
@@ -40,31 +42,32 @@ def test_generator_validation():
         ConvCode((0b1111, 0b101), 3)
 
 
-def _euclidean_tables(symbols, received, c):
-    return np.abs(received[:, None] - c.points[None, :]) ** 2
+def _euclidean_tables(received, c):
+    """Squared distances of every received symbol to every point, (..., |A|)."""
+    return np.abs(received[..., None] - c.points) ** 2
 
 
 def test_noiseless_roundtrip():
     code = make_conv_code_57()
     q = make_qpsk(2.0)
     rng = np.random.default_rng(0)
-    bits = rng.integers(0, 2, size=40)
-    sym = modulate(conv_encode(bits, code), q)
-    tables = _euclidean_tables(sym, sym, q)
-    np.testing.assert_array_equal(viterbi(tables, code, q), bits)
+    bits = rng.integers(0, 2, size=(4, 40))
+    sym = modulate(conv_encode(bits, code), q).reshape(4, -1)
+    np.testing.assert_array_equal(viterbi(_euclidean_tables(sym, q), code, q), bits)
 
 
 def test_soft_viterbi_on_noisy_awgn(rng):
     code = make_conv_code_57()
     q = make_qpsk(2.0)
-    bits = rng.integers(0, 2, size=12)
+    bits = rng.integers(0, 2, size=(5, 12))
     sym = modulate(conv_encode(bits, code), q)
     ch = ChannelInstance(np.array([[1.0 + 0j]]), 0.4, [2.0])
-    y = transmit(ch, sym[None, :], rng)[0]
-    tables = np.abs(y[:, None] - q.points[None, :]) ** 2
+    y = transmit(ch, sym[None, :], rng).reshape(5, -1)
+    tables = _euclidean_tables(y, q)
     decoded = viterbi(tables, code, q)
     # soft decoding must equal the exhaustive minimum-metric codeword
-    np.testing.assert_array_equal(decoded, exhaustive_decode(tables, code, q))
+    for row, tab in zip(decoded, tables):
+        np.testing.assert_array_equal(row, exhaustive_decode(tab, code, q))
 
 
 def test_viterbi_equals_exhaustive_on_random_metrics(rng):
@@ -72,26 +75,26 @@ def test_viterbi_equals_exhaustive_on_random_metrics(rng):
     q = make_qpsk(2.0)
     for _ in range(60):
         n_info = int(rng.integers(2, 13))
-        tables = rng.normal(0, 1, size=(n_info + code.n_flush, 4)) ** 2
-        np.testing.assert_array_equal(viterbi(tables, code, q),
-                                      exhaustive_decode(tables, code, q))
+        tables = rng.normal(0, 1, size=(3, n_info + code.n_flush, 4)) ** 2
+        for row, tab in zip(viterbi(tables, code, q), tables):
+            np.testing.assert_array_equal(row, exhaustive_decode(tab, code, q))
 
 
 def test_viterbi_table_length_check():
     code = make_conv_code_57()
     q = make_qpsk(2.0)
     with pytest.raises(ValueError):
-        viterbi(np.zeros((2, 4)), code, q)
+        viterbi(np.zeros((3, 2, 4)), code, q)
 
 
 def test_viterbi_deterministic_tie_breaking():
     code = make_conv_code_57()
     q = make_qpsk(2.0)
-    tables = np.zeros((6, 4))  # fully degenerate metrics
+    tables = np.zeros((3, 6, 4))  # fully degenerate metrics
     a = viterbi(tables, code, q)
     b = viterbi(tables, code, q)
     np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(a, np.zeros(4, dtype=int))
+    np.testing.assert_array_equal(a, np.zeros((3, 4), dtype=int))
 
 
 @pytest.mark.parametrize("kind", ["float", "ties"])
@@ -106,7 +109,7 @@ def test_batched_viterbi_matches_per_word(rng, kind):
         batched = viterbi(tables, code, q)
         assert batched.shape == (40, n_info)
         for row, tab in zip(batched, tables):
-            np.testing.assert_array_equal(row, viterbi(tab, code, q))
+            np.testing.assert_array_equal(row, viterbi(tab[None], code, q)[0])
             if kind == "float":
                 np.testing.assert_array_equal(row, exhaustive_decode(tab, code, q))
 
@@ -117,14 +120,14 @@ def test_batched_encode_matches_per_word(rng):
     coded = conv_encode(bits, code)
     assert coded.shape == (9, 2 * (17 + code.n_flush))
     for row, word in zip(coded, bits):
-        np.testing.assert_array_equal(row, conv_encode(word, code))
+        np.testing.assert_array_equal(row, conv_encode(word[None], code)[0])
 
 
 def test_single_and_batched_shapes_round_trip(rng):
     code = make_conv_code_57()
     q = make_qpsk(2.0)
     bits = rng.integers(0, 2, size=(3, 10))
-    for words in (bits[0], bits[:1], bits):
+    for words in (bits[:1], bits):
         coded = conv_encode(words, code)
         assert coded.ndim == words.ndim
         sym = modulate(coded, q).reshape(coded.shape[:-1] + (-1,))
@@ -141,3 +144,7 @@ def test_batch_shapes_are_checked():
         viterbi(np.zeros((2, 2, 6, 4)), code, q)
     with pytest.raises(ValueError):
         viterbi(np.zeros(4), code, q)
+    with pytest.raises(ValueError):  # one word is a batch of one
+        conv_encode(np.zeros(3, dtype=int), code)
+    with pytest.raises(ValueError):
+        viterbi(np.zeros((6, 4)), code, q)

@@ -107,8 +107,8 @@ def _moments(y, gains, noise_var, c):
 def _observations(c, gains, noise_var, n, rng):
     """n single-user observations (L, n), one symbol and noise draw at a time."""
     ch = ChannelInstance(gains, noise_var, [c.power])
-    return np.stack([transmit(ch, sample_symbols(c, 1, rng), rng) for _ in range(n)],
-                    axis=1)
+    return np.stack([transmit(ch, sample_symbols(c, 1, rng)[:, None], rng)[:, 0]
+                     for _ in range(n)], axis=1)
 
 
 def _gnnd_table(g, f, c):
@@ -283,7 +283,7 @@ def test_cl_metric_matches_direct_formula(rng):
     noise_var = 0.6
     front = cl_front(gains, noise_var, 0, powers)
     y = transmit(ChannelInstance(gains, noise_var, powers),
-                 sample_symbols(q, 2, rng), rng)
+                 sample_symbols(q, 2, rng)[:, None], rng)[:, 0]
     table = _cl_table(front, y, q)
     qvec = powers[0] * gains[:, 0]
     delta = (powers[1] * np.outer(gains[:, 1], gains[:, 1].conj())
@@ -299,7 +299,8 @@ def test_cl_argmin_invariant_to_common_scaling(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(2, 2, rng)
     powers = np.array([1.0, 1.0])
-    y = transmit(ChannelInstance(gains, 0.6, powers), sample_symbols(q, 2, rng), rng)
+    y = transmit(ChannelInstance(gains, 0.6, powers), sample_symbols(q, 2, rng)[:, None],
+                 rng)[:, 0]
     t1 = _cl_table(cl_front(gains, 0.6, 0, powers), y, q)
     t2 = _cl_table(cl_front(gains, 3.0, 0, 5.0 * powers), y, make_qpsk(5.0))
     assert np.argmin(t1) == np.argmin(t2)
@@ -320,7 +321,7 @@ def test_ml_metric_consistent_with_posterior(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(3, 2, rng)
     y = transmit(ChannelInstance(gains, 0.5, np.full(3, 1.0)),
-                 sample_symbols(q, 3, rng), rng)
+                 sample_symbols(q, 3, rng)[:, None], rng)[:, 0]
     table = _ml_table(y, gains, 0.5, q, 1)
     lik = np.exp(-(table - table.min()))
     pmf = JointEnumeration(gains, 0.5, q).evaluate(y[:, None]).pmf(1)[:, 0]

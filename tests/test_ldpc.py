@@ -20,9 +20,9 @@ def test_shape_and_rate(code):
 
 
 def test_every_codeword_satisfies_checks(code, rng):
-    for _ in range(5):
-        word = encode(code, rng.integers(0, 2, size=440))
-        assert not syndrome(code, word).any()
+    words = encode(code, rng.integers(0, 2, size=(5, 440)))
+    assert words.shape == (5, 528)
+    assert not syndrome(code.graph, words).any()
 
 
 def test_parity_check_rank(code):
@@ -31,60 +31,55 @@ def test_parity_check_rank(code):
 
 
 def test_encoding_is_linear(code, rng):
-    a = rng.integers(0, 2, size=440)
-    b = rng.integers(0, 2, size=440)
+    a = rng.integers(0, 2, size=(4, 440))
+    b = rng.integers(0, 2, size=(4, 440))
     np.testing.assert_array_equal(encode(code, a ^ b),
                                   encode(code, a) ^ encode(code, b))
 
 
 def test_zero_noise_roundtrip(code, rng):
-    bits = rng.integers(0, 2, size=440)
-    word = encode(code, bits)
-    llr = 40.0 * (1.0 - 2.0 * word)
-    (decoded,), (converged,) = bp_decode_batch(code, np.clip(llr, -30, 30))
-    assert converged
-    np.testing.assert_array_equal(decoded, word)
+    words = encode(code, rng.integers(0, 2, size=(3, 440)))
+    llr = 40.0 * (1.0 - 2.0 * words)
+    decoded, converged, _ = bp_decode_batch(code.graph, np.clip(llr, -30, 30), 50)
+    assert converged.all()
+    np.testing.assert_array_equal(decoded, words)
 
 
 def test_huge_correct_llrs_decode_in_one_iteration(code, rng):
-    word = encode(code, rng.integers(0, 2, size=440))
-    llr = 30.0 * (1.0 - 2.0 * word)
-    (decoded,), (converged,) = bp_decode_batch(code, llr, max_iters=1)
-    assert converged
-    np.testing.assert_array_equal(decoded, word)
+    words = encode(code, rng.integers(0, 2, size=(3, 440)))
+    llr = 30.0 * (1.0 - 2.0 * words)
+    decoded, converged, _ = bp_decode_batch(code.graph, llr, 1)
+    assert converged.all()
+    np.testing.assert_array_equal(decoded, words)
 
 
 def test_all_zero_llrs_do_not_converge(code):
-    _, (converged,) = bp_decode_batch(code, np.zeros(528))
-    assert not converged
+    _, converged, _ = bp_decode_batch(code.graph, np.zeros((2, 528)), 50)
+    assert not converged.any()
 
 
 def test_converged_output_satisfies_checks(code, rng):
     # noisy LLRs around a codeword; whenever the flag is set, Hc = 0
-    word = encode(code, rng.integers(0, 2, size=440))
-    hits = 0
-    for _ in range(10):
-        llr = 4.0 * (1.0 - 2.0 * word) + rng.normal(0, 2.0, size=528)
-        (decoded,), (converged,) = bp_decode_batch(code, np.clip(llr, -30, 30))
-        if converged:
-            hits += 1
-            assert not syndrome(code, decoded).any()
-    assert hits > 0
+    word = encode(code, rng.integers(0, 2, size=(1, 440)))
+    llr = 4.0 * (1.0 - 2.0 * word) + rng.normal(0, 2.0, size=(10, 528))
+    decoded, converged, _ = bp_decode_batch(code.graph, np.clip(llr, -30, 30), 50)
+    assert converged.any()
+    assert not syndrome(code.graph, decoded[converged]).any()
 
 
 def test_bp_corrects_moderate_noise(code, rng):
-    word = encode(code, rng.integers(0, 2, size=440))
-    ok = 0
-    for _ in range(10):
-        llr = np.clip(6.0 * (1.0 - 2.0 * word) + rng.normal(0, 3.0, size=528), -30, 30)
-        (decoded,), (converged,) = bp_decode_batch(code, llr)
-        ok += converged and np.array_equal(decoded, word)
-    assert ok >= 8
+    word = encode(code, rng.integers(0, 2, size=(1, 440)))
+    llr = np.clip(6.0 * (1.0 - 2.0 * word) + rng.normal(0, 3.0, size=(10, 528)), -30, 30)
+    decoded, converged, _ = bp_decode_batch(code.graph, llr, 50)
+    ok = converged & np.all(decoded == word, axis=1)
+    assert np.count_nonzero(ok) >= 8
 
 
 def test_llr_length_mismatch(code):
     with pytest.raises(ValueError):
-        bp_decode_batch(code, np.zeros(100))
+        bp_decode_batch(code.graph, np.zeros((2, 100)), 50)
+    with pytest.raises(ValueError):  # one word is a batch of one
+        bp_decode_batch(code.graph, np.zeros(528), 50)
 
 
 def test_parse_rejects_bad_shift():
@@ -131,8 +126,7 @@ def test_bp_exact_on_tree():
         if flip >= 0:
             word[flip] ^= 1
         llr = base * (1.0 - 2.0 * word)
-        hard, _, post = bp_decode_batch(graph, llr[None, :], max_iters=10,
-                                        return_posteriors=True, early_exit=False)
+        hard, _, post = bp_decode_batch(graph, llr[None, :], 10, early_exit=False)
         exact = _exact_bit_marginals(llr, codewords)
         # flooding BP is exact on a tree: posterior LLRs and decisions agree
         np.testing.assert_allclose(post[0], exact, atol=1e-9)

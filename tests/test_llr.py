@@ -8,8 +8,12 @@ from gnndsim.harness import _batched_sigma_u, nn_tables
 from gnndsim.posterior import JointEnumeration
 
 
-def _gnnd_llrs(g, q, noise_scale, **kw):
-    return bit_llrs(nn_tables(np.asarray(g, dtype=complex), q.points), q, noise_scale, **kw)
+LLR_MAX = 30.0
+
+
+def _gnnd_llrs(g, q, noise_scale, llr_max=LLR_MAX):
+    return bit_llrs(nn_tables(np.asarray(g, dtype=complex), q.points), q, noise_scale,
+                    llr_max)
 
 
 def test_zero_estimate_gives_zero_llrs():
@@ -30,7 +34,7 @@ def test_gnnd_matches_exact_awgn_llrs_at_unit_noise(rng):
     g = qpsk_estimates(means, q.power)
     np.testing.assert_allclose(g, y, atol=1e-9)
     gnnd = _gnnd_llrs(g, q, 1.0)
-    awgn = bit_llrs(nn_tables(y, q.points), q, noise_var)
+    awgn = bit_llrs(nn_tables(y, q.points), q, noise_var, LLR_MAX)
     np.testing.assert_allclose(gnnd, awgn, atol=1e-9)
 
 
@@ -47,27 +51,28 @@ def test_label_complement_flips_llr_sign(rng):
     flipped_msb = Constellation(q.points, q.probabilities, q.power,
                                 BitLabeling(2, q.labeling.point_to_label ^ 0b10))
     tables = rng.uniform(0, 4, size=(20, 4))
-    a = bit_llrs(tables, q, 0.5).reshape(-1, 2)
-    b = bit_llrs(tables, flipped_msb, 0.5).reshape(-1, 2)
+    a = bit_llrs(tables, q, 0.5, LLR_MAX).reshape(-1, 2)
+    b = bit_llrs(tables, flipped_msb, 0.5, LLR_MAX).reshape(-1, 2)
     np.testing.assert_allclose(b[:, 0], -a[:, 0], atol=0)
     np.testing.assert_allclose(b[:, 1], a[:, 1], atol=0)
 
 
 def test_llrs_are_clamped(rng):
     q = make_qpsk(2.0)
-    out = _gnnd_llrs([100 + 100j], q, 1e-3)
+    out = _gnnd_llrs([100 + 100j, -100 + 100j], q, 1e-3)
     assert np.max(np.abs(out)) <= 30.0
-    wide = _gnnd_llrs([100 + 100j], q, 1e-3, llr_max=50.0)
+    wide = _gnnd_llrs([100 + 100j, -100 + 100j], q, 1e-3, llr_max=50.0)
     assert np.max(np.abs(wide)) == 50.0
 
 
 def test_cl_llr_reduces_to_scaled_matched_filter():
     q = make_qpsk(2.0)
-    y = np.array([0.5 - 0.3j])
-    out = bit_llrs(nn_tables(y, q.points, 2.0), q, 1.0)
+    y = np.array([0.5 - 0.3j, -0.2 + 0.4j])
+    out = bit_llrs(nn_tables(y, q.points, 2.0), q, 1.0, LLR_MAX)
     amp = np.sqrt(q.power / 2)
     expect0 = 4 * amp * 2.0 * y[0].real  # per-dimension factorization
     assert out[0] == pytest.approx(expect0, abs=1e-12)
+    assert out[2] == pytest.approx(4 * amp * 2.0 * y[1].real, abs=1e-12)
 
 
 def test_scale_validation():
@@ -75,7 +80,7 @@ def test_scale_validation():
     tables = nn_tables(np.zeros(1, dtype=complex), q.points)
     for scale in (0.0, -1.0):
         with pytest.raises(ValueError):
-            bit_llrs(tables, q, scale)
+            bit_llrs(tables, q, scale, LLR_MAX)
 
 
 def _sigma_u(gains, noise_var, q, n_samples, seed):

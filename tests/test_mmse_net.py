@@ -45,7 +45,7 @@ def test_zero_weight_model_outputs_zero():
     sizes = [4, 8, 2]
     model = MlpModel(sizes, [np.zeros((8, 4)), np.zeros((2, 8))],
                      [np.zeros(8), np.zeros(2)])
-    assert predict(model, np.zeros(2, dtype=complex)) == 0j
+    np.testing.assert_array_equal(predict(model, np.zeros((2, 3), dtype=complex)), 0j)
 
 
 def test_gradients_match_finite_differences(rng):
@@ -94,7 +94,7 @@ def test_training_beats_trivial_predictor(rng):
     q = make_qpsk(power)
     noise_var = 1.0 / 10 ** 0.9  # 9 dB with unit total power
     dataset = make_dataset(gains, q, noise_var, 0, 20_000, rng)
-    cfg = TrainConfig(samples=20_000, epochs=1, batch_size=500, seed=1)
+    cfg = TrainConfig(samples=20_000, epochs=1, batch_size=500, learning_rate=1e-3, seed=1)
     _, trace = train(dataset, default_sizes(8), cfg)
     assert trace[0] < power
 
@@ -103,7 +103,7 @@ def test_training_loss_decreases(rng):
     gains = sample_gains(2, 4, rng)
     q = make_qpsk(0.5)
     dataset = make_dataset(gains, q, 0.2, 0, 10_000, rng)
-    cfg = TrainConfig(samples=10_000, epochs=5, batch_size=250, seed=2)
+    cfg = TrainConfig(samples=10_000, epochs=5, batch_size=250, learning_rate=1e-3, seed=2)
     model, trace = train(dataset, [8, 32, 16, 2], cfg)
     assert trace[-1] <= trace[0]
     assert len(trace) == 5
@@ -122,9 +122,9 @@ def test_divergence_aborts_with_trace(rng):
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(samples=10, epochs=1, batch_size=20)
+        TrainConfig(samples=10, epochs=1, batch_size=20, learning_rate=1e-3, seed=0)
     with pytest.raises(ValueError):
-        TrainConfig(samples=100, epochs=1, batch_size=10, learning_rate=-1.0)
+        TrainConfig(samples=100, epochs=1, batch_size=10, learning_rate=-1.0, seed=0)
 
 
 def test_predict_batch_and_determinism(rng):
@@ -134,8 +134,6 @@ def test_predict_batch_and_determinism(rng):
     assert batch.shape == (7,)
     again = predict(model, y)
     np.testing.assert_array_equal(batch, again)
-    one = predict(model, y[:, 0])
-    np.testing.assert_allclose(one, batch[0], rtol=1e-12)
     fn = mean_fn(model)
     np.testing.assert_array_equal(fn(y), batch)
 
@@ -143,7 +141,9 @@ def test_predict_batch_and_determinism(rng):
 def test_predict_dimension_check(rng):
     model = init_model([4, 8, 2], rng)
     with pytest.raises(ValueError):
-        predict(model, np.zeros(3, dtype=complex))
+        predict(model, np.zeros((3, 5), dtype=complex))
+    with pytest.raises(ValueError):  # one observation is a batch of one
+        predict(model, np.zeros(2, dtype=complex))
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):

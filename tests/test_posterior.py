@@ -51,7 +51,8 @@ def test_single_user_tanh_mean():
 def test_qpsk_second_moment_is_power(rng):
     q = make_qpsk(0.7)
     gains = sample_gains(2, 3, rng)
-    y = transmit(ChannelInstance(gains, 0.4, [0.7, 0.7]), sample_symbols(q, 2, rng), rng)
+    y = transmit(ChannelInstance(gains, 0.4, [0.7, 0.7]), sample_symbols(q, 2, rng)[:, None],
+                 rng)[:, 0]
     assert _single(y, gains, 0.4, q).second_moment(1)[0] == pytest.approx(0.7, rel=1e-9)
 
 
@@ -74,7 +75,7 @@ def test_pmf_normalization_and_consistency(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(3, 2, rng)
     ch = ChannelInstance(gains, 0.5, np.full(3, 1.0))
-    b = _single(transmit(ch, sample_symbols(q, 3, rng), rng), gains, 0.5, q)
+    b = _single(transmit(ch, sample_symbols(q, 3, rng)[:, None], rng)[:, 0], gains, 0.5, q)
     for user in range(3):
         pmf = b.pmf(user)[:, 0]
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -89,7 +90,7 @@ def test_matches_brute_force_reference(rng):
     gains = sample_gains(3, 2, rng)
     ch = ChannelInstance(gains, 0.3, np.full(3, 1.0))
     x = sample_symbols(q, 3, rng)
-    y = transmit(ch, x, rng)
+    y = transmit(ch, x[:, None], rng)[:, 0]
     for user, prefix in [(0, ()), (1, x[:1]), (2, x[:2])]:
         mean, second, pmf = _brute_posterior(y, gains, 0.3, consts, user, prefix)
         b = _single(y, gains, 0.3, consts, prefix)
@@ -102,7 +103,7 @@ def test_prefix_equals_reduced_problem(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(3, 4, rng)
     x = sample_symbols(q, 3, rng)
-    y = transmit(ChannelInstance(gains, 0.2, np.full(3, 1.0)), x, rng)
+    y = transmit(ChannelInstance(gains, 0.2, np.full(3, 1.0)), x[:, None], rng)[:, 0]
     y_red = (y - gains[:, :2] @ x[:2])[:, None]
     with_prefix = JointEnumeration(gains, 0.2, q, first_user=2).evaluate(y_red)
     reduced = JointEnumeration(gains[:, 2:], 0.2, q).evaluate(y_red)
@@ -133,7 +134,7 @@ def test_mean_within_alphabet_hull(rng):
     gains = sample_gains(2, 2, rng)
     for _ in range(20):
         y = transmit(ChannelInstance(gains, 0.5, np.full(2, 2.0)),
-                     sample_symbols(q, 2, rng), rng)
+                     sample_symbols(q, 2, rng)[:, None], rng)[:, 0]
         b = _single(y, gains, 0.5, q)
         mean = b.mean(0)[0]
         assert abs(mean) <= np.max(np.abs(q.points)) + 1e-12
