@@ -168,7 +168,8 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users, methods,
     same sampled transmissions. With receiver="sic", user k is conditioned
     on the true symbols of users 0..k-1 (the information-theoretic
     successive-cancellation rate); without it one enumeration per chunk
-    serves every user.
+    serves every user. User powers are read from the constellations only,
+    for the CL fronts as for the sampled symbols.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
@@ -191,7 +192,8 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users, methods,
     need_enum = bool({"gnnd", "kl", "mi"} & set(methods))
     enums = {f: JointEnumeration(ch.gains, ch.noise_var, consts, f)
              for f in sorted(set(first.values()))} if need_enum else {}
-    fronts = {u: cl_front(ch.gains, ch.noise_var, u, ch.powers,
+    powers = np.array([c.power for c in consts])
+    fronts = {u: cl_front(ch.gains, ch.noise_var, u, powers,
                           cancelled=range(first[u])) for u in users}
     acc = {m: {u: [] for u in users} for m in methods}  # cl: (y_scalar, index) pairs
     chunk = min([SAMPLE_CHUNK] + [e.slice_columns for e in enums.values()])

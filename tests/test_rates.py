@@ -312,6 +312,19 @@ def test_cl_only_call_skips_enumeration(monkeypatch, receiver):
     assert cl["cl"] == both["cl"]
 
 
+@pytest.mark.parametrize("receiver", ["no-sic", "sic"])
+def test_cl_reads_user_power_from_the_constellations(receiver):
+    # the sampled symbols follow the constellations, so the CL fronts do too:
+    # a channel whose own powers disagree with them gives the same cl rows
+    gains = sample_gains(3, 3, np.random.default_rng(28))
+    q = make_qpsk(1 / 3)
+    consistent, disagreeing = (
+        evaluate_user_rates(ChannelInstance(gains, 0.2, powers), q, None, ("cl",), receiver,
+                            5_000, np.random.default_rng(44))["cl"]
+        for powers in (np.full(3, 1 / 3), [1.0, 2.0, 0.1]))
+    assert consistent == disagreeing
+
+
 def test_combine_rates():
     total = combine_rates([RateEstimate(1.0, 0.3, 100), RateEstimate(2.0, 0.4, 100)])
     assert total.value == 3.0
