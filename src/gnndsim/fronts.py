@@ -84,7 +84,10 @@ def solve_front(means, seconds, prior: Constellation):
     in x = (alpha, beta, gamma) = (f Re g, -f Im g, f^2), by damped Newton
     from (0, 0, 1/P). The Hessian is the covariance of the tilt statistics
     under the row's tilted pmf. Every row takes its own Armijo step and
-    freezes once its moment residuals are under NEWTON_TOL. For
+    freezes once its moment residuals are under NEWTON_TOL. When no step
+    above rounding level strictly lowers a row's objective, its gain is
+    below what the objective resolves (``gmi_from_tables`` stops there); the
+    row takes its full step, and its moment residuals decide. For
     constant-modulus alphabets the |a|^2 statistic is degenerate, gamma is
     a flat direction, and it is pinned to 1. A row whose gamma ends at or
     below 0 has no nearest-neighbor form and gets the constant metric
@@ -144,11 +147,11 @@ def solve_front(means, seconds, prior: Constellation):
             if i.size == 0:
                 break
             _, obj_new = tilt(x[rows[i]] + t[i, None] * step[i], target[rows[i]])
-            accept = obj_new <= obj[i] + 1e-4 * t[i] * decrement[i]
+            accept = obj_new < obj[i] + 1e-4 * t[i] * decrement[i]
             searching[i[accept]] = False
             t[i[~accept]] *= 0.5
-        x[rows[~searching]] += t[~searching, None] * step[~searching]
-        rows = rows[~searching]  # a row whose step stalls at precision stops here
+        t[searching] = 1.0  # no step lowered the objective: the full Newton step
+        x[rows] += t[:, None] * step
     converged = np.all(resid <= scale, axis=1)
     f = np.sqrt(np.maximum(x[:, 2], 0.0))
     front = ((x[:, 0] - 1j * x[:, 1]) / np.where(f > 0.0, f, np.inf), f)

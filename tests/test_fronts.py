@@ -90,6 +90,21 @@ def test_solve_front_matches_qpsk_closed_form(rng):
     assert np.all(np.abs(pmf @ q.points - means) <= 1e-8 * np.sqrt(q.power))
 
 
+def test_solve_front_converges_below_the_objective_rounding():
+    # in four of these rows the last Newton step gains about 1e-16 on an
+    # objective built from terms of order one, which the Armijo test cannot
+    # resolve; the rows must still reach the moment tolerance
+    q = make_qpsk(1.0)
+    rng = np.random.default_rng(0)
+    means = rng.uniform(-0.7, 0.7, 20000) + 1j * rng.uniform(-0.7, 0.7, 20000)
+    g, f = solve_front(means, q.power, q)
+    closed = qpsk_estimates(means, q.power)
+    np.testing.assert_allclose(f * g.real, closed.real, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(-f * g.imag, -closed.imag, rtol=0, atol=1e-6)
+    pmf = tilted_pmf(g, f, q)
+    assert np.all(np.abs(pmf @ q.points - means) <= 1e-8 * np.sqrt(q.power))
+
+
 def test_solve_front_symmetric_fixed_point():
     q = make_qpsk(2.0)
     g, f = solve_front(np.zeros(1, dtype=complex), 2.0, q)
