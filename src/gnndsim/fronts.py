@@ -43,7 +43,7 @@ class ClFront:
     scalar_gain: float
 
     def apply(self, y) -> np.ndarray:
-        """Scalar channel output(s) for y of shape (L,) or (L, n)."""
+        """Scalar channel outputs, (n,), of observations y, (L, n)."""
         y = np.asarray(y)
         return self.combiner.conj() @ y
 

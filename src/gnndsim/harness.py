@@ -25,7 +25,7 @@ from .config import ExperimentConfig, config_echo, pilot_power_value
 from .constellation import make_qpsk, modulate
 from .fronts import cl_front, nn_tables, qpsk_estimates
 from .mmse_net import TrainConfig, default_sizes, make_dataset, mean_fn, train
-from .posterior import JointEnumeration
+from .posterior import JointEnumeration, SplitEnumeration
 from .rates import combine_rates, evaluate_user_rates
 
 RATE_CSV_COLUMNS = ("instance_id", "K", "L", "snr_db", "method", "receiver",
@@ -401,8 +401,7 @@ class _LdpcRealization:
             fns = [mean_fn(m) for m in models]
             self.means_all = lambda y: np.stack([f(y) for f in fns])
         else:
-            enum = JointEnumeration(self.gains_hat, self.noise_var, consts,
-                                    0, dtype=np.complex64)
+            enum = SplitEnumeration(self.gains_hat, self.noise_var, consts, 0)
             self.means_all = lambda y: enum.evaluate_sliced(
                 y, lambda batch: batch.means_all())
         # the residual scale is estimated against the receiver's own channel

@@ -1,8 +1,15 @@
 """Exact conditional moments and marginals by enumeration of the joint
 constellation, for a batch of received vectors. Users before ``first_user``
-form a known prefix whose contribution the caller removes from y."""
+form a known prefix whose contribution the caller removes from y.
+
+``JointEnumeration`` scores every joint combination; ``SplitEnumeration``
+reads the same posteriors from two groups of users and one fixed kernel,
+falling back to a full enumeration where the split loses precision. Both
+return ``PosteriorBatch`` objects."""
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -14,10 +21,41 @@ ENUM_SLICE_BYTES = 2**28   # one (M, n) block of an enumeration's per-column arr
 # products with the points stay far above the smallest normal number
 EXP_FLOOR = {np.float32: -80.0, np.float64: -700.0}
 MI_FALLBACK_MASS = 1e-250  # marginals below this are recomputed by log-sum-exp
+SPLIT_Z_MIN = 1e-200       # split columns whose normaliser is below this are enumerated in full
 
 
 class EnumerationCapError(ValueError):
     """Joint alphabet too large for exact enumeration."""
+
+
+def _observations(y, dtype) -> np.ndarray:
+    y = np.asarray(y, dtype=dtype)
+    if y.ndim != 2:
+        raise ValueError(f"y must be a batch of observations (L, n), got shape {y.shape}")
+    return y
+
+
+def _grids(sizes) -> np.ndarray:
+    """Index of each user's symbol in every combination of ``sizes``, with
+    the first user slowest, (len(sizes), prod(sizes))."""
+    return np.indices(sizes).reshape(len(sizes), int(np.prod(sizes, dtype=np.int64)))
+
+
+def _indicator(grids, sizes, dtype) -> np.ndarray:
+    """0/1 matrix (sum of sizes, combinations) whose row offset[k] + a marks
+    the combinations in which user k sends its symbol a."""
+    out = np.zeros((sum(sizes), grids.shape[1]), dtype=dtype)
+    offsets = np.cumsum([0] + list(sizes))[:-1]
+    out[offsets[:, None] + grids, np.arange(grids.shape[1])] = 1.0
+    return out
+
+
+def _block_diag(a, b) -> np.ndarray:
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]),
+                   dtype=np.result_type(a, b))
+    out[:a.shape[0], :a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
 
 
 class JointEnumeration:
@@ -57,44 +95,42 @@ class JointEnumeration:
 
         # index of each active user's symbol in every combination; axis order
         # matches self.sizes so reshapes expose one axis per user
-        grids = np.indices(sizes).reshape(self.n_active, total)
+        grids = _grids(sizes)
         points = np.stack([active[u].points[grids[u]] for u in range(self.n_active)])
-        self._points = points  # (n_active, M)
+        self.n_combos = total
         means = gains[:, first_user:] @ points
         self._means_ct = np.ascontiguousarray(means.conj().T.astype(self.dtype))
-        self._mean_sq = np.sum(np.abs(means) ** 2, axis=0).real.astype(self.rdtype)
-        self._points_re = np.ascontiguousarray(points.real.astype(self.rdtype))
-        self._points_im = np.ascontiguousarray(points.imag.astype(self.rdtype))
+        mean_sq = np.sum(np.abs(means) ** 2, axis=0).real.astype(self.rdtype)
         logp = np.zeros(total)
         for u in range(self.n_active):
             logp += np.log(active[u].probabilities[grids[u]])
-        self._log_prior = logp.astype(self.rdtype)
-        self._row_offset = ((self._mean_sq / self.noise_var)
-                            - self._log_prior).astype(self.rdtype)
+        self._row_offset = ((mean_sq / self.noise_var)
+                            - logp.astype(self.rdtype)).astype(self.rdtype)
         self.gauss_log_const = -n_ant * np.log(np.pi * self.noise_var)
-        self._indicator = None
 
-    @property
+    @cached_property
+    def point_parts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Real and imaginary parts of every combination's points, (n_active,
+        M) each; built on first use, so an enumeration that only scores
+        holds none."""
+        grids = _grids(self.sizes)
+        active = self.constellations[self.first_user:]
+        points = np.stack([active[u].points[grids[u]] for u in range(self.n_active)])
+        return (np.ascontiguousarray(points.real.astype(self.rdtype)),
+                np.ascontiguousarray(points.imag.astype(self.rdtype)))
+
+    @cached_property
     def indicator(self) -> np.ndarray:
         """0/1 matrix (sum of |A_u|, M) whose row offset[k] + a marks the
         combinations in which active user k sends its symbol a; built on
         first use."""
-        if self._indicator is None:
-            grids = np.indices(self.sizes).reshape(self.n_active, -1)
-            self._indicator = np.concatenate(
-                [grids[k] == np.arange(m)[:, None] for k, m in enumerate(self.sizes)]
-            ).astype(self.rdtype)
-        return self._indicator
+        return _indicator(_grids(self.sizes), self.sizes, self.rdtype)
 
     def marginal_rows(self, user: int) -> slice:
         """Rows of ``indicator`` (and of ``PosteriorBatch.marginals``) of one user."""
         k = self.active_index(user)
         start = sum(self.sizes[:k])
         return slice(start, start + self.sizes[k])
-
-    @property
-    def n_combos(self) -> int:
-        return self._points.shape[1]
 
     @property
     def slice_columns(self) -> int:
@@ -110,7 +146,7 @@ class JointEnumeration:
 
     def log_weights(self, y) -> np.ndarray:
         """Unnormalized log posterior weight of every combination, (M, n)."""
-        y = np.atleast_2d(np.asarray(y, dtype=self.dtype).T).T  # (L, n)
+        y = _observations(y, self.dtype)
         g = self._means_ct @ y  # (M, n)
         ysq = np.sum(np.abs(y) ** 2, axis=0).real
         logw = np.multiply(g.real, self.rdtype(2.0 / self.noise_var))
@@ -134,7 +170,7 @@ class JointEnumeration:
         norm = w.sum(axis=0)
         w /= norm[None, :]
         log_evidence = top + np.log(norm) + self.gauss_log_const
-        return PosteriorBatch(self, y, w, log_evidence)
+        return PosteriorBatch(self, y, w, log_evidence, MI_FALLBACK_MASS)
 
     def evaluate_sliced(self, y, read) -> np.ndarray:
         """``read(batch)`` of each slice of ``slice_columns`` observations of
@@ -143,6 +179,13 @@ class JointEnumeration:
         step = self.slice_columns
         return np.concatenate([read(self.evaluate(y[:, i:i + step]))
                                for i in range(0, y.shape[1], step)], axis=-1)
+
+    def exact_log_pmf(self, y, user: int, idx) -> np.ndarray:
+        """log P(x_user = idx[t] | y_t) of each column of y, (L, n), by
+        log-sum-exp over its unfloored log weights."""
+        logw = self.log_weights(y)
+        own = self.indicator[self.marginal_rows(user)][idx].T > 0
+        return lse(np.where(own, logw, -np.inf), 0) - lse(logw, 0)
 
     def user_log_likelihood(self, y, users) -> list[np.ndarray]:
         """log p(y | x_user = a_i) for every candidate a_i, one (m_user, n)
@@ -162,29 +205,151 @@ class JointEnumeration:
         return tables
 
 
-class PosteriorBatch:
-    """Normalized posterior weights for a batch of observations."""
+class SplitEnumeration:
+    """Exact posteriors of users ``first_user``..K-1 from two groups.
 
-    def __init__(self, enum: JointEnumeration, y, weights, log_evidence):
+    Group A is the first n_active // 2 active users and group B the rest.
+    Up to a term common to the column, combination (a, b) has the log weight
+        u_A(a; y) + u_B(b; y) + C(a, b),   C = -2 Re((H_A a)^H H_B b) / noise_var,
+    where u_G is a group's own log weight as if it were alone. With
+    e_A = exp(u_A - max u_A), e_B likewise and the kernel E = exp(C - max C),
+    built once, every column reads
+        Z = sum e_A (E e_B),   w_A = e_A (E e_B) / Z,   w_B = e_B (E^T e_A) / Z,
+    the marginal weights of the group combinations. Means, second moments
+    and marginals are then products with |A| + |B| weights instead of
+    |A| |B|. Each factor's exponent is floored at EXP_FLOOR like the joint
+    weights, and so is each weight, so none is subnormal.
+
+    A small Z means the three factors peak at different combinations, where
+    their floors and underflowing products could count. A column whose Z is
+    below SPLIT_Z_MIN is evaluated by the complex128 ``JointEnumeration``
+    the engine holds (``full``) and counted in ``fallback_columns``. Exact
+    log marginals (``exact_log_pmf``) come from ``full`` as well, and so do
+    the byte budget and ``slice_columns``: a batch of at most that many
+    columns keeps every fallback within the budget.
+    """
+
+    def __init__(self, gains, noise_var: float, constellations, first_user: int):
+        full = JointEnumeration(gains, noise_var, constellations, first_user)
+        self.full = full
+        self.constellations = full.constellations
+        self.first_user = first_user
+        self.n_active = full.n_active
+        self.sizes = full.sizes
+        self.noise_var = full.noise_var
+        self.fallback_columns = 0
+        gains = np.asarray(gains, dtype=np.complex128)
+        active = full.constellations[first_user:]
+        half = self.n_active // 2
+        groups = []  # per group: (points, received means, log prior, indicator)
+        for lo, hi in ((0, half), (half, self.n_active)):
+            grids = _grids(self.sizes[lo:hi])
+            points = np.array([active[u].points[grids[u - lo]] for u in range(lo, hi)],
+                              dtype=np.complex128).reshape(grids.shape)
+            logp = np.zeros(grids.shape[1])
+            for u in range(lo, hi):
+                logp += np.log(active[u].probabilities[grids[u - lo]])
+            means = gains[:, first_user + lo:first_user + hi] @ points
+            groups.append((points, means, logp,
+                           _indicator(grids, self.sizes[lo:hi], np.float64)))
+        (pa, ma, _, ia), (pb, mb, _, ib) = groups
+        # per group: conj received means (M_G, L) and offset |H_G g|^2 / noise_var - log p(g)
+        self._scores = [(np.ascontiguousarray(m.conj().T),
+                         np.sum(np.abs(m) ** 2, axis=0) / self.noise_var - logp)
+                        for _, m, logp, _ in groups]
+        coupling = -2.0 * (ma.conj().T @ mb).real / self.noise_var  # C, (M_A, M_B)
+        self._coupling_top = coupling.max()
+        self._kernel = np.exp(np.maximum(coupling - self._coupling_top,
+                                         EXP_FLOOR[np.float64]))
+        self._group_sizes = (pa.shape[1], pb.shape[1])
+        # block-diagonal over [A combinations | B combinations], the layout
+        # of the weights that PosteriorBatch reads
+        self.point_parts = (_block_diag(pa.real, pb.real), _block_diag(pa.imag, pb.imag))
+        self.indicator = _block_diag(ia, ib)
+
+    active_index = JointEnumeration.active_index
+    marginal_rows = JointEnumeration.marginal_rows
+    evaluate_sliced = JointEnumeration.evaluate_sliced
+
+    @property
+    def slice_columns(self) -> int:
+        return self.full.slice_columns
+
+    def exact_log_pmf(self, y, user: int, idx) -> np.ndarray:
+        return self.full.exact_log_pmf(y, user, idx)
+
+    def _factors(self, y):
+        """Each group's factor e_G = exp(max(u_G - max u_G, EXP_FLOOR)),
+        (M_G, n), and the sum of the two maxima, (n,)."""
+        factors, tops = [], 0.0
+        for means_ct, offset in self._scores:
+            u = np.multiply((means_ct @ y).real, 2.0 / self.noise_var)
+            u -= offset[:, None]
+            top = u.max(axis=0)
+            u -= top
+            np.maximum(u, EXP_FLOOR[np.float64], out=u)
+            factors.append(np.exp(u, out=u))
+            tops = tops + top
+        return factors, tops
+
+    def evaluate(self, y) -> PosteriorBatch:
+        """Posterior weights of the group combinations for a batch of
+        observations, (L, n); see the class notes."""
+        y = _observations(y, np.complex128)
+        (e_a, e_b), tops = self._factors(y)
+        w_a = e_a * (self._kernel @ e_b)
+        z = w_a.sum(axis=0)
+        low = np.flatnonzero(z < SPLIT_Z_MIN)
+        z[low] = 1.0
+        w = np.concatenate([w_a, e_b * (self._kernel.T @ e_a)])
+        w /= z
+        np.maximum(w, np.exp(EXP_FLOOR[np.float64]), out=w)
+        log_evidence = (np.log(z) + tops + self._coupling_top + self.full.gauss_log_const
+                        - np.sum(np.abs(y) ** 2, axis=0) / self.noise_var)
+        # the weights resolve mass down to about e**EXP_FLOOR / Z
+        fallback_mass = MI_FALLBACK_MASS / np.minimum(z, 1.0)
+        if low.size:
+            self.fallback_columns += low.size
+            exact = self.full.evaluate(y[:, low])
+            joint = exact._w.reshape(*self._group_sizes, low.size)
+            w[:, low] = np.concatenate([joint.sum(axis=1), joint.sum(axis=0)])
+            log_evidence[low] = exact.log_evidence
+            fallback_mass[low] = MI_FALLBACK_MASS
+        return PosteriorBatch(self, y, w, log_evidence, fallback_mass)
+
+
+class PosteriorBatch:
+    """Normalized posterior weights for a batch of observations.
+
+    ``weights`` has one row per column of the engine's point and indicator
+    matrices: a joint combination for ``JointEnumeration``, a group
+    combination for ``SplitEnumeration``. A marginal P below
+    ``fallback_mass`` (one value, or one per observation) is not resolved
+    by the weights, so ``log_pmf_at`` recomputes it exactly.
+    """
+
+    def __init__(self, enum, y, weights, log_evidence, fallback_mass):
         self.enum = enum
         self._y = y  # the observations evaluated, (L, n)
         self._w = weights
         self.log_evidence = log_evidence
+        self._fallback_mass = fallback_mass
         self._marginals = None
 
     def mean(self, user: int) -> np.ndarray:
         k = self.enum.active_index(user)
-        return (self.enum._points_re[k] @ self._w
-                + 1j * (self.enum._points_im[k] @ self._w))
+        re, im = self.enum.point_parts
+        return re[k] @ self._w + 1j * (im[k] @ self._w)
 
     def second_moment(self, user: int) -> np.ndarray:
         k = self.enum.active_index(user)
-        sq = self.enum._points_re[k] ** 2 + self.enum._points_im[k] ** 2
-        return sq @ self._w
+        re, im = self.enum.point_parts
+        return (re[k] ** 2 + im[k] ** 2) @ self._w
 
     def means_all(self) -> np.ndarray:
         """Conditional means of every enumerated user, (n_active, n)."""
-        return self.enum._points_re @ self._w + 1j * (self.enum._points_im @ self._w)
+        re, im = self.enum.point_parts
+        return re @ self._w + 1j * (im @ self._w)
 
     def marginals(self) -> np.ndarray:
         """Marginal posteriors of every enumerated user, stacked (sum of
@@ -201,17 +366,15 @@ class PosteriorBatch:
         """Exact log P(x_user = idx[t] | y_t) for every observation t.
 
         P is read from the marginals and clamped at 1, since it is a
-        probability. A column whose P is below MI_FALLBACK_MASS, where the
-        floored weights of ``evaluate`` could count, is recomputed exactly
-        from its own unfloored log weights by log-sum-exp.
+        probability. A column whose P is below its fallback mass
+        (MI_FALLBACK_MASS for weights normalised to a top weight of 1),
+        where the floored weights of ``evaluate`` could count, is recomputed
+        exactly from its own unfloored log weights by log-sum-exp.
         """
-        enum = self.enum
-        rows = enum.marginal_rows(user)
+        rows = self.enum.marginal_rows(user)
         p = np.minimum(self.marginals()[rows][idx, np.arange(idx.size)], 1.0)
         log_p = np.log(p)
-        low = np.flatnonzero(p < MI_FALLBACK_MASS)
+        low = np.flatnonzero(p < self._fallback_mass)
         if low.size:
-            logw = enum.log_weights(self._y[:, low])  # (M, len(low))
-            own = enum.indicator[rows][idx[low]].T > 0
-            log_p[low] = lse(np.where(own, logw, -np.inf), 0) - lse(logw, 0)
+            log_p[low] = self.enum.exact_log_pmf(self._y[:, low], user, idx[low])
         return log_p

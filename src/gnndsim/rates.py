@@ -10,7 +10,7 @@ import numpy as np
 from .channel import ChannelInstance, crandn
 from .constellation import Constellation, per_user
 from .fronts import ARTANH_CLIP, cl_front, nn_tables, qpsk_estimates, tilted_pmf
-from .posterior import JointEnumeration
+from .posterior import SplitEnumeration
 
 LN2 = float(np.log(2.0))
 SAMPLE_CHUNK = 16384     # most channel uses per enumeration batch
@@ -167,9 +167,11 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users, methods,
     of the optimal front. All requested quantities are evaluated on the
     same sampled transmissions. With receiver="sic", user k is conditioned
     on the true symbols of users 0..k-1 (the information-theoretic
-    successive-cancellation rate); without it one enumeration per chunk
-    serves every user. User powers are read from the constellations only,
-    for the CL fronts as for the sampled symbols.
+    successive-cancellation rate); without it one evaluation per chunk
+    serves every user. Posteriors come from ``SplitEnumeration``, and a
+    chunk is at most the ``slice_columns`` of its full enumeration, so its
+    fallback columns stay within the byte budget. User powers are read from
+    the constellations only, for the CL fronts as for the sampled symbols.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
@@ -190,7 +192,7 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users, methods,
     first = {u: u if sic else 0 for u in users}
     # the CL metric reads no posterior: a CL-only call enumerates nothing
     need_enum = bool({"gnnd", "kl", "mi"} & set(methods))
-    enums = {f: JointEnumeration(ch.gains, ch.noise_var, consts, f)
+    enums = {f: SplitEnumeration(ch.gains, ch.noise_var, consts, f)
              for f in sorted(set(first.values()))} if need_enum else {}
     powers = np.array([c.power for c in consts])
     fronts = {u: cl_front(ch.gains, ch.noise_var, u, powers,

@@ -12,7 +12,7 @@ from gnndsim.harness import (
     run_scatter,
     run_viterbi_ber,
 )
-from gnndsim.posterior import JointEnumeration
+from gnndsim.posterior import JointEnumeration, SplitEnumeration
 from oracles import average_sum_rows, cluster_separation, snr_at_ber
 
 
@@ -252,20 +252,21 @@ def test_ldpc_ber_cl_only_skips_enumeration(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a CL-only run evaluated the enumeration")
 
-    monkeypatch.setattr(JointEnumeration, "evaluate", refuse)
+    for engine in (SplitEnumeration, JointEnumeration):
+        monkeypatch.setattr(engine, "evaluate", refuse)
     cl = run_ldpc_ber(_ldpc_stop_cfg(methods=("cl",)))
     assert cl.rows == [r for r in both.rows if r["method"] == "cl"]
 
 
 def test_ldpc_ber_prepares_only_decoded_realizations(monkeypatch):
     built = []
-    real_init = JointEnumeration.__init__
+    real_init = SplitEnumeration.__init__
 
     def recording(self, *args, **kwargs):
         built.append(args[0])
         real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(JointEnumeration, "__init__", recording)
+    monkeypatch.setattr(SplitEnumeration, "__init__", recording)
     # every method meets the stop rule in the first block of each point
     res = run_ldpc_ber(_ldpc_stop_cfg(snr_db=(2.0, 4.0), min_errors=1))
     assert {r["blocks"] for r in res.rows} == {1}
@@ -331,24 +332,25 @@ def test_scatter_column_slices_match_one_block(monkeypatch):
 def test_ldpc_means_follow_enumeration_budget(monkeypatch):
     # the ldpc_small.csv golden config: every conditional mean, the 2,048
     # residual samples of each realization and the blocks alike, comes from
-    # evaluations within the byte budget, and slicing leaves the means as
-    # they were
+    # split-engine evaluations within the byte budget of its full
+    # enumeration, so no fallback outgrows it, and slicing leaves the means
+    # as they were
     cfg = ExperimentConfig(kind="ldpc-ber", seed=7, users=2, antennas=4,
                            methods=("gnnd", "cl"), snr_db=(3.0, 6.0),
                            draws=2, blocks=4, min_errors=10**6)
     means, widths = [], []
-    estimates, evaluate = harness.qpsk_estimates, JointEnumeration.evaluate
+    estimates, evaluate = harness.qpsk_estimates, SplitEnumeration.evaluate
     monkeypatch.setattr(harness, "qpsk_estimates",
                         lambda m, power: means.append(m) or estimates(m, power))
-    monkeypatch.setattr(JointEnumeration, "evaluate",
+    monkeypatch.setattr(SplitEnumeration, "evaluate",
                         lambda self, y, **kw: widths.append(y.shape[1]) or evaluate(self, y, **kw))
     whole = run_ldpc_ber(cfg).rows
     n_whole = len(means)
     assert max(widths) == harness.SIGMA_U_SAMPLES
     widths.clear()
-    # a budget of 128 columns of 4^2 complex64 weights; like the default
-    # budget's power-of-two slices it keeps the means byte-equal, where a
-    # width of 100 moves the last float32 bits of the complex64 scores
+    # a budget of 16,384 bytes: 64 columns of the 4^2 complex128
+    # combinations of the full enumeration, a power-of-two width like the
+    # default budget's slices, which keeps the means byte-equal
     monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 128 * 16 * 8)
     sliced = run_ldpc_ber(cfg).rows
     assert widths and max(widths) <= 128

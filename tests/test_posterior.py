@@ -3,7 +3,7 @@ import pytest
 
 from gnndsim.channel import ChannelInstance, sample_gains, transmit
 from gnndsim.constellation import make_qpsk, sample_symbols
-from gnndsim.posterior import EnumerationCapError, JointEnumeration
+from gnndsim.posterior import EnumerationCapError, JointEnumeration, SplitEnumeration
 
 
 def _brute_posterior(y, gains, noise_var, consts, user, prefix=()):
@@ -156,3 +156,16 @@ def test_batch_matches_scalar_path(rng):
         single = _single(y[:, t], gains, 0.4, q)
         assert means[t] == pytest.approx(single.mean(0)[0], abs=1e-12)
         assert batch.log_evidence[t] == pytest.approx(single.log_evidence[0], abs=1e-9)
+
+
+def test_single_observation_is_rejected(rng):
+    # every entry point takes a batch (L, n); a 1-D y is not read as one column
+    q = make_qpsk(1.0)
+    gains = sample_gains(2, 3, rng)
+    y = np.ones(3, dtype=complex)
+    enum = JointEnumeration(gains, 0.4, q)
+    for call in (enum.log_weights, enum.evaluate, SplitEnumeration(gains, 0.4, q, 0).evaluate,
+                 lambda y: enum.user_log_likelihood(y, [0])):
+        with pytest.raises(ValueError, match=r"\(L, n\)"):
+            call(y)
+        call(y[:, None])

@@ -8,7 +8,7 @@ from gnndsim.config import ExperimentConfig
 from gnndsim.constellation import make_qpsk, sample_symbols
 from gnndsim.fronts import qpsk_estimates
 from gnndsim.harness import nn_tables, run_gmi_sweep
-from gnndsim.posterior import JointEnumeration
+from gnndsim.posterior import JointEnumeration, SplitEnumeration
 from gnndsim.rates import (
     LN2,
     RateEstimate,
@@ -304,9 +304,11 @@ def test_cl_only_call_skips_enumeration(monkeypatch, receiver):
                                np.random.default_rng(43))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a CL-only call evaluated the enumeration")
+        raise AssertionError("a CL-only call built or evaluated the enumeration")
 
-    monkeypatch.setattr(JointEnumeration, "evaluate", refuse)
+    for engine in (SplitEnumeration, JointEnumeration):
+        monkeypatch.setattr(engine, "__init__", refuse)
+        monkeypatch.setattr(engine, "evaluate", refuse)
     cl = evaluate_user_rates(ch, q, None, ("cl",), receiver, 5_000,
                              np.random.default_rng(43))
     assert cl["cl"] == both["cl"]
@@ -395,8 +397,8 @@ def test_mi_rows_at_most_log2_alphabet(seed):
 def test_rate_chunk_follows_enumeration_budget(monkeypatch, receiver, per_chunk):
     # one evaluate per chunk without SIC, one per user with it
     widths = []
-    evaluate = JointEnumeration.evaluate
-    monkeypatch.setattr(JointEnumeration, "evaluate",
+    evaluate = SplitEnumeration.evaluate
+    monkeypatch.setattr(SplitEnumeration, "evaluate",
                         lambda self, y, **kw: widths.append(y.shape[1]) or evaluate(self, y, **kw))
     gains = sample_gains(3, 3, np.random.default_rng(33))
     ch = ChannelInstance(gains, 0.2, np.full(3, 1 / 3))
