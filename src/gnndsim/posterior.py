@@ -238,34 +238,34 @@ class SplitEnumeration:
         self.sizes = full.sizes
         self.noise_var = full.noise_var
         self.fallback_columns = 0
-        gains = np.asarray(gains, dtype=np.complex128)
+        gains = np.asarray(gains, dtype=np.complex128)[:, first_user:]
         active = full.constellations[first_user:]
         half = self.n_active // 2
-        groups = []  # per group: (points, received means, log prior, indicator)
-        for lo, hi in ((0, half), (half, self.n_active)):
-            grids = _grids(self.sizes[lo:hi])
-            points = np.array([active[u].points[grids[u - lo]] for u in range(lo, hi)],
-                              dtype=np.complex128).reshape(grids.shape)
-            logp = np.zeros(grids.shape[1])
-            for u in range(lo, hi):
-                logp += np.log(active[u].probabilities[grids[u - lo]])
-            means = gains[:, first_user + lo:first_user + hi] @ points
-            groups.append((points, means, logp,
-                           _indicator(grids, self.sizes[lo:hi], np.float64)))
-        (pa, ma, _, ia), (pb, mb, _, ib) = groups
-        # per group: conj received means (M_G, L) and offset |H_G g|^2 / noise_var - log p(g)
-        self._scores = [(np.ascontiguousarray(m.conj().T),
-                         np.sum(np.abs(m) ** 2, axis=0) / self.noise_var - logp)
-                        for _, m, logp, _ in groups]
-        coupling = -2.0 * (ma.conj().T @ mb).real / self.noise_var  # C, (M_A, M_B)
+        points, means, self._scores, indicators = [], [], [], []
+        for users in (range(half), range(half, self.n_active)):
+            sizes = [self.sizes[u] for u in users]
+            grids = _grids(sizes)
+            pts = np.array([active[u].points[g] for u, g in zip(users, grids)],
+                           dtype=np.complex128).reshape(grids.shape)
+            logp = sum((np.log(active[u].probabilities[g]) for u, g in zip(users, grids)),
+                       np.zeros(grids.shape[1]))
+            m = gains[:, users] @ pts
+            points.append(pts)
+            means.append(m)
+            # conj received means (M_G, L) and offset |H_G g|^2 / noise_var - log p(g)
+            self._scores.append((np.ascontiguousarray(m.conj().T),
+                                 np.sum(np.abs(m) ** 2, axis=0) / self.noise_var - logp))
+            indicators.append(_indicator(grids, sizes, np.float64))
+        coupling = -2.0 * (means[0].conj().T @ means[1]).real / self.noise_var  # C
         self._coupling_top = coupling.max()
         self._kernel = np.exp(np.maximum(coupling - self._coupling_top,
                                          EXP_FLOOR[np.float64]))
-        self._group_sizes = (pa.shape[1], pb.shape[1])
+        self._group_sizes = coupling.shape
         # block-diagonal over [A combinations | B combinations], the layout
         # of the weights that PosteriorBatch reads
-        self.point_parts = (_block_diag(pa.real, pb.real), _block_diag(pa.imag, pb.imag))
-        self.indicator = _block_diag(ia, ib)
+        self.point_parts = (_block_diag(*(p.real for p in points)),
+                            _block_diag(*(p.imag for p in points)))
+        self.indicator = _block_diag(*indicators)
 
     active_index = JointEnumeration.active_index
     marginal_rows = JointEnumeration.marginal_rows
