@@ -41,6 +41,18 @@ def _grids(sizes) -> np.ndarray:
     return np.indices(sizes).reshape(len(sizes), int(np.prod(sizes, dtype=np.int64)))
 
 
+def _points(consts, grids) -> np.ndarray:
+    """Each user's point in every combination, (len(consts), combinations)."""
+    return np.array([c.points[g] for c, g in zip(consts, grids)],
+                    dtype=np.complex128).reshape(grids.shape)
+
+
+def _log_prior(consts, grids) -> np.ndarray:
+    """Log prior of every combination, (combinations,)."""
+    return sum((np.log(c.probabilities[g]) for c, g in zip(consts, grids)),
+               np.zeros(grids.shape[1]))
+
+
 def _indicator(grids, sizes, dtype) -> np.ndarray:
     """0/1 matrix (sum of sizes, combinations) whose row offset[k] + a marks
     the combinations in which user k sends its symbol a."""
@@ -96,16 +108,13 @@ class JointEnumeration:
         # index of each active user's symbol in every combination; axis order
         # matches self.sizes so reshapes expose one axis per user
         grids = _grids(sizes)
-        points = np.stack([active[u].points[grids[u]] for u in range(self.n_active)])
+        points = _points(active, grids)
         self.n_combos = total
         means = gains[:, first_user:] @ points
         self._means_ct = np.ascontiguousarray(means.conj().T.astype(self.dtype))
         mean_sq = np.sum(np.abs(means) ** 2, axis=0).real.astype(self.rdtype)
-        logp = np.zeros(total)
-        for u in range(self.n_active):
-            logp += np.log(active[u].probabilities[grids[u]])
         self._row_offset = ((mean_sq / self.noise_var)
-                            - logp.astype(self.rdtype)).astype(self.rdtype)
+                            - _log_prior(active, grids).astype(self.rdtype)).astype(self.rdtype)
         self.gauss_log_const = -n_ant * np.log(np.pi * self.noise_var)
 
     @cached_property
@@ -113,9 +122,7 @@ class JointEnumeration:
         """Real and imaginary parts of every combination's points, (n_active,
         M) each; built on first use, so an enumeration that only scores
         holds none."""
-        grids = _grids(self.sizes)
-        active = self.constellations[self.first_user:]
-        points = np.stack([active[u].points[grids[u]] for u in range(self.n_active)])
+        points = _points(self.constellations[self.first_user:], _grids(self.sizes))
         return (np.ascontiguousarray(points.real.astype(self.rdtype)),
                 np.ascontiguousarray(points.imag.astype(self.rdtype)))
 
@@ -243,18 +250,15 @@ class SplitEnumeration:
         half = self.n_active // 2
         points, means, self._scores, indicators = [], [], [], []
         for users in (range(half), range(half, self.n_active)):
-            sizes = [self.sizes[u] for u in users]
+            consts = active[users.start:users.stop]
+            sizes = [c.size for c in consts]
             grids = _grids(sizes)
-            pts = np.array([active[u].points[g] for u, g in zip(users, grids)],
-                           dtype=np.complex128).reshape(grids.shape)
-            logp = sum((np.log(active[u].probabilities[g]) for u, g in zip(users, grids)),
-                       np.zeros(grids.shape[1]))
-            m = gains[:, users] @ pts
-            points.append(pts)
-            means.append(m)
+            points.append(_points(consts, grids))
+            means.append(gains[:, users] @ points[-1])
             # conj received means (M_G, L) and offset |H_G g|^2 / noise_var - log p(g)
-            self._scores.append((np.ascontiguousarray(m.conj().T),
-                                 np.sum(np.abs(m) ** 2, axis=0) / self.noise_var - logp))
+            self._scores.append((np.ascontiguousarray(means[-1].conj().T),
+                                 np.sum(np.abs(means[-1]) ** 2, axis=0) / self.noise_var
+                                 - _log_prior(consts, grids)))
             indicators.append(_indicator(grids, sizes, np.float64))
         coupling = -2.0 * (means[0].conj().T @ means[1]).real / self.noise_var  # C
         self._coupling_top = coupling.max()
