@@ -4,8 +4,8 @@ form a known prefix whose contribution the caller removes from y.
 
 ``JointEnumeration`` scores every joint combination; ``SplitEnumeration``
 reads the same posteriors from two groups of users and one fixed kernel,
-falling back to a full enumeration where the split loses precision. Both
-return ``PosteriorBatch`` objects."""
+falling back to exact log-domain weights where the split loses precision.
+Both return ``PosteriorBatch`` objects."""
 
 from __future__ import annotations
 
@@ -22,10 +22,41 @@ ENUM_SLICE_BYTES = 2**28   # one (M, n) block of an enumeration's per-column arr
 EXP_FLOOR = {np.float32: -80.0, np.float64: -700.0}
 MI_FALLBACK_MASS = 1e-250  # marginals below this are recomputed by log-sum-exp
 SPLIT_Z_MIN = 1e-200       # split columns whose normaliser is below this are enumerated in full
+# exponent floor of the split kernel, which is scaled to run from 1 to
+# e**-floor: its products with factors of at least e**EXP_FLOOR stay normal,
+# and a column's sum, up to 4**10 e**-floor, stays finite
+SPLIT_KERNEL_FLOOR = -690.0
 
 
 class EnumerationCapError(ValueError):
     """Joint alphabet too large for exact enumeration."""
+
+
+def _active_channel(gains, noise_var: float, constellations, first_user: int):
+    """Checked channel of users ``first_user``..K-1: the complex gains (L, K),
+    every user's constellation and the active users' alphabet sizes."""
+    gains = np.asarray(gains, dtype=np.complex128)
+    n_users = gains.shape[1]
+    if not 0 <= first_user < n_users:
+        raise ValueError(f"first_user {first_user} out of range")
+    if noise_var <= 0:
+        raise ValueError("noise variance must be positive for enumeration")
+    consts = per_user(constellations, n_users)
+    sizes = [c.size for c in consts[first_user:]]
+    total = int(np.prod(sizes, dtype=np.int64))
+    if total > ENUM_CAP:
+        raise EnumerationCapError(
+            f"joint alphabet size {total} exceeds cap {ENUM_CAP}; "
+            "use the neural conditional-mean approximator for this size")
+    return gains, consts, sizes
+
+
+def _floored_quotient(num, den) -> np.ndarray:
+    """num / den per column, in place, with num first raised to den e**EXP_FLOOR
+    so that no quotient falls below e**EXP_FLOOR into the subnormal range."""
+    np.maximum(num, den * np.exp(EXP_FLOOR[np.float64]), out=num)
+    num /= den
+    return num
 
 
 def _observations(y, dtype) -> np.ndarray:
@@ -83,20 +114,10 @@ class JointEnumeration:
 
     def __init__(self, gains, noise_var: float, constellations, first_user: int = 0,
                  dtype=np.complex128):
-        gains = np.asarray(gains, dtype=np.complex128)
+        gains, self.constellations, sizes = _active_channel(
+            gains, noise_var, constellations, first_user)
         n_ant, n_users = gains.shape
-        if not 0 <= first_user < n_users:
-            raise ValueError(f"first_user {first_user} out of range")
-        if noise_var <= 0:
-            raise ValueError("noise variance must be positive for enumeration")
-        self.constellations = per_user(constellations, n_users)
         active = self.constellations[first_user:]
-        sizes = [c.size for c in active]
-        total = int(np.prod(sizes, dtype=np.int64))
-        if total > ENUM_CAP:
-            raise EnumerationCapError(
-                f"joint alphabet size {total} exceeds cap {ENUM_CAP}; "
-                "use the neural conditional-mean approximator for this size")
         self.first_user = first_user
         self.n_users = n_users
         self.n_active = len(active)
@@ -109,7 +130,7 @@ class JointEnumeration:
         # matches self.sizes so reshapes expose one axis per user
         grids = _grids(sizes)
         points = _points(active, grids)
-        self.n_combos = total
+        self.n_combos = grids.shape[1]
         means = gains[:, first_user:] @ points
         self._means_ct = np.ascontiguousarray(means.conj().T.astype(self.dtype))
         mean_sq = np.sum(np.abs(means) ** 2, axis=0).real.astype(self.rdtype)
@@ -218,35 +239,33 @@ class SplitEnumeration:
     Group A is the first n_active // 2 active users and group B the rest.
     Up to a term common to the column, combination (a, b) has the log weight
         u_A(a; y) + u_B(b; y) + C(a, b),   C = -2 Re((H_A a)^H H_B b) / noise_var,
-    where u_G is a group's own log weight as if it were alone. With
-    e_A = exp(u_A - max u_A), e_B likewise and the kernel E = exp(C - max C),
-    built once, every column reads
+    where u_G is a group's own log weight as if it were alone. With the
+    factors e_A = exp(u_A - max u_A), e_B likewise and the kernel
+    E = exp(C - max C), built once, every column reads
         Z = sum e_A (E e_B),   w_A = e_A (E e_B) / Z,   w_B = e_B (E^T e_A) / Z,
     the marginal weights of the group combinations. Means, second moments
     and marginals are then products with |A| + |B| weights instead of
-    |A| |B|. Each factor's exponent is floored at EXP_FLOOR like the joint
-    weights, and so is each weight, so none is subnormal.
+    |A| |B|. The factors' exponents are floored at EXP_FLOOR and the
+    kernel's at SPLIT_KERNEL_FLOOR, the kernel is kept scaled by
+    e**-SPLIT_KERNEL_FLOOR, and each weight is floored at e**EXP_FLOOR, so
+    no factor, kernel entry, product or weight is subnormal.
 
     A small Z means the three factors peak at different combinations, where
-    their floors and underflowing products could count. A column whose Z is
-    below SPLIT_Z_MIN is evaluated by the complex128 ``JointEnumeration``
-    the engine holds (``full``) and counted in ``fallback_columns``. Exact
-    log marginals (``exact_log_pmf``) come from ``full`` as well, and so do
-    the byte budget and ``slice_columns``: a batch of at most that many
-    columns keeps every fallback within the budget.
+    their floors could count. A column whose Z is below SPLIT_Z_MIN takes
+    its weights from the |A| |B| unfloored log weights u_A + u_B + C
+    instead, normalised like ``JointEnumeration``'s; so do exact log
+    marginals (``exact_log_pmf``). Those (|A| |B|, n) float64 blocks are
+    half of ENUM_SLICE_BYTES at ``slice_columns`` observations.
     """
 
     def __init__(self, gains, noise_var: float, constellations, first_user: int):
-        full = JointEnumeration(gains, noise_var, constellations, first_user)
-        self.full = full
-        self.constellations = full.constellations
+        gains, self.constellations, self.sizes = _active_channel(
+            gains, noise_var, constellations, first_user)
         self.first_user = first_user
-        self.n_active = full.n_active
-        self.sizes = full.sizes
-        self.noise_var = full.noise_var
-        self.fallback_columns = 0
-        gains = np.asarray(gains, dtype=np.complex128)[:, first_user:]
-        active = full.constellations[first_user:]
+        self.n_active = len(self.sizes)
+        self.noise_var = float(noise_var)
+        gains = gains[:, first_user:]
+        active = self.constellations[first_user:]
         half = self.n_active // 2
         points, means, self._scores, indicators = [], [], [], []
         for users in (range(half), range(half, self.n_active)):
@@ -261,10 +280,10 @@ class SplitEnumeration:
                                  - _log_prior(consts, grids)))
             indicators.append(_indicator(grids, sizes, np.float64))
         coupling = -2.0 * (means[0].conj().T @ means[1]).real / self.noise_var  # C
-        self._coupling_top = coupling.max()
-        self._kernel = np.exp(np.maximum(coupling - self._coupling_top,
-                                         EXP_FLOOR[np.float64]))
-        self._group_sizes = coupling.shape
+        self._coupling = coupling - coupling.max()
+        self._kernel = np.exp(np.maximum(self._coupling, SPLIT_KERNEL_FLOOR)
+                              - SPLIT_KERNEL_FLOOR)
+        self.n_combos = self._coupling.size
         # block-diagonal over [A combinations | B combinations], the layout
         # of the weights that PosteriorBatch reads
         self.point_parts = (_block_diag(*(p.real for p in points)),
@@ -277,49 +296,66 @@ class SplitEnumeration:
 
     @property
     def slice_columns(self) -> int:
-        return self.full.slice_columns
+        """The ``slice_columns`` of the complex128 ``JointEnumeration`` of
+        the same users, so that rate chunks, and with them the RNG streams,
+        follow either engine alike."""
+        return max(1, ENUM_SLICE_BYTES // (16 * self.n_combos))
 
-    def exact_log_pmf(self, y, user: int, idx) -> np.ndarray:
-        return self.full.exact_log_pmf(y, user, idx)
-
-    def _factors(self, y):
-        """Each group's factor e_G = exp(max(u_G - max u_G, EXP_FLOOR)),
-        (M_G, n), and the sum of the two maxima, (n,)."""
-        factors, tops = [], 0.0
+    def _log_factors(self, y) -> list[np.ndarray]:
+        """Each group's log factor u_G - max u_G, unfloored, (M_G, n)."""
+        us = []
         for means_ct, offset in self._scores:
             u = np.multiply((means_ct @ y).real, 2.0 / self.noise_var)
             u -= offset[:, None]
-            top = u.max(axis=0)
-            u -= top
-            np.maximum(u, EXP_FLOOR[np.float64], out=u)
-            factors.append(np.exp(u, out=u))
-            tops = tops + top
-        return factors, tops
+            u -= u.max(axis=0)
+            us.append(u)
+        return us
+
+    def _log_joint(self, u_a, u_b) -> np.ndarray:
+        """Log weight u_A + u_B + C of every combination of each column
+        given its log factors, less the peaks of the three, (n, M_A, M_B)."""
+        logw = u_a.T[:, :, None] + np.ascontiguousarray(u_b.T)[:, None, :]
+        logw += self._coupling
+        return logw
+
+    def _exact(self, u_a, u_b):
+        """Group weight sums (M_A + M_B, n) and their normaliser (n,) from
+        the unfloored log weights, each exponent floored at EXP_FLOOR below
+        its column's top like ``JointEnumeration.evaluate``."""
+        w = self._log_joint(u_a, u_b)
+        top = w.max(axis=(1, 2))
+        w -= top[:, None, None]
+        np.maximum(w, EXP_FLOOR[np.float64], out=w)
+        np.exp(w, out=w)
+        return np.concatenate([w.sum(axis=2), w.sum(axis=1)], axis=1).T, w.sum(axis=(1, 2))
+
+    def exact_log_pmf(self, y, user: int, idx) -> np.ndarray:
+        """log P(x_user = idx[t] | y_t) of each column of y, (L, n), by
+        log-sum-exp over its unfloored log weights."""
+        u_a, u_b = self._log_factors(_observations(y, np.complex128))
+        logw = self._log_joint(u_a, u_b)
+        total = lse(logw, (1, 2))
+        own = self.indicator[self.marginal_rows(user)][idx] > 0  # (n, M_A + M_B)
+        m_a = u_a.shape[0]
+        logw[~(own[:, :m_a, None] | own[:, None, m_a:])] = -np.inf
+        return lse(logw, (1, 2)) - total
 
     def evaluate(self, y) -> PosteriorBatch:
         """Posterior weights of the group combinations for a batch of
         observations, (L, n); see the class notes."""
         y = _observations(y, np.complex128)
-        (e_a, e_b), tops = self._factors(y)
-        w_a = e_a * (self._kernel @ e_b)
-        z = w_a.sum(axis=0)
-        low = np.flatnonzero(z < SPLIT_Z_MIN)
-        z[low] = 1.0
-        w = np.concatenate([w_a, e_b * (self._kernel.T @ e_a)])
-        w /= z
-        np.maximum(w, np.exp(EXP_FLOOR[np.float64]), out=w)
-        log_evidence = (np.log(z) + tops + self._coupling_top + self.full.gauss_log_const
-                        - np.sum(np.abs(y) ** 2, axis=0) / self.noise_var)
-        # the weights resolve mass down to about e**EXP_FLOOR / Z
-        fallback_mass = MI_FALLBACK_MASS / np.minimum(z, 1.0)
+        u_a, u_b = self._log_factors(y)
+        e_a, e_b = (np.exp(np.maximum(u, EXP_FLOOR[np.float64])) for u in (u_a, u_b))
+        w = np.concatenate([e_a * (self._kernel @ e_b), e_b * (self._kernel.T @ e_a)])
+        z = w[:u_a.shape[0]].sum(axis=0)  # Z e**-SPLIT_KERNEL_FLOOR
+        log_z = np.log(z) + SPLIT_KERNEL_FLOOR
+        low = np.flatnonzero(log_z < np.log(SPLIT_Z_MIN))
+        # the split weights resolve mass down to about e**SPLIT_KERNEL_FLOOR / Z
+        fallback_mass = MI_FALLBACK_MASS / np.exp(np.clip(log_z, np.log(SPLIT_Z_MIN), 0.0))
         if low.size:
-            self.fallback_columns += low.size
-            exact = self.full.evaluate(y[:, low])
-            joint = exact._w.reshape(*self._group_sizes, low.size)
-            w[:, low] = np.concatenate([joint.sum(axis=1), joint.sum(axis=0)])
-            log_evidence[low] = exact.log_evidence
+            w[:, low], z[low] = self._exact(u_a[:, low], u_b[:, low])
             fallback_mass[low] = MI_FALLBACK_MASS
-        return PosteriorBatch(self, y, w, log_evidence, fallback_mass)
+        return PosteriorBatch(self, y, _floored_quotient(w, z), None, fallback_mass)
 
 
 class PosteriorBatch:
@@ -327,7 +363,8 @@ class PosteriorBatch:
 
     ``weights`` has one row per column of the engine's point and indicator
     matrices: a joint combination for ``JointEnumeration``, a group
-    combination for ``SplitEnumeration``. A marginal P below
+    combination for ``SplitEnumeration``. ``log_evidence``, log p(y) per
+    observation, is kept by ``JointEnumeration`` batches only. A marginal P below
     ``fallback_mass`` (one value, or one per observation) is not resolved
     by the weights, so ``log_pmf_at`` recomputes it exactly.
     """

@@ -348,10 +348,10 @@ def test_ldpc_means_follow_enumeration_budget(monkeypatch):
     n_whole = len(means)
     assert max(widths) == harness.SIGMA_U_SAMPLES
     widths.clear()
-    # a budget of 16,384 bytes: 64 columns of the 4^2 complex128
+    # a budget of 32,768 bytes: 128 columns of the 4^2 complex128
     # combinations of the full enumeration, a power-of-two width like the
     # default budget's slices, which keeps the means byte-equal
-    monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 128 * 16 * 8)
+    monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 128 * 16 * 16)
     sliced = run_ldpc_ber(cfg).rows
     assert widths and max(widths) <= 128
     assert len(means) == 2 * n_whole
