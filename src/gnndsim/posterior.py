@@ -301,15 +301,16 @@ class SplitEnumeration:
         follow either engine alike."""
         return max(1, ENUM_SLICE_BYTES // (16 * self.n_combos))
 
-    def _log_factors(self, y) -> list[np.ndarray]:
-        """Each group's log factor u_G - max u_G, unfloored, (M_G, n)."""
+    def _factors(self, y):
+        """Each group's log factor u_G - max u_G, unfloored, and its factor
+        e_G = exp(max(u_G - max u_G, EXP_FLOOR)), (M_G, n) each."""
         us = []
         for means_ct, offset in self._scores:
             u = np.multiply((means_ct @ y).real, 2.0 / self.noise_var)
             u -= offset[:, None]
             u -= u.max(axis=0)
             us.append(u)
-        return us
+        return us, [np.exp(np.maximum(u, EXP_FLOOR[np.float64])) for u in us]
 
     def _log_joint(self, u_a, u_b) -> np.ndarray:
         """Log weight u_A + u_B + C of every combination of each column
@@ -332,7 +333,7 @@ class SplitEnumeration:
     def exact_log_pmf(self, y, user: int, idx) -> np.ndarray:
         """log P(x_user = idx[t] | y_t) of each column of y, (L, n), by
         log-sum-exp over its unfloored log weights."""
-        u_a, u_b = self._log_factors(_observations(y, np.complex128))
+        (u_a, u_b), _ = self._factors(_observations(y, np.complex128))
         logw = self._log_joint(u_a, u_b)
         total = lse(logw, (1, 2))
         own = self.indicator[self.marginal_rows(user)][idx] > 0  # (n, M_A + M_B)
@@ -344,8 +345,7 @@ class SplitEnumeration:
         """Posterior weights of the group combinations for a batch of
         observations, (L, n); see the class notes."""
         y = _observations(y, np.complex128)
-        u_a, u_b = self._log_factors(y)
-        e_a, e_b = (np.exp(np.maximum(u, EXP_FLOOR[np.float64])) for u in (u_a, u_b))
+        (u_a, u_b), (e_a, e_b) = self._factors(y)
         w = np.concatenate([e_a * (self._kernel @ e_b), e_b * (self._kernel.T @ e_a)])
         z = w[:u_a.shape[0]].sum(axis=0)  # Z e**-SPLIT_KERNEL_FLOOR
         log_z = np.log(z) + SPLIT_KERNEL_FLOOR

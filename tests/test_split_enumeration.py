@@ -143,8 +143,7 @@ def test_no_subnormal_factor_kernel_product_or_weight(monkeypatch, snr_db):
     y = transmit(ch, q.points[idx], rng)
     split = SplitEnumeration(gains, ch.noise_var, q, 0)
     floored = split.evaluate(y)
-    logs = split._log_factors(y)
-    e_a, e_b = (np.exp(np.maximum(u, posterior.EXP_FLOOR[np.float64])) for u in logs)
+    logs, (e_a, e_b) = split._factors(y)
     kernel = split._kernel
     tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
     # the stored factors and kernel, every term of the two kernel products,
