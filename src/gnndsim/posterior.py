@@ -51,14 +51,6 @@ def _active_channel(gains, noise_var: float, constellations, first_user: int):
     return gains, consts, sizes
 
 
-def _floored_quotient(num, den) -> np.ndarray:
-    """num / den per column, in place, with num first raised to den e**EXP_FLOOR
-    so that no quotient falls below e**EXP_FLOOR into the subnormal range."""
-    np.maximum(num, den * np.exp(EXP_FLOOR[np.float64]), out=num)
-    num /= den
-    return num
-
-
 def _observations(y, dtype) -> np.ndarray:
     y = np.asarray(y, dtype=dtype)
     if y.ndim != 2:
@@ -355,7 +347,11 @@ class SplitEnumeration:
         if low.size:
             w[:, low], z[low] = self._exact(u_a[:, low], u_b[:, low])
             fallback_mass[low] = MI_FALLBACK_MASS
-        return PosteriorBatch(self, y, _floored_quotient(w, z), None, fallback_mass)
+        # each numerator is raised to z e**EXP_FLOOR first, so that no
+        # weight falls below e**EXP_FLOOR into the subnormal range
+        np.maximum(w, z * np.exp(EXP_FLOOR[np.float64]), out=w)
+        w /= z
+        return PosteriorBatch(self, y, w, None, fallback_mass)
 
 
 class PosteriorBatch:
@@ -364,9 +360,9 @@ class PosteriorBatch:
     ``weights`` has one row per column of the engine's point and indicator
     matrices: a joint combination for ``JointEnumeration``, a group
     combination for ``SplitEnumeration``. ``log_evidence``, log p(y) per
-    observation, is kept by ``JointEnumeration`` batches only. A marginal P below
-    ``fallback_mass`` (one value, or one per observation) is not resolved
-    by the weights, so ``log_pmf_at`` recomputes it exactly.
+    observation, is kept by ``JointEnumeration`` batches only. A marginal
+    P below ``fallback_mass`` (one value, or one per observation) is not
+    resolved by the weights, so ``log_pmf_at`` recomputes it exactly.
     """
 
     def __init__(self, enum, y, weights, log_evidence, fallback_mass):
