@@ -8,6 +8,9 @@ import numpy as np
 
 PROB_SUM_TOL = 1e-12
 POWER_TOL = 1e-9
+# exponent floor of normalised weights and of log-sum-exp terms: e**floor
+# and its products with the points stay far above the smallest normal number
+EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,15 @@ def label_set_indices(c: Constellation, position: int, bit_value: int) -> np.nda
 
 def lse(z, axis) -> np.ndarray:
     """log sum exp of z over ``axis`` (an int or a tuple of ints), shifted by
-    the maximum so no term overflows."""
+    the maximum so no term overflows. Each shifted exponent is raised to
+    EXP_FLOOR first, so no term is subnormal; every sum keeps its top term
+    of 1, so the floored terms leave it as it was, and -inf entries still
+    drop out."""
     top = z.max(axis=axis, keepdims=True)
-    return np.squeeze(top, axis=axis) + np.log(np.exp(z - top).sum(axis=axis))
+    terms = np.subtract(z, top)
+    np.maximum(terms, EXP_FLOOR, out=terms)
+    np.exp(terms, out=terms)
+    return np.squeeze(top, axis=axis) + np.log(terms.sum(axis=axis))
 
 
 def modulate(bits, c: Constellation) -> np.ndarray:

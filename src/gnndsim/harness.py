@@ -25,7 +25,7 @@ from .config import ExperimentConfig, config_echo, pilot_power_value
 from .constellation import make_qpsk, modulate
 from .fronts import cl_front, nn_tables, qpsk_estimates
 from .mmse_net import TrainConfig, default_sizes, make_dataset, mean_fn, train
-from .posterior import JointEnumeration, SplitEnumeration
+from .posterior import SplitEnumeration
 from .rates import combine_rates, evaluate_user_rates
 
 RATE_CSV_COLUMNS = ("instance_id", "K", "L", "snr_db", "method", "receiver",
@@ -170,8 +170,7 @@ def run_scatter(cfg: ExperimentConfig) -> SweepResult:
                                     ss.spawn(1)[0])
         means = mean_fn(model)(y)
     else:
-        enum = JointEnumeration(ch.gains, ch.noise_var, consts, 0,
-                                dtype=np.complex64)
+        enum = SplitEnumeration(ch.gains, ch.noise_var, consts, 0)
         means = enum.evaluate_sliced(y, lambda batch: batch.mean(0))
     gnnd = qpsk_estimates(means, consts.power)
     lmmse = lmmse_estimates(ch, y, 0)
@@ -219,21 +218,25 @@ class _BerCounter:
         return all(self.frozen.values())
 
 
-def _word_tables(method, gains, noise_var, consts, y, users):
-    """Metric tables of one method for each user of the range ``users``
-    from one block's observation y, from which every user before the range
-    is already cancelled."""
-    first = users.start
-    if method == "cl":
-        powers = np.full(gains.shape[1], consts.power)
-        fronts = [cl_front(gains, noise_var, u, powers, cancelled=range(first))
-                  for u in users]
-        return [nn_tables(f.apply(y), consts.points, f.scalar_gain) for f in fronts]
-    enum = JointEnumeration(gains, noise_var, consts, first, dtype=np.complex64)
+def _cl_tables(gains, noise_var, consts, y, users):
+    """CL metric tables of each user of the range ``users`` from one block's
+    observation y, from which every user before the range is already
+    cancelled."""
+    powers = np.full(gains.shape[1], consts.power)
+    fronts = [cl_front(gains, noise_var, u, powers, cancelled=range(users.start))
+              for u in users]
+    return [nn_tables(f.apply(y), consts.points, f.scalar_gain) for f in fronts]
+
+
+def _enum_tables(method, enum, consts, y, users):
+    """gnnd or ml metric tables of each user of ``users`` from one evaluation
+    of y by the block's engine ``enum``. The ml table log p(a) - log P(a | y)
+    is -log p(y | a) up to log p(y), a constant per observation that no
+    Viterbi decision reads."""
+    batch = enum.evaluate(y)
     if method == "gnnd":
-        batch = enum.evaluate(y)
         return [_gnnd_table(batch.mean(u), consts) for u in users]
-    return [-t.T for t in enum.user_log_likelihood(y, users)]
+    return [np.log(consts.probabilities) - batch.log_pmf(u).T for u in users]
 
 
 def _gnnd_table(means, consts):
@@ -250,8 +253,9 @@ def _viterbi_block(args):
     the other blocks or methods decoded with it. Under SIC, user k is
     decoded from y less the re-encoded decisions of users 0..k-1, with those
     users left out of its enumeration and its CL interference; without SIC
-    one enumeration per block and method serves every user. The words of
-    user k, one per (method, block), go through one ``viterbi`` call.
+    one evaluation per block and method serves every user. One engine per
+    block and first user serves its gnnd and ml words. The words of user k,
+    one per (method, block), go through one ``viterbi`` call.
     """
     cfg, snr_db, seeds, active = args
     code = make_conv_code_57()
@@ -276,10 +280,14 @@ def _viterbi_block(args):
     for k in range(n_users):
         if sic or k == 0:
             users = range(k, k + 1) if sic else range(n_users)
+            enums = ([SplitEnumeration(g, noise_var, consts, k) for g in gains]
+                     if {"gnnd", "ml"} & set(active) else [])
             tables = np.empty((len(users), len(words), n_steps, consts.size))
             for i, (method, b) in enumerate(words):
                 y = ys[b] - gains[b][:, :k] @ decided[i, :k] if sic else ys[b]
-                tables[:, i] = _word_tables(method, gains[b], noise_var, consts, y, users)
+                tables[:, i] = (_cl_tables(gains[b], noise_var, consts, y, users)
+                                if method == "cl" else
+                                _enum_tables(method, enums[b], consts, y, users))
         decoded = viterbi(tables[k - users.start], code, consts)
         if sic and k < n_users - 1:  # only later users cancel these decisions
             decided[:, k] = modulate(conv_encode(decoded, code),
@@ -425,8 +433,8 @@ def _ldpc_block(cfg, real: _LdpcRealization, code, rng, methods):
         if method == "gnnd":
             tables, scales = [_gnnd_table(m, consts) for m in real.means_all(y)], real.sigma_u
         else:
-            tables = _word_tables(method, real.gains_hat, real.noise_var, consts,
-                                  y, range(cfg.users))
+            tables = _cl_tables(real.gains_hat, real.noise_var, consts, y,
+                                range(cfg.users))
             scales = np.ones(cfg.users)
         llrs = np.stack([bit_llrs(t, consts, float(s), cfg.llr_max)
                          for t, s in zip(tables, scales)])

@@ -2,10 +2,11 @@
 constellation, for a batch of received vectors. Users before ``first_user``
 form a known prefix whose contribution the caller removes from y.
 
-``JointEnumeration`` scores every joint combination; ``SplitEnumeration``
-reads the same posteriors from two groups of users and one fixed kernel,
-falling back to exact log-domain weights where the split loses precision.
-Both return ``PosteriorBatch`` objects."""
+``SplitEnumeration``, the engine of every runner, reads the posteriors from
+two groups of users and one fixed kernel, falling back to exact log-domain
+weights where the split loses precision. ``JointEnumeration`` scores every
+joint combination and is the reference the tests compare it with. Both
+return ``PosteriorBatch`` objects."""
 
 from __future__ import annotations
 
@@ -13,13 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .constellation import lse, per_user
+from .constellation import EXP_FLOOR, lse, per_user
 
 ENUM_CAP = 4**10
-ENUM_SLICE_BYTES = 2**28   # one (M, n) block of an enumeration's per-column arrays
-# exponent floor of the normalised weights, per real dtype: e**floor and its
-# products with the points stay far above the smallest normal number
-EXP_FLOOR = {np.float32: -80.0, np.float64: -700.0}
+ENUM_SLICE_BYTES = 2**28   # one (M, n) complex128 block of the joint alphabet
 MI_FALLBACK_MASS = 1e-250  # marginals below this are recomputed by log-sum-exp
 SPLIT_Z_MIN = 1e-200       # split columns whose normaliser is below this are enumerated in full
 # exponent floor of the split kernel, which is scaled to run from 1 to
@@ -51,8 +49,8 @@ def _active_channel(gains, noise_var: float, constellations, first_user: int):
     return gains, consts, sizes
 
 
-def _observations(y, dtype) -> np.ndarray:
-    y = np.asarray(y, dtype=dtype)
+def _observations(y) -> np.ndarray:
+    y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 2:
         raise ValueError(f"y must be a batch of observations (L, n), got shape {y.shape}")
     return y
@@ -76,10 +74,10 @@ def _log_prior(consts, grids) -> np.ndarray:
                np.zeros(grids.shape[1]))
 
 
-def _indicator(grids, sizes, dtype) -> np.ndarray:
+def _indicator(grids, sizes) -> np.ndarray:
     """0/1 matrix (sum of sizes, combinations) whose row offset[k] + a marks
     the combinations in which user k sends its symbol a."""
-    out = np.zeros((sum(sizes), grids.shape[1]), dtype=dtype)
+    out = np.zeros((sum(sizes), grids.shape[1]))
     offsets = np.cumsum([0] + list(sizes))[:-1]
     out[offsets[:, None] + grids, np.arange(grids.shape[1])] = 1.0
     return out
@@ -94,7 +92,8 @@ def _block_diag(a, b) -> np.ndarray:
 
 
 class JointEnumeration:
-    """All symbol combinations of users ``first_user``..K-1 of a channel.
+    """All symbol combinations of users ``first_user``..K-1 of a channel: the
+    complex128 reference for ``SplitEnumeration``.
 
     Precomputes the candidate received means H x over the joint alphabet so
     that batches of observations can be scored with one matrix product.
@@ -104,8 +103,7 @@ class JointEnumeration:
     underflows into the slow subnormal range.
     """
 
-    def __init__(self, gains, noise_var: float, constellations, first_user: int = 0,
-                 dtype=np.complex128):
+    def __init__(self, gains, noise_var: float, constellations, first_user: int = 0):
         gains, self.constellations, sizes = _active_channel(
             gains, noise_var, constellations, first_user)
         n_ant, n_users = gains.shape
@@ -115,8 +113,6 @@ class JointEnumeration:
         self.n_active = len(active)
         self.sizes = sizes
         self.noise_var = float(noise_var)
-        self.dtype = np.dtype(dtype)
-        self.rdtype = np.float32 if self.dtype == np.complex64 else np.float64
 
         # index of each active user's symbol in every combination; axis order
         # matches self.sizes so reshapes expose one axis per user
@@ -124,10 +120,9 @@ class JointEnumeration:
         points = _points(active, grids)
         self.n_combos = grids.shape[1]
         means = gains[:, first_user:] @ points
-        self._means_ct = np.ascontiguousarray(means.conj().T.astype(self.dtype))
-        mean_sq = np.sum(np.abs(means) ** 2, axis=0).real.astype(self.rdtype)
-        self._row_offset = ((mean_sq / self.noise_var)
-                            - _log_prior(active, grids).astype(self.rdtype)).astype(self.rdtype)
+        self._means_ct = np.ascontiguousarray(means.conj().T)
+        self._row_offset = (np.sum(np.abs(means) ** 2, axis=0) / self.noise_var
+                            - _log_prior(active, grids))
         self.gauss_log_const = -n_ant * np.log(np.pi * self.noise_var)
 
     @cached_property
@@ -136,27 +131,20 @@ class JointEnumeration:
         M) each; built on first use, so an enumeration that only scores
         holds none."""
         points = _points(self.constellations[self.first_user:], _grids(self.sizes))
-        return (np.ascontiguousarray(points.real.astype(self.rdtype)),
-                np.ascontiguousarray(points.imag.astype(self.rdtype)))
+        return np.ascontiguousarray(points.real), np.ascontiguousarray(points.imag)
 
     @cached_property
     def indicator(self) -> np.ndarray:
         """0/1 matrix (sum of |A_u|, M) whose row offset[k] + a marks the
         combinations in which active user k sends its symbol a; built on
         first use."""
-        return _indicator(_grids(self.sizes), self.sizes, self.rdtype)
+        return _indicator(_grids(self.sizes), self.sizes)
 
     def marginal_rows(self, user: int) -> slice:
         """Rows of ``indicator`` (and of ``PosteriorBatch.marginals``) of one user."""
         k = self.active_index(user)
         start = sum(self.sizes[:k])
         return slice(start, start + self.sizes[k])
-
-    @property
-    def slice_columns(self) -> int:
-        """Observations per evaluation whose (M, n) block of ``dtype`` products
-        stays within ENUM_SLICE_BYTES; at least one."""
-        return max(1, ENUM_SLICE_BYTES // (self.dtype.itemsize * self.n_combos))
 
     def active_index(self, user: int) -> int:
         k = user - self.first_user
@@ -166,12 +154,11 @@ class JointEnumeration:
 
     def log_weights(self, y) -> np.ndarray:
         """Unnormalized log posterior weight of every combination, (M, n)."""
-        y = _observations(y, self.dtype)
+        y = _observations(y)
         g = self._means_ct @ y  # (M, n)
-        ysq = np.sum(np.abs(y) ** 2, axis=0).real
-        logw = np.multiply(g.real, self.rdtype(2.0 / self.noise_var))
+        logw = np.multiply(g.real, 2.0 / self.noise_var)
         logw -= self._row_offset[:, None]
-        logw -= (ysq / self.noise_var)[None, :].astype(self.rdtype)
+        logw -= (np.sum(np.abs(y) ** 2, axis=0) / self.noise_var)[None, :]
         return logw
 
     def evaluate(self, y) -> "PosteriorBatch":
@@ -185,27 +172,25 @@ class JointEnumeration:
         logw = self.log_weights(y)
         top = logw.max(axis=0)
         w = np.subtract(logw, top[None, :], out=logw)
-        np.maximum(w, EXP_FLOOR[self.rdtype], out=w)
+        np.maximum(w, EXP_FLOOR, out=w)
         np.exp(w, out=w)
         norm = w.sum(axis=0)
         w /= norm[None, :]
         log_evidence = top + np.log(norm) + self.gauss_log_const
         return PosteriorBatch(self, y, w, log_evidence, MI_FALLBACK_MASS)
 
-    def evaluate_sliced(self, y, read) -> np.ndarray:
-        """``read(batch)`` of each slice of ``slice_columns`` observations of
-        y, (L, n), concatenated along the last axis, so no batch outgrows
-        the byte budget."""
-        step = self.slice_columns
-        return np.concatenate([read(self.evaluate(y[:, i:i + step]))
-                               for i in range(0, y.shape[1], step)], axis=-1)
+    def _user_lse(self, logw, user: int) -> np.ndarray:
+        """log-sum-exp of log weights (M, n) over every active user but
+        ``user``, (m_user, n)."""
+        k = self.active_index(user)
+        return lse(logw.reshape(self.sizes + [logw.shape[1]]),
+                   tuple(a for a in range(self.n_active) if a != k))
 
-    def exact_log_pmf(self, y, user: int, idx) -> np.ndarray:
-        """log P(x_user = idx[t] | y_t) of each column of y, (L, n), by
-        log-sum-exp over its unfloored log weights."""
+    def exact_log_pmf(self, y, user: int) -> np.ndarray:
+        """log P(x_user = a | y_t) of every candidate a and column of y, (L,
+        n), by log-sum-exp over its unfloored log weights, (m_user, n)."""
         logw = self.log_weights(y)
-        own = self.indicator[self.marginal_rows(user)][idx].T > 0
-        return lse(np.where(own, logw, -np.inf), 0) - lse(logw, 0)
+        return self._user_lse(logw, user) - lse(logw, 0)
 
     def user_log_likelihood(self, y, users) -> list[np.ndarray]:
         """log p(y | x_user = a_i) for every candidate a_i, one (m_user, n)
@@ -215,14 +200,8 @@ class JointEnumeration:
         cancels in likelihood ratios.
         """
         logw = self.log_weights(y)
-        shaped = logw.reshape(self.sizes + [logw.shape[1]])
-        tables = []
-        for user in users:
-            k = self.active_index(user)
-            axes = tuple(a for a in range(self.n_active) if a != k)
-            logp = np.log(self.constellations[user].probabilities)
-            tables.append(lse(shaped, axes) - logp[:, None])
-        return tables
+        return [self._user_lse(logw, u)
+                - np.log(self.constellations[u].probabilities)[:, None] for u in users]
 
 
 class SplitEnumeration:
@@ -270,7 +249,7 @@ class SplitEnumeration:
             self._scores.append((np.ascontiguousarray(means[-1].conj().T),
                                  np.sum(np.abs(means[-1]) ** 2, axis=0) / self.noise_var
                                  - _log_prior(consts, grids)))
-            indicators.append(_indicator(grids, sizes, np.float64))
+            indicators.append(_indicator(grids, sizes))
         coupling = -2.0 * (means[0].conj().T @ means[1]).real / self.noise_var  # C
         self._coupling = coupling - coupling.max()
         self._kernel = np.exp(np.maximum(self._coupling, SPLIT_KERNEL_FLOOR)
@@ -284,14 +263,22 @@ class SplitEnumeration:
 
     active_index = JointEnumeration.active_index
     marginal_rows = JointEnumeration.marginal_rows
-    evaluate_sliced = JointEnumeration.evaluate_sliced
 
     @property
     def slice_columns(self) -> int:
-        """The ``slice_columns`` of the complex128 ``JointEnumeration`` of
-        the same users, so that rate chunks, and with them the RNG streams,
-        follow either engine alike."""
+        """Observations per evaluation whose (|A| |B|, n) complex128 block,
+        the product a full enumeration of these users would hold, stays
+        within ENUM_SLICE_BYTES; at least one. Rate chunks, and with them the
+        RNG streams, follow it."""
         return max(1, ENUM_SLICE_BYTES // (16 * self.n_combos))
+
+    def evaluate_sliced(self, y, read) -> np.ndarray:
+        """``read(batch)`` of each slice of ``slice_columns`` observations of
+        y, (L, n), concatenated along the last axis, so no batch outgrows
+        the byte budget."""
+        step = self.slice_columns
+        return np.concatenate([read(self.evaluate(y[:, i:i + step]))
+                               for i in range(0, y.shape[1], step)], axis=-1)
 
     def _factors(self, y):
         """Each group's log factor u_G - max u_G, unfloored, and its factor
@@ -302,7 +289,7 @@ class SplitEnumeration:
             u -= offset[:, None]
             u -= u.max(axis=0)
             us.append(u)
-        return us, [np.exp(np.maximum(u, EXP_FLOOR[np.float64])) for u in us]
+        return us, [np.exp(np.maximum(u, EXP_FLOOR)) for u in us]
 
     def _log_joint(self, u_a, u_b) -> np.ndarray:
         """Log weight u_A + u_B + C of every combination of each column
@@ -318,25 +305,25 @@ class SplitEnumeration:
         w = self._log_joint(u_a, u_b)
         top = w.max(axis=(1, 2))
         w -= top[:, None, None]
-        np.maximum(w, EXP_FLOOR[np.float64], out=w)
+        np.maximum(w, EXP_FLOOR, out=w)
         np.exp(w, out=w)
         return np.concatenate([w.sum(axis=2), w.sum(axis=1)], axis=1).T, w.sum(axis=(1, 2))
 
-    def exact_log_pmf(self, y, user: int, idx) -> np.ndarray:
-        """log P(x_user = idx[t] | y_t) of each column of y, (L, n), by
-        log-sum-exp over its unfloored log weights."""
-        (u_a, u_b), _ = self._factors(_observations(y, np.complex128))
+    def exact_log_pmf(self, y, user: int) -> np.ndarray:
+        """log P(x_user = a | y_t) of every candidate a and column of y, (L,
+        n), by log-sum-exp over its unfloored log weights, (m_user, n)."""
+        (u_a, u_b), _ = self._factors(_observations(y))
         logw = self._log_joint(u_a, u_b)
-        total = lse(logw, (1, 2))
-        own = self.indicator[self.marginal_rows(user)][idx] > 0  # (n, M_A + M_B)
-        m_a = u_a.shape[0]
-        logw[~(own[:, :m_a, None] | own[:, None, m_a:])] = -np.inf
-        return lse(logw, (1, 2)) - total
+        k = self.active_index(user)
+        # reshaped, one axis per active user follows the column axis
+        own = lse(logw.reshape([logw.shape[0]] + self.sizes),
+                  tuple(a for a in range(1, self.n_active + 1) if a != k + 1))
+        return (own - lse(logw, (1, 2))[:, None]).T
 
     def evaluate(self, y) -> PosteriorBatch:
         """Posterior weights of the group combinations for a batch of
         observations, (L, n); see the class notes."""
-        y = _observations(y, np.complex128)
+        y = _observations(y)
         (u_a, u_b), (e_a, e_b) = self._factors(y)
         w = np.concatenate([e_a * (self._kernel @ e_b), e_b * (self._kernel.T @ e_a)])
         z = w[:u_a.shape[0]].sum(axis=0)  # Z e**-SPLIT_KERNEL_FLOOR
@@ -349,7 +336,7 @@ class SplitEnumeration:
             fallback_mass[low] = MI_FALLBACK_MASS
         # each numerator is raised to z e**EXP_FLOOR first, so that no
         # weight falls below e**EXP_FLOOR into the subnormal range
-        np.maximum(w, z * np.exp(EXP_FLOOR[np.float64]), out=w)
+        np.maximum(w, z * np.exp(EXP_FLOOR), out=w)
         w /= z
         return PosteriorBatch(self, y, w, None, fallback_mass)
 
@@ -399,6 +386,19 @@ class PosteriorBatch:
         """Marginal posterior over user symbols, (m_user, n)."""
         return self.marginals()[self.enum.marginal_rows(user)]
 
+    def log_pmf(self, user: int) -> np.ndarray:
+        """Exact log P(x_user = a | y_t) of every candidate a and observation
+        t, (m_user, n), read like ``log_pmf_at``: the entries below the
+        fallback mass come from one exact pass per column that has any."""
+        p = np.minimum(self.pmf(user), 1.0)
+        log_p = np.log(p)
+        low = p < self._fallback_mass
+        cols = np.flatnonzero(low.any(axis=0))
+        if cols.size:
+            exact = self.enum.exact_log_pmf(self._y[:, cols], user)
+            log_p[:, cols] = np.where(low[:, cols], exact, log_p[:, cols])
+        return log_p
+
     def log_pmf_at(self, user: int, idx) -> np.ndarray:
         """Exact log P(x_user = idx[t] | y_t) for every observation t.
 
@@ -408,10 +408,10 @@ class PosteriorBatch:
         where the floored weights of ``evaluate`` could count, is recomputed
         exactly from its own unfloored log weights by log-sum-exp.
         """
-        rows = self.enum.marginal_rows(user)
-        p = np.minimum(self.marginals()[rows][idx, np.arange(idx.size)], 1.0)
+        cols = np.arange(idx.size)
+        p = np.minimum(self.pmf(user)[idx, cols], 1.0)
         log_p = np.log(p)
         low = np.flatnonzero(p < self._fallback_mass)
         if low.size:
-            log_p[low] = self.enum.exact_log_pmf(self._y[:, low], user, idx[low])
+            log_p[low] = self.enum.exact_log_pmf(self._y[:, low], user)[idx[low], cols[:low.size]]
         return log_p

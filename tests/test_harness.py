@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gnndsim import harness, posterior
-from gnndsim.channel import ChannelInstance, sample_gains
+from gnndsim.channel import ChannelInstance, crandn, sample_gains
 from gnndsim.config import ExperimentConfig
 from gnndsim.constellation import make_qpsk
 from gnndsim.harness import (
@@ -210,6 +210,52 @@ def test_viterbi_ber_no_sic_runs():
     assert {r["method"] for r in res.rows} == {"gnnd", "ml"}
 
 
+@pytest.mark.parametrize("snr_db", [5.0, 25.0])
+def test_ml_tables_match_full_likelihood(monkeypatch, snr_db):
+    # the split-read ml tables, log p(a) - log P(x_u = a | y), are
+    # -log p(y | x_u = a) up to a constant per observation; at 25 dB some
+    # columns take the exact log-sum-exp pass
+    exact_cols, exact = [], SplitEnumeration.exact_log_pmf
+    monkeypatch.setattr(SplitEnumeration, "exact_log_pmf",
+                        lambda self, y, user: exact_cols.append(y.shape[1]) or exact(self, y, user))
+    gains = sample_gains(4, 4, np.random.default_rng(61))
+    q = make_qpsk(0.25)
+    ch = ChannelInstance(gains, 10 ** (-snr_db / 10), np.full(4, 0.25))
+    rng = np.random.default_rng(62)
+    x = q.points[rng.integers(0, 4, size=(4, 130))]
+    y = gains @ x + np.sqrt(ch.noise_var) * crandn((4, 130), rng)
+    for first in range(4):  # each user under SIC, with the users after it
+        y_u = y - gains[:, :first] @ x[:first]
+        users = range(first, 4)
+        split = SplitEnumeration(gains, ch.noise_var, q, first)
+        ref = JointEnumeration(gains, ch.noise_var, q, first).user_log_likelihood(y_u, users)
+        for got, want in zip(harness._enum_tables("ml", split, q, y_u, users), ref):
+            shift = got + want.T  # (n, |A|), one value per row
+            np.testing.assert_allclose(shift - shift[:, :1], 0.0, rtol=0, atol=1e-9)
+    if snr_db == 25.0:
+        assert sum(exact_cols) > 0
+
+
+@pytest.mark.parametrize("receiver, methods, per_block",
+                         [("sic", ("gnnd", "cl", "ml"), 3), ("no-sic", ("gnnd", "ml"), 1),
+                          ("sic", ("cl",), 0)])
+def test_viterbi_wave_builds_one_engine_per_block_and_user(monkeypatch, receiver, methods,
+                                                           per_block):
+    # the gnnd and ml words of a block share its engine for each first user
+    built, real_init = [], SplitEnumeration.__init__
+
+    def recording(self, gains, noise_var, consts, first_user):
+        built.append((gains.tobytes(), first_user))
+        real_init(self, gains, noise_var, consts, first_user)
+
+    monkeypatch.setattr(SplitEnumeration, "__init__", recording)
+    cfg = ExperimentConfig(kind="viterbi-ber", seed=6, users=3, antennas=3,
+                           receiver=receiver, methods=methods, snr_db=(4.0,),
+                           blocks=5, min_errors=10**6, info_bits=16)
+    run_viterbi_ber(cfg)
+    assert len(built) == len(set(built)) == cfg.blocks * per_block
+
+
 def test_ldpc_ber_small_system(tmp_path):
     out = tmp_path / "ldpc.csv"
     cfg = ExperimentConfig(kind="ldpc-ber", seed=8, users=2, antennas=2,
@@ -305,27 +351,51 @@ def test_snr_at_ber_interpolation():
         4 + 2 * (np.log10(2e-3) - np.log10(1e-3)) / (np.log10(2e-3) - np.log10(1e-4)))
 
 
+def _record_scatter_means(monkeypatch) -> list:
+    """Record the conditional means ``run_scatter`` hands to ``qpsk_estimates``."""
+    means, estimates = [], harness.qpsk_estimates
+    monkeypatch.setattr(harness, "qpsk_estimates",
+                        lambda m, power: means.append(m) or estimates(m, power))
+    return means
+
+
 def test_scatter_column_slices_match_one_block(monkeypatch):
-    # the rows pass float32 means through artanh, which near saturation
-    # magnifies last-bit differences between BLAS calls of other widths, so
     # the sliced quantity itself, the conditional mean, is compared
     cfg = ExperimentConfig(kind="scatter", seed=5, users=4, antennas=4,
                            snr_db=(10.0,), samples=300)
-    means, widths = [], []
-    estimates, evaluate = harness.qpsk_estimates, JointEnumeration.evaluate
-    monkeypatch.setattr(harness, "qpsk_estimates",
-                        lambda m, power: means.append(m) or estimates(m, power))
-    monkeypatch.setattr(JointEnumeration, "evaluate",
+    means, widths = _record_scatter_means(monkeypatch), []
+    evaluate = SplitEnumeration.evaluate
+    monkeypatch.setattr(SplitEnumeration, "evaluate",
                         lambda self, y, **kw: widths.append(y.shape[1]) or evaluate(self, y, **kw))
     whole = run_scatter(cfg).rows
     assert widths == [300]
-    # a budget of 7 columns of 4^4 complex64 weights
-    monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 7 * 256 * 8)
+    # a budget of 7 columns of the 4^4 complex128 combinations that set the slice
+    monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 7 * 256 * 16)
     sliced = run_scatter(cfg).rows
     assert widths[1:] == [7] * 42 + [6]
     np.testing.assert_allclose(means[1], means[0], rtol=1e-5, atol=1e-5)
     for key in ("true_re", "true_im", "lmmse_re", "lmmse_im"):
         assert [r[key] for r in sliced] == [r[key] for r in whole]
+
+
+@pytest.mark.parametrize("seed, users, snr_db", [(5, 4, 10.0), (1, 4, 25.0), (7, 2, 12.0)])
+def test_scatter_means_match_full_enumeration(monkeypatch, seed, users, snr_db):
+    # the means behind the gnnd columns are the complex128 enumeration's, not
+    # the 1e-7 of a single-precision one; 25 dB takes the split's fallback
+    cfg = ExperimentConfig(kind="scatter", seed=seed, users=users, antennas=4,
+                           snr_db=(snr_db,), samples=300)
+    means = _record_scatter_means(monkeypatch)
+    run_scatter(cfg)
+    # run_scatter's channel and observations, drawn as it draws them
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    ch = ChannelInstance(sample_gains(users, 4, rng), harness.noise_var_for(cfg, snr_db),
+                         np.full(users, cfg.power / users))
+    consts = harness.user_constellation(cfg)
+    x = consts.points[np.stack([rng.choice(4, size=300, p=consts.probabilities)
+                                for _ in range(users)])]
+    y = ch.gains @ x + np.sqrt(ch.noise_var) * crandn((4, 300), rng)
+    ref = JointEnumeration(ch.gains, ch.noise_var, consts).evaluate(y).mean(0)
+    np.testing.assert_allclose(means[0], ref, rtol=0, atol=1e-12)
 
 
 

@@ -160,6 +160,6 @@ def test_no_subnormal_factor_kernel_product_or_weight(monkeypatch, snr_db):
     raw_terms = (raw_kernel[:, :, None] * raw_b[None], raw_kernel.T[:, :, None] * raw_a[None])
     assert any(np.any((a > 0) & (a < tiny)) for a in (raw_a, raw_b, raw_kernel, *raw_terms))
 
-    monkeypatch.setattr(posterior, "EXP_FLOOR", {np.float64: -np.inf})
+    monkeypatch.setattr(posterior, "EXP_FLOOR", -np.inf)
     unfloored = JointEnumeration(gains, ch.noise_var, q).evaluate(y)
     _assert_same_posteriors(floored, unfloored, range(4), idx)
