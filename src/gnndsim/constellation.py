@@ -116,13 +116,11 @@ def label_set_indices(c: Constellation, position: int, bit_value: int) -> np.nda
 def lse(z, axis) -> np.ndarray:
     """log sum exp of z over ``axis`` (an int or a tuple of ints), shifted by
     the maximum so no term overflows. Each shifted exponent is raised to
-    EXP_FLOOR first, so no term is subnormal; every sum keeps its top term
-    of 1, so the floored terms leave it as it was, and -inf entries still
-    drop out."""
+    EXP_FLOOR, so no term is subnormal; every sum keeps its top term of 1,
+    so the floored terms, -inf entries among them, leave it as it was."""
     top = z.max(axis=axis, keepdims=True)
     terms = np.subtract(z, top)
-    np.maximum(terms, EXP_FLOOR, out=terms)
-    np.exp(terms, out=terms)
+    np.exp(np.maximum(terms, EXP_FLOOR, out=terms), out=terms)
     return np.squeeze(top, axis=axis) + np.log(terms.sum(axis=axis))
 
 

@@ -220,8 +220,7 @@ class _BerCounter:
 
 def _cl_tables(gains, noise_var, consts, y, users):
     """CL metric tables of each user of the range ``users`` from one block's
-    observation y, from which every user before the range is already
-    cancelled."""
+    y, from which every user before the range is already cancelled."""
     powers = np.full(gains.shape[1], consts.power)
     fronts = [cl_front(gains, noise_var, u, powers, cancelled=range(users.start))
               for u in users]
@@ -230,13 +229,13 @@ def _cl_tables(gains, noise_var, consts, y, users):
 
 def _enum_tables(method, enum, consts, y, users):
     """gnnd or ml metric tables of each user of ``users`` from one evaluation
-    of y by the block's engine ``enum``. The ml table log p(a) - log P(a | y)
-    is -log p(y | a) up to log p(y), a constant per observation that no
-    Viterbi decision reads."""
+    of y by the block's engine. The ml table log p(a) - log P(a | y) is
+    -log p(y | a) up to log p(y), a constant per observation."""
     batch = enum.evaluate(y)
     if method == "gnnd":
         return [_gnnd_table(batch.mean(u), consts) for u in users]
-    return [np.log(consts.probabilities) - batch.log_pmf(u).T for u in users]
+    every = np.arange(consts.size)[:, None]
+    return [np.log(consts.probabilities) - batch.log_pmf_at(u, every).T for u in users]
 
 
 def _gnnd_table(means, consts):
@@ -253,9 +252,9 @@ def _viterbi_block(args):
     the other blocks or methods decoded with it. Under SIC, user k is
     decoded from y less the re-encoded decisions of users 0..k-1, with those
     users left out of its enumeration and its CL interference; without SIC
-    one evaluation per block and method serves every user. One engine per
-    block and first user serves its gnnd and ml words. The words of user k,
-    one per (method, block), go through one ``viterbi`` call.
+    one evaluation per block and method serves every user. The gnnd and ml
+    words of a block share its engine; the words of user k, one per (method,
+    block), go through one ``viterbi`` call.
     """
     cfg, snr_db, seeds, active = args
     code = make_conv_code_57()

@@ -106,10 +106,8 @@ class JointEnumeration:
     def __init__(self, gains, noise_var: float, constellations, first_user: int = 0):
         gains, self.constellations, sizes = _active_channel(
             gains, noise_var, constellations, first_user)
-        n_ant, n_users = gains.shape
         active = self.constellations[first_user:]
         self.first_user = first_user
-        self.n_users = n_users
         self.n_active = len(active)
         self.sizes = sizes
         self.noise_var = float(noise_var)
@@ -123,7 +121,7 @@ class JointEnumeration:
         self._means_ct = np.ascontiguousarray(means.conj().T)
         self._row_offset = (np.sum(np.abs(means) ** 2, axis=0) / self.noise_var
                             - _log_prior(active, grids))
-        self.gauss_log_const = -n_ant * np.log(np.pi * self.noise_var)
+        self.gauss_log_const = -gains.shape[0] * np.log(np.pi * self.noise_var)
 
     @cached_property
     def point_parts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -179,18 +177,12 @@ class JointEnumeration:
         log_evidence = top + np.log(norm) + self.gauss_log_const
         return PosteriorBatch(self, y, w, log_evidence, MI_FALLBACK_MASS)
 
-    def _user_lse(self, logw, user: int) -> np.ndarray:
-        """log-sum-exp of log weights (M, n) over every active user but
-        ``user``, (m_user, n)."""
-        k = self.active_index(user)
-        return lse(logw.reshape(self.sizes + [logw.shape[1]]),
-                   tuple(a for a in range(self.n_active) if a != k))
-
     def exact_log_pmf(self, y, user: int) -> np.ndarray:
         """log P(x_user = a | y_t) of every candidate a and column of y, (L,
         n), by log-sum-exp over its unfloored log weights, (m_user, n)."""
-        logw = self.log_weights(y)
-        return self._user_lse(logw, user) - lse(logw, 0)
+        log_joint = (self.user_log_likelihood(y, [user])[0]
+                     + np.log(self.constellations[user].probabilities)[:, None])
+        return log_joint - lse(log_joint, 0)
 
     def user_log_likelihood(self, y, users) -> list[np.ndarray]:
         """log p(y | x_user = a_i) for every candidate a_i, one (m_user, n)
@@ -200,8 +192,14 @@ class JointEnumeration:
         cancels in likelihood ratios.
         """
         logw = self.log_weights(y)
-        return [self._user_lse(logw, u)
-                - np.log(self.constellations[u].probabilities)[:, None] for u in users]
+        shaped = logw.reshape(self.sizes + [logw.shape[1]])
+        tables = []
+        for user in users:
+            k = self.active_index(user)
+            axes = tuple(a for a in range(self.n_active) if a != k)
+            logp = np.log(self.constellations[user].probabilities)
+            tables.append(lse(shaped, axes) - logp[:, None])
+        return tables
 
 
 class SplitEnumeration:
@@ -266,16 +264,14 @@ class SplitEnumeration:
 
     @property
     def slice_columns(self) -> int:
-        """Observations per evaluation whose (|A| |B|, n) complex128 block,
-        the product a full enumeration of these users would hold, stays
-        within ENUM_SLICE_BYTES; at least one. Rate chunks, and with them the
-        RNG streams, follow it."""
+        """Observations per evaluation, at least one, whose (|A| |B|, n)
+        complex128 block, a full enumeration's product, stays within
+        ENUM_SLICE_BYTES; rate chunks, and so the RNG streams, follow it."""
         return max(1, ENUM_SLICE_BYTES // (16 * self.n_combos))
 
     def evaluate_sliced(self, y, read) -> np.ndarray:
-        """``read(batch)`` of each slice of ``slice_columns`` observations of
-        y, (L, n), concatenated along the last axis, so no batch outgrows
-        the byte budget."""
+        """``read(batch)`` of each slice of ``slice_columns`` columns of y,
+        (L, n), joined on the last axis: no batch outgrows the byte budget."""
         step = self.slice_columns
         return np.concatenate([read(self.evaluate(y[:, i:i + step]))
                                for i in range(0, y.shape[1], step)], axis=-1)
@@ -313,12 +309,10 @@ class SplitEnumeration:
         """log P(x_user = a | y_t) of every candidate a and column of y, (L,
         n), by log-sum-exp over its unfloored log weights, (m_user, n)."""
         (u_a, u_b), _ = self._factors(_observations(y))
-        logw = self._log_joint(u_a, u_b)
-        k = self.active_index(user)
-        # reshaped, one axis per active user follows the column axis
-        own = lse(logw.reshape([logw.shape[0]] + self.sizes),
-                  tuple(a for a in range(1, self.n_active + 1) if a != k + 1))
-        return (own - lse(logw, (1, 2))[:, None]).T
+        logw = self._log_joint(u_a, u_b)  # reshaped: one axis per active user after the column's
+        others = tuple(a + 1 for a in range(self.n_active) if a != self.active_index(user))
+        own = lse(logw.reshape([logw.shape[0]] + self.sizes), others).T
+        return own - lse(own, 0)
 
     def evaluate(self, y) -> PosteriorBatch:
         """Posterior weights of the group combinations for a batch of
@@ -386,32 +380,24 @@ class PosteriorBatch:
         """Marginal posterior over user symbols, (m_user, n)."""
         return self.marginals()[self.enum.marginal_rows(user)]
 
-    def log_pmf(self, user: int) -> np.ndarray:
-        """Exact log P(x_user = a | y_t) of every candidate a and observation
-        t, (m_user, n), read like ``log_pmf_at``: the entries below the
-        fallback mass come from one exact pass per column that has any."""
-        p = np.minimum(self.pmf(user), 1.0)
-        log_p = np.log(p)
-        low = p < self._fallback_mass
-        cols = np.flatnonzero(low.any(axis=0))
-        if cols.size:
-            exact = self.enum.exact_log_pmf(self._y[:, cols], user)
-            log_p[:, cols] = np.where(low[:, cols], exact, log_p[:, cols])
-        return log_p
-
     def log_pmf_at(self, user: int, idx) -> np.ndarray:
-        """Exact log P(x_user = idx[t] | y_t) for every observation t.
+        """Exact log P(x_user = idx[..., t] | y_t) for every observation t:
+        (n,) for an idx of one symbol per observation, (m_user, n) for every
+        candidate with idx (m_user, 1).
 
         P is read from the marginals and clamped at 1, since it is a
-        probability. A column whose P is below its fallback mass
+        probability. Entries below their column's fallback mass
         (MI_FALLBACK_MASS for weights normalised to a top weight of 1),
-        where the floored weights of ``evaluate`` could count, is recomputed
-        exactly from its own unfloored log weights by log-sum-exp.
+        where the floored weights of ``evaluate`` could count, come from one
+        exact log-sum-exp pass over the column's unfloored log weights.
         """
-        cols = np.arange(idx.size)
+        cols = np.arange(self._y.shape[1])
         p = np.minimum(self.pmf(user)[idx, cols], 1.0)
+        idx = np.broadcast_to(idx, p.shape)
         log_p = np.log(p)
-        low = np.flatnonzero(p < self._fallback_mass)
-        if low.size:
-            log_p[low] = self.enum.exact_log_pmf(self._y[:, low], user)[idx[low], cols[:low.size]]
+        low = p < self._fallback_mass
+        at = np.flatnonzero(low.reshape(-1, cols.size).any(axis=0))
+        if at.size:
+            exact = self.enum.exact_log_pmf(self._y[:, at], user)[idx[..., at], np.arange(at.size)]
+            log_p[..., at] = np.where(low[..., at], exact, log_p[..., at])
         return log_p

@@ -380,8 +380,8 @@ def test_scatter_column_slices_match_one_block(monkeypatch):
 
 @pytest.mark.parametrize("seed, users, snr_db", [(5, 4, 10.0), (1, 4, 25.0), (7, 2, 12.0)])
 def test_scatter_means_match_full_enumeration(monkeypatch, seed, users, snr_db):
-    # the means behind the gnnd columns are the complex128 enumeration's, not
-    # the 1e-7 of a single-precision one; 25 dB takes the split's fallback
+    # the means behind the gnnd columns are the complex128 enumeration's;
+    # 25 dB takes the split's fallback
     cfg = ExperimentConfig(kind="scatter", seed=seed, users=users, antennas=4,
                            snr_db=(snr_db,), samples=300)
     means = _record_scatter_means(monkeypatch)
