@@ -35,25 +35,26 @@ class ClFront:
     second-moment matrix of the uncorrelated remainder. combiner maps an
     interference-cancelled observation to the scalar channel
         combiner^H y = scalar_gain * x + w,  w of unit actual variance.
+    The front of a stack of channels holds one of each per channel.
     """
 
     effective_gain: np.ndarray
     residual_cov: np.ndarray
     combiner: np.ndarray
-    scalar_gain: float
+    scalar_gain: float | np.ndarray
 
     def apply(self, y) -> np.ndarray:
-        """Scalar channel outputs, (n,), of observations y, (L, n)."""
+        """Scalar channel outputs, (n,), of observations y, (L, n), per channel."""
         y = np.asarray(y)
-        return self.combiner.conj() @ y
+        return (self.combiner.conj()[..., None, :] @ y)[..., 0, :]
 
 
 def nn_tables(est, points, gain=1.0) -> np.ndarray:
     """Nearest-neighbor metric |est - gain a|^2 of every observation against
-    every candidate point a, (n, |A|). ``gain`` is a scalar or one value per
-    observation. The GNND front reads it with g(y) and f(y), CL with its
+    every candidate point a, (..., n, |A|). ``gain`` is a scalar or broadcasts
+    against est. The GNND front reads it with g(y) and f(y), CL with its
     scalar gain on the combined observation."""
-    return np.abs(est[:, None] - np.asarray(gain)[..., None] * points[None, :]) ** 2
+    return np.abs(est[..., None] - np.asarray(gain)[..., None] * points) ** 2
 
 
 def qpsk_estimates(means, power: float) -> np.ndarray:
@@ -166,7 +167,8 @@ def solve_front(means, seconds, prior: Constellation):
 
 def cl_front(gains, noise_var: float, user: int, powers,
              cancelled=()) -> ClFront:
-    """Channel-linearization front for one user.
+    """Channel-linearization front for one user of a channel (L, K), or of
+    each channel of a stack (B, L, K) from one stacked solve.
 
     ``cancelled`` lists user indices whose symbols will be subtracted from y
     before applying the front (successive cancellation); their contribution
@@ -174,24 +176,24 @@ def cl_front(gains, noise_var: float, user: int, powers,
     """
     gains = np.asarray(gains, dtype=np.complex128)
     powers = np.asarray(powers, dtype=np.float64)
-    n_ant, n_users = gains.shape
+    n_ant, n_users = gains.shape[-2:]
     cancelled = set(int(j) for j in cancelled)
     if user in cancelled:
         raise ValueError("target user cannot be in the cancelled set")
-    delta = noise_var * np.eye(n_ant, dtype=np.complex128)
+    delta = np.tile(noise_var * np.eye(n_ant, dtype=np.complex128), gains.shape[:-2] + (1, 1))
     for j in range(n_users):
         if j != user and j not in cancelled:
-            hj = gains[:, j]
-            delta += powers[j] * np.outer(hj, hj.conj())
-    h = gains[:, user]
+            hj = gains[..., j]
+            delta += powers[j] * (hj[..., :, None] * hj.conj()[..., None, :])
+    h = gains[..., user]
     try:
-        sol = np.linalg.solve(delta, h)
+        sol = np.linalg.solve(delta, h[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"residual matrix singular for user {user} (noise_var={noise_var})"
         ) from exc
-    rho = float((h.conj() @ sol).real)  # h^H Delta^-1 h
+    rho = (h.conj()[..., None, :] @ sol[..., None])[..., 0, 0].real  # h^H Delta^-1 h
     scalar_gain = np.sqrt(rho)
-    combiner = sol / scalar_gain  # y_s = combiner^H y = scalar_gain * x + w
+    combiner = sol / scalar_gain[..., None]  # y_s = combiner^H y = scalar_gain * x + w
     return ClFront(effective_gain=h, residual_cov=delta,
-                   combiner=combiner, scalar_gain=float(scalar_gain))
+                   combiner=combiner, scalar_gain=scalar_gain)

@@ -35,7 +35,7 @@ BER_CSV_COLUMNS = ("kind", "K", "L", "snr_db", "method", "receiver", "pilot_powe
 SCATTER_CSV_COLUMNS = ("true_re", "true_im", "gnnd_re", "gnnd_im",
                        "lmmse_re", "lmmse_im")
 SIGMA_U_SAMPLES = 2048
-VITERBI_WAVE = 16          # blocks per wave; more words per viterbi call cost RSS
+VITERBI_WAVE = 16          # blocks per wave, each first user's engine stack; more cost RSS
 
 
 @dataclass
@@ -219,23 +219,23 @@ class _BerCounter:
 
 
 def _cl_tables(gains, noise_var, consts, y, users):
-    """CL metric tables of each user of the range ``users`` from one block's
-    y, from which every user before the range is already cancelled."""
-    powers = np.full(gains.shape[1], consts.power)
+    """CL metric tables of each user of the range ``users`` from the y of a
+    block or a stack of blocks, with every user before the range cancelled."""
+    powers = np.full(gains.shape[-1], consts.power)
     fronts = [cl_front(gains, noise_var, u, powers, cancelled=range(users.start))
               for u in users]
-    return [nn_tables(f.apply(y), consts.points, f.scalar_gain) for f in fronts]
+    return [nn_tables(f.apply(y), consts.points, f.scalar_gain[..., None]) for f in fronts]
 
 
-def _enum_tables(method, enum, consts, y, users):
-    """gnnd or ml metric tables of each user of ``users`` from one evaluation
-    of y by the block's engine. The ml table log p(a) - log P(a | y) is
-    -log p(y | a) up to log p(y), a constant per observation."""
-    batch = enum.evaluate(y)
+def _enum_tables(method, batch, consts, users):
+    """gnnd or ml metric tables of each user of ``users`` from an evaluated
+    batch, one per channel of its stack. The ml table log p(a) - log P(a | y)
+    is -log p(y | a) up to log p(y), a constant per observation."""
     if method == "gnnd":
         return [_gnnd_table(batch.mean(u), consts) for u in users]
     every = np.arange(consts.size)[:, None]
-    return [np.log(consts.probabilities) - batch.log_pmf_at(u, every).T for u in users]
+    return [np.log(consts.probabilities) - np.swapaxes(batch.log_pmf_at(u, every), -1, -2)
+            for u in users]
 
 
 def _gnnd_table(means, consts):
@@ -252,9 +252,11 @@ def _viterbi_block(args):
     the other blocks or methods decoded with it. Under SIC, user k is
     decoded from y less the re-encoded decisions of users 0..k-1, with those
     users left out of its enumeration and its CL interference; without SIC
-    one evaluation per block and method serves every user. The gnnd and ml
-    words of a block share its engine; the words of user k, one per (method,
-    block), go through one ``viterbi`` call.
+    one evaluation per method serves every user. Each first user k gets one
+    engine for the stack of the blocks' channels, read by one ``evaluate``
+    of the gnnd words and one of the ml words, and one stacked CL solve;
+    each block reads what it would alone. The words of user k, one per
+    (method, block), go through one ``viterbi`` call.
     """
     cfg, snr_db, seeds, active = args
     code = make_conv_code_57()
@@ -265,32 +267,33 @@ def _viterbi_block(args):
     n_blocks, n_users, n_steps = len(seeds), cfg.users, cfg.info_bits + code.n_flush
     rngs = [np.random.default_rng(seed) for seed in seeds]
     # permute users so cancellation order is the natural index order
-    gains = [sample_gains(n_users, cfg.antennas, rng)[:, order] for rng in rngs]
+    gains = np.stack([sample_gains(n_users, cfg.antennas, rng)[:, order] for rng in rngs])
     bits = np.stack([rng.integers(0, 2, size=(n_users, cfg.info_bits)) for rng in rngs])
     symbols = modulate(conv_encode(bits.reshape(-1, cfg.info_bits), code),
                        consts).reshape(n_blocks, n_users, n_steps)
-    ys = [g @ x + np.sqrt(noise_var) * crandn((cfg.antennas, n_steps), rng)
-          for g, x, rng in zip(gains, symbols, rngs)]
+    ys = np.stack([g @ x + np.sqrt(noise_var) * crandn((cfg.antennas, n_steps), rng)
+                   for g, x, rng in zip(gains, symbols, rngs)])
 
-    words = [(m, b) for m in active for b in range(n_blocks)]
-    blocks = [b for _, b in words]
-    decided = np.zeros((len(words), n_users, n_steps), dtype=np.complex128)
-    errs = np.zeros((len(words), n_users), dtype=np.int64)
+    # word j * n_blocks + b is block b under method active[j]
+    blocks = np.tile(np.arange(n_blocks), len(active))
+    decided = np.zeros((len(blocks), n_users, n_steps), dtype=np.complex128)
+    errs = np.zeros((len(blocks), n_users), dtype=np.int64)
     for k in range(n_users):
         if sic or k == 0:
             users = range(k, k + 1) if sic else range(n_users)
-            enums = ([SplitEnumeration(g, noise_var, consts, k) for g in gains]
-                     if {"gnnd", "ml"} & set(active) else [])
-            tables = np.empty((len(users), len(words), n_steps, consts.size))
-            for i, (method, b) in enumerate(words):
-                y = ys[b] - gains[b][:, :k] @ decided[i, :k] if sic else ys[b]
-                tables[:, i] = (_cl_tables(gains[b], noise_var, consts, y, users)
-                                if method == "cl" else
-                                _enum_tables(method, enums[b], consts, y, users))
+            enum = (SplitEnumeration(gains, noise_var, consts, k)
+                    if {"gnnd", "ml"} & set(active) else None)
+            tables = np.empty((len(users), len(blocks), n_steps, consts.size))
+            for j, method in enumerate(active):
+                at = slice(j * n_blocks, (j + 1) * n_blocks)
+                y = ys - gains[..., :k] @ decided[at, :k] if sic else ys
+                tables[:, at] = (_cl_tables(gains, noise_var, consts, y, users)
+                                 if method == "cl" else
+                                 _enum_tables(method, enum.evaluate(y), consts, users))
         decoded = viterbi(tables[k - users.start], code, consts)
         if sic and k < n_users - 1:  # only later users cancel these decisions
             decided[:, k] = modulate(conv_encode(decoded, code),
-                                     consts).reshape(len(words), n_steps)
+                                     consts).reshape(len(blocks), n_steps)
         errs[:, order[k]] = np.sum(decoded != bits[blocks, k], axis=1)  # original user id
     errs = errs.reshape(len(active), n_blocks, n_users)
     return [{m: errs[j, b] for j, m in enumerate(active)} for b in range(n_blocks)]

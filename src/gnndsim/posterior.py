@@ -4,12 +4,14 @@ form a known prefix whose contribution the caller removes from y.
 
 ``SplitEnumeration``, the engine of every runner, reads the posteriors from
 two groups of users and one fixed kernel, falling back to exact log-domain
-weights where the split loses precision. ``JointEnumeration`` scores every
+weights where the split loses precision; one engine serves a stack of
+channels at once. ``JointEnumeration`` scores every
 joint combination and is the reference the tests compare it with. Both
 return ``PosteriorBatch`` objects."""
 
 from __future__ import annotations
 
+import copy
 from functools import cached_property
 
 import numpy as np
@@ -18,6 +20,7 @@ from .constellation import EXP_FLOOR, lse, per_user
 
 ENUM_CAP = 4**10
 ENUM_SLICE_BYTES = 2**28   # one (M, n) complex128 block of the joint alphabet
+EXACT_BLOCK_BYTES = 2**19  # one cache-sized (n, M_A, M_B) float64 block of the split's exact pass
 MI_FALLBACK_MASS = 1e-250  # marginals below this are recomputed by log-sum-exp
 SPLIT_Z_MIN = 1e-200       # split columns whose normaliser is below this are enumerated in full
 # exponent floor of the split kernel, which is scaled to run from 1 to
@@ -32,9 +35,10 @@ class EnumerationCapError(ValueError):
 
 def _active_channel(gains, noise_var: float, constellations, first_user: int):
     """Checked channel of users ``first_user``..K-1: the complex gains (L, K),
-    every user's constellation and the active users' alphabet sizes."""
+    or a stack of them, every user's constellation and the active users'
+    alphabet sizes."""
     gains = np.asarray(gains, dtype=np.complex128)
-    n_users = gains.shape[1]
+    n_users = gains.shape[-1]
     if not 0 <= first_user < n_users:
         raise ValueError(f"first_user {first_user} out of range")
     if noise_var <= 0:
@@ -49,10 +53,10 @@ def _active_channel(gains, noise_var: float, constellations, first_user: int):
     return gains, consts, sizes
 
 
-def _observations(y) -> np.ndarray:
+def _observations(y, stack) -> np.ndarray:
     y = np.asarray(y, dtype=np.complex128)
-    if y.ndim != 2:
-        raise ValueError(f"y must be a batch of observations (L, n), got shape {y.shape}")
+    if y.ndim != len(stack) + 2 or y.shape[:-2] != stack:
+        raise ValueError(f"y must be a batch of observations (L, n) per channel, got {y.shape}")
     return y
 
 
@@ -152,7 +156,7 @@ class JointEnumeration:
 
     def log_weights(self, y) -> np.ndarray:
         """Unnormalized log posterior weight of every combination, (M, n)."""
-        y = _observations(y)
+        y = _observations(y, ())
         g = self._means_ct @ y  # (M, n)
         logw = np.multiply(g.real, 2.0 / self.noise_var)
         logw -= self._row_offset[:, None]
@@ -175,7 +179,7 @@ class JointEnumeration:
         norm = w.sum(axis=0)
         w /= norm[None, :]
         log_evidence = top + np.log(norm) + self.gauss_log_const
-        return PosteriorBatch(self, y, w, log_evidence, MI_FALLBACK_MASS)
+        return PosteriorBatch(self, y, w, log_evidence, np.full(y.shape[1], MI_FALLBACK_MASS))
 
     def exact_log_pmf(self, y, user: int) -> np.ndarray:
         """log P(x_user = a | y_t) of every candidate a and column of y, (L,
@@ -219,12 +223,17 @@ class SplitEnumeration:
     e**-SPLIT_KERNEL_FLOOR, and each weight is floored at e**EXP_FLOOR, so
     no factor, kernel entry, product or weight is subnormal.
 
+    ``gains`` is one channel (L, K) or a stack (B, L, K), whose group means,
+    offsets, coupling and kernel carry its leading axis and whose batches
+    read (B, L, n); the stack shares the point tables and indicator. Each
+    channel of a stack reads what it reads alone, bit for bit.
+
     A small Z means the three factors peak at different combinations, where
     their floors could count. A column whose Z is below SPLIT_Z_MIN takes
     its weights from the |A| |B| unfloored log weights u_A + u_B + C
     instead, normalised like ``JointEnumeration``'s; so do exact log
-    marginals (``exact_log_pmf``). Those (|A| |B|, n) float64 blocks are
-    half of ENUM_SLICE_BYTES at ``slice_columns`` observations.
+    marginals (``exact_log_pmf``), one channel at a time, in cache-sized
+    (n, |A|, |B|) float64 blocks of at most EXACT_BLOCK_BYTES or one column.
     """
 
     def __init__(self, gains, noise_var: float, constellations, first_user: int):
@@ -232,8 +241,9 @@ class SplitEnumeration:
             gains, noise_var, constellations, first_user)
         self.first_user = first_user
         self.n_active = len(self.sizes)
+        self.n_combos = int(np.prod(self.sizes, dtype=np.int64))
         self.noise_var = float(noise_var)
-        gains = gains[:, first_user:]
+        gains = gains[..., first_user:]
         active = self.constellations[first_user:]
         half = self.n_active // 2
         points, means, self._scores, indicators = [], [], [], []
@@ -242,17 +252,16 @@ class SplitEnumeration:
             sizes = [c.size for c in consts]
             grids = _grids(sizes)
             points.append(_points(consts, grids))
-            means.append(gains[:, users] @ points[-1])
+            means.append(gains[..., users] @ points[-1])
             # conj received means (M_G, L) and offset |H_G g|^2 / noise_var - log p(g)
-            self._scores.append((np.ascontiguousarray(means[-1].conj().T),
-                                 np.sum(np.abs(means[-1]) ** 2, axis=0) / self.noise_var
+            self._scores.append((np.ascontiguousarray(np.swapaxes(means[-1].conj(), -1, -2)),
+                                 np.sum(np.abs(means[-1]) ** 2, axis=-2) / self.noise_var
                                  - _log_prior(consts, grids)))
             indicators.append(_indicator(grids, sizes))
-        coupling = -2.0 * (means[0].conj().T @ means[1]).real / self.noise_var  # C
-        self._coupling = coupling - coupling.max()
+        coupling = -2.0 * (np.swapaxes(means[0].conj(), -1, -2) @ means[1]).real / self.noise_var
+        self._coupling = coupling - coupling.max(axis=(-2, -1), keepdims=True)
         self._kernel = np.exp(np.maximum(self._coupling, SPLIT_KERNEL_FLOOR)
                               - SPLIT_KERNEL_FLOOR)
-        self.n_combos = self._coupling.size
         # block-diagonal over [A combinations | B combinations], the layout
         # of the weights that PosteriorBatch reads
         self.point_parts = (_block_diag(*(p.real for p in points)),
@@ -261,6 +270,13 @@ class SplitEnumeration:
 
     active_index = JointEnumeration.active_index
     marginal_rows = JointEnumeration.marginal_rows
+
+    def channel(self, i) -> "SplitEnumeration":
+        """The engine of channel ``i`` of the stack, () alone, sharing its arrays."""
+        one = copy.copy(self)
+        one._scores = [(means_ct[i], offset[i]) for means_ct, offset in self._scores]
+        one._coupling, one._kernel = self._coupling[i], self._kernel[i]
+        return one
 
     @property
     def slice_columns(self) -> int:
@@ -273,65 +289,80 @@ class SplitEnumeration:
         """``read(batch)`` of each slice of ``slice_columns`` columns of y,
         (L, n), joined on the last axis: no batch outgrows the byte budget."""
         step = self.slice_columns
-        return np.concatenate([read(self.evaluate(y[:, i:i + step]))
-                               for i in range(0, y.shape[1], step)], axis=-1)
+        return np.concatenate([read(self.evaluate(y[..., i:i + step]))
+                               for i in range(0, y.shape[-1], step)], axis=-1)
 
     def _factors(self, y):
         """Each group's log factor u_G - max u_G, unfloored, and its factor
-        e_G = exp(max(u_G - max u_G, EXP_FLOOR)), (M_G, n) each."""
+        e_G = exp(max(u_G - max u_G, EXP_FLOOR)), (M_G, n) per channel."""
         us = []
         for means_ct, offset in self._scores:
             u = np.multiply((means_ct @ y).real, 2.0 / self.noise_var)
-            u -= offset[:, None]
-            u -= u.max(axis=0)
+            u -= offset[..., None]
+            u -= u.max(axis=-2, keepdims=True)
             us.append(u)
         return us, [np.exp(np.maximum(u, EXP_FLOOR)) for u in us]
 
-    def _log_joint(self, u_a, u_b) -> np.ndarray:
-        """Log weight u_A + u_B + C of every combination of each column
-        given its log factors, less the peaks of the three, (n, M_A, M_B)."""
-        logw = u_a.T[:, :, None] + np.ascontiguousarray(u_b.T)[:, None, :]
-        logw += self._coupling
-        return logw
+    def _log_joint(self, u_a, u_b):
+        """Log weight u_A + u_B + C of every combination of each column of
+        one channel given its log factors, less the peaks of the three:
+        (columns, M_A, M_B) blocks of at most EXACT_BLOCK_BYTES or one column,
+        each with its slice of the columns."""
+        step = max(1, EXACT_BLOCK_BYTES // (8 * self.n_combos))
+        for i in range(0, u_a.shape[1], step):
+            cols = slice(i, i + step)
+            logw = u_a[:, cols].T[:, :, None] + np.ascontiguousarray(u_b[:, cols].T)[:, None, :]
+            logw += self._coupling
+            yield cols, logw
 
     def _exact(self, u_a, u_b):
-        """Group weight sums (M_A + M_B, n) and their normaliser (n,) from
-        the unfloored log weights, each exponent floored at EXP_FLOOR below
-        its column's top like ``JointEnumeration.evaluate``."""
-        w = self._log_joint(u_a, u_b)
-        top = w.max(axis=(1, 2))
-        w -= top[:, None, None]
-        np.maximum(w, EXP_FLOOR, out=w)
-        np.exp(w, out=w)
-        return np.concatenate([w.sum(axis=2), w.sum(axis=1)], axis=1).T, w.sum(axis=(1, 2))
+        """Group weight sums (M_A + M_B, n) and their normaliser (n,) of one
+        channel from the unfloored log weights, each exponent floored at
+        EXP_FLOOR below its column's top like ``JointEnumeration.evaluate``."""
+        sums, z = np.empty((u_a.shape[0] + u_b.shape[0], u_a.shape[1])), np.empty(u_a.shape[1])
+        for cols, w in self._log_joint(u_a, u_b):
+            top = w.max(axis=(1, 2))
+            w -= top[:, None, None]
+            np.maximum(w, EXP_FLOOR, out=w)
+            np.exp(w, out=w)
+            sums[:, cols] = np.concatenate([w.sum(axis=2), w.sum(axis=1)], axis=1).T
+            z[cols] = w.sum(axis=(1, 2))
+        return sums, z
 
     def exact_log_pmf(self, y, user: int) -> np.ndarray:
         """log P(x_user = a | y_t) of every candidate a and column of y, (L,
-        n), by log-sum-exp over its unfloored log weights, (m_user, n)."""
-        (u_a, u_b), _ = self._factors(_observations(y))
-        logw = self._log_joint(u_a, u_b)  # reshaped: one axis per active user after the column's
+        n), of one channel, by log-sum-exp over its unfloored log weights,
+        (m_user, n)."""
+        (u_a, u_b), _ = self._factors(_observations(y, ()))
         others = tuple(a + 1 for a in range(self.n_active) if a != self.active_index(user))
-        own = lse(logw.reshape([logw.shape[0]] + self.sizes), others).T
+        # each block reshaped: one axis per active user after the column's
+        own = np.concatenate([lse(logw.reshape([-1] + self.sizes), others)
+                              for _, logw in self._log_joint(u_a, u_b)]).T
         return own - lse(own, 0)
 
     def evaluate(self, y) -> PosteriorBatch:
         """Posterior weights of the group combinations for a batch of
-        observations, (L, n); see the class notes."""
-        y = _observations(y)
+        observations, (L, n) per channel; see the class notes."""
+        y = _observations(y, self._coupling.shape[:-2])
         (u_a, u_b), (e_a, e_b) = self._factors(y)
-        w = np.concatenate([e_a * (self._kernel @ e_b), e_b * (self._kernel.T @ e_a)])
-        z = w[:u_a.shape[0]].sum(axis=0)  # Z e**-SPLIT_KERNEL_FLOOR
+        w_a, w_b = self._kernel @ e_b, np.swapaxes(self._kernel, -1, -2) @ e_a
+        w_a *= e_a
+        w_b *= e_b
+        del e_a, e_b  # before the join, which sets the peak memory of a stack
+        w = np.concatenate([w_a, w_b], axis=-2)
+        z = w[..., :u_a.shape[-2], :].sum(axis=-2)  # Z e**-SPLIT_KERNEL_FLOOR
         log_z = np.log(z) + SPLIT_KERNEL_FLOOR
-        low = np.flatnonzero(log_z < np.log(SPLIT_Z_MIN))
+        low = log_z < np.log(SPLIT_Z_MIN)
         # the split weights resolve mass down to about e**SPLIT_KERNEL_FLOOR / Z
         fallback_mass = MI_FALLBACK_MASS / np.exp(np.clip(log_z, np.log(SPLIT_Z_MIN), 0.0))
-        if low.size:
-            w[:, low], z[low] = self._exact(u_a[:, low], u_b[:, low])
-            fallback_mass[low] = MI_FALLBACK_MASS
+        for i in map(tuple, np.argwhere(low.any(axis=-1))):  # each channel with low columns, alone
+            cols = np.flatnonzero(low[i])
+            w[i][:, cols], z[i][cols] = self.channel(i)._exact(u_a[i][:, cols], u_b[i][:, cols])
+            fallback_mass[i][cols] = MI_FALLBACK_MASS
         # each numerator is raised to z e**EXP_FLOOR first, so that no
         # weight falls below e**EXP_FLOOR into the subnormal range
-        np.maximum(w, z * np.exp(EXP_FLOOR), out=w)
-        w /= z
+        np.maximum(w, z[..., None, :] * np.exp(EXP_FLOOR), out=w)
+        w /= z[..., None, :]
         return PosteriorBatch(self, y, w, None, fallback_mass)
 
 
@@ -340,15 +371,16 @@ class PosteriorBatch:
 
     ``weights`` has one row per column of the engine's point and indicator
     matrices: a joint combination for ``JointEnumeration``, a group
-    combination for ``SplitEnumeration``. ``log_evidence``, log p(y) per
-    observation, is kept by ``JointEnumeration`` batches only. A marginal
-    P below ``fallback_mass`` (one value, or one per observation) is not
-    resolved by the weights, so ``log_pmf_at`` recomputes it exactly.
+    combination for ``SplitEnumeration``, after a stack's leading axes,
+    which every read keeps in front. ``log_evidence``, log p(y) per
+    observation, is kept by ``JointEnumeration`` batches only. A marginal P
+    below ``fallback_mass`` (one value per observation) is not resolved by
+    the weights, so ``log_pmf_at`` recomputes it exactly.
     """
 
     def __init__(self, enum, y, weights, log_evidence, fallback_mass):
         self.enum = enum
-        self._y = y  # the observations evaluated, (L, n)
+        self._y = y  # the observations evaluated, (..., L, n)
         self._w = weights
         self.log_evidence = log_evidence
         self._fallback_mass = fallback_mass
@@ -378,12 +410,12 @@ class PosteriorBatch:
 
     def pmf(self, user: int) -> np.ndarray:
         """Marginal posterior over user symbols, (m_user, n)."""
-        return self.marginals()[self.enum.marginal_rows(user)]
+        return self.marginals()[..., self.enum.marginal_rows(user), :]
 
     def log_pmf_at(self, user: int, idx) -> np.ndarray:
         """Exact log P(x_user = idx[..., t] | y_t) for every observation t:
         (n,) for an idx of one symbol per observation, (m_user, n) for every
-        candidate with idx (m_user, 1).
+        candidate with idx (m_user, 1), the same for each channel of a stack.
 
         P is read from the marginals and clamped at 1, since it is a
         probability. Entries below their column's fallback mass
@@ -391,13 +423,16 @@ class PosteriorBatch:
         where the floored weights of ``evaluate`` could count, come from one
         exact log-sum-exp pass over the column's unfloored log weights.
         """
-        cols = np.arange(self._y.shape[1])
-        p = np.minimum(self.pmf(user)[idx, cols], 1.0)
-        idx = np.broadcast_to(idx, p.shape)
+        cols = np.arange(self._y.shape[-1])
+        p = np.minimum(self.pmf(user)[..., idx, cols], 1.0)
         log_p = np.log(p)
-        low = p < self._fallback_mass
-        at = np.flatnonzero(low.reshape(-1, cols.size).any(axis=0))
-        if at.size:
-            exact = self.enum.exact_log_pmf(self._y[:, at], user)[idx[..., at], np.arange(at.size)]
-            log_p[..., at] = np.where(low[..., at], exact, log_p[..., at])
+        every = p.ndim > self._fallback_mass.ndim  # a candidate axis before the columns'
+        low = p < (self._fallback_mass[..., None, :] if every else self._fallback_mass)
+        low_cols = low.any(axis=-2) if every else low
+        for i in map(tuple, np.argwhere(low_cols.any(axis=-1))):  # each channel with such entries
+            at = np.flatnonzero(low_cols[i])
+            enum = self.enum.channel(i) if i else self.enum
+            rows = np.broadcast_to(idx, low[i].shape)[..., at]
+            exact = enum.exact_log_pmf(self._y[i][:, at], user)[rows, np.arange(at.size)]
+            log_p[i][..., at] = np.where(low[i][..., at], exact, log_p[i][..., at])
         return log_p

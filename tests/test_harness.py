@@ -202,6 +202,21 @@ def test_viterbi_ber_threads_match_serial(receiver):
     assert run(2) == serial
 
 
+@pytest.mark.parametrize("receiver", ["sic", "no-sic"])
+def test_viterbi_ber_rows_do_not_depend_on_the_wave_size(monkeypatch, receiver):
+    cfg = ExperimentConfig(kind="viterbi-ber", seed=6, users=2, antennas=2, receiver=receiver,
+                           methods=("gnnd", "cl", "ml"), snr_db=(4.0, 8.0), blocks=40,
+                           min_errors=40, info_bits=16)
+    rows = {}
+    for wave in (1, 5, 16):
+        monkeypatch.setattr(harness, "VITERBI_WAVE", wave)
+        rows[wave] = run_viterbi_ber(cfg).rows
+    # the stop rule must fire inside a wave of each size for the check to mean anything
+    for wave in (5, 16):
+        assert any(r["blocks"] < cfg.blocks and r["blocks"] % wave for r in rows[1])
+    assert rows[5] == rows[1] and rows[16] == rows[1]
+
+
 def test_viterbi_ber_no_sic_runs():
     cfg = ExperimentConfig(kind="viterbi-ber", seed=6, users=2, antennas=3,
                            receiver="no-sic", methods=("gnnd", "ml"),
@@ -227,33 +242,37 @@ def test_ml_tables_match_full_likelihood(monkeypatch, snr_db):
     for first in range(4):  # each user under SIC, with the users after it
         y_u = y - gains[:, :first] @ x[:first]
         users = range(first, 4)
-        split = SplitEnumeration(gains, ch.noise_var, q, first)
+        batch = SplitEnumeration(gains, ch.noise_var, q, first).evaluate(y_u)
         ref = JointEnumeration(gains, ch.noise_var, q, first).user_log_likelihood(y_u, users)
-        for got, want in zip(harness._enum_tables("ml", split, q, y_u, users), ref):
+        for got, want in zip(harness._enum_tables("ml", batch, q, users), ref):
             shift = got + want.T  # (n, |A|), one value per row
             np.testing.assert_allclose(shift - shift[:, :1], 0.0, rtol=0, atol=1e-9)
     if snr_db == 25.0:
         assert sum(exact_cols) > 0
 
 
-@pytest.mark.parametrize("receiver, methods, per_block",
+@pytest.mark.parametrize("receiver, methods, per_wave",
                          [("sic", ("gnnd", "cl", "ml"), 3), ("no-sic", ("gnnd", "ml"), 1),
                           ("sic", ("cl",), 0)])
 def test_viterbi_wave_builds_one_engine_per_block_and_user(monkeypatch, receiver, methods,
-                                                           per_block):
-    # the gnnd and ml words of a block share its engine for each first user
+                                                           per_wave):
+    # one engine per (wave, first user), whose stack holds the channel of
+    # every block of the wave; the gnnd and ml words share it
     built, real_init = [], SplitEnumeration.__init__
 
     def recording(self, gains, noise_var, consts, first_user):
-        built.append((gains.tobytes(), first_user))
+        built.append((gains.shape, gains.tobytes(), first_user))
         real_init(self, gains, noise_var, consts, first_user)
 
     monkeypatch.setattr(SplitEnumeration, "__init__", recording)
     cfg = ExperimentConfig(kind="viterbi-ber", seed=6, users=3, antennas=3,
                            receiver=receiver, methods=methods, snr_db=(4.0,),
-                           blocks=5, min_errors=10**6, info_bits=16)
+                           blocks=harness.VITERBI_WAVE + 5, min_errors=10**6, info_bits=16)
     run_viterbi_ber(cfg)
-    assert len(built) == len(set(built)) == cfg.blocks * per_block
+    assert len(built) == len(set(built)) == 2 * per_wave  # two waves
+    waves = [(harness.VITERBI_WAVE, 3, 3), (5, 3, 3)]
+    assert [shape for shape, _, _ in built] == [w for w in waves for _ in range(per_wave)]
+    assert [k for _, _, k in built] == list(range(per_wave)) * 2
 
 
 def test_ldpc_ber_small_system(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_square16
 from gnndsim import posterior
-from gnndsim.channel import ChannelInstance, sample_gains, transmit
+from gnndsim.channel import ChannelInstance, crandn, sample_gains, transmit
 from gnndsim.constellation import Constellation, make_qpsk
 from gnndsim.posterior import JointEnumeration, SplitEnumeration
 
@@ -163,3 +163,49 @@ def test_no_subnormal_factor_kernel_product_or_weight(monkeypatch, snr_db):
     monkeypatch.setattr(posterior, "EXP_FLOOR", -np.inf)
     unfloored = JointEnumeration(gains, ch.noise_var, q).evaluate(y)
     _assert_same_posteriors(floored, unfloored, range(4), idx)
+
+
+STACK_SEEDS = (0, 2, 3)  # gains seeds; at 25 dB first users 1 and 2 fall back in some only
+
+
+def _reads(batch, users, tx):
+    """Every read of a batch: marginals, means and each user's moments and
+    log marginals, at every candidate and at one symbol per column."""
+    every = np.arange(4)[:, None]
+    return [batch.marginals(), batch.means_all()] + [
+        read for u in users for read in (batch.mean(u), batch.second_moment(u),
+                                         batch.log_pmf_at(u, every), batch.log_pmf_at(u, tx[u]))]
+
+
+@pytest.mark.parametrize("snr_db", [5.0, 25.0])
+def test_stack_reads_what_each_channel_reads_alone(monkeypatch, snr_db):
+    widths = _record_fallbacks(monkeypatch)
+    q = make_qpsk(0.25)
+    noise_var = 10 ** (-snr_db / 10)
+    gains = np.stack([sample_gains(4, 4, np.random.default_rng(s)) for s in STACK_SEEDS])
+    rng = np.random.default_rng(56)
+    idx = rng.integers(0, 4, size=(len(STACK_SEEDS), 4, 64))
+    x = q.points[idx]
+    y = gains @ x + np.sqrt(noise_var) * crandn(x.shape, rng)
+    mixed = []
+    for first in range(4):
+        y_u = y - gains[..., :first] @ x[:, :first]
+        users = range(first, 4)
+        stacked = _reads(SplitEnumeration(gains, noise_var, q, first).evaluate(y_u),
+                         users, idx[0])
+        fell_back = []
+        for b, (g, y_b) in enumerate(zip(gains, y_u)):
+            widths.clear()
+            alone = _reads(SplitEnumeration(g, noise_var, q, first).evaluate(y_b), users, idx[0])
+            fell_back.append(sum(widths) > 0)
+            for got, want in zip(stacked, alone):
+                np.testing.assert_array_equal(got[b], want)
+        # a stack of one reads what the single channel reads
+        one = _reads(SplitEnumeration(gains[:1], noise_var, q, first).evaluate(y_u[:1]),
+                     users, idx[0])
+        alone = _reads(SplitEnumeration(gains[0], noise_var, q, first).evaluate(y_u[0]),
+                       users, idx[0])
+        for got, want in zip(one, alone):
+            np.testing.assert_array_equal(got[0], want)
+        mixed.append(any(fell_back) and not all(fell_back))
+    assert any(mixed) == (snr_db == 25.0)
