@@ -40,26 +40,6 @@ def make_conv_code_57() -> ConvCode:
     return ConvCode((0b101, 0b111), 3)
 
 
-def _parity(x: int) -> int:
-    return bin(x).count("1") & 1
-
-
-def _transition_tables(code: ConvCode):
-    """(next_state, out_label)[state, input]; label = first bit MSB."""
-    s_count = code.n_states
-    mask = s_count - 1
-    nxt = np.zeros((s_count, 2), dtype=np.int64)
-    lab = np.zeros((s_count, 2), dtype=np.int64)
-    for s in range(s_count):
-        for b in (0, 1):
-            reg = (s << 1) | b
-            o1 = _parity(reg & code.generators[0])
-            o2 = _parity(reg & code.generators[1])
-            nxt[s, b] = reg & mask
-            lab[s, b] = (o1 << 1) | o2
-    return nxt, lab
-
-
 def conv_encode(bits, code: ConvCode) -> np.ndarray:
     """Encode a batch of words ``(B, n)`` with zero termination; each output
     row is ``2 (n + n_flush)`` coded bits, two per trellis step. Every
@@ -80,13 +60,20 @@ def conv_encode(bits, code: ConvCode) -> np.ndarray:
     return out.reshape(bits.shape[0], 2 * n_steps)
 
 
-def _symbol_index_tables(code: ConvCode, c: Constellation):
-    """Constellation point index of each branch's coded bit pair."""
+def _incoming_branches(code: ConvCode, c: Constellation):
+    """The two branches into each state, as (S, 2) tables of previous state,
+    input bit and constellation point index, ordered by (previous state,
+    input). Branch (s, b) shifts in register r = 2 s + b, enters state
+    r mod S and emits one parity bit of r per generator, the first as MSB.
+    """
     labeling = c.require_labeling()
     if labeling.bits_per_symbol != 2:
         raise ValueError("viterbi over metric tables expects 2 coded bits per symbol")
-    nxt, lab = _transition_tables(code)
-    return nxt, labeling.label_to_point[lab]
+    s_count = code.n_states
+    # registers r = 2 s + b stably sorted by destination, so (s, b) ascend in each row
+    reg = np.argsort(np.arange(2 * s_count) % s_count, kind="stable").reshape(s_count, 2)
+    first, second = (np.bitwise_count(reg & g) & 1 for g in code.generators)
+    return reg >> 1, reg & 1, labeling.label_to_point[first << 1 | second]
 
 
 def viterbi(tables, code: ConvCode, c: Constellation) -> np.ndarray:
@@ -105,21 +92,8 @@ def viterbi(tables, code: ConvCode, c: Constellation) -> np.ndarray:
     if n_steps <= code.n_flush:
         raise ValueError("table count does not cover flush steps")
     n_info = n_steps - code.n_flush
-    nxt, sym = _symbol_index_tables(code, c)
+    inc_prev, inc_input, inc_sym = _incoming_branches(code, c)
     s_count = code.n_states
-
-    # incoming branch lists per destination state, ordered by (prev, input)
-    inc_prev = np.empty((s_count, 2), dtype=np.int64)
-    inc_input = np.empty((s_count, 2), dtype=np.int64)
-    inc_sym = np.empty((s_count, 2), dtype=np.int64)
-    fill = np.zeros(s_count, dtype=np.int64)
-    for s in range(s_count):
-        for b in (0, 1):
-            d = nxt[s, b]
-            inc_prev[d, fill[d]] = s
-            inc_input[d, fill[d]] = b
-            inc_sym[d, fill[d]] = sym[s, b]
-            fill[d] += 1
 
     big = np.inf
     pm = np.full((n_words, s_count), big)

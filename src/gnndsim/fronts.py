@@ -49,7 +49,7 @@ class ClFront:
         return (self.combiner.conj()[..., None, :] @ y)[..., 0, :]
 
 
-def nn_tables(est, points, gain=1.0) -> np.ndarray:
+def nn_tables(est, points, gain) -> np.ndarray:
     """Nearest-neighbor metric |est - gain a|^2 of every observation against
     every candidate point a, (..., n, |A|). ``gain`` is a scalar or broadcasts
     against est. The GNND front reads it with g(y) and f(y), CL with its
@@ -93,7 +93,9 @@ def solve_front(means, seconds, prior: Constellation):
     a flat direction, and it is pinned to 1. A row whose gamma ends at or
     below 0 has no nearest-neighbor form and gets the constant metric
     g = f = 0; at the symmetric point (0, P) that is the exact answer, the
-    prior itself.
+    prior itself. Elsewhere the constant metric throws the row away: its
+    tilted pmf is the prior, whose moments are not the row's. Posteriors
+    concentrated on a corner point of a 16-point square are such rows.
     """
     means = np.asarray(means, dtype=np.complex128)
     seconds = np.broadcast_to(np.asarray(seconds, dtype=np.float64), means.shape)
@@ -165,8 +167,7 @@ def solve_front(means, seconds, prior: Constellation):
     return front
 
 
-def cl_front(gains, noise_var: float, user: int, powers,
-             cancelled=()) -> ClFront:
+def cl_front(gains, noise_var: float, user: int, powers, cancelled) -> ClFront:
     """Channel-linearization front for one user of a channel (L, K), or of
     each channel of a stack (B, L, K) from one stacked solve.
 

@@ -45,18 +45,19 @@ class SweepResult:
     rows: list[dict] = field(default_factory=list)
     runtime: float = 0.0
 
-    def write_csv(self, path) -> None:
-        write_csv(path, self.config, self.columns, self.rows)
-
-
-def write_csv(path, cfg: ExperimentConfig, columns, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# gnndsim {__version__}\n")
-        for line in config_echo(cfg):
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row[c]) for c in columns) + "\n")
+    def finish(self, start: float) -> "SweepResult":
+        """Record the runtime since ``start`` and write the CSV to the
+        config's ``out``, if it names one."""
+        self.runtime = time.time() - start
+        if self.config.out:
+            with open(self.config.out, "w") as fh:
+                fh.write(f"# gnndsim {__version__}\n")
+                for line in config_echo(self.config):
+                    fh.write(f"# {line}\n")
+                fh.write(",".join(self.columns) + "\n")
+                for row in self.rows:
+                    fh.write(",".join(_fmt(row[c]) for c in self.columns) + "\n")
+        return self
 
 
 def _fmt(v) -> str:
@@ -131,10 +132,7 @@ def run_gmi_sweep(cfg: ExperimentConfig) -> SweepResult:
             tot = entry["total"]
             result.rows.append(dict(base, user="sum", rate_bits=tot.value,
                                     std_err=tot.std_error, samples=tot.samples))
-    result.runtime = time.time() - start
-    if cfg.out:
-        result.write_csv(cfg.out)
-    return result
+    return result.finish(start)
 
 
 # --------------------------------------------------------------------------
@@ -181,10 +179,7 @@ def run_scatter(cfg: ExperimentConfig) -> SweepResult:
         result.rows.append(dict(true_re=float(x[0, t].real), true_im=float(x[0, t].imag),
                                 gnnd_re=float(gnnd[t].real), gnnd_im=float(gnnd[t].imag),
                                 lmmse_re=float(lmmse[t].real), lmmse_im=float(lmmse[t].imag)))
-    result.runtime = time.time() - start
-    if cfg.out:
-        result.write_csv(cfg.out)
-    return result
+    return result.finish(start)
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +235,7 @@ def _enum_tables(method, batch, consts, users):
 
 def _gnnd_table(means, consts):
     """GNND metric table of one user from its conditional means (net or exact)."""
-    return nn_tables(qpsk_estimates(means, consts.power), consts.points)
+    return nn_tables(qpsk_estimates(means, consts.power), consts.points, 1.0)
 
 
 def _viterbi_block(args):
@@ -252,11 +247,12 @@ def _viterbi_block(args):
     the other blocks or methods decoded with it. Under SIC, user k is
     decoded from y less the re-encoded decisions of users 0..k-1, with those
     users left out of its enumeration and its CL interference; without SIC
-    one evaluation per method serves every user. Each first user k gets one
-    engine for the stack of the blocks' channels, read by one ``evaluate``
-    of the gnnd words and one of the ml words, and one stacked CL solve;
-    each block reads what it would alone. The words of user k, one per
-    (method, block), go through one ``viterbi`` call.
+    one evaluation serves every user. Each first user k gets one engine for
+    the stack of the blocks' channels, read by one ``evaluate`` of the gnnd
+    words and one of the ml words, or one for both at user 0, where nothing
+    is cancelled yet, and one stacked CL solve; each block reads what it
+    would alone. The words of user k, one per (method, block), go through
+    one ``viterbi`` call.
     """
     cfg, snr_db, seeds, active = args
     code = make_conv_code_57()
@@ -283,13 +279,16 @@ def _viterbi_block(args):
             users = range(k, k + 1) if sic else range(n_users)
             enum = (SplitEnumeration(gains, noise_var, consts, k)
                     if {"gnnd", "ml"} & set(active) else None)
+            # nothing is cancelled before user 0, so every method reads ys there
+            shared = enum.evaluate(ys) if enum is not None and k == 0 else None
             tables = np.empty((len(users), len(blocks), n_steps, consts.size))
             for j, method in enumerate(active):
                 at = slice(j * n_blocks, (j + 1) * n_blocks)
                 y = ys - gains[..., :k] @ decided[at, :k] if sic else ys
                 tables[:, at] = (_cl_tables(gains, noise_var, consts, y, users)
                                  if method == "cl" else
-                                 _enum_tables(method, enum.evaluate(y), consts, users))
+                                 _enum_tables(method, shared if k == 0 else enum.evaluate(y),
+                                              consts, users))
         decoded = viterbi(tables[k - users.start], code, consts)
         if sic and k < n_users - 1:  # only later users cancel these decisions
             decided[:, k] = modulate(conv_encode(decoded, code),
@@ -334,10 +333,7 @@ def run_viterbi_ber(cfg: ExperimentConfig) -> SweepResult:
                             counter.update(method, res[method], block_bits)
                 next_block += len(wave)
             _append_ber_rows(result, cfg, "viterbi-ber", snr, counter)
-    result.runtime = time.time() - start
-    if cfg.out:
-        result.write_csv(cfg.out)
-    return result
+    return result.finish(start)
 
 
 def _append_ber_rows(result, cfg, kind, snr, counter):
@@ -478,7 +474,4 @@ def run_ldpc_ber(cfg: ExperimentConfig) -> SweepResult:
                 counter.update(method, res[method], block_bits)
             b += 1
         _append_ber_rows(result, cfg, "ldpc-ber", snr, counter)
-    result.runtime = time.time() - start
-    if cfg.out:
-        result.write_csv(cfg.out)
-    return result
+    return result.finish(start)

@@ -12,14 +12,15 @@ return ``PosteriorBatch`` objects."""
 from __future__ import annotations
 
 import copy
-from functools import cached_property
 
 import numpy as np
 
 from .constellation import EXP_FLOOR, lse, per_user
 
 ENUM_CAP = 4**10
-ENUM_SLICE_BYTES = 2**28   # one (M, n) complex128 block of the joint alphabet
+# sets the columns per evaluation at 16 bytes per joint combination
+# (slice_columns), and so the rate chunk and its RNG stream
+ENUM_SLICE_BYTES = 2**28
 EXACT_BLOCK_BYTES = 2**19  # one cache-sized (n, M_A, M_B) float64 block of the split's exact pass
 MI_FALLBACK_MASS = 1e-250  # marginals below this are recomputed by log-sum-exp
 SPLIT_Z_MIN = 1e-200       # split columns whose normaliser is below this are enumerated in full
@@ -107,7 +108,7 @@ class JointEnumeration:
     underflows into the slow subnormal range.
     """
 
-    def __init__(self, gains, noise_var: float, constellations, first_user: int = 0):
+    def __init__(self, gains, noise_var: float, constellations, first_user: int):
         gains, self.constellations, sizes = _active_channel(
             gains, noise_var, constellations, first_user)
         active = self.constellations[first_user:]
@@ -126,21 +127,10 @@ class JointEnumeration:
         self._row_offset = (np.sum(np.abs(means) ** 2, axis=0) / self.noise_var
                             - _log_prior(active, grids))
         self.gauss_log_const = -gains.shape[0] * np.log(np.pi * self.noise_var)
-
-    @cached_property
-    def point_parts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Real and imaginary parts of every combination's points, (n_active,
-        M) each; built on first use, so an enumeration that only scores
-        holds none."""
-        points = _points(self.constellations[self.first_user:], _grids(self.sizes))
-        return np.ascontiguousarray(points.real), np.ascontiguousarray(points.imag)
-
-    @cached_property
-    def indicator(self) -> np.ndarray:
-        """0/1 matrix (sum of |A_u|, M) whose row offset[k] + a marks the
-        combinations in which active user k sends its symbol a; built on
-        first use."""
-        return _indicator(_grids(self.sizes), self.sizes)
+        # one column per joint combination, the layout of the weights that
+        # PosteriorBatch reads
+        self.point_parts = (np.ascontiguousarray(points.real), np.ascontiguousarray(points.imag))
+        self.indicator = _indicator(grids, sizes)
 
     def marginal_rows(self, user: int) -> slice:
         """Rows of ``indicator`` (and of ``PosteriorBatch.marginals``) of one user."""
@@ -178,8 +168,9 @@ class JointEnumeration:
         np.exp(w, out=w)
         norm = w.sum(axis=0)
         w /= norm[None, :]
-        log_evidence = top + np.log(norm) + self.gauss_log_const
-        return PosteriorBatch(self, y, w, log_evidence, np.full(y.shape[1], MI_FALLBACK_MASS))
+        batch = PosteriorBatch(self, y, w, np.full(y.shape[1], MI_FALLBACK_MASS))
+        batch.log_evidence = top + np.log(norm) + self.gauss_log_const  # log p(y)
+        return batch
 
     def exact_log_pmf(self, y, user: int) -> np.ndarray:
         """log P(x_user = a | y_t) of every candidate a and column of y, (L,
@@ -280,9 +271,10 @@ class SplitEnumeration:
 
     @property
     def slice_columns(self) -> int:
-        """Observations per evaluation, at least one, whose (|A| |B|, n)
-        complex128 block, a full enumeration's product, stays within
-        ENUM_SLICE_BYTES; rate chunks, and so the RNG streams, follow it."""
+        """Observations per evaluation, at least one: ENUM_SLICE_BYTES over
+        16 bytes per joint combination, |A| |B|. It sets the slices of
+        ``evaluate_sliced`` and caps the rate chunk, and so the rate RNG
+        stream."""
         return max(1, ENUM_SLICE_BYTES // (16 * self.n_combos))
 
     def evaluate_sliced(self, y, read) -> np.ndarray:
@@ -363,7 +355,7 @@ class SplitEnumeration:
         # weight falls below e**EXP_FLOOR into the subnormal range
         np.maximum(w, z[..., None, :] * np.exp(EXP_FLOOR), out=w)
         w /= z[..., None, :]
-        return PosteriorBatch(self, y, w, None, fallback_mass)
+        return PosteriorBatch(self, y, w, fallback_mass)
 
 
 class PosteriorBatch:
@@ -372,17 +364,15 @@ class PosteriorBatch:
     ``weights`` has one row per column of the engine's point and indicator
     matrices: a joint combination for ``JointEnumeration``, a group
     combination for ``SplitEnumeration``, after a stack's leading axes,
-    which every read keeps in front. ``log_evidence``, log p(y) per
-    observation, is kept by ``JointEnumeration`` batches only. A marginal P
-    below ``fallback_mass`` (one value per observation) is not resolved by
-    the weights, so ``log_pmf_at`` recomputes it exactly.
+    which every read keeps in front. A marginal P below ``fallback_mass``
+    (one value per observation) is not resolved by the weights, so
+    ``log_pmf_at`` recomputes it exactly.
     """
 
-    def __init__(self, enum, y, weights, log_evidence, fallback_mass):
+    def __init__(self, enum, y, weights, fallback_mass):
         self.enum = enum
         self._y = y  # the observations evaluated, (..., L, n)
         self._w = weights
-        self.log_evidence = log_evidence
         self._fallback_mass = fallback_mass
         self._marginals = None
 

@@ -132,7 +132,7 @@ def test_criterion_4_solver_correctness():
     ch = ChannelInstance(gains, 1.0, [1.0])
     y = np.stack([transmit(ch, sample_symbols(c16, 1, rng16)[:, None], rng16)[:, 0]
                   for _ in range(10)], axis=1)
-    batch = JointEnumeration(gains, 1.0, c16).evaluate(y)
+    batch = JointEnumeration(gains, 1.0, c16, 0).evaluate(y)
     means16, seconds16 = batch.mean(0), batch.second_moment(0)
     g16, f16 = solve_front(means16, seconds16, c16)
     pmf16 = tilted_pmf(g16, f16, c16)
@@ -169,11 +169,11 @@ def test_criterion_5_decoder_oracles():
         sym = modulate(conv_encode(bits[None], code), consts)
         interferer = sample_symbols(consts, sym.size, rng)
         y = transmit(ch, np.stack([sym, interferer]), rng)
-        enum = JointEnumeration(gains, noise_var, consts)
+        enum = JointEnumeration(gains, noise_var, consts, 0)
         batch = enum.evaluate(y)
-        front = cl_front(gains, noise_var, 0, [0.5, 0.5])
+        front = cl_front(gains, noise_var, 0, [0.5, 0.5], ())
         tables = {
-            "gnnd": nn_tables(qpsk_estimates(batch.mean(0), consts.power), consts.points),
+            "gnnd": nn_tables(qpsk_estimates(batch.mean(0), consts.power), consts.points, 1.0),
             "ml": -enum.user_log_likelihood(y, [0])[0].T,
             "cl": nn_tables(front.apply(y), consts.points, front.scalar_gain),
         }
@@ -354,7 +354,7 @@ def test_criterion_8_approximator_fidelity():
     x = consts.points[idx]
     ch = ChannelInstance(gains, noise_var, np.full(k_users, power / k_users))
     y = transmit(ch, x, ho_rng)
-    enum = JointEnumeration(gains, noise_var, consts)
+    enum = JointEnumeration(gains, noise_var, consts, 0)
     exact_means = enum.evaluate(y).mean(0)
     net_means = predict(model, y)
 

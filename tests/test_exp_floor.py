@@ -20,7 +20,7 @@ def test_no_subnormal_weight_at_extreme_snr(monkeypatch, dtype, snr_db):
     ch = ChannelInstance(gains, 10 ** (-snr_db / 10), np.full(4, 0.25))
     rng = np.random.default_rng(42)
     y = transmit(ch, q.points[rng.integers(0, 4, size=(4, 512))], rng)
-    enum = JointEnumeration(gains, ch.noise_var, q)
+    enum = JointEnumeration(gains, ch.noise_var, q, 0)
     floored = enum.evaluate(y)
     ull_floored = enum.user_log_likelihood(y, range(4))
     monkeypatch.setattr(posterior, "EXP_FLOOR", -np.inf)

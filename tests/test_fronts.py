@@ -12,7 +12,7 @@ from gnndsim.fronts import (
     solve_front,
     tilted_pmf,
 )
-from gnndsim.posterior import JointEnumeration
+from gnndsim.posterior import JointEnumeration, SplitEnumeration
 
 from conftest import make_square16
 
@@ -115,7 +115,7 @@ def test_solve_front_symmetric_fixed_point():
 
 def _moments(y, gains, noise_var, c):
     """Exact (means, second moments) of user 0 for observations y, (L, n)."""
-    b = JointEnumeration(gains, noise_var, c).evaluate(y)
+    b = JointEnumeration(gains, noise_var, c, 0).evaluate(y)
     return b.mean(0), b.second_moment(0)
 
 
@@ -137,7 +137,7 @@ def _cl_table(front, y, c):
 
 def _ml_table(y, gains, noise_var, c, user):
     """-log p(y | x_user = a_i), interferers marginalized exactly."""
-    enum = JointEnumeration(gains, noise_var, c)
+    enum = JointEnumeration(gains, noise_var, c, 0)
     return -enum.user_log_likelihood(np.asarray(y)[:, None], [user])[0][:, 0]
 
 
@@ -150,6 +150,23 @@ def test_solve_front_16point_moment_matching(rng):
     assert np.all(np.abs(pmf @ c16.points - means) <= 1e-8)
     assert np.all(np.abs(pmf @ np.abs(c16.points) ** 2 - seconds) <= 1e-8)
     assert np.all(f ** 2 > 0)
+
+
+@pytest.mark.parametrize("noise_var", [
+    0.03,
+    pytest.param(0.01, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="gamma is not positive, and the constant metric g = f = 0 keeps the prior's mean")),
+])
+def test_solve_front_tilt_reproduces_corner_posterior_mean(noise_var):
+    # one user observed at a corner point of the 16-point square, whose
+    # posterior sits on that corner; at 0.01 the solver gives f = 0
+    c16 = make_square16(0.25)
+    batch = SplitEnumeration(np.array([[1.0 + 0j]]), noise_var, c16, 0).evaluate(
+        c16.points[:1, None])
+    mean = batch.mean(0)
+    g, f = solve_front(mean, batch.second_moment(0), c16)
+    assert np.abs(tilted_pmf(g, f, c16) @ c16.points - mean)[0] <= 1e-6
 
 
 def test_solve_front_16point_matches_grid_oracle(rng):
@@ -198,7 +215,7 @@ def test_batched_solve_rows_are_independent(rng):
     for noise_var in (0.01, 0.05, 0.3):
         ch = ChannelInstance(gains, noise_var, [c16.power] * 2)
         y = transmit(ch, np.stack([sample_symbols(c16, 64, rng) for _ in range(2)]), rng)
-        batch = JointEnumeration(gains, noise_var, c16).evaluate(y)
+        batch = JointEnumeration(gains, noise_var, c16, 0).evaluate(y)
         means.append(batch.mean(0))
         seconds.append(batch.second_moment(0))
     means, seconds = np.concatenate(means), np.concatenate(seconds)
@@ -251,7 +268,7 @@ def test_gnnd_metric_argmin_is_sign_decision(rng):
 
 def test_cl_front_single_user_is_matched_filter(rng):
     q = make_qpsk(2.0)
-    front = cl_front(np.array([[1.0 + 0j]]), 1.0, 0, [2.0])
+    front = cl_front(np.array([[1.0 + 0j]]), 1.0, 0, [2.0], ())
     np.testing.assert_allclose(front.residual_cov, np.eye(1), atol=1e-12)
     y = 0.4 - 0.7j
     table = _cl_table(front, [y], q)
@@ -277,7 +294,7 @@ def test_cl_effective_gain_monte_carlo(rng):
     est = prods.mean(axis=1)
     se = prods.std(axis=1).max() / np.sqrt(n)
     assert np.max(np.abs(est - powers[k] * gains[:, k])) < 3 * se
-    front = cl_front(gains, 0.8, k, powers)
+    front = cl_front(gains, 0.8, k, powers, ())
     np.testing.assert_allclose(front.effective_gain, gains[:, k])
 
 
@@ -285,7 +302,7 @@ def test_cl_full_cancellation_equals_single_user(rng):
     gains = sample_gains(3, 2, rng)
     powers = np.array([1.0, 1.0, 1.0])
     full = cl_front(gains, 0.5, 1, powers, cancelled=[0, 2])
-    solo = cl_front(gains[:, 1:2], 0.5, 0, powers[1:2])
+    solo = cl_front(gains[:, 1:2], 0.5, 0, powers[1:2], ())
     np.testing.assert_allclose(full.residual_cov, solo.residual_cov, atol=1e-12)
     np.testing.assert_allclose(full.combiner, solo.combiner, atol=1e-12)
 
@@ -296,7 +313,7 @@ def test_cl_metric_matches_direct_formula(rng):
     gains = sample_gains(2, 2, rng)
     powers = np.array([1.0, 1.0])
     noise_var = 0.6
-    front = cl_front(gains, noise_var, 0, powers)
+    front = cl_front(gains, noise_var, 0, powers, ())
     y = transmit(ChannelInstance(gains, noise_var, powers),
                  sample_symbols(q, 2, rng)[:, None], rng)[:, 0]
     table = _cl_table(front, y, q)
@@ -316,8 +333,8 @@ def test_cl_argmin_invariant_to_common_scaling(rng):
     powers = np.array([1.0, 1.0])
     y = transmit(ChannelInstance(gains, 0.6, powers), sample_symbols(q, 2, rng)[:, None],
                  rng)[:, 0]
-    t1 = _cl_table(cl_front(gains, 0.6, 0, powers), y, q)
-    t2 = _cl_table(cl_front(gains, 3.0, 0, 5.0 * powers), y, make_qpsk(5.0))
+    t1 = _cl_table(cl_front(gains, 0.6, 0, powers, ()), y, q)
+    t2 = _cl_table(cl_front(gains, 3.0, 0, 5.0 * powers, ()), y, make_qpsk(5.0))
     assert np.argmin(t1) == np.argmin(t2)
 
 
@@ -339,7 +356,7 @@ def test_ml_metric_consistent_with_posterior(rng):
                  sample_symbols(q, 3, rng)[:, None], rng)[:, 0]
     table = _ml_table(y, gains, 0.5, q, 1)
     lik = np.exp(-(table - table.min()))
-    pmf = JointEnumeration(gains, 0.5, q).evaluate(y[:, None]).pmf(1)[:, 0]
+    pmf = JointEnumeration(gains, 0.5, q, 0).evaluate(y[:, None]).pmf(1)[:, 0]
     np.testing.assert_allclose(lik / lik.sum(), pmf, atol=1e-12)
 
 

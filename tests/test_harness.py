@@ -257,14 +257,21 @@ def test_ml_tables_match_full_likelihood(monkeypatch, snr_db):
 def test_viterbi_wave_builds_one_engine_per_block_and_user(monkeypatch, receiver, methods,
                                                            per_wave):
     # one engine per (wave, first user), whose stack holds the channel of
-    # every block of the wave; the gnnd and ml words share it
+    # every block of the wave; the gnnd and ml words share it, and at first
+    # user 0, where nothing is cancelled, they share one evaluation too
     built, real_init = [], SplitEnumeration.__init__
+    evaluated, real_evaluate = [], SplitEnumeration.evaluate
 
     def recording(self, gains, noise_var, consts, first_user):
         built.append((gains.shape, gains.tobytes(), first_user))
         real_init(self, gains, noise_var, consts, first_user)
 
+    def counting(self, y):
+        evaluated.append(y.shape[0])
+        return real_evaluate(self, y)
+
     monkeypatch.setattr(SplitEnumeration, "__init__", recording)
+    monkeypatch.setattr(SplitEnumeration, "evaluate", counting)
     cfg = ExperimentConfig(kind="viterbi-ber", seed=6, users=3, antennas=3,
                            receiver=receiver, methods=methods, snr_db=(4.0,),
                            blocks=harness.VITERBI_WAVE + 5, min_errors=10**6, info_bits=16)
@@ -273,6 +280,9 @@ def test_viterbi_wave_builds_one_engine_per_block_and_user(monkeypatch, receiver
     waves = [(harness.VITERBI_WAVE, 3, 3), (5, 3, 3)]
     assert [shape for shape, _, _ in built] == [w for w in waves for _ in range(per_wave)]
     assert [k for _, _, k in built] == list(range(per_wave)) * 2
+    # under SIC: one shared at user 0, then one each for gnnd and ml at users 1 and 2
+    per_wave_evaluations = {3: 1 + 2 * 2, 1: 1, 0: 0}[per_wave]
+    assert evaluated == [w for w, _, _ in waves for _ in range(per_wave_evaluations)]
 
 
 def test_ldpc_ber_small_system(tmp_path):
@@ -413,7 +423,7 @@ def test_scatter_means_match_full_enumeration(monkeypatch, seed, users, snr_db):
     x = consts.points[np.stack([rng.choice(4, size=300, p=consts.probabilities)
                                 for _ in range(users)])]
     y = ch.gains @ x + np.sqrt(ch.noise_var) * crandn((4, 300), rng)
-    ref = JointEnumeration(ch.gains, ch.noise_var, consts).evaluate(y).mean(0)
+    ref = JointEnumeration(ch.gains, ch.noise_var, consts, 0).evaluate(y).mean(0)
     np.testing.assert_allclose(means[0], ref, rtol=0, atol=1e-12)
 
 

@@ -12,7 +12,7 @@ LLR_MAX = 30.0
 
 
 def _gnnd_llrs(g, q, noise_scale, llr_max=LLR_MAX):
-    return bit_llrs(nn_tables(np.asarray(g, dtype=complex), q.points), q, noise_scale,
+    return bit_llrs(nn_tables(np.asarray(g, dtype=complex), q.points, 1.0), q, noise_scale,
                     llr_max)
 
 
@@ -28,13 +28,13 @@ def test_gnnd_matches_exact_awgn_llrs_at_unit_noise(rng):
     q = make_qpsk(2.0)
     gains = np.array([[1.0 + 0j]])
     noise_var = 1.0
-    enum = JointEnumeration(gains, noise_var, q)
+    enum = JointEnumeration(gains, noise_var, q, 0)
     y = 0.9 * (rng.standard_normal(200) + 1j * rng.standard_normal(200))
     means = enum.evaluate(y[None, :]).mean(0)
     g = qpsk_estimates(means, q.power)
     np.testing.assert_allclose(g, y, atol=1e-9)
     gnnd = _gnnd_llrs(g, q, 1.0)
-    awgn = bit_llrs(nn_tables(y, q.points), q, noise_var, LLR_MAX)
+    awgn = bit_llrs(nn_tables(y, q.points, 1.0), q, noise_var, LLR_MAX)
     np.testing.assert_allclose(gnnd, awgn, atol=1e-9)
 
 
@@ -77,7 +77,7 @@ def test_cl_llr_reduces_to_scaled_matched_filter():
 
 def test_scale_validation():
     q = make_qpsk(2.0)
-    tables = nn_tables(np.zeros(1, dtype=complex), q.points)
+    tables = nn_tables(np.zeros(1, dtype=complex), q.points, 1.0)
     for scale in (0.0, -1.0):
         with pytest.raises(ValueError):
             bit_llrs(tables, q, scale, LLR_MAX)
@@ -86,7 +86,7 @@ def test_scale_validation():
 def _sigma_u(gains, noise_var, q, n_samples, seed):
     """Residual scale of the one user of ``gains`` through the LDPC path."""
     gains = np.asarray(gains, dtype=complex)
-    enum = JointEnumeration(gains, noise_var, q)
+    enum = JointEnumeration(gains, noise_var, q, 0)
     return _batched_sigma_u(gains, noise_var, q, lambda y: enum.evaluate(y).means_all(),
                             1, n_samples, np.random.default_rng(seed))[0]
 

@@ -5,6 +5,10 @@ from gnndsim.channel import ChannelInstance, sample_gains, transmit
 from gnndsim.constellation import make_qpsk, sample_symbols
 from gnndsim.posterior import EnumerationCapError, JointEnumeration, SplitEnumeration
 
+# each test checks the runners' engine and the complex128 reference on the
+# same draws; only the reference's batches keep log_evidence
+ENGINES = (SplitEnumeration, JointEnumeration)
+
 
 def _brute_posterior(y, gains, noise_var, consts, user, prefix=()):
     """Independent reference: loop over all joint combinations in Python."""
@@ -32,20 +36,20 @@ def _brute_posterior(y, gains, noise_var, consts, user, prefix=()):
     return mean, second, pmf / total
 
 
-def _single(y, gains, noise_var, consts, prefix=()):
+def _single(engine, y, gains, noise_var, consts, prefix=()):
     """Posterior batch of one observation; the known prefix users 0..p-1 are
     removed from y and the rest are enumerated from ``first_user`` p."""
     gains = np.asarray(gains, dtype=complex)
     prefix = np.asarray(prefix, dtype=complex)
     y = np.asarray(y, dtype=complex) - gains[:, :prefix.size] @ prefix
-    enum = JointEnumeration(gains, noise_var, consts, first_user=prefix.size)
-    return enum.evaluate(y[:, None])
+    return engine(gains, noise_var, consts, prefix.size).evaluate(y[:, None])
 
 
 def test_single_user_tanh_mean():
     q = make_qpsk(2.0)
-    b = _single([0.3 + 0.1j], [[1.0]], 1.0, q)
-    assert b.mean(0)[0] == pytest.approx(np.tanh(0.6) + 1j * np.tanh(0.2), abs=1e-12)
+    for engine in ENGINES:
+        b = _single(engine, [0.3 + 0.1j], [[1.0]], 1.0, q)
+        assert b.mean(0)[0] == pytest.approx(np.tanh(0.6) + 1j * np.tanh(0.2), abs=1e-12)
 
 
 def test_qpsk_second_moment_is_power(rng):
@@ -53,35 +57,41 @@ def test_qpsk_second_moment_is_power(rng):
     gains = sample_gains(2, 3, rng)
     y = transmit(ChannelInstance(gains, 0.4, [0.7, 0.7]), sample_symbols(q, 2, rng)[:, None],
                  rng)[:, 0]
-    assert _single(y, gains, 0.4, q).second_moment(1)[0] == pytest.approx(0.7, rel=1e-9)
+    for engine in ENGINES:
+        assert (_single(engine, y, gains, 0.4, q).second_moment(1)[0]
+                == pytest.approx(0.7, rel=1e-9))
 
 
 def test_uninformative_limit(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(2, 2, rng)
-    b = _single([0.2 + 0.1j, -0.3j], gains, 1e9, q)
-    assert abs(b.mean(0)[0]) < 1e-6
-    assert b.second_moment(0)[0] == pytest.approx(1.0, rel=1e-9)
-    np.testing.assert_allclose(b.pmf(0)[:, 0], 0.25, atol=1e-6)
+    for engine in ENGINES:
+        b = _single(engine, [0.2 + 0.1j, -0.3j], gains, 1e9, q)
+        assert abs(b.mean(0)[0]) < 1e-6
+        assert b.second_moment(0)[0] == pytest.approx(1.0, rel=1e-9)
+        np.testing.assert_allclose(b.pmf(0)[:, 0], 0.25, atol=1e-6)
 
 
 def test_near_noiseless_indicator():
     q = make_qpsk(2.0)
-    pmf = _single([q.points[2]], [[1.0]], 1e-4, q).pmf(0)[:, 0]
-    assert pmf[2] == pytest.approx(1.0, abs=1e-12)
+    for engine in ENGINES:
+        pmf = _single(engine, [q.points[2]], [[1.0]], 1e-4, q).pmf(0)[:, 0]
+        assert pmf[2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pmf_normalization_and_consistency(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(3, 2, rng)
     ch = ChannelInstance(gains, 0.5, np.full(3, 1.0))
-    b = _single(transmit(ch, sample_symbols(q, 3, rng)[:, None], rng)[:, 0], gains, 0.5, q)
-    for user in range(3):
-        pmf = b.pmf(user)[:, 0]
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
-        assert pmf @ q.points == pytest.approx(b.mean(user)[0], abs=1e-12)
-        assert pmf @ np.abs(q.points) ** 2 == pytest.approx(b.second_moment(user)[0],
-                                                            abs=1e-12)
+    y = transmit(ch, sample_symbols(q, 3, rng)[:, None], rng)[:, 0]
+    for engine in ENGINES:
+        b = _single(engine, y, gains, 0.5, q)
+        for user in range(3):
+            pmf = b.pmf(user)[:, 0]
+            assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+            assert pmf @ q.points == pytest.approx(b.mean(user)[0], abs=1e-12)
+            assert pmf @ np.abs(q.points) ** 2 == pytest.approx(b.second_moment(user)[0],
+                                                                abs=1e-12)
 
 
 def test_matches_brute_force_reference(rng):
@@ -93,10 +103,11 @@ def test_matches_brute_force_reference(rng):
     y = transmit(ch, x[:, None], rng)[:, 0]
     for user, prefix in [(0, ()), (1, x[:1]), (2, x[:2])]:
         mean, second, pmf = _brute_posterior(y, gains, 0.3, consts, user, prefix)
-        b = _single(y, gains, 0.3, consts, prefix)
-        assert b.mean(user)[0] == pytest.approx(mean, abs=1e-10)
-        assert b.second_moment(user)[0] == pytest.approx(second, abs=1e-10)
-        np.testing.assert_allclose(b.pmf(user)[:, 0], pmf, atol=1e-10)
+        for engine in ENGINES:
+            b = _single(engine, y, gains, 0.3, consts, prefix)
+            assert b.mean(user)[0] == pytest.approx(mean, abs=1e-10)
+            assert b.second_moment(user)[0] == pytest.approx(second, abs=1e-10)
+            np.testing.assert_allclose(b.pmf(user)[:, 0], pmf, atol=1e-10)
 
 
 def test_prefix_equals_reduced_problem(rng):
@@ -105,28 +116,33 @@ def test_prefix_equals_reduced_problem(rng):
     x = sample_symbols(q, 3, rng)
     y = transmit(ChannelInstance(gains, 0.2, np.full(3, 1.0)), x[:, None], rng)[:, 0]
     y_red = (y - gains[:, :2] @ x[:2])[:, None]
-    with_prefix = JointEnumeration(gains, 0.2, q, first_user=2).evaluate(y_red)
-    reduced = JointEnumeration(gains[:, 2:], 0.2, q).evaluate(y_red)
-    assert with_prefix.mean(2)[0] == reduced.mean(0)[0]
-    assert with_prefix.second_moment(2)[0] == reduced.second_moment(0)[0]
+    for engine in ENGINES:
+        with_prefix = engine(gains, 0.2, q, 2).evaluate(y_red)
+        reduced = engine(gains[:, 2:], 0.2, q, 0).evaluate(y_red)
+        assert with_prefix.mean(2)[0] == reduced.mean(0)[0]
+        assert with_prefix.second_moment(2)[0] == reduced.second_moment(0)[0]
 
 
 def test_enumeration_cap():
     q = make_qpsk(1.0)
     gains = np.ones((1, 11), dtype=complex)
-    with pytest.raises(EnumerationCapError, match="approximator"):
-        JointEnumeration(gains, 1.0, q)
+    for engine in ENGINES:
+        with pytest.raises(EnumerationCapError, match="approximator"):
+            engine(gains, 1.0, q, 0)
 
 
 def test_no_overflow_at_tiny_noise(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(2, 2, rng)
     x = sample_symbols(q, 2, rng)
-    b = _single(gains @ x, gains, 1e-6, q)  # exact, zero noise draw
-    mean, second = b.mean(0)[0], b.second_moment(0)[0]
-    assert np.isfinite(mean) and np.isfinite(second) and np.isfinite(b.log_evidence[0])
-    assert np.all(np.isfinite(b.pmf(0)))
-    assert abs(mean) <= np.max(np.abs(q.points)) + 1e-12
+    for engine in ENGINES:
+        b = _single(engine, gains @ x, gains, 1e-6, q)  # exact, zero noise draw
+        mean, second = b.mean(0)[0], b.second_moment(0)[0]
+        assert np.isfinite(mean) and np.isfinite(second)
+        if engine is JointEnumeration:
+            assert np.isfinite(b.log_evidence[0])
+        assert np.all(np.isfinite(b.pmf(0)))
+        assert abs(mean) <= np.max(np.abs(q.points)) + 1e-12
 
 
 def test_mean_within_alphabet_hull(rng):
@@ -135,10 +151,11 @@ def test_mean_within_alphabet_hull(rng):
     for _ in range(20):
         y = transmit(ChannelInstance(gains, 0.5, np.full(2, 2.0)),
                      sample_symbols(q, 2, rng)[:, None], rng)[:, 0]
-        b = _single(y, gains, 0.5, q)
-        mean = b.mean(0)[0]
-        assert abs(mean) <= np.max(np.abs(q.points)) + 1e-12
-        assert b.second_moment(0)[0] >= abs(mean) ** 2 - 1e-12
+        for engine in ENGINES:
+            b = _single(engine, y, gains, 0.5, q)
+            mean = b.mean(0)[0]
+            assert abs(mean) <= np.max(np.abs(q.points)) + 1e-12
+            assert b.second_moment(0)[0] >= abs(mean) ** 2 - 1e-12
 
 
 def test_batch_matches_scalar_path(rng):
@@ -149,13 +166,14 @@ def test_batch_matches_scalar_path(rng):
     n = 16
     x = np.stack([sample_symbols(q, n, rng) for _ in range(2)])
     y = transmit(ch, x, rng)
-    enum = JointEnumeration(gains, 0.4, q)
-    batch = enum.evaluate(y)
-    means = batch.mean(0)
-    for t in range(n):
-        single = _single(y[:, t], gains, 0.4, q)
-        assert means[t] == pytest.approx(single.mean(0)[0], abs=1e-12)
-        assert batch.log_evidence[t] == pytest.approx(single.log_evidence[0], abs=1e-9)
+    for engine in ENGINES:
+        batch = engine(gains, 0.4, q, 0).evaluate(y)
+        means = batch.mean(0)
+        for t in range(n):
+            single = _single(engine, y[:, t], gains, 0.4, q)
+            assert means[t] == pytest.approx(single.mean(0)[0], abs=1e-12)
+            if engine is JointEnumeration:
+                assert batch.log_evidence[t] == pytest.approx(single.log_evidence[0], abs=1e-9)
 
 
 def test_single_observation_is_rejected(rng):
@@ -163,7 +181,7 @@ def test_single_observation_is_rejected(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(2, 3, rng)
     y = np.ones(3, dtype=complex)
-    enum = JointEnumeration(gains, 0.4, q)
+    enum = JointEnumeration(gains, 0.4, q, 0)
     for call in (enum.log_weights, enum.evaluate, SplitEnumeration(gains, 0.4, q, 0).evaluate,
                  lambda y: enum.user_log_likelihood(y, [0])):
         with pytest.raises(ValueError, match=r"\(L, n\)"):

@@ -84,12 +84,12 @@ def _sampled_tables(ch, consts, user, n, rng, kind):
                       for _ in range(ch.n_users)])
     x = consts.points[x_idx]
     y = transmit(ch, x, rng)
-    enum = JointEnumeration(ch.gains, ch.noise_var, consts)
+    enum = JointEnumeration(ch.gains, ch.noise_var, consts, 0)
     if kind == "ml":
         tables = -enum.user_log_likelihood(y, [user])[0].T
     else:
         tables = nn_tables(qpsk_estimates(enum.evaluate(y).mean(user), consts.power),
-                           consts.points)
+                           consts.points, 1.0)
     return tables, x_idx[user]
 
 
@@ -372,7 +372,7 @@ def test_mi_samples_fallback_matches_lse_oracle(noise_var):
     dist2 = np.abs(q.points[:, None] - q.points[None, :]) ** 2
     tx, on = np.nonzero(dist2 < 3 * q.power)  # each point and its two neighbours
     y = q.points[on][None, :]
-    batch = JointEnumeration([[1.0]], noise_var, q).evaluate(y)
+    batch = JointEnumeration([[1.0]], noise_var, q, 0).evaluate(y)
     wrong = tx != on
     p_tx = batch.pmf(0)[tx, np.arange(tx.size)]
     assert np.all(p_tx[wrong] < posterior.MI_FALLBACK_MASS)

@@ -86,7 +86,7 @@ def test_split_on_the_mi_fallback_geometry(noise_var):
     wrong = tx != on
     alone = SplitEnumeration([[1.0]], noise_var, q, 0).evaluate(y)
     assert np.all(alone.pmf(0)[tx, np.arange(tx.size)][wrong] < posterior.MI_FALLBACK_MASS)
-    _assert_same_posteriors(alone, JointEnumeration([[1.0]], noise_var, q).evaluate(y),
+    _assert_same_posteriors(alone, JointEnumeration([[1.0]], noise_var, q, 0).evaluate(y),
                             range(1), tx[None, :])
     np.testing.assert_allclose(alone.log_pmf_at(0, tx)[wrong], -2180.0,
                                rtol=1e-13)
@@ -94,7 +94,7 @@ def test_split_on_the_mi_fallback_geometry(noise_var):
     gains = [[1.0, 1e-3]]
     idx = np.stack([tx, np.zeros_like(tx)])
     _assert_same_posteriors(SplitEnumeration(gains, noise_var, q, 0).evaluate(y),
-                            JointEnumeration(gains, noise_var, q).evaluate(y), range(2), idx)
+                            JointEnumeration(gains, noise_var, q, 0).evaluate(y), range(2), idx)
 
 
 def test_log_pmf_of_every_symbol():
@@ -161,7 +161,7 @@ def test_no_subnormal_factor_kernel_product_or_weight(monkeypatch, snr_db):
     assert any(np.any((a > 0) & (a < tiny)) for a in (raw_a, raw_b, raw_kernel, *raw_terms))
 
     monkeypatch.setattr(posterior, "EXP_FLOOR", -np.inf)
-    unfloored = JointEnumeration(gains, ch.noise_var, q).evaluate(y)
+    unfloored = JointEnumeration(gains, ch.noise_var, q, 0).evaluate(y)
     _assert_same_posteriors(floored, unfloored, range(4), idx)
 
 
