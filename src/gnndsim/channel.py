@@ -3,44 +3,7 @@ and pilot-based linear MMSE channel estimation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ChannelInstance:
-    """Fixed gain matrix (L x K, column k = user k), noise level, user powers.
-
-    `noise_var` is the total variance per complex dimension; each real
-    dimension carries noise_var / 2.
-    """
-
-    gains: np.ndarray
-    noise_var: float
-    powers: np.ndarray
-
-    def __post_init__(self):
-        gains = np.atleast_2d(np.asarray(self.gains, dtype=np.complex128))
-        powers = np.atleast_1d(np.asarray(self.powers, dtype=np.float64))
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "powers", powers)
-        if gains.ndim != 2 or gains.shape[0] < 1 or gains.shape[1] < 1:
-            raise ValueError("gains must be an L x K matrix with L, K >= 1")
-        if powers.shape != (gains.shape[1],):
-            raise ValueError("powers must have one entry per user")
-        if np.any(powers <= 0):
-            raise ValueError("user powers must be positive")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be nonnegative")
-
-    @property
-    def n_antennas(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def n_users(self) -> int:
-        return self.gains.shape[1]
 
 
 def sample_gains(n_users: int, n_antennas: int, rng: np.random.Generator) -> np.ndarray:
@@ -55,15 +18,28 @@ def crandn(shape, rng: np.random.Generator) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
-def transmit(ch: ChannelInstance, x, rng: np.random.Generator) -> np.ndarray:
-    """y = H x + z with z ~ CN(0, noise_var I), for x of shape (K, n)."""
+def check_channel(gains, noise_var: float) -> np.ndarray:
+    """The gains of a channel as a complex (L, K) array, L, K >= 1, with its
+    noise variance checked to be nonnegative."""
+    gains = np.asarray(gains, dtype=np.complex128)
+    if gains.ndim != 2 or min(gains.shape) < 1:
+        raise ValueError("gains must be an L x K matrix with L, K >= 1")
+    if noise_var < 0:
+        raise ValueError("noise variance must be nonnegative")
+    return gains
+
+
+def transmit(gains, noise_var: float, x, rng: np.random.Generator) -> np.ndarray:
+    """y = H x + z with z ~ CN(0, noise_var I), for gains H of shape (L, K)
+    and x of shape (K, n). ``noise_var`` is the total variance per complex
+    dimension; each real dimension carries noise_var / 2. The (L, n) noise
+    is drawn whatever its variance, so rng advances the same way at every SNR.
+    """
+    gains = check_channel(gains, noise_var)
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 2 or x.shape[0] != ch.n_users:
-        raise ValueError(f"x has shape {x.shape}, expected ({ch.n_users}, n)")
-    y = ch.gains @ x
-    if ch.noise_var > 0:
-        y = y + np.sqrt(ch.noise_var) * crandn(y.shape, rng)
-    return y
+    if x.ndim != 2 or x.shape[0] != gains.shape[1]:
+        raise ValueError(f"x has shape {x.shape}, expected ({gains.shape[1]}, n)")
+    return gains @ x + np.sqrt(noise_var) * crandn((gains.shape[0], x.shape[1]), rng)
 
 
 def estimate_channel(gains, pilot_power, noise_var: float,

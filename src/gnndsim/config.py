@@ -56,6 +56,8 @@ class ExperimentConfig:
                 raise ConfigError(f"method {m!r} not available for {self.kind} runs")
         if not self.methods and self.kind in RUNNER_METHODS:
             raise ConfigError("method list must not be empty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"method list {','.join(self.methods)} repeats a method")
         if self.kind == "ldpc-ber" and self.receiver != "no-sic":
             raise ConfigError("the LDPC experiment runs parallel decoding only")
         if not self.snr_db:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import Constellation, per_user
 
 ARTANH_CLIP = 1.0 - 1e-12
 CONSTANT_MODULUS_TOL = 1e-9
@@ -167,17 +167,18 @@ def solve_front(means, seconds, prior: Constellation):
     return front
 
 
-def cl_front(gains, noise_var: float, user: int, powers, cancelled) -> ClFront:
+def cl_front(gains, noise_var: float, constellations, user: int, cancelled) -> ClFront:
     """Channel-linearization front for one user of a channel (L, K), or of
-    each channel of a stack (B, L, K) from one stacked solve.
+    each channel of a stack (B, L, K) from one stacked solve. User powers
+    are those of the constellations, one shared or one per user.
 
     ``cancelled`` lists user indices whose symbols will be subtracted from y
     before applying the front (successive cancellation); their contribution
     is excluded from the residual second-moment matrix.
     """
     gains = np.asarray(gains, dtype=np.complex128)
-    powers = np.asarray(powers, dtype=np.float64)
     n_ant, n_users = gains.shape[-2:]
+    consts = per_user(constellations, n_users)
     cancelled = set(int(j) for j in cancelled)
     if user in cancelled:
         raise ValueError("target user cannot be in the cancelled set")
@@ -185,7 +186,7 @@ def cl_front(gains, noise_var: float, user: int, powers, cancelled) -> ClFront:
     for j in range(n_users):
         if j != user and j not in cancelled:
             hj = gains[..., j]
-            delta += powers[j] * (hj[..., :, None] * hj.conj()[..., None, :])
+            delta += consts[j].power * (hj[..., :, None] * hj.conj()[..., None, :])
     h = gains[..., user]
     try:
         sol = np.linalg.solve(delta, h[..., None])[..., 0]

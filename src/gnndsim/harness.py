@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .channel import ChannelInstance, crandn, estimate_channel, sample_gains
+from .channel import estimate_channel, sample_gains, transmit
 from .codec import (
     bit_llrs,
     bp_decode_batch,
@@ -22,7 +22,7 @@ from .codec import (
     viterbi,
 )
 from .config import ExperimentConfig, config_echo, pilot_power_value
-from .constellation import make_qpsk, modulate
+from .constellation import make_qpsk, modulate, per_user
 from .fronts import cl_front, nn_tables, qpsk_estimates
 from .mmse_net import TrainConfig, default_sizes, make_dataset, mean_fn, train
 from .posterior import SplitEnumeration
@@ -104,14 +104,13 @@ def _gmi_task(args):
     consts = user_constellation(cfg)
     rows = []
     for i, snr in enumerate(cfg.snr_db):
-        ch = ChannelInstance(gains, noise_var_for(cfg, snr),
-                             np.full(cfg.users, cfg.power / cfg.users))
-        res = evaluate_user_rates(ch, consts, None, cfg.methods, cfg.receiver,
-                                  cfg.samples, np.random.default_rng(sample_seed[i]))
+        res = evaluate_user_rates(gains, noise_var_for(cfg, snr), consts, None, cfg.methods,
+                                  cfg.receiver, cfg.samples,
+                                  np.random.default_rng(sample_seed[i]))
         for method in cfg.methods:
-            per_user = [res[method][u] for u in range(cfg.users)]
+            ests = [res[method][u] for u in range(cfg.users)]
             rows.append(dict(draw=draw, snr_db=snr, method=method,
-                             per_user=per_user, total=combine_rates(per_user)))
+                             per_user=ests, total=combine_rates(ests)))
     return rows
 
 
@@ -139,13 +138,13 @@ def run_gmi_sweep(cfg: ExperimentConfig) -> SweepResult:
 # scattergrams
 
 
-def lmmse_estimates(ch: ChannelInstance, y, user: int) -> np.ndarray:
+def lmmse_estimates(gains, noise_var: float, constellations, y, user: int) -> np.ndarray:
     """Linear MMSE estimate of one user's symbol from the raw observation."""
-    cov = ch.noise_var * np.eye(ch.n_antennas, dtype=np.complex128)
-    for j in range(ch.n_users):
-        hj = ch.gains[:, j]
-        cov += ch.powers[j] * np.outer(hj, hj.conj())
-    w = ch.powers[user] * np.linalg.solve(cov, ch.gains[:, user])
+    consts = per_user(constellations, gains.shape[1])
+    cov = noise_var * np.eye(gains.shape[0], dtype=np.complex128)
+    for j, c in enumerate(consts):
+        cov += c.power * np.outer(gains[:, j], gains[:, j].conj())
+    w = consts[user].power * np.linalg.solve(cov, gains[:, user])
     return w.conj() @ np.asarray(y)
 
 
@@ -154,24 +153,22 @@ def run_scatter(cfg: ExperimentConfig) -> SweepResult:
     start = time.time()
     ss = np.random.SeedSequence((cfg.seed, 0))
     rng = np.random.default_rng(ss)
-    ch = ChannelInstance(sample_gains(cfg.users, cfg.antennas, rng),
-                         noise_var_for(cfg, cfg.snr_db[0]),
-                         np.full(cfg.users, cfg.power / cfg.users))
+    gains = sample_gains(cfg.users, cfg.antennas, rng)
+    noise_var = noise_var_for(cfg, cfg.snr_db[0])
     consts = user_constellation(cfg)
     n = cfg.samples
     idx = np.stack([rng.choice(consts.size, size=n, p=consts.probabilities)
                     for _ in range(cfg.users)])
     x = consts.points[idx]
-    y = ch.gains @ x + np.sqrt(ch.noise_var) * crandn((cfg.antennas, n), rng)
+    y = transmit(gains, noise_var, x, rng)
     if cfg.net:
-        model, _ = train_user_model(cfg, ch.gains, consts, ch.noise_var, 0,
-                                    ss.spawn(1)[0])
+        model, _ = train_user_model(cfg, gains, consts, noise_var, 0, ss.spawn(1)[0])
         means = mean_fn(model)(y)
     else:
-        enum = SplitEnumeration(ch.gains, ch.noise_var, consts, 0)
+        enum = SplitEnumeration(gains, noise_var, consts, 0)
         means = enum.evaluate_sliced(y, lambda batch: batch.mean(0))
     gnnd = qpsk_estimates(means, consts.power)
-    lmmse = lmmse_estimates(ch, y, 0)
+    lmmse = lmmse_estimates(gains, noise_var, consts, y, 0)
     gnnd = gnnd / np.sqrt(np.mean(np.abs(gnnd) ** 2))
     lmmse = lmmse / np.sqrt(np.mean(np.abs(lmmse) ** 2))
     result = SweepResult(cfg, SCATTER_CSV_COLUMNS)
@@ -216,9 +213,7 @@ class _BerCounter:
 def _cl_tables(gains, noise_var, consts, y, users):
     """CL metric tables of each user of the range ``users`` from the y of a
     block or a stack of blocks, with every user before the range cancelled."""
-    powers = np.full(gains.shape[-1], consts.power)
-    fronts = [cl_front(gains, noise_var, u, powers, cancelled=range(users.start))
-              for u in users]
+    fronts = [cl_front(gains, noise_var, consts, u, range(users.start)) for u in users]
     return [nn_tables(f.apply(y), consts.points, f.scalar_gain[..., None]) for f in fronts]
 
 
@@ -267,8 +262,7 @@ def _viterbi_block(args):
     bits = np.stack([rng.integers(0, 2, size=(n_users, cfg.info_bits)) for rng in rngs])
     symbols = modulate(conv_encode(bits.reshape(-1, cfg.info_bits), code),
                        consts).reshape(n_blocks, n_users, n_steps)
-    ys = np.stack([g @ x + np.sqrt(noise_var) * crandn((cfg.antennas, n_steps), rng)
-                   for g, x, rng in zip(gains, symbols, rngs)])
+    ys = np.stack([transmit(g, noise_var, x, rng) for g, x, rng in zip(gains, symbols, rngs)])
 
     # word j * n_blocks + b is block b under method active[j]
     blocks = np.tile(np.arange(n_blocks), len(active))
@@ -369,21 +363,12 @@ def train_user_model(cfg, gains_hat, consts, noise_var, user, seed_seq):
     return train(dataset, default_sizes(gains_hat.shape[0]), tc)
 
 
-def _batched_sigma_u(gains_hat, noise_var, consts, means_all_fn, n_users,
-                     n_samples, rng):
-    """Mean-square equivalent-channel residual per user, one shared pass."""
-    total = np.zeros(n_users)
-    remaining = n_samples
-    while remaining > 0:
-        n = min(8192, remaining)
-        remaining -= n
-        idx = rng.integers(0, consts.size, size=(n_users, n))
-        x = consts.points[idx]
-        y = gains_hat @ x + np.sqrt(noise_var) * crandn((gains_hat.shape[0], n), rng)
-        means = means_all_fn(y)
-        g = qpsk_estimates(means, consts.power)
-        total += np.sum(np.abs(g - x) ** 2, axis=1)
-    return total / n_samples
+def _batched_sigma_u(gains_hat, noise_var, consts, means_all_fn, rng):
+    """Mean-square equivalent-channel residual per user from one shared pass
+    of SIGMA_U_SAMPLES channel uses."""
+    x = consts.points[rng.integers(0, consts.size, size=(gains_hat.shape[1], SIGMA_U_SAMPLES))]
+    g = qpsk_estimates(means_all_fn(transmit(gains_hat, noise_var, x, rng)), consts.power)
+    return np.mean(np.abs(g - x) ** 2, axis=1)
 
 
 class _LdpcRealization:
@@ -412,9 +397,8 @@ class _LdpcRealization:
                 y, lambda batch: batch.means_all())
         # the residual scale is estimated against the receiver's own channel
         # knowledge, the best an implementable receiver can simulate
-        self.sigma_u = _batched_sigma_u(
-            self.gains_hat, self.noise_var, consts, self.means_all,
-            cfg.users, SIGMA_U_SAMPLES, np.random.default_rng(seed_seq.spawn(1)[0]))
+        self.sigma_u = _batched_sigma_u(self.gains_hat, self.noise_var, consts, self.means_all,
+                                        np.random.default_rng(seed_seq.spawn(1)[0]))
 
 
 def _ldpc_block(cfg, real: _LdpcRealization, code, rng, methods):
@@ -423,8 +407,7 @@ def _ldpc_block(cfg, real: _LdpcRealization, code, rng, methods):
     consts = user_constellation(cfg)
     bits = rng.integers(0, 2, size=(cfg.users, code.info_length))
     symbols = modulate(ldpc_encode(code, bits), consts).reshape(cfg.users, -1)
-    y = (real.gains @ symbols
-         + np.sqrt(real.noise_var) * crandn((cfg.antennas, symbols.shape[1]), rng))
+    y = transmit(real.gains, real.noise_var, symbols, rng)
     out = {}
     for method in methods:
         # gnnd LLRs are read at the residual scale, cl ones at unit scale

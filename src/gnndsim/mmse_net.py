@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import crandn
+from .channel import transmit
 from .constellation import per_user, sample_symbols
 
 HIDDEN_LAYERS = (200, 100, 50)
@@ -79,11 +79,9 @@ def make_dataset(gains, constellations, noise_var: float, user: int,
     targets are the real and imaginary parts of the target user's symbol.
     Pass estimated gains to train against an estimated channel.
     """
-    gains = np.asarray(gains, dtype=np.complex128)
-    n_ant, n_users = gains.shape
-    consts = per_user(constellations, n_users)
-    x = np.stack([sample_symbols(consts[u], n_samples, rng) for u in range(n_users)])
-    y = gains @ x + np.sqrt(noise_var) * crandn((n_ant, n_samples), rng)
+    consts = per_user(constellations, np.shape(gains)[1])
+    x = np.stack([sample_symbols(c, n_samples, rng) for c in consts])
+    y = transmit(gains, noise_var, x, rng)
     inputs = np.concatenate([y.real.T, y.imag.T], axis=1)
     targets = np.stack([x[user].real, x[user].imag], axis=1)
     return inputs, targets

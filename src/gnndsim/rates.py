@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelInstance, crandn
+from .channel import check_channel, transmit
 from .constellation import Constellation, per_user
 from .fronts import ARTANH_CLIP, cl_front, nn_tables, qpsk_estimates, tilted_pmf
 from .posterior import SplitEnumeration
@@ -158,7 +158,7 @@ def _kl_samples(pmf, tilted) -> np.ndarray:
     return np.sum(pmf * log_ratio, axis=0)
 
 
-def evaluate_user_rates(ch: ChannelInstance, constellations, users, methods,
+def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
                         receiver: str, n_samples: int, rng) -> dict:
     """Shared Monte-Carlo engine for all per-user rate quantities.
 
@@ -171,14 +171,16 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users, methods,
     serves every user. Posteriors come from ``SplitEnumeration``, and a
     chunk is at most the ``slice_columns`` of its full enumeration, so its
     fallback columns stay within the byte budget. User powers are read from
-    the constellations only, for the CL fronts as for the sampled symbols.
+    the constellations, for the CL fronts as for the sampled symbols.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
     if receiver not in ("no-sic", "sic"):
         raise ValueError(f"unknown receiver mode {receiver!r}")
-    consts = per_user(constellations, ch.n_users)
-    users = list(range(ch.n_users)) if users is None else list(users)
+    gains = check_channel(gains, noise_var)
+    n_users = gains.shape[1]
+    consts = per_user(constellations, n_users)
+    users = list(range(n_users)) if users is None else list(users)
     methods = list(methods)
     for m in methods:
         if m not in RATE_METHODS:
@@ -192,11 +194,9 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users, methods,
     first = {u: u if sic else 0 for u in users}
     # the CL metric reads no posterior: a CL-only call enumerates nothing
     need_enum = bool({"gnnd", "kl", "mi"} & set(methods))
-    enums = {f: SplitEnumeration(ch.gains, ch.noise_var, consts, f)
+    enums = {f: SplitEnumeration(gains, noise_var, consts, f)
              for f in sorted(set(first.values()))} if need_enum else {}
-    powers = np.array([c.power for c in consts])
-    fronts = {u: cl_front(ch.gains, ch.noise_var, u, powers,
-                          cancelled=range(first[u])) for u in users}
+    fronts = {u: cl_front(gains, noise_var, consts, u, range(first[u])) for u in users}
     acc = {m: {u: [] for u in users} for m in methods}  # cl: (y_scalar, index) pairs
     chunk = min([SAMPLE_CHUNK] + [e.slice_columns for e in enums.values()])
 
@@ -205,13 +205,13 @@ def evaluate_user_rates(ch: ChannelInstance, constellations, users, methods,
         c = min(chunk, remaining)
         remaining -= c
         idx = np.stack([rng.choice(consts[u].size, size=c, p=consts[u].probabilities)
-                        for u in range(ch.n_users)])
-        x = np.stack([consts[u].points[idx[u]] for u in range(ch.n_users)])
-        y = ch.gains @ x + np.sqrt(ch.noise_var) * crandn((ch.n_antennas, c), rng)
+                        for u in range(n_users)])
+        x = np.stack([consts[u].points[idx[u]] for u in range(n_users)])
+        y = transmit(gains, noise_var, x, rng)
 
         batch = None
         for u in users:
-            y_u = y - ch.gains[:, :u] @ x[:u] if sic else y
+            y_u = y - gains[:, :u] @ x[:u] if sic else y
             if need_enum and (sic or batch is None):
                 batch = enums[first[u]].evaluate(y_u)
             if "gnnd" in methods or "kl" in methods:

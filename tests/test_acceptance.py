@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gnndsim.channel import ChannelInstance, sample_gains, transmit
+from gnndsim.channel import sample_gains, transmit
 from gnndsim.codec import (
     bp_decode_batch,
     conv_encode,
@@ -57,9 +57,8 @@ def test_criterion_1_single_user_consistency():
     lines = []
     for i, snr in enumerate((0.0, 5.0, 10.0)):
         gains = sample_gains(1, 1, np.random.default_rng((SEED, 10, i)))
-        ch = ChannelInstance(gains, 1.0 / 10 ** (snr / 10), [1.0])
-        res = evaluate_user_rates(ch, q, [0], ("gnnd", "cl", "mi"), "no-sic",
-                                  200_000, np.random.default_rng((SEED, 11, i)))
+        res = evaluate_user_rates(gains, 1.0 / 10 ** (snr / 10), q, [0], ("gnnd", "cl", "mi"),
+                                  "no-sic", 200_000, np.random.default_rng((SEED, 11, i)))
         vals = {m: res[m][0].value for m in ("gnnd", "cl", "mi")}
         for a, b in itertools.combinations(vals, 2):
             worst = max(worst, abs(vals[a] - vals[b]))
@@ -96,9 +95,8 @@ def test_criterion_3_gap_identity():
     for inst in range(20):
         gains = sample_gains(2, 2, np.random.default_rng((SEED, 20, inst)))
         for snr in (0.0, 10.0):
-            ch = ChannelInstance(gains, 1.0 / 10 ** (snr / 10), [0.5, 0.5])
-            res = evaluate_user_rates(ch, q, [0], ("gnnd", "mi", "kl"), "no-sic",
-                                      200_000,
+            res = evaluate_user_rates(gains, 1.0 / 10 ** (snr / 10), q, [0],
+                                      ("gnnd", "mi", "kl"), "no-sic", 200_000,
                                       np.random.default_rng((SEED, 21, inst)))
             mi, gn, kl = res["mi"][0], res["gnnd"][0], res["kl"][0]
             comb = np.sqrt(mi.std_error**2 + gn.std_error**2 + kl.std_error**2)
@@ -129,8 +127,7 @@ def test_criterion_4_solver_correctness():
     c16 = make_square16(1.0)
     gains = np.array([[1.0 + 0j]])
     rng16 = np.random.default_rng((SEED, 31))
-    ch = ChannelInstance(gains, 1.0, [1.0])
-    y = np.stack([transmit(ch, sample_symbols(c16, 1, rng16)[:, None], rng16)[:, 0]
+    y = np.stack([transmit(gains, 1.0, sample_symbols(c16, 1, rng16)[:, None], rng16)[:, 0]
                   for _ in range(10)], axis=1)
     batch = JointEnumeration(gains, 1.0, c16, 0).evaluate(y)
     means16, seconds16 = batch.mean(0), batch.second_moment(0)
@@ -163,15 +160,14 @@ def test_criterion_5_decoder_oracles():
         n_info = int(rng.integers(2, 13))
         gains = sample_gains(2, 2, rng)
         noise_var = 1.0 / 10 ** (rng.uniform(0, 14) / 10)
-        ch = ChannelInstance(gains, noise_var, [0.5, 0.5])
         consts = make_qpsk(0.5)
         bits = rng.integers(0, 2, size=n_info)
         sym = modulate(conv_encode(bits[None], code), consts)
         interferer = sample_symbols(consts, sym.size, rng)
-        y = transmit(ch, np.stack([sym, interferer]), rng)
+        y = transmit(gains, noise_var, np.stack([sym, interferer]), rng)
         enum = JointEnumeration(gains, noise_var, consts, 0)
         batch = enum.evaluate(y)
-        front = cl_front(gains, noise_var, 0, [0.5, 0.5], ())
+        front = cl_front(gains, noise_var, consts, 0, ())
         tables = {
             "gnnd": nn_tables(qpsk_estimates(batch.mean(0), consts.power), consts.points, 1.0),
             "ml": -enum.user_log_likelihood(y, [0])[0].T,
@@ -352,8 +348,7 @@ def test_criterion_8_approximator_fidelity():
     idx = np.stack([ho_rng.choice(4, size=n_ho, p=consts.probabilities)
                     for _ in range(k_users)])
     x = consts.points[idx]
-    ch = ChannelInstance(gains, noise_var, np.full(k_users, power / k_users))
-    y = transmit(ch, x, ho_rng)
+    y = transmit(gains, noise_var, x, ho_rng)
     enum = JointEnumeration(gains, noise_var, consts, 0)
     exact_means = enum.evaluate(y).mean(0)
     net_means = predict(model, y)

@@ -7,20 +7,53 @@ from pathlib import Path
 import pytest
 
 from gnndsim import harness
+from gnndsim.config import ExperimentConfig
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+needs_tracing = pytest.mark.skipif(not TRACING.is_file(),
+                                   reason="no bench/tracing.py in this tree")
 
 
-@pytest.mark.skipif(not TRACING.is_file(), reason="no bench/tracing.py in this tree")
-def test_tracer_installs_and_restores_its_targets():
+def _tracer():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing.Tracer()
+
+
+@needs_tracing
+def test_tracer_installs_and_restores_its_targets():
     viterbi = harness.viterbi
-    tracer = tracing.Tracer()
+    tracer = _tracer()
     try:
         tracer.install()
         assert harness.viterbi is not viterbi
     finally:
         tracer.uninstall()
     assert harness.viterbi is viterbi
+
+
+@needs_tracing
+@pytest.mark.parametrize("run, cfg, draws", [
+    # one gain draw, then one noise draw per SNR point (one rate chunk each)
+    (harness.run_gmi_sweep,
+     ExperimentConfig(kind="gmi-sweep", seed=3, users=2, antennas=2, snr_db=(0.0, 10.0),
+                      draws=1, samples=500), 3),
+    # a gain draw and a noise draw per block
+    (harness.run_viterbi_ber,
+     ExperimentConfig(kind="viterbi-ber", seed=3, users=2, antennas=2, snr_db=(4.0,),
+                      receiver="sic", methods=("gnnd", "cl"), blocks=3,
+                      min_errors=10**6, info_bits=8), 6),
+], ids=["gmi-sweep", "viterbi-ber"])
+def test_traced_runner_draws_every_gaussian_through_crandn(run, cfg, draws):
+    # the traced channel.crandn span times the noise only while every draw
+    # goes through it
+    tracer = _tracer()
+    try:
+        tracer.install()
+        tracer.call(run, cfg)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("channel.crandn") == draws
+    assert "fronts.cl_front" in names

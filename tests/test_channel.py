@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from gnndsim.channel import (
-    ChannelInstance,
-    estimate_channel,
-    sample_gains,
-    transmit,
-)
+from gnndsim.channel import crandn, estimate_channel, sample_gains, transmit
 from gnndsim.constellation import make_qpsk, sample_symbols
 
 
@@ -23,15 +18,37 @@ def test_sample_gains_statistics():
 
 
 def test_transmit_noiseless_identity():
-    ch = ChannelInstance(np.array([[1.0 + 0j]]), 0.0, [2.0])
-    y = transmit(ch, [[1 + 1j]], np.random.default_rng(0))
+    y = transmit(np.array([[1.0 + 0j]]), 0.0, [[1 + 1j]], np.random.default_rng(0))
     np.testing.assert_allclose(y, [[1 + 1j]])
 
 
 def test_transmit_shape_mismatch():
-    ch = ChannelInstance(np.ones((2, 3), dtype=complex), 0.1, [1, 1, 1])
     with pytest.raises(ValueError):
-        transmit(ch, [[1 + 0j], [1 + 0j]], np.random.default_rng(0))
+        transmit(np.ones((2, 3), dtype=complex), 0.1, [[1 + 0j], [1 + 0j]],
+                 np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("gains, noise_var", [
+    (np.ones(2, dtype=complex), 0.1),          # not a matrix
+    (np.ones((1, 2, 2), dtype=complex), 0.1),  # a stack of channels
+    (np.ones((2, 0), dtype=complex), 0.1),     # no user
+    (np.ones((2, 2), dtype=complex), -0.1),    # negative noise variance
+])
+def test_transmit_rejects_bad_channel(gains, noise_var):
+    with pytest.raises(ValueError):
+        transmit(gains, noise_var, np.ones((2, 3), dtype=complex), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_users, n_antennas", [(3, 3), (2, 4)])
+def test_transmit_draws_noise_as_crandn(n_users, n_antennas):
+    # the runners' channel uses and their RNG streams rest on this contract
+    gains = sample_gains(n_users, n_antennas, np.random.default_rng(3))
+    x = make_qpsk(1.0).points[np.random.default_rng(4).integers(0, 4, size=(n_users, 50))]
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    y = transmit(gains, 0.3, x, rng)
+    np.testing.assert_array_equal(
+        y, gains @ x + np.sqrt(0.3) * crandn((n_antennas, 50), ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_transmit_second_moment(rng):
@@ -39,11 +56,10 @@ def test_transmit_second_moment(rng):
     k_users, l_ant, noise_var = 3, 4, 0.7
     gains = sample_gains(k_users, l_ant, rng)
     powers = np.array([0.5, 1.0, 1.5])
-    ch = ChannelInstance(gains, noise_var, powers)
     consts = [make_qpsk(p) for p in powers]
     n = 100_000
     x = np.stack([sample_symbols(c, n, rng) for c in consts])
-    y = transmit(ch, x, rng)
+    y = transmit(gains, noise_var, x, rng)
     e = np.sum(np.abs(y) ** 2, axis=0)
     expect = sum(powers[k] * np.sum(np.abs(gains[:, k]) ** 2) for k in range(k_users))
     expect += l_ant * noise_var
@@ -53,21 +69,20 @@ def test_transmit_second_moment(rng):
 
 def test_noise_only_covariance(rng):
     noise_var = 0.3
-    ch = ChannelInstance(np.ones((2, 1), dtype=complex), noise_var, [1.0])
     n = 100_000
-    y = transmit(ch, np.zeros((1, n), dtype=complex), rng)
+    y = transmit(np.ones((2, 1), dtype=complex), noise_var, np.zeros((1, n), dtype=complex), rng)
     cov = (y @ y.conj().T) / n
     np.testing.assert_allclose(cov, noise_var * np.eye(2), atol=0.01)
 
 
 def test_transmit_linear_at_fixed_noise():
-    ch = ChannelInstance(sample_gains(2, 3, np.random.default_rng(1)), 0.5, [1, 1])
+    gains = sample_gains(2, 3, np.random.default_rng(1))
     x1 = np.array([[1 + 1j], [-1 + 0j]])
     x2 = np.array([[0 - 1j], [2 + 2j]])
-    y1 = transmit(ch, x1, np.random.default_rng(42))
-    y2 = transmit(ch, x2, np.random.default_rng(42))
+    y1 = transmit(gains, 0.5, x1, np.random.default_rng(42))
+    y2 = transmit(gains, 0.5, x2, np.random.default_rng(42))
     # identical noise draw cancels in the difference
-    np.testing.assert_allclose(y1 - y2, ch.gains @ (x1 - x2), atol=1e-12)
+    np.testing.assert_allclose(y1 - y2, gains @ (x1 - x2), atol=1e-12)
 
 
 def test_estimate_channel_perfect_and_noiseless(rng):
@@ -126,9 +141,3 @@ def test_estimate_error_variance(rng):
     se = v.std(ddof=1) / np.sqrt(n)
     assert abs(v.mean() - mmse) < 3 * se
 
-
-def test_instance_validation():
-    with pytest.raises(ValueError):
-        ChannelInstance(np.ones((2, 2), dtype=complex), 0.1, [1.0])
-    with pytest.raises(ValueError):
-        ChannelInstance(np.ones((2, 2), dtype=complex), 0.1, [1.0, -1.0])

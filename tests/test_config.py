@@ -64,6 +64,13 @@ def test_empty_methods_rejected():
         parse_config("kind = gmi-sweep\nseed = 1\nmethods =\n")
 
 
+@pytest.mark.parametrize("kind", ["gmi-sweep", "viterbi-ber", "ldpc-ber"])
+def test_repeated_method_rejected(kind):
+    # a repeated method would count its blocks twice and write its rows twice
+    with pytest.raises(ConfigError, match="repeats"):
+        parse_config(f"kind = {kind}\nseed = 1\nmethods = gnnd, cl, gnnd\n")
+
+
 @pytest.mark.parametrize("kind, methods, bad", [
     ("gmi-sweep", "ml", "ml"),
     ("gmi-sweep", "gnnd, ml", "ml"),

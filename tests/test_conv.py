@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnndsim.channel import ChannelInstance, transmit
+from gnndsim.channel import transmit
 from gnndsim.codec import conv_encode, make_conv_code_57, viterbi
 from gnndsim.codec.conv import ConvCode
 from gnndsim.constellation import make_qpsk, modulate
@@ -61,8 +61,7 @@ def test_soft_viterbi_on_noisy_awgn(rng):
     q = make_qpsk(2.0)
     bits = rng.integers(0, 2, size=(5, 12))
     sym = modulate(conv_encode(bits, code), q)
-    ch = ChannelInstance(np.array([[1.0 + 0j]]), 0.4, [2.0])
-    y = transmit(ch, sym[None, :], rng).reshape(5, -1)
+    y = transmit(np.array([[1.0 + 0j]]), 0.4, sym[None, :], rng).reshape(5, -1)
     tables = _euclidean_tables(y, q)
     decoded = viterbi(tables, code, q)
     # soft decoding must equal the exhaustive minimum-metric codeword

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gnndsim import fronts
-from gnndsim.channel import ChannelInstance, sample_gains, transmit
+from gnndsim.channel import sample_gains, transmit
 from gnndsim.constellation import make_qpsk, sample_symbols
 from gnndsim.fronts import (
     FrontSolverError,
@@ -121,8 +121,7 @@ def _moments(y, gains, noise_var, c):
 
 def _observations(c, gains, noise_var, n, rng):
     """n single-user observations (L, n), one symbol and noise draw at a time."""
-    ch = ChannelInstance(gains, noise_var, [c.power])
-    return np.stack([transmit(ch, sample_symbols(c, 1, rng)[:, None], rng)[:, 0]
+    return np.stack([transmit(gains, noise_var, sample_symbols(c, 1, rng)[:, None], rng)[:, 0]
                      for _ in range(n)], axis=1)
 
 
@@ -213,8 +212,8 @@ def test_batched_solve_rows_are_independent(rng):
     gains = sample_gains(2, 1, rng)
     means, seconds = [np.zeros(1, dtype=complex)], [np.array([c16.power])]
     for noise_var in (0.01, 0.05, 0.3):
-        ch = ChannelInstance(gains, noise_var, [c16.power] * 2)
-        y = transmit(ch, np.stack([sample_symbols(c16, 64, rng) for _ in range(2)]), rng)
+        y = transmit(gains, noise_var, np.stack([sample_symbols(c16, 64, rng) for _ in range(2)]),
+                     rng)
         batch = JointEnumeration(gains, noise_var, c16, 0).evaluate(y)
         means.append(batch.mean(0))
         seconds.append(batch.second_moment(0))
@@ -268,7 +267,7 @@ def test_gnnd_metric_argmin_is_sign_decision(rng):
 
 def test_cl_front_single_user_is_matched_filter(rng):
     q = make_qpsk(2.0)
-    front = cl_front(np.array([[1.0 + 0j]]), 1.0, 0, [2.0], ())
+    front = cl_front(np.array([[1.0 + 0j]]), 1.0, q, 0, ())
     np.testing.assert_allclose(front.residual_cov, np.eye(1), atol=1e-12)
     y = 0.4 - 0.7j
     table = _cl_table(front, [y], q)
@@ -287,22 +286,21 @@ def test_cl_effective_gain_monte_carlo(rng):
     consts = [make_qpsk(p) for p in powers]
     n = 1_000_000
     x = np.stack([sample_symbols(c, n, rng) for c in consts])
-    ch = ChannelInstance(gains, 0.8, powers)
-    y = transmit(ch, x, rng)
+    y = transmit(gains, 0.8, x, rng)
     k = 1
     prods = y * np.conj(x[k])[None, :]
     est = prods.mean(axis=1)
     se = prods.std(axis=1).max() / np.sqrt(n)
     assert np.max(np.abs(est - powers[k] * gains[:, k])) < 3 * se
-    front = cl_front(gains, 0.8, k, powers, ())
+    front = cl_front(gains, 0.8, consts, k, ())
     np.testing.assert_allclose(front.effective_gain, gains[:, k])
 
 
 def test_cl_full_cancellation_equals_single_user(rng):
     gains = sample_gains(3, 2, rng)
-    powers = np.array([1.0, 1.0, 1.0])
-    full = cl_front(gains, 0.5, 1, powers, cancelled=[0, 2])
-    solo = cl_front(gains[:, 1:2], 0.5, 0, powers[1:2], ())
+    q = make_qpsk(1.0)
+    full = cl_front(gains, 0.5, q, 1, [0, 2])
+    solo = cl_front(gains[:, 1:2], 0.5, q, 0, ())
     np.testing.assert_allclose(full.residual_cov, solo.residual_cov, atol=1e-12)
     np.testing.assert_allclose(full.combiner, solo.combiner, atol=1e-12)
 
@@ -313,9 +311,8 @@ def test_cl_metric_matches_direct_formula(rng):
     gains = sample_gains(2, 2, rng)
     powers = np.array([1.0, 1.0])
     noise_var = 0.6
-    front = cl_front(gains, noise_var, 0, powers, ())
-    y = transmit(ChannelInstance(gains, noise_var, powers),
-                 sample_symbols(q, 2, rng)[:, None], rng)[:, 0]
+    front = cl_front(gains, noise_var, q, 0, ())
+    y = transmit(gains, noise_var, sample_symbols(q, 2, rng)[:, None], rng)[:, 0]
     table = _cl_table(front, y, q)
     qvec = powers[0] * gains[:, 0]
     delta = (powers[1] * np.outer(gains[:, 1], gains[:, 1].conj())
@@ -330,11 +327,10 @@ def test_cl_metric_matches_direct_formula(rng):
 def test_cl_argmin_invariant_to_common_scaling(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(2, 2, rng)
-    powers = np.array([1.0, 1.0])
-    y = transmit(ChannelInstance(gains, 0.6, powers), sample_symbols(q, 2, rng)[:, None],
-                 rng)[:, 0]
-    t1 = _cl_table(cl_front(gains, 0.6, 0, powers, ()), y, q)
-    t2 = _cl_table(cl_front(gains, 3.0, 0, 5.0 * powers, ()), y, make_qpsk(5.0))
+    y = transmit(gains, 0.6, sample_symbols(q, 2, rng)[:, None], rng)[:, 0]
+    t1 = _cl_table(cl_front(gains, 0.6, q, 0, ()), y, q)
+    q5 = make_qpsk(5.0)
+    t2 = _cl_table(cl_front(gains, 3.0, q5, 0, ()), y, q5)
     assert np.argmin(t1) == np.argmin(t2)
 
 
@@ -352,8 +348,7 @@ def test_ml_metric_single_user(rng):
 def test_ml_metric_consistent_with_posterior(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(3, 2, rng)
-    y = transmit(ChannelInstance(gains, 0.5, np.full(3, 1.0)),
-                 sample_symbols(q, 3, rng)[:, None], rng)[:, 0]
+    y = transmit(gains, 0.5, sample_symbols(q, 3, rng)[:, None], rng)[:, 0]
     table = _ml_table(y, gains, 0.5, q, 1)
     lik = np.exp(-(table - table.min()))
     pmf = JointEnumeration(gains, 0.5, q, 0).evaluate(y[:, None]).pmf(1)[:, 0]

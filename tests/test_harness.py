@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gnndsim import harness, posterior
-from gnndsim.channel import ChannelInstance, crandn, sample_gains
+from gnndsim.channel import sample_gains, transmit
 from gnndsim.config import ExperimentConfig
 from gnndsim.constellation import make_qpsk
 from gnndsim.harness import (
@@ -235,15 +235,15 @@ def test_ml_tables_match_full_likelihood(monkeypatch, snr_db):
                         lambda self, y, user: exact_cols.append(y.shape[1]) or exact(self, y, user))
     gains = sample_gains(4, 4, np.random.default_rng(61))
     q = make_qpsk(0.25)
-    ch = ChannelInstance(gains, 10 ** (-snr_db / 10), np.full(4, 0.25))
+    noise_var = 10 ** (-snr_db / 10)
     rng = np.random.default_rng(62)
     x = q.points[rng.integers(0, 4, size=(4, 130))]
-    y = gains @ x + np.sqrt(ch.noise_var) * crandn((4, 130), rng)
+    y = transmit(gains, noise_var, x, rng)
     for first in range(4):  # each user under SIC, with the users after it
         y_u = y - gains[:, :first] @ x[:first]
         users = range(first, 4)
-        batch = SplitEnumeration(gains, ch.noise_var, q, first).evaluate(y_u)
-        ref = JointEnumeration(gains, ch.noise_var, q, first).user_log_likelihood(y_u, users)
+        batch = SplitEnumeration(gains, noise_var, q, first).evaluate(y_u)
+        ref = JointEnumeration(gains, noise_var, q, first).user_log_likelihood(y_u, users)
         for got, want in zip(harness._enum_tables("ml", batch, q, users), ref):
             shift = got + want.T  # (n, |A|), one value per row
             np.testing.assert_allclose(shift - shift[:, :1], 0.0, rtol=0, atol=1e-9)
@@ -417,13 +417,12 @@ def test_scatter_means_match_full_enumeration(monkeypatch, seed, users, snr_db):
     run_scatter(cfg)
     # run_scatter's channel and observations, drawn as it draws them
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    ch = ChannelInstance(sample_gains(users, 4, rng), harness.noise_var_for(cfg, snr_db),
-                         np.full(users, cfg.power / users))
+    gains, noise_var = sample_gains(users, 4, rng), harness.noise_var_for(cfg, snr_db)
     consts = harness.user_constellation(cfg)
     x = consts.points[np.stack([rng.choice(4, size=300, p=consts.probabilities)
                                 for _ in range(users)])]
-    y = ch.gains @ x + np.sqrt(ch.noise_var) * crandn((4, 300), rng)
-    ref = JointEnumeration(ch.gains, ch.noise_var, consts, 0).evaluate(y).mean(0)
+    y = transmit(gains, noise_var, x, rng)
+    ref = JointEnumeration(gains, noise_var, consts, 0).evaluate(y).mean(0)
     np.testing.assert_allclose(means[0], ref, rtol=0, atol=1e-12)
 
 
@@ -460,13 +459,12 @@ def test_ldpc_means_follow_enumeration_budget(monkeypatch):
 
 def test_lmmse_estimates_shrink_toward_mean(rng):
     gains = sample_gains(2, 4, rng)
-    ch = ChannelInstance(gains, 0.5, [0.5, 0.5])
     consts = make_qpsk(0.5)
     n = 20_000
     idx = rng.integers(0, 4, size=(2, n))
     x = consts.points[idx]
     y = gains @ x + np.sqrt(0.25) * (rng.standard_normal((4, n))
                                      + 1j * rng.standard_normal((4, n)))
-    est = lmmse_estimates(ch, y, 0)
+    est = lmmse_estimates(gains, 0.5, consts, y, 0)
     err = np.mean(np.abs(est - x[0]) ** 2)
     assert err < 0.5  # beats the zero estimator whose error is the power

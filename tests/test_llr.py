@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gnndsim import harness
 from gnndsim.codec import bit_llrs
 from gnndsim.constellation import BitLabeling, Constellation, make_qpsk
 from gnndsim.fronts import qpsk_estimates
@@ -84,11 +85,14 @@ def test_scale_validation():
 
 
 def _sigma_u(gains, noise_var, q, n_samples, seed):
-    """Residual scale of the one user of ``gains`` through the LDPC path."""
+    """Residual scale of the one user of ``gains`` through the LDPC path,
+    from ``n_samples`` channel uses."""
     gains = np.asarray(gains, dtype=complex)
     enum = JointEnumeration(gains, noise_var, q, 0)
-    return _batched_sigma_u(gains, noise_var, q, lambda y: enum.evaluate(y).means_all(),
-                            1, n_samples, np.random.default_rng(seed))[0]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "SIGMA_U_SAMPLES", n_samples)
+        return _batched_sigma_u(gains, noise_var, q, lambda y: enum.evaluate(y).means_all(),
+                                np.random.default_rng(seed))[0]
 
 
 def test_residual_var_single_user_closed_form():

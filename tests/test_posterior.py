@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gnndsim.channel import ChannelInstance, sample_gains, transmit
+from gnndsim.channel import sample_gains, transmit
 from gnndsim.constellation import make_qpsk, sample_symbols
 from gnndsim.posterior import EnumerationCapError, JointEnumeration, SplitEnumeration
 
@@ -55,8 +55,7 @@ def test_single_user_tanh_mean():
 def test_qpsk_second_moment_is_power(rng):
     q = make_qpsk(0.7)
     gains = sample_gains(2, 3, rng)
-    y = transmit(ChannelInstance(gains, 0.4, [0.7, 0.7]), sample_symbols(q, 2, rng)[:, None],
-                 rng)[:, 0]
+    y = transmit(gains, 0.4, sample_symbols(q, 2, rng)[:, None], rng)[:, 0]
     for engine in ENGINES:
         assert (_single(engine, y, gains, 0.4, q).second_moment(1)[0]
                 == pytest.approx(0.7, rel=1e-9))
@@ -82,8 +81,7 @@ def test_near_noiseless_indicator():
 def test_pmf_normalization_and_consistency(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(3, 2, rng)
-    ch = ChannelInstance(gains, 0.5, np.full(3, 1.0))
-    y = transmit(ch, sample_symbols(q, 3, rng)[:, None], rng)[:, 0]
+    y = transmit(gains, 0.5, sample_symbols(q, 3, rng)[:, None], rng)[:, 0]
     for engine in ENGINES:
         b = _single(engine, y, gains, 0.5, q)
         for user in range(3):
@@ -98,9 +96,8 @@ def test_matches_brute_force_reference(rng):
     q = make_qpsk(1.0)
     consts = [q, q, q]
     gains = sample_gains(3, 2, rng)
-    ch = ChannelInstance(gains, 0.3, np.full(3, 1.0))
     x = sample_symbols(q, 3, rng)
-    y = transmit(ch, x[:, None], rng)[:, 0]
+    y = transmit(gains, 0.3, x[:, None], rng)[:, 0]
     for user, prefix in [(0, ()), (1, x[:1]), (2, x[:2])]:
         mean, second, pmf = _brute_posterior(y, gains, 0.3, consts, user, prefix)
         for engine in ENGINES:
@@ -114,7 +111,7 @@ def test_prefix_equals_reduced_problem(rng):
     q = make_qpsk(1.0)
     gains = sample_gains(3, 4, rng)
     x = sample_symbols(q, 3, rng)
-    y = transmit(ChannelInstance(gains, 0.2, np.full(3, 1.0)), x[:, None], rng)[:, 0]
+    y = transmit(gains, 0.2, x[:, None], rng)[:, 0]
     y_red = (y - gains[:, :2] @ x[:2])[:, None]
     for engine in ENGINES:
         with_prefix = engine(gains, 0.2, q, 2).evaluate(y_red)
@@ -149,8 +146,7 @@ def test_mean_within_alphabet_hull(rng):
     q = make_qpsk(2.0)
     gains = sample_gains(2, 2, rng)
     for _ in range(20):
-        y = transmit(ChannelInstance(gains, 0.5, np.full(2, 2.0)),
-                     sample_symbols(q, 2, rng)[:, None], rng)[:, 0]
+        y = transmit(gains, 0.5, sample_symbols(q, 2, rng)[:, None], rng)[:, 0]
         for engine in ENGINES:
             b = _single(engine, y, gains, 0.5, q)
             mean = b.mean(0)[0]
@@ -162,10 +158,9 @@ def test_batch_matches_scalar_path(rng):
     # a batch scores each observation as if it were evaluated alone
     q = make_qpsk(1.0)
     gains = sample_gains(2, 3, rng)
-    ch = ChannelInstance(gains, 0.4, np.full(2, 1.0))
     n = 16
     x = np.stack([sample_symbols(q, n, rng) for _ in range(2)])
-    y = transmit(ch, x, rng)
+    y = transmit(gains, 0.4, x, rng)
     for engine in ENGINES:
         batch = engine(gains, 0.4, q, 0).evaluate(y)
         means = batch.mean(0)

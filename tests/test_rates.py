@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_square16
 from gnndsim import posterior, rates
-from gnndsim.channel import ChannelInstance, sample_gains, transmit
+from gnndsim.channel import sample_gains, transmit
 from gnndsim.config import ExperimentConfig
 from gnndsim.constellation import make_qpsk, sample_symbols
 from gnndsim.fronts import qpsk_estimates
@@ -20,13 +20,13 @@ from oracles import cl_gmi_cosh_form, gnnd_gmi_from_means, mi_samples_lse
 
 
 def _single_user_channel(snr_db, power=1.0, h=1.0 + 0j):
-    noise_var = power / 10 ** (snr_db / 10)
-    return ChannelInstance(np.array([[h]]), noise_var, [power])
+    """Gains and noise variance of one user at ``snr_db``."""
+    return np.array([[h]]), power / 10 ** (snr_db / 10)
 
 
-def _user0(ch, consts, methods, n, seed):
+def _user0(gains, noise_var, consts, methods, n, seed):
     """Rates of user 0 without cancellation, {method: RateEstimate}."""
-    res = evaluate_user_rates(ch, consts, [0], methods, "no-sic", n,
+    res = evaluate_user_rates(gains, noise_var, consts, [0], methods, "no-sic", n,
                               np.random.default_rng(seed))
     return {m: res[m][0] for m in methods}
 
@@ -45,9 +45,9 @@ def _bpsk_mi_bits(amp, real_noise_var):
 
 
 def test_single_user_estimators_agree():
-    ch = _single_user_channel(10.0)
+    gains, noise_var = _single_user_channel(10.0)
     q = make_qpsk(1.0)
-    vals = _user0(ch, q, ("gnnd", "cl", "mi"), 40_000, 1)
+    vals = _user0(gains, noise_var, q, ("gnnd", "cl", "mi"), 40_000, 1)
     for a in vals:
         for b in vals:
             tol = 2 * np.hypot(vals[a].std_error, vals[b].std_error) + 1e-3
@@ -55,18 +55,17 @@ def test_single_user_estimators_agree():
 
 
 def test_mutual_information_gauss_hermite_oracle():
-    ch = _single_user_channel(10.0)
+    gains, noise_var = _single_user_channel(10.0)
     q = make_qpsk(1.0)
-    oracle = 2 * _bpsk_mi_bits(np.sqrt(0.5), ch.noise_var / 2)
-    est = _user0(ch, q, ("mi",), 200_000, 2)["mi"]
+    oracle = 2 * _bpsk_mi_bits(np.sqrt(0.5), noise_var / 2)
+    est = _user0(gains, noise_var, q, ("mi",), 200_000, 2)["mi"]
     assert abs(est.value - oracle) < 0.01
     assert 1.9 < oracle < 2.0  # about 1.99 bits at 10 dB
 
 
 def test_rates_vanish_at_huge_noise():
-    ch = ChannelInstance(np.array([[1.0 + 0j]]), 1e7, [1.0])
     q = make_qpsk(1.0)
-    for est in _user0(ch, q, ("gnnd", "cl", "mi"), 20_000, 0).values():
+    for est in _user0(np.array([[1.0 + 0j]]), 1e7, q, ("gnnd", "cl", "mi"), 20_000, 0).values():
         assert abs(est.value) < 0.01
 
 
@@ -79,12 +78,12 @@ def test_gnnd_gmi_saturates_at_two_bits():
     assert zero.value == 0.0
 
 
-def _sampled_tables(ch, consts, user, n, rng, kind):
+def _sampled_tables(gains, noise_var, consts, user, n, rng, kind):
     x_idx = np.stack([rng.choice(4, size=n, p=consts.probabilities)
-                      for _ in range(ch.n_users)])
+                      for _ in range(gains.shape[1])])
     x = consts.points[x_idx]
-    y = transmit(ch, x, rng)
-    enum = JointEnumeration(ch.gains, ch.noise_var, consts, 0)
+    y = transmit(gains, noise_var, x, rng)
+    enum = JointEnumeration(gains, noise_var, consts, 0)
     if kind == "ml":
         tables = -enum.user_log_likelihood(y, [user])[0].T
     else:
@@ -96,12 +95,12 @@ def _sampled_tables(ch, consts, user, n, rng, kind):
 def test_gmi_from_tables_matched_metric_achieves_mi():
     q = make_qpsk(1.0)
     gains = sample_gains(2, 2, np.random.default_rng(3))
-    ch = ChannelInstance(gains, 0.5, [0.5, 0.5])
+    noise_var = 0.5
     consts = make_qpsk(0.5)
     n = 4000
-    tables, tx = _sampled_tables(ch, consts, 0, n, np.random.default_rng(4), "ml")
+    tables, tx = _sampled_tables(gains, noise_var, consts, 0, n, np.random.default_rng(4), "ml")
     est, theta = gmi_from_tables(tables, tx, consts.probabilities)
-    mi = _user0(ch, consts, ("mi",), 40_000, 5)["mi"]
+    mi = _user0(gains, noise_var, consts, ("mi",), 40_000, 5)["mi"]
     assert abs(est.value - mi.value) < 2 * np.hypot(est.std_error, mi.std_error) + 5e-3
     assert theta < 0
 
@@ -109,24 +108,24 @@ def test_gmi_from_tables_matched_metric_achieves_mi():
 def test_gmi_from_tables_matches_closed_form_on_gnnd_metric():
     q = make_qpsk(0.5)
     gains = sample_gains(2, 2, np.random.default_rng(6))
-    ch = ChannelInstance(gains, 0.25, [0.5, 0.5])
+    noise_var = 0.25
     n = 20_000
-    tables, tx = _sampled_tables(ch, q, 0, n, np.random.default_rng(7), "gnnd")
+    tables, tx = _sampled_tables(gains, noise_var, q, 0, n, np.random.default_rng(7), "gnnd")
     est, _ = gmi_from_tables(tables, tx, q.probabilities)
-    closed = _user0(ch, q, ("gnnd",), 20_000, 8)["gnnd"]
+    closed = _user0(gains, noise_var, q, ("gnnd",), 20_000, 8)["gnnd"]
     assert abs(est.value - closed.value) < 2 * np.hypot(est.std_error, closed.std_error) + 5e-3
 
 
 def test_any_metric_bounded_by_mi():
     q = make_qpsk(1.0)
     gains = sample_gains(2, 2, np.random.default_rng(9))
-    ch = ChannelInstance(gains, 0.4, [1.0, 1.0])
+    noise_var = 0.4
     n = 8000
     rng = np.random.default_rng(10)
-    tables, tx = _sampled_tables(ch, q, 0, n, rng, "ml")
+    tables, tx = _sampled_tables(gains, noise_var, q, 0, n, rng, "ml")
     tables = tables + rng.normal(0, 0.3, size=tables.shape)  # corrupt the metric
     est, _ = gmi_from_tables(tables, tx, q.probabilities)
-    mi = _user0(ch, q, ("mi",), 40_000, 11)["mi"]
+    mi = _user0(gains, noise_var, q, ("mi",), 40_000, 11)["mi"]
     assert est.value <= mi.value + 2 * np.hypot(est.std_error, mi.std_error) + 5e-3
 
 
@@ -151,17 +150,16 @@ def _gmi_sweep_cl(**fields):
                                                   draws=1, **fields))
 
 
-def _single_call_cl(gains, noise_var, powers, n, seed):
-    ch = ChannelInstance(gains, noise_var, powers)
-    return lambda: evaluate_user_rates(ch, make_qpsk(float(ch.powers[0])), None, ("cl",),
+def _single_call_cl(gains, noise_var, power, n, seed):
+    return lambda: evaluate_user_rates(gains, noise_var, make_qpsk(power), None, ("cl",),
                                        "no-sic", n, np.random.default_rng(seed))
 
 
 def test_cl_cosh_form_agrees_with_table_form(monkeypatch):
     cases = [  # (run, number of CL fits, index of a saturated fit)
         # two users without cancellation at moderate noise
-        (_single_call_cl(sample_gains(2, 2, np.random.default_rng(12)), 0.3, [0.5, 0.5],
-                         20_000, 13), 2, None),
+        (_single_call_cl(sample_gains(2, 2, np.random.default_rng(12)), 0.3, 0.5, 20_000, 13),
+         2, None),
         # the four fits of tests/golden/gmi_sweep_sic_small.csv
         (_gmi_sweep_cl(seed=7, users=2, antennas=2, receiver="sic", snr_db=(0.0, 10.0),
                        samples=2000), 4, None),
@@ -169,7 +167,7 @@ def test_cl_cosh_form_agrees_with_table_form(monkeypatch):
         (_gmi_sweep_cl(seed=129, users=4, antennas=4, receiver="no-sic",
                        snr_db=(-5.0, 0.0, 5.0, 10.0, 15.0, 20.0), samples=4096), 24, 13),
         # a rate of nearly zero
-        (_single_call_cl([[1.0]], 1e7, [1.0], 20_000, 0), 1, None),
+        (_single_call_cl([[1.0]], 1e7, 1.0, 20_000, 0), 1, None),
     ]
     for run, n_fits, saturated in cases:
         fits = _cl_fits(monkeypatch, run)
@@ -187,34 +185,33 @@ def test_cl_cosh_form_agrees_with_table_form(monkeypatch):
 
 @pytest.mark.parametrize("noise_var", [0.3, 0.01])
 def test_cl_gmi_on_sixteen_points(noise_var):
-    ch = ChannelInstance([[1.0]], noise_var, [1.0])
-    res = _user0(ch, make_square16(1.0), ("cl", "mi"), 20_000, 30)
+    res = _user0([[1.0]], noise_var, make_square16(1.0), ("cl", "mi"), 20_000, 30)
     cl, mi = res["cl"], res["mi"]
     assert 0.0 <= cl.value <= mi.value + 3 * np.hypot(cl.std_error, mi.std_error)
     assert cl.value <= 4.0 + 1e-9
 
 
 def test_kl_gap_nonnegative_and_zero_single_user():
-    ch = _single_user_channel(5.0)
+    gains, noise_var = _single_user_channel(5.0)
     q = make_qpsk(1.0)
-    est = _user0(ch, q, ("kl",), 20_000, 14)["kl"]
+    est = _user0(gains, noise_var, q, ("kl",), 20_000, 14)["kl"]
     assert est.value >= -2 * est.std_error
     assert est.value < 1e-6  # matched metric: tilted pmf equals the posterior
 
 
 def test_kl_gap_positive_multiuser():
     gains = sample_gains(2, 1, np.random.default_rng(15))
-    ch = ChannelInstance(gains, 0.2, [0.5, 0.5])
+    noise_var = 0.2
     q = make_qpsk(0.5)
-    est = _user0(ch, q, ("kl",), 20_000, 16)["kl"]
+    est = _user0(gains, noise_var, q, ("kl",), 20_000, 16)["kl"]
     assert est.value >= -2 * est.std_error
 
 
 def test_corollary_identity_small():
     gains = sample_gains(2, 2, np.random.default_rng(17))
-    ch = ChannelInstance(gains, 0.1, [0.5, 0.5])
+    noise_var = 0.1
     q = make_qpsk(0.5)
-    res = _user0(ch, q, ("gnnd", "mi", "kl"), 60_000, 18)
+    res = _user0(gains, noise_var, q, ("gnnd", "mi", "kl"), 60_000, 18)
     mi, gn, kl = res["mi"], res["gnnd"], res["kl"]
     comb = np.sqrt(mi.std_error**2 + gn.std_error**2 + kl.std_error**2)
     assert abs((mi.value - gn.value) - kl.value) <= 3 * comb
@@ -224,17 +221,17 @@ def test_sic_mi_chain_rule_matches_joint_mi():
     # sum_k I(x_k; y | x_0..x_{k-1}) = I(x; y), the joint MI estimated
     # independently as E[log p(y|x) - log p(y)] on fresh samples
     gains = sample_gains(2, 2, np.random.default_rng(19))
-    ch = ChannelInstance(gains, 0.3, [0.5, 0.5])
+    noise_var = 0.3
     q = make_qpsk(0.5)
-    res = evaluate_user_rates(ch, q, None, ("mi",), "sic", 30_000,
+    res = evaluate_user_rates(gains, noise_var, q, None, ("mi",), "sic", 30_000,
                               np.random.default_rng(20))
     chain = combine_rates(res["mi"].values())
     rng = np.random.default_rng(21)
     n = 30_000
     x = q.points[rng.integers(0, 4, size=(2, n))]
-    y = transmit(ch, x, rng)
-    enum = JointEnumeration(gains, ch.noise_var, q, 0)
-    log_cond = enum.gauss_log_const - np.sum(np.abs(y - gains @ x) ** 2, axis=0) / ch.noise_var
+    y = transmit(gains, noise_var, x, rng)
+    enum = JointEnumeration(gains, noise_var, q, 0)
+    log_cond = enum.gauss_log_const - np.sum(np.abs(y - gains @ x) ** 2, axis=0) / noise_var
     nats = log_cond - enum.evaluate(y).log_evidence
     joint, joint_se = nats.mean() / LN2, nats.std(ddof=1) / np.sqrt(n) / LN2
     assert len(res["mi"]) == 2
@@ -244,10 +241,10 @@ def test_sic_mi_chain_rule_matches_joint_mi():
 
 def test_sic_at_least_no_sic():
     gains = sample_gains(3, 3, np.random.default_rng(21))
-    ch = ChannelInstance(gains, 0.2, np.full(3, 1 / 3))
+    noise_var = 0.2
     q = make_qpsk(1 / 3)
-    no_sic_res, sic_res = (evaluate_user_rates(ch, q, None, ("gnnd", "cl", "mi"), receiver,
-                                               20_000, np.random.default_rng(22))
+    no_sic_res, sic_res = (evaluate_user_rates(gains, noise_var, q, None, ("gnnd", "cl", "mi"),
+                                               receiver, 20_000, np.random.default_rng(22))
                            for receiver in ("no-sic", "sic"))
     for method in ("gnnd", "cl", "mi"):
         no_sic = combine_rates(no_sic_res[method].values())
@@ -258,9 +255,9 @@ def test_sic_at_least_no_sic():
 
 def test_ordering_chain():
     gains = sample_gains(3, 2, np.random.default_rng(23))
-    ch = ChannelInstance(gains, 0.15, np.full(3, 1 / 3))
+    noise_var = 0.15
     q = make_qpsk(1 / 3)
-    res = evaluate_user_rates(ch, q, None, ("gnnd", "cl", "mi"), "no-sic",
+    res = evaluate_user_rates(gains, noise_var, q, None, ("gnnd", "cl", "mi"), "no-sic",
                               30_000, np.random.default_rng(24))
     for u in range(3):
         cl, gn, mi = res["cl"][u], res["gnnd"][u], res["mi"][u]
@@ -273,8 +270,8 @@ def test_monotone_in_snr():
     q = make_qpsk(0.5)
     prev = {m: -1.0 for m in ("gnnd", "cl", "mi")}
     for snr in (0.0, 5.0, 10.0):
-        ch = ChannelInstance(gains, 1.0 / 10 ** (snr / 10), [0.5, 0.5])
-        res = evaluate_user_rates(ch, q, [0], ("gnnd", "cl", "mi"), "no-sic",
+        noise_var = 1.0 / 10 ** (snr / 10)
+        res = evaluate_user_rates(gains, noise_var, q, [0], ("gnnd", "cl", "mi"), "no-sic",
                                   20_000, np.random.default_rng(26))
         for m in prev:
             est = res[m][0]
@@ -284,12 +281,12 @@ def test_monotone_in_snr():
 
 def test_deterministic_given_seed():
     gains = sample_gains(2, 2, np.random.default_rng(27))
-    ch = ChannelInstance(gains, 0.2, [0.5, 0.5])
+    noise_var = 0.2
     q = make_qpsk(0.5)
-    a = evaluate_user_rates(ch, q, None, ("gnnd", "cl", "mi", "kl"), "no-sic", 10_000,
-                            np.random.default_rng(42))
-    b = evaluate_user_rates(ch, q, None, ("gnnd", "cl", "mi", "kl"), "no-sic", 10_000,
-                            np.random.default_rng(42))
+    a = evaluate_user_rates(gains, noise_var, q, None, ("gnnd", "cl", "mi", "kl"), "no-sic",
+                            10_000, np.random.default_rng(42))
+    b = evaluate_user_rates(gains, noise_var, q, None, ("gnnd", "cl", "mi", "kl"), "no-sic",
+                            10_000, np.random.default_rng(42))
     for m in a:
         for u in a[m]:
             assert a[m][u] == b[m][u]
@@ -298,9 +295,9 @@ def test_deterministic_given_seed():
 @pytest.mark.parametrize("receiver", ["no-sic", "sic"])
 def test_cl_only_call_skips_enumeration(monkeypatch, receiver):
     gains = sample_gains(3, 3, np.random.default_rng(28))
-    ch = ChannelInstance(gains, 0.2, np.full(3, 1 / 3))
+    noise_var = 0.2
     q = make_qpsk(1 / 3)
-    both = evaluate_user_rates(ch, q, None, ("gnnd", "cl"), receiver, 5_000,
+    both = evaluate_user_rates(gains, noise_var, q, None, ("gnnd", "cl"), receiver, 5_000,
                                np.random.default_rng(43))
 
     def refuse(*args, **kwargs):
@@ -309,22 +306,27 @@ def test_cl_only_call_skips_enumeration(monkeypatch, receiver):
     for engine in (SplitEnumeration, JointEnumeration):
         monkeypatch.setattr(engine, "__init__", refuse)
         monkeypatch.setattr(engine, "evaluate", refuse)
-    cl = evaluate_user_rates(ch, q, None, ("cl",), receiver, 5_000,
+    cl = evaluate_user_rates(gains, noise_var, q, None, ("cl",), receiver, 5_000,
                              np.random.default_rng(43))
     assert cl["cl"] == both["cl"]
 
 
 @pytest.mark.parametrize("receiver", ["no-sic", "sic"])
-def test_cl_reads_user_power_from_the_constellations(receiver):
-    # the sampled symbols follow the constellations, so the CL fronts do too:
-    # a channel whose own powers disagree with them gives the same cl rows
+def test_cl_reads_user_power_from_the_constellations(monkeypatch, receiver):
+    # each user's power is its constellation's, in the CL interference of
+    # the other users as in the sampled symbols
     gains = sample_gains(3, 3, np.random.default_rng(28))
-    q = make_qpsk(1 / 3)
-    consistent, disagreeing = (
-        evaluate_user_rates(ChannelInstance(gains, 0.2, powers), q, None, ("cl",), receiver,
-                            5_000, np.random.default_rng(44))["cl"]
-        for powers in (np.full(3, 1 / 3), [1.0, 2.0, 0.1]))
-    assert consistent == disagreeing
+    powers = [1.0, 2.0, 0.1]
+    fronts, build = [], rates.cl_front
+    monkeypatch.setattr(rates, "cl_front", lambda *args: fronts.append(build(*args)) or fronts[-1])
+    evaluate_user_rates(gains, 0.2, [make_qpsk(p) for p in powers], None, ("cl",), receiver,
+                        5_000, np.random.default_rng(44))
+    assert len(fronts) == 3
+    for u, front in enumerate(fronts):
+        others = [j for j in range(u + 1 if receiver == "sic" else 0, 3) if j != u]
+        want = 0.2 * np.eye(3) + sum(powers[j] * np.outer(gains[:, j], gains[:, j].conj())
+                                     for j in others)
+        np.testing.assert_allclose(front.residual_cov, want, rtol=0, atol=1e-12)
 
 
 def test_combine_rates():
@@ -334,9 +336,22 @@ def test_combine_rates():
 
 
 def test_estimator_requires_rng():
-    ch = _single_user_channel(0.0)
+    gains, noise_var = _single_user_channel(0.0)
     with pytest.raises(ValueError):
-        evaluate_user_rates(ch, make_qpsk(1.0), None, ("mi",), "no-sic", 100, None)
+        evaluate_user_rates(gains, noise_var, make_qpsk(1.0), None, ("mi",), "no-sic", 100, None)
+
+
+@pytest.mark.parametrize("methods", [("cl",), ("mi",)])
+@pytest.mark.parametrize("gains, noise_var", [
+    (np.ones(2, dtype=complex), 0.1),          # not a matrix
+    (np.ones((1, 2, 2), dtype=complex), 0.1),  # a stack of channels
+    (np.ones((2, 0), dtype=complex), 0.1),     # no user
+    (np.ones((2, 2), dtype=complex), -0.1),    # negative noise variance
+])
+def test_estimator_rejects_bad_channel(methods, gains, noise_var):
+    with pytest.raises(ValueError):
+        evaluate_user_rates(gains, noise_var, make_qpsk(0.5), None, methods, "no-sic", 100,
+                            np.random.default_rng(0))
 
 
 def _assert_mi_matches_oracle(batch, y, user, tx):
@@ -351,15 +366,15 @@ def test_mi_samples_match_lse_oracle(receiver, snr_db):
     # K = L = 4: the MI read from the marginals against log p(y | x_u) - log p(y)
     gains = sample_gains(4, 4, np.random.default_rng(31))
     q = make_qpsk(0.25)
-    ch = ChannelInstance(gains, 10 ** (-snr_db / 10), np.full(4, 0.25))
+    noise_var = 10 ** (-snr_db / 10)
     rng = np.random.default_rng(32)
     idx = rng.integers(0, 4, size=(4, 2048))
     x = q.points[idx]
-    y = transmit(ch, x, rng)
+    y = transmit(gains, noise_var, x, rng)
     for u in range(4):
         first = u if receiver == "sic" else 0
         y_u = y - gains[:, :first] @ x[:first]
-        batch = JointEnumeration(gains, ch.noise_var, q, first).evaluate(y_u)
+        batch = JointEnumeration(gains, noise_var, q, first).evaluate(y_u)
         _assert_mi_matches_oracle(batch, y_u, u, idx[u])
 
 
@@ -401,12 +416,12 @@ def test_rate_chunk_follows_enumeration_budget(monkeypatch, receiver, per_chunk)
     monkeypatch.setattr(SplitEnumeration, "evaluate",
                         lambda self, y, **kw: widths.append(y.shape[1]) or evaluate(self, y, **kw))
     gains = sample_gains(3, 3, np.random.default_rng(33))
-    ch = ChannelInstance(gains, 0.2, np.full(3, 1 / 3))
+    noise_var = 0.2
     q = make_qpsk(1 / 3)
 
     def chunks(n_samples):
         widths.clear()
-        evaluate_user_rates(ch, q, None, ("gnnd", "mi"), receiver, n_samples,
+        evaluate_user_rates(gains, noise_var, q, None, ("gnnd", "mi"), receiver, n_samples,
                             np.random.default_rng(34))
         return widths[::per_chunk]
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_square16
 from gnndsim import posterior
-from gnndsim.channel import ChannelInstance, crandn, sample_gains, transmit
+from gnndsim.channel import crandn, sample_gains, transmit
 from gnndsim.constellation import Constellation, make_qpsk
 from gnndsim.posterior import JointEnumeration, SplitEnumeration
 
@@ -53,18 +53,18 @@ def test_split_matches_full_enumeration(monkeypatch, alphabet, n_users, snr_db):
     c = ALPHABETS[alphabet](1.0 / n_users)
     n_ant, n = max(4, n_users), 16 if n_users == 8 else 128
     gains = sample_gains(n_users, n_ant, np.random.default_rng(51 + n_users))
-    ch = ChannelInstance(gains, 10 ** (-snr_db / 10), np.full(n_users, c.power))
+    noise_var = 10 ** (-snr_db / 10)
     rng = np.random.default_rng(52)
     idx = np.stack([rng.choice(c.size, size=n, p=c.probabilities) for _ in range(n_users)])
     x = c.points[idx]
-    y = transmit(ch, x, rng)
+    y = transmit(gains, noise_var, x, rng)
     fallbacks = []
     for first in range(n_users):
         y_u = y - gains[:, :first] @ x[:first]
-        batch = SplitEnumeration(gains, ch.noise_var, c, first).evaluate(y_u)
+        batch = SplitEnumeration(gains, noise_var, c, first).evaluate(y_u)
         fallbacks.append(sum(widths))
         widths.clear()
-        ref = JointEnumeration(gains, ch.noise_var, c, first).evaluate(y_u)
+        ref = JointEnumeration(gains, noise_var, c, first).evaluate(y_u)
         _assert_same_posteriors(batch, ref, range(first, n_users), idx)
     if snr_db <= 10.0:
         assert fallbacks == [0] * n_users
@@ -103,11 +103,10 @@ def test_log_pmf_of_every_symbol():
     # above MI_FALLBACK_MASS, so log_pmf_at recomputes below MI_FALLBACK_MASS / Z
     gains = sample_gains(3, 4, np.random.default_rng(9))
     q = make_qpsk(1 / 3)
-    ch = ChannelInstance(gains, 1e-3, np.full(3, 1 / 3))
     rng = np.random.default_rng(1009)
-    y = transmit(ch, q.points[rng.integers(0, 4, size=(3, 256))], rng)
-    batch = SplitEnumeration(gains, ch.noise_var, q, 0).evaluate(y)
-    ref = JointEnumeration(gains, ch.noise_var, q, 0).evaluate(y)
+    y = transmit(gains, 1e-3, q.points[rng.integers(0, 4, size=(3, 256))], rng)
+    batch = SplitEnumeration(gains, 1e-3, q, 0).evaluate(y)
+    ref = JointEnumeration(gains, 1e-3, q, 0).evaluate(y)
     for u in range(3):
         for a in range(4):
             at_a = np.full(256, a)
@@ -120,13 +119,12 @@ def test_fallback_stays_within_the_byte_budget(monkeypatch):
     # observations takes its fallback columns in one exact evaluation
     gains = sample_gains(3, 4, np.random.default_rng(53))
     q = make_qpsk(1 / 3)
-    ch = ChannelInstance(gains, 1e-4, np.full(3, 1 / 3))
     rng = np.random.default_rng(54)
-    y = transmit(ch, q.points[rng.integers(0, 4, size=(3, 200))], rng)
-    whole = SplitEnumeration(gains, ch.noise_var, q, 0).evaluate(y)
+    y = transmit(gains, 1e-4, q.points[rng.integers(0, 4, size=(3, 200))], rng)
+    whole = SplitEnumeration(gains, 1e-4, q, 0).evaluate(y)
     widths = _record_fallbacks(monkeypatch)
     monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 24 * 64 * 16)
-    split = SplitEnumeration(gains, ch.noise_var, q, 0)
+    split = SplitEnumeration(gains, 1e-4, q, 0)
     assert split.slice_columns == 24
     means = split.evaluate_sliced(y, lambda b: b.means_all())
     assert sum(widths) > 100 and max(widths) <= 24
@@ -137,11 +135,11 @@ def test_fallback_stays_within_the_byte_budget(monkeypatch):
 def test_no_subnormal_factor_kernel_product_or_weight(monkeypatch, snr_db):
     gains = sample_gains(4, 4, np.random.default_rng(41))
     q = make_qpsk(0.25)
-    ch = ChannelInstance(gains, 10 ** (-snr_db / 10), np.full(4, 0.25))
+    noise_var = 10 ** (-snr_db / 10)
     rng = np.random.default_rng(42)
     idx = rng.integers(0, 4, size=(4, 512))
-    y = transmit(ch, q.points[idx], rng)
-    split = SplitEnumeration(gains, ch.noise_var, q, 0)
+    y = transmit(gains, noise_var, q.points[idx], rng)
+    split = SplitEnumeration(gains, noise_var, q, 0)
     floored = split.evaluate(y)
     logs, (e_a, e_b) = split._factors(y)
     kernel = split._kernel
@@ -161,7 +159,7 @@ def test_no_subnormal_factor_kernel_product_or_weight(monkeypatch, snr_db):
     assert any(np.any((a > 0) & (a < tiny)) for a in (raw_a, raw_b, raw_kernel, *raw_terms))
 
     monkeypatch.setattr(posterior, "EXP_FLOOR", -np.inf)
-    unfloored = JointEnumeration(gains, ch.noise_var, q, 0).evaluate(y)
+    unfloored = JointEnumeration(gains, noise_var, q, 0).evaluate(y)
     _assert_same_posteriors(floored, unfloored, range(4), idx)
 
 
