@@ -60,20 +60,20 @@ def conv_encode(bits, code: ConvCode) -> np.ndarray:
     return out.reshape(bits.shape[0], 2 * n_steps)
 
 
-def _incoming_branches(code: ConvCode, c: Constellation):
-    """The two branches into each state, as (S, 2) tables of previous state,
-    input bit and constellation point index, ordered by (previous state,
-    input). Branch (s, b) shifts in register r = 2 s + b, enters state
-    r mod S and emits one parity bit of r per generator, the first as MSB.
+def _butterfly(code: ConvCode, c: Constellation) -> np.ndarray:
+    """Constellation point index of every branch, as a (2, S/W, W) table
+    with W = min(S, 2). Branch (j, q, w) shifts in register
+    r = j S + W q + w: it leaves state r >> 1 (q + j S/2 when S >= 2), enters
+    state W q + w = r mod S with input bit r & 1, and emits one parity bit of
+    r per generator, the first as MSB. Of the two branches into a state,
+    j = 0 has the smaller (previous state, input).
     """
     labeling = c.require_labeling()
     if labeling.bits_per_symbol != 2:
         raise ValueError("viterbi over metric tables expects 2 coded bits per symbol")
-    s_count = code.n_states
-    # registers r = 2 s + b stably sorted by destination, so (s, b) ascend in each row
-    reg = np.argsort(np.arange(2 * s_count) % s_count, kind="stable").reshape(s_count, 2)
+    reg = np.arange(2 * code.n_states).reshape(2, -1, min(code.n_states, 2))
     first, second = (np.bitwise_count(reg & g) & 1 for g in code.generators)
-    return reg >> 1, reg & 1, labeling.label_to_point[first << 1 | second]
+    return labeling.label_to_point[first << 1 | second]
 
 
 def viterbi(tables, code: ConvCode, c: Constellation) -> np.ndarray:
@@ -83,7 +83,12 @@ def viterbi(tables, code: ConvCode, c: Constellation) -> np.ndarray:
     step t of word b, one trellis step per transmitted symbol, flush steps
     included. All B words of ``(B, T, |A|)`` are decoded at once, giving
     ``(B, T - n_flush)`` bits. Ties are broken toward the lexicographically
-    smaller (previous state, input).
+    smaller (previous state, input). Every entry must be finite.
+
+    Every array keeps the words last, so each trellis step is two ufunc
+    calls over the ``_butterfly`` layout; the survivor decisions of all
+    steps are then read from the same sums at once, and the traceback is one
+    ``take`` per step over flat ``register * B + word`` pointers.
     """
     tables = np.asarray(tables, dtype=np.float64)
     if tables.ndim != 3:
@@ -91,27 +96,37 @@ def viterbi(tables, code: ConvCode, c: Constellation) -> np.ndarray:
     n_words, n_steps = tables.shape[:2]
     if n_steps <= code.n_flush:
         raise ValueError("table count does not cover flush steps")
+    if not np.isfinite(tables).all():
+        raise ValueError("metric tables must be finite")
     n_info = n_steps - code.n_flush
-    inc_prev, inc_input, inc_sym = _incoming_branches(code, c)
-    s_count = code.n_states
+    sym = _butterfly(code, c)
+    s_count, (_, half, width) = code.n_states, sym.shape
 
-    big = np.inf
-    pm = np.full((n_words, s_count), big)
-    pm[:, 0] = 0.0
-    took_second = np.empty((n_steps, n_words, s_count), dtype=bool)
-    for t in range(n_steps):
-        cand = pm[:, inc_prev] + tables[:, t][:, inc_sym]  # (B, S, 2)
-        if t >= n_info:  # flush: only input 0 branches are valid
-            cand = np.where(inc_input == 0, cand, big)
-        second = cand[..., 1] < cand[..., 0]  # the first branch wins ties
-        took_second[t] = second
-        pm = np.where(second, cand[..., 1], cand[..., 0])
+    bm = np.take(tables.transpose(1, 2, 0), sym, axis=1)  # (T, 2, S/W, W, B)
+    pm = np.full((n_steps + 1, s_count, n_words), np.inf)
+    pm[0, 0] = 0.0
+    src = pm.reshape(n_steps + 1, width, half, 1, n_words)  # state j S/2 + q
+    dst = pm.reshape(n_steps + 1, half, width, n_words)  # state W q + w
+    cand = np.empty(bm.shape[1:])
+    from_first, from_second = cand
+    # No flush branch is masked: a path that ends in state 0 has input 0 in
+    # its last n_flush steps, and the traceback starts from state 0.
+    for before, metric, after in zip(src, bm, dst[1:]):
+        np.add(before, metric, out=cand)
+        np.minimum(from_first, from_second, out=after)
+    bm += src[:-1]  # the forward pass's sums, so the first branch still wins ties
+    second = bm[:, 1] < bm[:, 0]
 
-    rows = np.arange(n_words)
-    state = np.zeros(n_words, dtype=np.int64)  # zero termination
-    bits = np.empty((n_words, n_steps), dtype=np.int64)
-    for t in range(n_steps - 1, -1, -1):
-        c_idx = took_second[t, rows, state].astype(np.int64)
-        bits[:, t] = inc_input[state, c_idx]
-        state = inc_prev[state, c_idx]
-    return bits[:, :n_info]
+    # back[t, r * B + b] = r' * B + b: the branch register r' that word b took
+    # at step t, given that it took register r, from state r >> 1, at step
+    # t + 1; written over the branch metrics, which are done with
+    back = bm.view(np.int64).reshape(n_steps, s_count, 2, n_words)
+    np.multiply(second.reshape(n_steps, s_count, 1, n_words), s_count * n_words, out=back)
+    back += np.arange(s_count)[:, None, None] * n_words + np.arange(n_words)
+    ptr = np.empty((n_steps + 1, n_words), dtype=np.int64)
+    ptr[-1] = np.arange(n_words)  # zero termination: register 0 leaves state 0
+    for step, taken, out in zip(back.reshape(n_steps, -1)[::-1], ptr[:0:-1], ptr[-2::-1]):
+        step.take(taken, out=out, mode="clip")  # in range; "clip" skips the out buffer
+    bits = ptr[:n_info] // n_words
+    bits &= 1  # the input bit of each step is the low bit of its register
+    return bits.T

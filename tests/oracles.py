@@ -31,6 +31,43 @@ def exhaustive_decode(tables, code, c, max_info_bits: int = 20) -> np.ndarray:
     return words[int(np.argmin(metrics))]
 
 
+def reference_viterbi(tables, code, c) -> np.ndarray:
+    """The per-step Viterbi kernel that ``codec.conv.viterbi`` replaced, kept
+    as its reference: ``(B, S, 2)`` arrays with the words first, the two
+    branches into each state gathered at every step, survivor decisions
+    taken in the loop and a per-step fancy-index traceback. Ties go to the
+    lexicographically smaller (previous state, input).
+    """
+    tables = np.asarray(tables, dtype=np.float64)
+    n_words, n_steps = tables.shape[:2]
+    n_info = n_steps - code.n_flush
+    s_count = code.n_states
+    # registers r = 2 s + b stably sorted by destination r mod S
+    reg = np.argsort(np.arange(2 * s_count) % s_count, kind="stable").reshape(s_count, 2)
+    first, second = (np.bitwise_count(reg & g) & 1 for g in code.generators)
+    inc_prev, inc_input = reg >> 1, reg & 1
+    inc_sym = c.require_labeling().label_to_point[first << 1 | second]
+
+    pm = np.full((n_words, s_count), np.inf)
+    pm[:, 0] = 0.0
+    took_second = np.empty((n_steps, n_words, s_count), dtype=bool)
+    for t in range(n_steps):
+        cand = pm[:, inc_prev] + tables[:, t][:, inc_sym]  # (B, S, 2)
+        if t >= n_info:  # flush: only input 0 branches are valid
+            cand = np.where(inc_input == 0, cand, np.inf)
+        took_second[t] = cand[..., 1] < cand[..., 0]
+        pm = np.where(took_second[t], cand[..., 1], cand[..., 0])
+
+    rows = np.arange(n_words)
+    state = np.zeros(n_words, dtype=np.int64)  # zero termination
+    bits = np.empty((n_words, n_steps), dtype=np.int64)
+    for t in range(n_steps - 1, -1, -1):
+        c_idx = took_second[t, rows, state].astype(np.int64)
+        bits[:, t] = inc_input[state, c_idx]
+        state = inc_prev[state, c_idx]
+    return bits[:, :n_info]
+
+
 def gf2_rank(matrix) -> int:
     """Rank over GF(2) by elimination on packed rows."""
     rows = [int("".join(map(str, r)), 2) for r in np.asarray(matrix, dtype=np.uint8)]

@@ -5,7 +5,15 @@ from gnndsim.channel import transmit
 from gnndsim.codec import conv_encode, make_conv_code_57, viterbi
 from gnndsim.codec.conv import ConvCode
 from gnndsim.constellation import make_qpsk, modulate
-from oracles import exhaustive_decode
+from oracles import exhaustive_decode, reference_viterbi
+
+# constraint lengths 1-6, two generator pairs each; length 1 has only (1, 1)
+CODES = [ConvCode((1, 1), 1),
+         ConvCode((0b11, 0b01), 2), ConvCode((0b10, 0b11), 2),
+         ConvCode((0b101, 0b111), 3), ConvCode((0b110, 0b011), 3),
+         ConvCode((0o15, 0o17), 4), ConvCode((0o13, 0o06), 4),
+         ConvCode((0o23, 0o35), 5), ConvCode((0o31, 0o27), 5),
+         ConvCode((0o53, 0o75), 6), ConvCode((0o61, 0o47), 6)]
 
 
 def test_all_zero_input_gives_all_zero_output():
@@ -70,13 +78,42 @@ def test_soft_viterbi_on_noisy_awgn(rng):
 
 
 def test_viterbi_equals_exhaustive_on_random_metrics(rng):
+    q = make_qpsk(2.0)
+    for code in [c for c in CODES if c.constraint_length <= 4]:
+        for _ in range(60):
+            n_info = int(rng.integers(2, 13))
+            tables = rng.normal(0, 1, size=(3, n_info + code.n_flush, 4)) ** 2
+            for row, tab in zip(viterbi(tables, code, q), tables):
+                np.testing.assert_array_equal(row, exhaustive_decode(tab, code, q))
+
+
+@pytest.mark.parametrize("kind", ["float", "ties", "huge"])
+@pytest.mark.parametrize("code", CODES,
+                         ids=lambda c: "K{}-{:o}-{:o}".format(c.constraint_length, *c.generators))
+def test_viterbi_matches_reference_kernel(rng, code, kind):
+    # small integers tie path metrics; at 1e300 the path metrics of 140 steps
+    # stay finite, at 1e307 they overflow to +-inf; the reference masks the
+    # flush steps' input-1 branches, the kernel does not need to
+    q = make_qpsk(2.0)
+    for n_words in (1, 7, 48, 144):
+        for n_steps in (code.n_flush + 1, code.n_flush + 2, 37, 140):
+            shape = (n_words, n_steps, 4)
+            tables = (rng.normal(0, 1, size=shape) ** 2 if kind == "float"
+                      else rng.integers(0, 3, size=shape).astype(float) if kind == "ties"
+                      else rng.normal(0, 1, size=shape) * rng.choice([1e300, 1e307]))
+            with np.errstate(over="ignore"):
+                got, want = viterbi(tables, code, q), reference_viterbi(tables, code, q)
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_viterbi_rejects_non_finite_tables(bad):
     code = make_conv_code_57()
     q = make_qpsk(2.0)
-    for _ in range(60):
-        n_info = int(rng.integers(2, 13))
-        tables = rng.normal(0, 1, size=(3, n_info + code.n_flush, 4)) ** 2
-        for row, tab in zip(viterbi(tables, code, q), tables):
-            np.testing.assert_array_equal(row, exhaustive_decode(tab, code, q))
+    tables = np.ones((3, 6, 4))
+    tables[1, 4, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        viterbi(tables, code, q)
 
 
 def test_viterbi_table_length_check():

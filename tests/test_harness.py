@@ -285,6 +285,26 @@ def test_viterbi_wave_builds_one_engine_per_block_and_user(monkeypatch, receiver
     assert evaluated == [w for w, _, _ in waves for _ in range(per_wave_evaluations)]
 
 
+@pytest.mark.parametrize("receiver", ["sic", "no-sic"])
+def test_viterbi_wave_decodes_each_user_or_every_user_in_one_call(monkeypatch, receiver):
+    # under SIC one call per (wave, user) holds that user's words of every
+    # method and block; without SIC one call per wave holds every user's
+    words, real_viterbi = [], harness.viterbi
+
+    def counting(tables, code, consts):
+        words.append(tables.shape[0])
+        return real_viterbi(tables, code, consts)
+
+    monkeypatch.setattr(harness, "viterbi", counting)
+    cfg = ExperimentConfig(kind="viterbi-ber", seed=6, users=3, antennas=3,
+                           receiver=receiver, methods=("gnnd", "cl"), snr_db=(4.0,),
+                           blocks=harness.VITERBI_WAVE + 5, min_errors=10**6, info_bits=16)
+    run_viterbi_ber(cfg)
+    per_wave = [3 * [2 * w] if receiver == "sic" else [3 * 2 * w]
+                for w in (harness.VITERBI_WAVE, 5)]
+    assert words == [n for wave in per_wave for n in wave]
+
+
 def test_ldpc_ber_small_system(tmp_path):
     out = tmp_path / "ldpc.csv"
     cfg = ExperimentConfig(kind="ldpc-ber", seed=8, users=2, antennas=2,
