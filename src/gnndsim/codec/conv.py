@@ -125,8 +125,10 @@ def viterbi(tables, code: ConvCode, c: Constellation) -> np.ndarray:
     back += np.arange(s_count)[:, None, None] * n_words + np.arange(n_words)
     ptr = np.empty((n_steps + 1, n_words), dtype=np.int64)
     ptr[-1] = np.arange(n_words)  # zero termination: register 0 leaves state 0
+    # r' < 2 S, so every pointer is below 2 S B by construction: "clip" never
+    # clips here, it only keeps numpy from buffering out
     for step, taken, out in zip(back.reshape(n_steps, -1)[::-1], ptr[:0:-1], ptr[-2::-1]):
-        step.take(taken, out=out, mode="clip")  # in range; "clip" skips the out buffer
+        step.take(taken, out=out, mode="clip")
     bits = ptr[:n_info] // n_words
     bits &= 1  # the input bit of each step is the low bit of its register
     return bits.T

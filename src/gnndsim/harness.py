@@ -246,8 +246,8 @@ def _viterbi_block(args):
     the stack of the blocks' channels, read by one ``evaluate`` of the gnnd
     words and one of the ml words, or one for both at user 0, where nothing
     is cancelled yet, and one stacked CL solve; each block reads what it
-    would alone. Under SIC the words of user k, one per (method, block), go
-    through one ``viterbi`` call; without SIC the words of every user do.
+    would alone. The words of user k, one per (method, block), go through
+    one ``viterbi`` call.
     """
     cfg, snr_db, seeds, active = args
     code = make_conv_code_57()
@@ -283,13 +283,11 @@ def _viterbi_block(args):
                                  if method == "cl" else
                                  _enum_tables(method, shared if k == 0 else enum.evaluate(y),
                                               consts, users))
-            decoded = viterbi(tables.reshape(-1, n_steps, consts.size), code,
-                              consts).reshape(len(users), len(blocks), -1)
+        decoded = viterbi(tables[k - users.start], code, consts)
         if sic and k < n_users - 1:  # only later users cancel these decisions
-            decided[:, k] = modulate(conv_encode(decoded[0], code),
+            decided[:, k] = modulate(conv_encode(decoded, code),
                                      consts).reshape(len(blocks), n_steps)
-        errs[:, order[k]] = np.sum(decoded[k - users.start] != bits[blocks, k],
-                                   axis=1)  # original user id
+        errs[:, order[k]] = np.sum(decoded != bits[blocks, k], axis=1)  # original user id
     errs = errs.reshape(len(active), n_blocks, n_users)
     return [{m: errs[j, b] for j, m in enumerate(active)} for b in range(n_blocks)]
 

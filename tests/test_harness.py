@@ -285,10 +285,8 @@ def test_viterbi_wave_builds_one_engine_per_block_and_user(monkeypatch, receiver
     assert evaluated == [w for w, _, _ in waves for _ in range(per_wave_evaluations)]
 
 
-@pytest.mark.parametrize("receiver", ["sic", "no-sic"])
-def test_viterbi_wave_decodes_each_user_or_every_user_in_one_call(monkeypatch, receiver):
-    # under SIC one call per (wave, user) holds that user's words of every
-    # method and block; without SIC one call per wave holds every user's
+def test_viterbi_wave_decodes_each_user_in_one_call(monkeypatch):
+    # one call per (wave, user) holds that user's words of every method and block
     words, real_viterbi = [], harness.viterbi
 
     def counting(tables, code, consts):
@@ -297,12 +295,10 @@ def test_viterbi_wave_decodes_each_user_or_every_user_in_one_call(monkeypatch, r
 
     monkeypatch.setattr(harness, "viterbi", counting)
     cfg = ExperimentConfig(kind="viterbi-ber", seed=6, users=3, antennas=3,
-                           receiver=receiver, methods=("gnnd", "cl"), snr_db=(4.0,),
+                           receiver="sic", methods=("gnnd", "cl"), snr_db=(4.0,),
                            blocks=harness.VITERBI_WAVE + 5, min_errors=10**6, info_bits=16)
     run_viterbi_ber(cfg)
-    per_wave = [3 * [2 * w] if receiver == "sic" else [3 * 2 * w]
-                for w in (harness.VITERBI_WAVE, 5)]
-    assert words == [n for wave in per_wave for n in wave]
+    assert words == [2 * w for w in (harness.VITERBI_WAVE, 5) for _ in range(3)]
 
 
 def test_ldpc_ber_small_system(tmp_path):
