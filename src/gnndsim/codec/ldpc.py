@@ -136,7 +136,8 @@ def encode(code: LdpcCode, bits) -> np.ndarray:
 def syndrome(graph: ParityGraph, words) -> np.ndarray:
     """Check values of a batch of words (B, n), (B, n_checks)."""
     words = np.asarray(words, dtype=np.uint8)
-    return np.add.reduceat(words[:, graph.var_of_edge], graph.check_starts, axis=1) & 1
+    return np.bitwise_xor.reduceat(words[:, graph.var_of_edge], graph.check_starts,
+                                   axis=1) & 1
 
 
 def bp_decode_batch(graph: ParityGraph, llrs, max_iters: int, early_exit: bool = True):
@@ -148,32 +149,56 @@ def bp_decode_batch(graph: ParityGraph, llrs, max_iters: int, early_exit: bool =
     undecidable (exactly zero) posterior LLR; decoding stops early once
     every batch item has converged unless ``early_exit`` is disabled
     (useful when exact posteriors are wanted).
+
+    Messages are ``(batch, E)`` arrays in check-sorted edge order, written
+    in place. Each check and variable sum is one ``add.reduceat`` over its
+    edges in that order, since a different summation order would move the
+    last bits of the messages.
     """
     llrs = np.asarray(llrs, dtype=np.float64)
     if llrs.ndim != 2 or llrs.shape[1] != graph.n:
         raise ValueError(f"LLRs of shape {llrs.shape} are not (batch, {graph.n})")
     b = llrs.shape[0]
-    ce, ve = graph.check_of_edge, graph.var_of_edge
-    v2c = llrs[:, ve].copy()
-    c2v = np.zeros_like(v2c)
+    ve, starts = graph.var_of_edge, graph.check_starts
+    degree = np.diff(starts, append=len(ve))
+    v2c = np.take(llrs, ve, axis=1)
+    lt = np.empty_like(v2c)
+    sign = np.empty_like(v2c)
+    c2v = np.empty_like(v2c)
+    by_var = np.empty_like(v2c)
+    neg = np.empty(v2c.shape, dtype=np.uint8)
+    hard_e = np.empty(v2c.shape, dtype=np.uint8)
     total = llrs
-    hard = (llrs < 0).astype(np.uint8)
     converged = np.zeros(b, dtype=bool)
     for _ in range(max_iters):
-        t = np.tanh(0.5 * np.clip(v2c, -60.0, 60.0))
-        mag = np.clip(np.abs(t), 1e-300, _ATANH_CAP)
-        neg = t < 0
-        lt = np.log(mag)
-        sum_lt = np.add.reduceat(lt, graph.check_starts, axis=1)
-        sum_neg = np.add.reduceat(neg.astype(np.int64), graph.check_starts, axis=1)
-        ext_lt = sum_lt[:, ce] - lt
-        ext_sign = 1.0 - 2.0 * ((sum_neg[:, ce] - neg) & 1)
-        c2v = 2.0 * np.arctanh(np.minimum(np.exp(ext_lt), _ATANH_CAP)) * ext_sign
-        contrib = np.add.reduceat(c2v[:, graph.var_perm], graph.var_starts, axis=1)
-        total = llrs + contrib
-        v2c = total[:, ve] - c2v
-        hard = (total < 0).astype(np.uint8)
-        converged = ~syndrome(graph, hard).any(axis=1) & ~(total == 0.0).any(axis=1)
+        np.clip(v2c, -60.0, 60.0, out=lt)
+        lt *= 0.5
+        np.tanh(lt, out=lt)
+        np.less(lt, 0.0, out=neg)  # not signbit: a -0.0 message counts as positive
+        np.abs(lt, out=lt)
+        np.clip(lt, 1e-300, _ATANH_CAP, out=lt)
+        np.log(lt, out=lt)
+        # extrinsic log-magnitude and sign: the check's total less the edge's own
+        ext = np.repeat(np.add.reduceat(lt, starts, axis=1), degree, axis=1)
+        ext -= lt
+        np.exp(ext, out=ext)
+        np.minimum(ext, _ATANH_CAP, out=ext)
+        np.arctanh(ext, out=ext)
+        ext *= 2.0
+        flip = np.repeat(np.bitwise_xor.reduceat(neg, starts, axis=1), degree, axis=1)
+        flip ^= neg
+        # a product with +-1.0, not a negation, leaves a NaN's sign bit as it was
+        np.multiply(flip, -2.0, out=sign)
+        sign += 1.0
+        np.multiply(ext, sign, out=c2v)
+        np.take(c2v, graph.var_perm, axis=1, out=by_var)
+        total = llrs + np.add.reduceat(by_var, graph.var_starts, axis=1)
+        np.take(total, ve, axis=1, out=v2c)
+        np.less(v2c, 0.0, out=hard_e)  # the hard decisions, gathered per edge
+        v2c -= c2v
+        unsat = np.bitwise_xor.reduceat(hard_e, starts, axis=1)
+        converged = ~unsat.any(axis=1) & ~(total == 0.0).any(axis=1)
         if early_exit and converged.all():
             break
+    hard = (total < 0).astype(np.uint8)
     return hard, converged, total

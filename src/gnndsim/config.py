@@ -3,6 +3,7 @@ validation, echoed into every output for reproducibility."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 KINDS = ("gmi-sweep", "scatter", "viterbi-ber", "ldpc-ber", "train-net")
@@ -66,8 +67,13 @@ class ExperimentConfig:
                     "min_errors", "info_bits", "net_samples", "net_epochs",
                     "net_batch", "llr_max", "bp_iters", "threads")
         for name in positive:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigError(f"{name} must be positive")
+        if not 0 <= self.net_lr < math.inf:
+            raise ConfigError("net_lr must be finite and nonnegative")
+        if self.net_samples < self.net_batch:
+            raise ConfigError(f"net_samples = {self.net_samples} holds no full "
+                              f"batch of net_batch = {self.net_batch}")
         if self.constellation != "qpsk":
             raise ConfigError("only the qpsk constellation is wired into experiments")
         pilot_power_value(self)  # validate the spec early

@@ -32,7 +32,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.samples < self.batch_size:
             raise ValueError("need at least one full batch of samples")
-        if self.learning_rate < 0:
+        if not self.learning_rate >= 0:  # NaN fails too
             raise ValueError("learning rate must be nonnegative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
@@ -50,7 +50,8 @@ class MlpModel:
         a = np.asarray(x, dtype=np.float64)
         last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w.T + b
+            a = a @ w.T
+            a += b
             if l != last:
                 np.maximum(a, 0.0, out=a)
         return a
@@ -87,37 +88,67 @@ def make_dataset(gains, constellations, noise_var: float, user: int,
     return inputs, targets
 
 
+class _Workspace:
+    """Activation, mask and gradient buffers of one batch size, reused by
+    every step so that training maps no fresh arrays."""
+
+    def __init__(self, sizes, n: int):
+        outs = sizes[1:]
+        self.inputs = np.empty((n, sizes[0]))
+        self.targets = np.empty((n, outs[-1]))
+        self.acts = [np.empty((n, s)) for s in outs]
+        self.masks = [np.empty((n, s), dtype=bool) for s in outs[:-1]]
+        self.grads = [np.empty((n, s)) for s in outs[:-1]]
+        self.grads_w = [np.empty((o, i)) for i, o in zip(sizes[:-1], outs)]
+        self.grads_b = [np.empty(o) for o in outs]
+
+
+def _loss_and_grads(model: MlpModel, inputs, targets, ws: _Workspace):
+    """Quadratic loss and its gradients, written into the workspace."""
+    n = inputs.shape[0]
+    last = len(model.weights) - 1
+    a = inputs
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(a, w.T, out=ws.acts[l])
+        z += b
+        if l != last:
+            np.maximum(z, 0.0, out=z)
+        a = z
+    diff = np.subtract(a, targets, out=a)
+    loss = float(np.sum(diff**2) / n)
+    diff *= 2.0
+    grad = np.divide(diff, n, out=diff)
+    for l in range(last, -1, -1):
+        a_in = inputs if l == 0 else ws.acts[l - 1]
+        np.matmul(grad.T, a_in, out=ws.grads_w[l])
+        np.sum(grad, axis=0, out=ws.grads_b[l])
+        if l > 0:
+            # a unit passed its input iff its rectified output is positive
+            np.greater(a_in, 0.0, out=ws.masks[l - 1])
+            grad = np.matmul(grad, model.weights[l], out=ws.grads[l - 1])
+            grad *= ws.masks[l - 1]
+    return loss, ws.grads_w, ws.grads_b
+
+
 def loss_and_grads(model: MlpModel, inputs, targets):
     """Quadratic loss (mean |output - target|^2) and its parameter gradients."""
     inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    n = inputs.shape[0]
-    acts = [inputs]
-    pre = []
-    a = inputs
-    last = len(model.weights) - 1
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        pre.append(z)
-        a = z if l == last else np.maximum(z, 0.0)
-        acts.append(a)
-    diff = acts[-1] - targets
-    loss = float(np.sum(diff**2) / n)
-    grad = 2.0 * diff / n
-    grads_w, grads_b = [], []
-    for l in range(last, -1, -1):
-        grads_w.append(grad.T @ acts[l])
-        grads_b.append(grad.sum(axis=0))
-        if l > 0:
-            grad = (grad @ model.weights[l]) * (pre[l - 1] > 0)
-    return loss, grads_w[::-1], grads_b[::-1]
+    return _loss_and_grads(model, inputs, targets, _Workspace(model.sizes, len(inputs)))
+
+
+def _loss(model: MlpModel, inputs, targets) -> float:
+    """The quadratic loss alone, by the same operations as the gradient pass."""
+    diff = model.forward(inputs) - targets
+    return float(np.sum(diff**2) / inputs.shape[0])
 
 
 def train(dataset, sizes, config: TrainConfig):
     """Mini-batch Adam on the quadratic loss; returns (model, epoch losses).
 
     Aborts with TrainingDivergedError when the epoch loss exceeds ten times
-    the first epoch's loss three epochs in a row.
+    the untrained model's loss on the first min(samples, 4096) samples for
+    three epochs in a row.
     """
     inputs, targets = dataset
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -128,12 +159,12 @@ def train(dataset, sizes, config: TrainConfig):
     n = min(n, config.samples)
     rng = np.random.default_rng(config.seed)
     model = init_model(sizes, rng)
-    m_w = [np.zeros_like(w) for w in model.weights]
-    v_w = [np.zeros_like(w) for w in model.weights]
-    m_b = [np.zeros_like(b) for b in model.biases]
-    v_b = [np.zeros_like(b) for b in model.biases]
+    params = [*model.weights, *model.biases]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    ws = _Workspace(model.sizes, config.batch_size)
     probe = slice(0, min(n, 4096))
-    initial_loss, _, _ = loss_and_grads(model, inputs[probe], targets[probe])
+    initial_loss = _loss(model, inputs[probe], targets[probe])
     step = 0
     trace = []
     bad_epochs = 0
@@ -143,21 +174,30 @@ def train(dataset, sizes, config: TrainConfig):
         n_batches = 0
         for lo in range(0, n - config.batch_size + 1, config.batch_size):
             sel = perm[lo:lo + config.batch_size]
-            loss, gw, gb = loss_and_grads(model, inputs[sel], targets[sel])
+            x = np.take(inputs, sel, axis=0, out=ws.inputs)
+            t = np.take(targets, sel, axis=0, out=ws.targets)
+            loss, gw, gb = _loss_and_grads(model, x, t, ws)
             epoch_loss += loss
             n_batches += 1
             step += 1
             corr1 = 1.0 - ADAM_BETA1**step
             corr2 = 1.0 - ADAM_BETA2**step
-            for params, grads, ms, vs in ((model.weights, gw, m_w, v_w),
-                                          (model.biases, gb, m_b, v_b)):
-                for p, g, m, v in zip(params, grads, ms, vs):
-                    m *= ADAM_BETA1
-                    m += (1 - ADAM_BETA1) * g
-                    v *= ADAM_BETA2
-                    v += (1 - ADAM_BETA2) * g * g
-                    p -= (config.learning_rate * (m / corr1)
-                          / (np.sqrt(v / corr2) + ADAM_EPS))
+            for p, g, (m, v), (s1, s2) in zip(params, [*gw, *gb], moments, scratch):
+                # the same products and quotients, in the same order, as
+                # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
+                m *= ADAM_BETA1
+                m += np.multiply(g, 1 - ADAM_BETA1, out=s1)
+                v *= ADAM_BETA2
+                np.multiply(g, 1 - ADAM_BETA2, out=s1)
+                s1 *= g
+                v += s1
+                np.divide(m, corr1, out=s1)
+                s1 *= config.learning_rate
+                np.divide(v, corr2, out=s2)
+                np.sqrt(s2, out=s2)
+                s2 += ADAM_EPS
+                s1 /= s2
+                p -= s1
         trace.append(epoch_loss / max(n_batches, 1))
         bad_epochs = bad_epochs + 1 if trace[-1] > 10.0 * initial_loss else 0
         if bad_epochs >= 3:

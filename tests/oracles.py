@@ -3,8 +3,15 @@
 import numpy as np
 
 from gnndsim.codec import conv_encode
-from gnndsim.codec.ldpc import ParityGraph
+from gnndsim.codec.ldpc import _ATANH_CAP, ParityGraph
 from gnndsim.harness import SweepResult
+from gnndsim.mmse_net import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    TrainingDivergedError,
+    init_model,
+)
 from gnndsim.rates import LN2, RateEstimate, _estimate_from_nats, gnnd_gmi_samples
 
 GOLDEN_ITERS = 60        # golden-section steps of the metric-temperature fit
@@ -189,6 +196,112 @@ def parity_graph_from_dense(h) -> ParityGraph:
     h = np.asarray(h, dtype=np.uint8)
     ce, ve = np.nonzero(h)
     return ParityGraph(h.shape[1], h.shape[0], ce, ve)
+
+
+def reference_bp_decode_batch(graph: ParityGraph, llrs, max_iters: int,
+                              early_exit: bool):
+    """The flooding sum-product kernel that ``codec.ldpc.bp_decode_batch``
+    replaced, kept as its reference: fresh ``(B, E)`` arrays every
+    iteration, check sums gathered back with ``sum[:, check_of_edge]``, sign
+    parity from int64 sums and the syndrome from ``add.reduceat``.
+    """
+    llrs = np.asarray(llrs, dtype=np.float64)
+    b = llrs.shape[0]
+    ce, ve = graph.check_of_edge, graph.var_of_edge
+    v2c = llrs[:, ve].copy()
+    total = llrs
+    hard = (llrs < 0).astype(np.uint8)
+    converged = np.zeros(b, dtype=bool)
+    for _ in range(max_iters):
+        t = np.tanh(0.5 * np.clip(v2c, -60.0, 60.0))
+        mag = np.clip(np.abs(t), 1e-300, _ATANH_CAP)
+        neg = t < 0
+        lt = np.log(mag)
+        sum_lt = np.add.reduceat(lt, graph.check_starts, axis=1)
+        sum_neg = np.add.reduceat(neg.astype(np.int64), graph.check_starts, axis=1)
+        ext_lt = sum_lt[:, ce] - lt
+        ext_sign = 1.0 - 2.0 * ((sum_neg[:, ce] - neg) & 1)
+        c2v = 2.0 * np.arctanh(np.minimum(np.exp(ext_lt), _ATANH_CAP)) * ext_sign
+        contrib = np.add.reduceat(c2v[:, graph.var_perm], graph.var_starts, axis=1)
+        total = llrs + contrib
+        v2c = total[:, ve] - c2v
+        hard = (total < 0).astype(np.uint8)
+        unsat = np.add.reduceat(hard[:, ve], graph.check_starts, axis=1) & 1
+        converged = ~unsat.any(axis=1) & ~(total == 0.0).any(axis=1)
+        if early_exit and converged.all():
+            break
+    return hard, converged, total
+
+
+def reference_loss_and_grads(model, inputs, targets):
+    """The gradient pass ``mmse_net`` used before its buffers were kept
+    across steps: fresh activation, pre-activation and gradient arrays."""
+    n = inputs.shape[0]
+    acts = [inputs]
+    pre = []
+    a = inputs
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w.T + b
+        pre.append(z)
+        a = z if l == last else np.maximum(z, 0.0)
+        acts.append(a)
+    diff = acts[-1] - targets
+    loss = float(np.sum(diff**2) / n)
+    grad = 2.0 * diff / n
+    grads_w, grads_b = [], []
+    for l in range(last, -1, -1):
+        grads_w.append(grad.T @ acts[l])
+        grads_b.append(grad.sum(axis=0))
+        if l > 0:
+            grad = (grad @ model.weights[l]) * (pre[l - 1] > 0)
+    return loss, grads_w[::-1], grads_b[::-1]
+
+
+def reference_train(dataset, sizes, config):
+    """The training loop ``mmse_net.train`` replaced, kept as its reference:
+    a full gradient pass for the divergence probe, fresh arrays every step
+    and an Adam update built from temporaries."""
+    inputs, targets = (np.asarray(a, dtype=np.float64) for a in dataset)
+    n = min(inputs.shape[0], config.samples)
+    rng = np.random.default_rng(config.seed)
+    model = init_model(sizes, rng)
+    m_w = [np.zeros_like(w) for w in model.weights]
+    v_w = [np.zeros_like(w) for w in model.weights]
+    m_b = [np.zeros_like(b) for b in model.biases]
+    v_b = [np.zeros_like(b) for b in model.biases]
+    probe = slice(0, min(n, 4096))
+    initial_loss, _, _ = reference_loss_and_grads(model, inputs[probe], targets[probe])
+    step = 0
+    trace = []
+    bad_epochs = 0
+    for _ in range(config.epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        n_batches = 0
+        for lo in range(0, n - config.batch_size + 1, config.batch_size):
+            sel = perm[lo:lo + config.batch_size]
+            loss, gw, gb = reference_loss_and_grads(model, inputs[sel], targets[sel])
+            epoch_loss += loss
+            n_batches += 1
+            step += 1
+            corr1 = 1.0 - ADAM_BETA1**step
+            corr2 = 1.0 - ADAM_BETA2**step
+            for params, grads, ms, vs in ((model.weights, gw, m_w, v_w),
+                                          (model.biases, gb, m_b, v_b)):
+                for p, g, m, v in zip(params, grads, ms, vs):
+                    m *= ADAM_BETA1
+                    m += (1 - ADAM_BETA1) * g
+                    v *= ADAM_BETA2
+                    v += (1 - ADAM_BETA2) * g * g
+                    p -= (config.learning_rate * (m / corr1)
+                          / (np.sqrt(v / corr2) + ADAM_EPS))
+        trace.append(epoch_loss / max(n_batches, 1))
+        bad_epochs = bad_epochs + 1 if trace[-1] > 10.0 * initial_loss else 0
+        if bad_epochs >= 3:
+            raise TrainingDivergedError(
+                f"loss {trace[-1]:.3g} exceeded 10x initial for 3 epochs", trace)
+    return model, trace
 
 
 def gnnd_gmi_from_means(means, power: float) -> RateEstimate:

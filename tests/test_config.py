@@ -94,6 +94,26 @@ def test_nonpositive_counts_rejected():
         ExperimentConfig(kind="gmi-sweep", seed=1, users=0)
 
 
+@pytest.mark.parametrize("fields, match", [
+    (dict(net_samples=100, net_batch=500), "net_samples"),
+    (dict(net_lr=-1e-3), "net_lr"),
+    (dict(net_lr=float("nan")), "net_lr"),
+    (dict(net_lr=float("inf")), "net_lr"),
+    (dict(power=float("nan")), "power"),
+])
+def test_net_and_float_fields_checked_at_parse(fields, match):
+    # the net's training settings fail here, not partway through a run
+    base = dict(kind="ldpc-ber", seed=1, users=2, antennas=2, methods=("gnnd",),
+                net=True)
+    ExperimentConfig(**base, net_samples=500, net_batch=500, net_lr=0.0)  # boundaries
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig(**base, **fields)
+    text = "".join(f"{k} = {v}\n" for k, v in dict(base, methods="gnnd", net="on",
+                                                    **fields).items())
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
 def test_pilot_power_forms():
     base = dict(kind="ldpc-ber", seed=1, users=2, antennas=2, power=2.0,
                 methods=("gnnd",))

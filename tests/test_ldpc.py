@@ -5,7 +5,12 @@ import pytest
 
 from gnndsim.codec import bp_decode_batch, encode, ldpc_build, syndrome
 from gnndsim.codec.ldpc import parse_base_matrix
-from oracles import dense_parity_check, gf2_rank, parity_graph_from_dense
+from oracles import (
+    dense_parity_check,
+    gf2_rank,
+    parity_graph_from_dense,
+    reference_bp_decode_batch,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +85,48 @@ def test_llr_length_mismatch(code):
         bp_decode_batch(code.graph, np.zeros((2, 100)), 50)
     with pytest.raises(ValueError):  # one word is a batch of one
         bp_decode_batch(code.graph, np.zeros(528), 50)
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+    np.testing.assert_array_equal(np.signbit(got[2]), np.signbit(want[2]))
+
+
+@pytest.mark.parametrize("n_words", [1, 4, 8])
+@pytest.mark.parametrize("max_iters", [1, 50])
+@pytest.mark.parametrize("early_exit", [True, False])
+def test_bp_matches_reference_kernel(code, n_words, max_iters, early_exit):
+    rng = np.random.default_rng(100 + n_words)
+    words = encode(code, rng.integers(0, 2, size=(n_words, 440)))
+    # noise from easy to hopeless across the batch: some words converge, some not
+    sigma = np.linspace(1.0, 4.0, n_words)[:, None]
+    llr = np.clip(4.0 * (1.0 - 2.0 * words) + sigma * rng.standard_normal(words.shape),
+                  -30.0, 30.0)
+    _assert_same_bits(bp_decode_batch(code.graph, llr, max_iters, early_exit),
+                      reference_bp_decode_batch(code.graph, llr, max_iters, early_exit))
+
+
+@pytest.mark.parametrize("kind", ["signed zeros", "saturated"])
+@pytest.mark.parametrize("max_iters", [1, 50])
+@pytest.mark.parametrize("early_exit", [True, False])
+def test_bp_matches_reference_kernel_at_extremes(code, kind, max_iters, early_exit):
+    rng = np.random.default_rng(7)
+    signs = rng.choice([-1.0, 1.0], size=(4, 528))
+    # all-zero LLRs of both signs, or every LLR at the clip of +-llr_max
+    llr = 0.0 * signs if kind == "signed zeros" else 30.0 * signs
+    _assert_same_bits(bp_decode_batch(code.graph, llr, max_iters, early_exit),
+                      reference_bp_decode_batch(code.graph, llr, max_iters, early_exit))
+
+
+def test_syndrome_is_parity_of_any_byte(code, rng):
+    # non-binary bytes count by their lowest bit, as an integer sum mod 2 would
+    words = rng.integers(0, 256, size=(3, 528)).astype(np.uint8)
+    graph = code.graph
+    want = np.add.reduceat(words[:, graph.var_of_edge].astype(np.int64),
+                           graph.check_starts, axis=1) & 1
+    np.testing.assert_array_equal(syndrome(graph, words), want)
 
 
 def test_parse_rejects_bad_shift():

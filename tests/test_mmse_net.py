@@ -17,6 +17,7 @@ from gnndsim.mmse_net import (
     save_model,
     train,
 )
+from oracles import reference_train
 
 
 def test_default_architecture():
@@ -120,11 +121,41 @@ def test_divergence_aborts_with_trace(rng):
     assert len(err.value.trace) >= 3
 
 
+@pytest.mark.parametrize("rows, samples, batch, epochs", [
+    (1100, 1050, 100, 2),  # the batch does not divide the samples; rows go unused
+    (5000, 5000, 500, 2),  # more samples than the 4,096-row divergence probe
+])
+def test_train_matches_reference_loop(rows, samples, batch, epochs):
+    rng = np.random.default_rng(31)
+    dataset = make_dataset(sample_gains(4, 8, rng), make_qpsk(0.25), 0.1, 0, rows, rng)
+    cfg = TrainConfig(samples=samples, epochs=epochs, batch_size=batch,
+                      learning_rate=1e-3, seed=3)
+    model, trace = train(dataset, default_sizes(8), cfg)
+    ref_model, ref_trace = reference_train(dataset, default_sizes(8), cfg)
+    assert trace == ref_trace
+    for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_divergence_matches_reference_loop(rng):
+    gains = sample_gains(2, 2, rng)
+    dataset = make_dataset(gains, make_qpsk(0.5), 0.2, 0, 2000, rng)
+    cfg = TrainConfig(samples=2000, epochs=50, batch_size=100, learning_rate=50.0,
+                      seed=3)
+    errors = []
+    for fn in (train, reference_train):
+        with pytest.raises(TrainingDivergedError) as err:
+            fn(dataset, [4, 16, 2], cfg)
+        errors.append((str(err.value), err.value.trace))
+    assert errors[0] == errors[1]
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(samples=10, epochs=1, batch_size=20, learning_rate=1e-3, seed=0)
-    with pytest.raises(ValueError):
-        TrainConfig(samples=100, epochs=1, batch_size=10, learning_rate=-1.0, seed=0)
+    for rate in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            TrainConfig(samples=100, epochs=1, batch_size=10, learning_rate=rate, seed=0)
 
 
 def test_predict_batch_and_determinism(rng):
