@@ -4,15 +4,45 @@
 Pass --paper-scale to switch to the full-scale sampling settings (hours of
 runtime). Individual runs can be reproduced with the gnndsim CLI directly,
 e.g. `gnndsim gmi-sweep --config configs/gmi_sweep_4x4.cfg`.
+
+After each run it prints one sha256 line per output: the CSV less its
+`# out =` line, and each `train-net` checkpoint over its members' names and
+bytes (the zip container stamps the time of writing). Two runs wrote the
+same outputs when their logs show the same digests.
 """
 
 import argparse
+import hashlib
 import subprocess
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def output_digest(path: Path) -> str:
+    h = hashlib.sha256()
+    if path.suffix == ".npz":
+        with zipfile.ZipFile(path) as zf:
+            for name in sorted(zf.namelist()):
+                h.update(name.encode() + b"\0" + zf.read(name))
+    else:
+        for line in path.read_bytes().splitlines(keepends=True):
+            if not line.startswith(b"# out ="):
+                h.update(line)
+    return h.hexdigest()
+
+
+def outputs(cfg_text: str, kind: str) -> list[Path]:
+    out = next((line.split("=", 1)[1].split("#", 1)[0].strip()
+                for line in cfg_text.splitlines() if line.strip().startswith("out")), "")
+    if not out:
+        return []
+    if kind == "train-net":
+        return sorted((ROOT / out).parent.glob(Path(out).name + ".user*.npz"))
+    return [ROOT / out]
 
 
 def main():
@@ -28,8 +58,9 @@ def main():
     if args.only:
         configs = [c for c in configs if args.only in c.name]
     for cfg_path in configs:
+        text = cfg_path.read_text()
         kind = next(line.split("=")[1].strip()
-                    for line in cfg_path.read_text().splitlines()
+                    for line in text.splitlines()
                     if line.strip().startswith("kind"))
         cmd = [sys.executable, "-m", "gnndsim.cli", kind,
                "--config", str(cfg_path), "--threads", str(args.threads)]
@@ -39,6 +70,8 @@ def main():
         t = time.time()
         subprocess.run(cmd, check=True, cwd=ROOT)
         print(f"   done in {time.time() - t:.1f}s", flush=True)
+        for path in outputs(text, kind):
+            print(f"   sha256 {output_digest(path)}  {path.relative_to(ROOT)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -9,16 +9,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .channel import estimate_channel, sample_gains
-from .config import apply_paper_scale, load_config, pilot_power_value
+from .config import apply_paper_scale, load_config
 from .harness import (
     noise_var_for,
+    prepare_receiver,
     run_gmi_sweep,
     run_ldpc_ber,
     run_scatter,
     run_viterbi_ber,
-    train_user_model,
-    user_constellation,
 )
 from .mmse_net import save_model
 
@@ -34,17 +32,12 @@ def _train_net_command(cfg):
     """Train one conditional-mean model per user and save checkpoints."""
     if not cfg.out:
         raise SystemExit("train-net requires an output path (--out or out =)")
-    ss = np.random.SeedSequence((cfg.seed, 3))
-    rng = np.random.default_rng(ss)
-    noise_var = noise_var_for(cfg, cfg.snr_db[0])
-    gains = sample_gains(cfg.users, cfg.antennas, rng)
-    gains_hat = estimate_channel(gains, pilot_power_value(cfg), noise_var, rng)
-    consts = user_constellation(cfg)
-    for user, seq in enumerate(ss.spawn(cfg.users)):
-        model, trace = train_user_model(cfg, gains_hat, consts, noise_var, user, seq)
-        path = f"{cfg.out}.user{user + 1}.npz"
+    _, _, nets = prepare_receiver(cfg, noise_var_for(cfg, cfg.snr_db[0]),
+                                  np.random.SeedSequence((cfg.seed, 3)), True)
+    for user, (model, trace) in enumerate(nets, start=1):
+        path = f"{cfg.out}.user{user}.npz"
         save_model(path, model)
-        print(f"user {user + 1}: final training loss {trace[-1]:.5g} -> {path}")
+        print(f"user {user}: final training loss {trace[-1]:.5g} -> {path}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,9 +83,7 @@ def main(argv=None) -> int:
     if cfg.out:
         sys.stderr.write(f"wrote {cfg.out}\n")
     else:
-        sys.stdout.write(",".join(result.columns) + "\n")
-        for row in result.rows:
-            sys.stdout.write(",".join(str(row[c]) for c in result.columns) + "\n")
+        sys.stdout.writelines(result.csv_lines())
     return 0
 
 

@@ -33,11 +33,6 @@ def parse_base_matrix(text: str) -> tuple[np.ndarray, int]:
     return base, z
 
 
-def load_base_matrix() -> tuple[np.ndarray, int]:
-    text = resources.files("gnndsim.codec").joinpath("data", BASE_RESOURCE).read_text()
-    return parse_base_matrix(text)
-
-
 @dataclass(frozen=True)
 class ParityGraph:
     """Edge-list view of a parity-check matrix for message passing."""
@@ -103,7 +98,8 @@ class LdpcCode:
 
 def ldpc_build() -> LdpcCode:
     """Load the pinned base matrix and check it has the pinned shape."""
-    base, z = load_base_matrix()
+    base, z = parse_base_matrix(
+        resources.files("gnndsim.codec").joinpath("data", BASE_RESOURCE).read_text())
     mb, nb = base.shape
     k = (nb - mb) * z
     if (k, Fraction(k, nb * z)) != (INFO_LENGTH, CODE_RATE):
@@ -131,13 +127,6 @@ def encode(code: LdpcCode, bits) -> np.ndarray:
                 syn[:, rb] ^= np.roll(u[:, cb], -s, axis=1)
     parity = np.bitwise_xor.accumulate(syn, axis=1)
     return np.concatenate([bits, parity.reshape(len(bits), -1)], axis=1)
-
-
-def syndrome(graph: ParityGraph, words) -> np.ndarray:
-    """Check values of a batch of words (B, n), (B, n_checks)."""
-    words = np.asarray(words, dtype=np.uint8)
-    return np.bitwise_xor.reduceat(words[:, graph.var_of_edge], graph.check_starts,
-                                   axis=1) & 1
 
 
 def bp_decode_batch(graph: ParityGraph, llrs, max_iters: int, early_exit: bool = True):

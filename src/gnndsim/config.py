@@ -69,6 +69,10 @@ class ExperimentConfig:
         for name in positive:
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigError(f"{name} must be positive")
+        if self.power == math.inf:
+            raise ConfigError("power must be finite")
+        if not all(math.isfinite(s) for s in self.snr_db):
+            raise ConfigError(f"snr_db entries must be finite, got {self.snr_db}")
         if not 0 <= self.net_lr < math.inf:
             raise ConfigError("net_lr must be finite and nonnegative")
         if self.net_samples < self.net_batch:
@@ -79,6 +83,8 @@ class ExperimentConfig:
         pilot_power_value(self)  # validate the spec early
         if self.user_order() != list(range(self.users)) and self.kind != "viterbi-ber":
             raise ConfigError(f"sic_order is not read by {self.kind} runs")
+        if self.net and self.kind != "ldpc-ber":
+            raise ConfigError(f"net is not read by {self.kind} runs")
 
     def user_order(self) -> list[int]:
         if self.sic_order == "natural":
@@ -97,20 +103,14 @@ def pilot_power_value(cfg: ExperimentConfig) -> float | str:
     spec = cfg.pilot_power.strip()
     if spec == "perfect":
         return "perfect"
-    if spec.lower().endswith("p"):
-        try:
-            mult = float(spec[:-1]) if spec[:-1] else 1.0
-        except ValueError as exc:
-            raise ConfigError(f"bad pilot_power {spec!r}") from exc
-        if mult <= 0:
-            raise ConfigError("pilot power multiple must be positive")
-        return mult * cfg.power
+    multiple = spec.lower().endswith("p")
     try:
-        value = float(spec)
+        value = ((float(spec[:-1]) if spec[:-1] else 1.0) * cfg.power if multiple
+                 else float(spec))
     except ValueError as exc:
         raise ConfigError(f"bad pilot_power {spec!r}") from exc
-    if value <= 0:
-        raise ConfigError("pilot power must be positive")
+    if not 0 < value < math.inf:  # NaN fails too
+        raise ConfigError(f"pilot_power {spec!r} must give a positive, finite power")
     return value
 
 

@@ -101,14 +101,8 @@ def make_qpsk(power: float) -> Constellation:
     return Constellation(points, np.full(4, 0.25), float(power), labeling)
 
 
-def label_set(c: Constellation, position: int, bit_value: int) -> np.ndarray:
-    """Points whose label has ``bit_value`` at 1-based ``position``."""
-    if bit_value not in (0, 1):
-        raise ValueError(f"bit value must be 0 or 1, got {bit_value}")
-    return c.points[label_set_indices(c, position, bit_value)]
-
-
 def label_set_indices(c: Constellation, position: int, bit_value: int) -> np.ndarray:
+    """Indices of the points whose label has ``bit_value`` at 1-based ``position``."""
     bits = c.require_labeling().bit(position)
     return np.flatnonzero(bits == bit_value)
 

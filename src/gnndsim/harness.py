@@ -22,7 +22,7 @@ from .codec import (
     viterbi,
 )
 from .config import ExperimentConfig, config_echo, pilot_power_value
-from .constellation import make_qpsk, modulate, per_user
+from .constellation import make_qpsk, modulate, per_user, sample_symbols
 from .fronts import cl_front, nn_tables, qpsk_estimates
 from .mmse_net import TrainConfig, default_sizes, make_dataset, mean_fn, train
 from .posterior import SplitEnumeration
@@ -45,6 +45,11 @@ class SweepResult:
     rows: list[dict] = field(default_factory=list)
     runtime: float = 0.0
 
+    def csv_lines(self) -> list[str]:
+        """The header and one line per row, each value written by ``str``."""
+        return [",".join(self.columns) + "\n",
+                *(",".join(str(row[c]) for c in self.columns) + "\n" for row in self.rows)]
+
     def finish(self, start: float) -> "SweepResult":
         """Record the runtime since ``start`` and write the CSV to the
         config's ``out``, if it names one."""
@@ -54,20 +59,8 @@ class SweepResult:
                 fh.write(f"# gnndsim {__version__}\n")
                 for line in config_echo(self.config):
                     fh.write(f"# {line}\n")
-                fh.write(",".join(self.columns) + "\n")
-                for row in self.rows:
-                    fh.write(",".join(_fmt(row[c]) for c in self.columns) + "\n")
+                fh.writelines(self.csv_lines())
         return self
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
-    return str(v)
 
 
 def worker_pool(threads: int):
@@ -109,8 +102,11 @@ def _gmi_task(args):
                                   np.random.default_rng(sample_seed[i]))
         for method in cfg.methods:
             ests = [res[method][u] for u in range(cfg.users)]
-            rows.append(dict(draw=draw, snr_db=snr, method=method,
-                             per_user=ests, total=combine_rates(ests)))
+            base = dict(instance_id=draw, K=cfg.users, L=cfg.antennas, snr_db=snr,
+                        method=method, receiver=cfg.receiver)
+            for user, est in [*enumerate(ests, start=1), ("sum", combine_rates(ests))]:
+                rows.append(dict(base, user=user, rate_bits=est.value,
+                                 std_err=est.std_error, samples=est.samples))
     return rows
 
 
@@ -119,18 +115,7 @@ def run_gmi_sweep(cfg: ExperimentConfig) -> SweepResult:
     start = time.time()
     with worker_pool(cfg.threads) as pool:
         chunks = parallel_map(_gmi_task, [(cfg, d) for d in range(cfg.draws)], pool)
-    result = SweepResult(cfg, RATE_CSV_COLUMNS)
-    for chunk in chunks:
-        for entry in chunk:
-            base = dict(instance_id=entry["draw"], K=cfg.users, L=cfg.antennas,
-                        snr_db=entry["snr_db"], method=entry["method"],
-                        receiver=cfg.receiver)
-            for u, est in enumerate(entry["per_user"]):
-                result.rows.append(dict(base, user=u + 1, rate_bits=est.value,
-                                        std_err=est.std_error, samples=est.samples))
-            tot = entry["total"]
-            result.rows.append(dict(base, user="sum", rate_bits=tot.value,
-                                    std_err=tot.std_error, samples=tot.samples))
+    result = SweepResult(cfg, RATE_CSV_COLUMNS, [row for chunk in chunks for row in chunk])
     return result.finish(start)
 
 
@@ -151,22 +136,15 @@ def lmmse_estimates(gains, noise_var: float, constellations, y, user: int) -> np
 def run_scatter(cfg: ExperimentConfig) -> SweepResult:
     """Normalized clouds of front estimates vs linear MMSE for user 1."""
     start = time.time()
-    ss = np.random.SeedSequence((cfg.seed, 0))
-    rng = np.random.default_rng(ss)
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
     gains = sample_gains(cfg.users, cfg.antennas, rng)
     noise_var = noise_var_for(cfg, cfg.snr_db[0])
     consts = user_constellation(cfg)
     n = cfg.samples
-    idx = np.stack([rng.choice(consts.size, size=n, p=consts.probabilities)
-                    for _ in range(cfg.users)])
-    x = consts.points[idx]
+    x = np.stack([sample_symbols(consts, n, rng) for _ in range(cfg.users)])
     y = transmit(gains, noise_var, x, rng)
-    if cfg.net:
-        model, _ = train_user_model(cfg, gains, consts, noise_var, 0, ss.spawn(1)[0])
-        means = mean_fn(model)(y)
-    else:
-        enum = SplitEnumeration(gains, noise_var, consts, 0)
-        means = enum.evaluate_sliced(y, lambda batch: batch.mean(0))
+    enum = SplitEnumeration(gains, noise_var, consts, 0)
+    means = enum.evaluate_sliced(y, lambda batch: batch.mean(0))
     gnnd = qpsk_estimates(means, consts.power)
     lmmse = lmmse_estimates(gains, noise_var, consts, y, 0)
     gnnd = gnnd / np.sqrt(np.mean(np.abs(gnnd) ** 2))
@@ -208,6 +186,22 @@ class _BerCounter:
     @property
     def done(self) -> bool:
         return all(self.frozen.values())
+
+    def rows(self, cfg, kind, snr):
+        """The CSV rows of one SNR point: per method, each user's then all users'."""
+        rows = []
+        for method in cfg.methods:
+            base = dict(kind=kind, K=cfg.users, L=cfg.antennas, snr_db=snr,
+                        method=method, receiver=cfg.receiver,
+                        pilot_power=cfg.pilot_power, blocks=self.blocks[method])
+            errors, bits = self.errors[method], self.bits[method]
+            for u in range(cfg.users):
+                rows.append(dict(base, user=u + 1, errors=int(errors[u]), bits=int(bits[u]),
+                                 ber=float(errors[u] / max(bits[u], 1))))
+            tot_e, tot_b = int(errors.sum()), int(bits.sum())
+            rows.append(dict(base, user="all", errors=tot_e, bits=tot_b,
+                             ber=float(tot_e / max(tot_b, 1))))
+        return rows
 
 
 def _cl_tables(gains, noise_var, consts, y, users):
@@ -326,41 +320,34 @@ def run_viterbi_ber(cfg: ExperimentConfig) -> SweepResult:
                         for method in active:
                             counter.update(method, res[method], block_bits)
                 next_block += len(wave)
-            _append_ber_rows(result, cfg, "viterbi-ber", snr, counter)
+            result.rows += counter.rows(cfg, "viterbi-ber", snr)
     return result.finish(start)
-
-
-def _append_ber_rows(result, cfg, kind, snr, counter):
-    for method in cfg.methods:
-        base = dict(kind=kind, K=cfg.users, L=cfg.antennas, snr_db=snr,
-                    method=method, receiver=cfg.receiver,
-                    pilot_power=cfg.pilot_power)
-        errors = counter.errors[method]
-        bits = counter.bits[method]
-        blocks = counter.blocks[method]
-        for u in range(cfg.users):
-            result.rows.append(dict(base, user=u + 1, errors=int(errors[u]),
-                                    bits=int(bits[u]), blocks=blocks,
-                                    ber=float(errors[u] / max(bits[u], 1))))
-        tot_e, tot_b = int(errors.sum()), int(bits.sum())
-        result.rows.append(dict(base, user="all", errors=tot_e, bits=tot_b,
-                                blocks=blocks, ber=float(tot_e / max(tot_b, 1))))
 
 
 # --------------------------------------------------------------------------
 # LDPC BER
 
 
-def train_user_model(cfg, gains_hat, consts, noise_var, user, seed_seq):
-    """Conditional-mean network of one user, trained on the receiver's
-    channel knowledge; returns (model, epoch losses)."""
-    seed = int(np.random.default_rng(seed_seq).integers(2**31))
-    dataset = make_dataset(gains_hat, consts, noise_var, user, cfg.net_samples,
-                           np.random.default_rng((seed, 17)))
-    tc = TrainConfig(samples=cfg.net_samples, epochs=cfg.net_epochs,
-                     batch_size=cfg.net_batch, learning_rate=cfg.net_lr,
-                     seed=seed)
-    return train(dataset, default_sizes(gains_hat.shape[0]), tc)
+def prepare_receiver(cfg, noise_var, seed_seq, train_nets):
+    """One channel draw and the receiver's side of it, all from ``seed_seq``:
+    the gains, then their pilot estimate from the same generator, then, if
+    ``train_nets``, one conditional-mean network per user trained on that
+    estimate from its own child of ``seed_seq``. Returns (gains, gains_hat,
+    [(model, epoch losses) of each user]); with no networks, ``seed_seq``
+    spawns no child."""
+    rng = np.random.default_rng(seed_seq)
+    gains = sample_gains(cfg.users, cfg.antennas, rng)
+    gains_hat = estimate_channel(gains, pilot_power_value(cfg), noise_var, rng)
+    consts, nets = user_constellation(cfg), []
+    for user, child in enumerate(seed_seq.spawn(cfg.users) if train_nets else ()):
+        seed = int(np.random.default_rng(child).integers(2**31))
+        dataset = make_dataset(gains_hat, consts, noise_var, user, cfg.net_samples,
+                               np.random.default_rng((seed, 17)))
+        tc = TrainConfig(samples=cfg.net_samples, epochs=cfg.net_epochs,
+                         batch_size=cfg.net_batch, learning_rate=cfg.net_lr,
+                         seed=seed)
+        nets.append(train(dataset, default_sizes(cfg.antennas), tc))
+    return gains, gains_hat, nets
 
 
 def _batched_sigma_u(gains_hat, noise_var, consts, means_all_fn, rng):
@@ -377,19 +364,15 @@ class _LdpcRealization:
     and the residual scales its LLRs are read at."""
 
     def __init__(self, cfg, snr_db, seed_seq):
-        rng = np.random.default_rng(seed_seq)
         self.noise_var = noise_var_for(cfg, snr_db)
-        consts = user_constellation(cfg)
-        self.gains = sample_gains(cfg.users, cfg.antennas, rng)
-        self.gains_hat = estimate_channel(self.gains, pilot_power_value(cfg),
-                                          self.noise_var, rng)
-        if "gnnd" not in cfg.methods:
+        gnnd = "gnnd" in cfg.methods
+        self.gains, self.gains_hat, nets = prepare_receiver(cfg, self.noise_var, seed_seq,
+                                                            gnnd and cfg.net)
+        if not gnnd:
             return
+        consts = user_constellation(cfg)
         if cfg.net:
-            models = [train_user_model(cfg, self.gains_hat, consts,
-                                       self.noise_var, u, s)[0]
-                      for u, s in enumerate(seed_seq.spawn(cfg.users))]
-            fns = [mean_fn(m) for m in models]
+            fns = [mean_fn(model) for model, _ in nets]
             self.means_all = lambda y: np.stack([f(y) for f in fns])
         else:
             enum = SplitEnumeration(self.gains_hat, self.noise_var, consts, 0)
@@ -456,5 +439,5 @@ def run_ldpc_ber(cfg: ExperimentConfig) -> SweepResult:
             for method in active:
                 counter.update(method, res[method], block_bits)
             b += 1
-        _append_ber_rows(result, cfg, "ldpc-ber", snr, counter)
+        result.rows += counter.rows(cfg, "ldpc-ber", snr)
     return result.finish(start)

@@ -46,11 +46,13 @@ class MlpModel:
     weights: list[np.ndarray] = field(repr=False)
     biases: list[np.ndarray] = field(repr=False)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        a = np.asarray(x, dtype=np.float64)
+    def forward(self, x: np.ndarray, outs) -> np.ndarray:
+        """Outputs for float64 inputs ``x`` (n, sizes[0]). Layer l writes its
+        activations into ``outs[l]``, or into a fresh array if ``outs`` is None."""
+        a = x
         last = len(self.weights) - 1
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w.T
+            a = np.matmul(a, w.T, out=None if outs is None else outs[l])
             a += b
             if l != last:
                 np.maximum(a, 0.0, out=a)
@@ -103,19 +105,18 @@ class _Workspace:
         self.grads_b = [np.empty(o) for o in outs]
 
 
+def _loss(outputs, targets) -> float:
+    """Quadratic loss, mean |output - target|^2; leaves the residual in ``outputs``."""
+    diff = np.subtract(outputs, targets, out=outputs)
+    return float(np.sum(diff**2) / outputs.shape[0])
+
+
 def _loss_and_grads(model: MlpModel, inputs, targets, ws: _Workspace):
     """Quadratic loss and its gradients, written into the workspace."""
     n = inputs.shape[0]
     last = len(model.weights) - 1
-    a = inputs
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.matmul(a, w.T, out=ws.acts[l])
-        z += b
-        if l != last:
-            np.maximum(z, 0.0, out=z)
-        a = z
-    diff = np.subtract(a, targets, out=a)
-    loss = float(np.sum(diff**2) / n)
+    diff = model.forward(inputs, ws.acts)
+    loss = _loss(diff, targets)
     diff *= 2.0
     grad = np.divide(diff, n, out=diff)
     for l in range(last, -1, -1):
@@ -128,19 +129,6 @@ def _loss_and_grads(model: MlpModel, inputs, targets, ws: _Workspace):
             grad = np.matmul(grad, model.weights[l], out=ws.grads[l - 1])
             grad *= ws.masks[l - 1]
     return loss, ws.grads_w, ws.grads_b
-
-
-def loss_and_grads(model: MlpModel, inputs, targets):
-    """Quadratic loss (mean |output - target|^2) and its parameter gradients."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    return _loss_and_grads(model, inputs, targets, _Workspace(model.sizes, len(inputs)))
-
-
-def _loss(model: MlpModel, inputs, targets) -> float:
-    """The quadratic loss alone, by the same operations as the gradient pass."""
-    diff = model.forward(inputs) - targets
-    return float(np.sum(diff**2) / inputs.shape[0])
 
 
 def train(dataset, sizes, config: TrainConfig):
@@ -164,7 +152,7 @@ def train(dataset, sizes, config: TrainConfig):
     scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     ws = _Workspace(model.sizes, config.batch_size)
     probe = slice(0, min(n, 4096))
-    initial_loss = _loss(model, inputs[probe], targets[probe])
+    initial_loss = _loss(model.forward(inputs[probe], None), targets[probe])
     step = 0
     trace = []
     bad_epochs = 0
@@ -212,7 +200,7 @@ def predict(model: MlpModel, y) -> np.ndarray:
     if y.ndim != 2 or 2 * y.shape[0] != model.sizes[0]:
         raise ValueError(f"expected ({model.sizes[0] // 2}, n) observations, got {y.shape}")
     feats = np.concatenate([y.real.T, y.imag.T], axis=1)
-    out = model.forward(feats)
+    out = model.forward(feats, None)
     return out[:, 0] + 1j * out[:, 1]
 
 

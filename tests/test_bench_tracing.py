@@ -33,6 +33,23 @@ def test_tracer_installs_and_restores_its_targets():
     assert harness.viterbi is viterbi
 
 
+# names the tracer looks up and the package no longer has; each reads 0 in
+# its per-layer metric until the benchmark drops it
+STALE_TARGETS = ["gnndsim.posterior.PosteriorBatch.user_log_likelihood",
+                 "gnndsim.harness.crandn", "gnndsim.rates.crandn", "gnndsim.mmse_net.crandn"]
+
+
+@needs_tracing
+def test_tracer_finds_every_live_target():
+    # a refactor that moves a traced name fails here, not as a silent 0
+    tracer = _tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == STALE_TARGETS
+
+
 @needs_tracing
 @pytest.mark.parametrize("run, cfg, draws", [
     # one gain draw, then one noise draw per SNR point (one rate chunk each)

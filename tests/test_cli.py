@@ -66,6 +66,18 @@ samples = 50
     assert len(out.splitlines()) == 51
 
 
+def test_scatter_cli_stdout_rows_equal_file_rows(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.cfg", "kind = scatter\nseed = 5\nusers = 3\nantennas = 2\n"
+                                     "snr_db = 12\nsamples = 40\n")
+    out = tmp_path / "s.csv"
+    assert main(["scatter", "--config", cfg]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert main(["scatter", "--config", cfg, "--out", str(out)]) == 0
+    written = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(printed) == 41
+    assert printed == written
+
+
 def test_viterbi_cli(tmp_path):
     cfg = _write(tmp_path / "c.cfg", """
 kind = viterbi-ber

@@ -94,24 +94,49 @@ def test_nonpositive_counts_rejected():
         ExperimentConfig(kind="gmi-sweep", seed=1, users=0)
 
 
+INF, NAN = float("inf"), float("nan")
+
+
 @pytest.mark.parametrize("fields, match", [
     (dict(net_samples=100, net_batch=500), "net_samples"),
     (dict(net_lr=-1e-3), "net_lr"),
     (dict(net_lr=float("nan")), "net_lr"),
     (dict(net_lr=float("inf")), "net_lr"),
     (dict(power=float("nan")), "power"),
+    # non-finite inputs, which a run would turn into NaN rows or a failure deep inside
+    (dict(power=INF), "power"),
+    (dict(snr_db=(0.0, NAN)), "snr_db"),
+    (dict(snr_db=(INF,)), "snr_db"),
+    (dict(snr_db=(-INF, 10.0)), "snr_db"),
+    (dict(pilot_power="inf"), "pilot_power"),
+    (dict(pilot_power="1e400"), "pilot_power"),
+    (dict(pilot_power="infP"), "pilot_power"),
+    (dict(pilot_power="nanP"), "pilot_power"),
+    (dict(power=1e10, pilot_power="1e300P"), "pilot_power"),
 ])
 def test_net_and_float_fields_checked_at_parse(fields, match):
-    # the net's training settings fail here, not partway through a run
+    # the net's training settings and the float inputs fail here, naming
+    # the field, not partway through a run
     base = dict(kind="ldpc-ber", seed=1, users=2, antennas=2, methods=("gnnd",),
                 net=True)
     ExperimentConfig(**base, net_samples=500, net_batch=500, net_lr=0.0)  # boundaries
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig(**base, **fields)
-    text = "".join(f"{k} = {v}\n" for k, v in dict(base, methods="gnnd", net="on",
-                                                    **fields).items())
+    text = "".join(f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                   for k, v in dict(base, net="on", **fields).items())
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+@pytest.mark.parametrize("kind, methods", [
+    ("gmi-sweep", ("gnnd",)), ("scatter", ()), ("viterbi-ber", ("gnnd",)), ("train-net", ()),
+])
+def test_net_read_by_ldpc_only(kind, methods):
+    # only ldpc-ber decodes with the network; scatter draws exact means only
+    ExperimentConfig(kind=kind, seed=1, methods=methods)
+    with pytest.raises(ConfigError, match="net"):
+        ExperimentConfig(kind=kind, seed=1, methods=methods, net=True)
+    ExperimentConfig(kind="ldpc-ber", seed=1, methods=("gnnd",), net=True)
 
 
 def test_pilot_power_forms():

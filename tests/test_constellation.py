@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from gnndsim.constellation import (
     BitLabeling,
     Constellation,
-    label_set,
+    label_set_indices,
     make_qpsk,
     modulate,
     sample_symbols,
@@ -37,16 +37,16 @@ def test_qpsk_rejects_nonpositive_power():
 
 def test_label_sets_follow_gray_map():
     q = make_qpsk(2.0)
-    assert all(p.real > 0 for p in label_set(q, 1, 0))
-    assert all(p.real < 0 for p in label_set(q, 1, 1))
-    assert all(p.imag < 0 for p in label_set(q, 2, 1))
-    assert all(p.imag > 0 for p in label_set(q, 2, 0))
+    assert all(p.real > 0 for p in q.points[label_set_indices(q, 1, 0)])
+    assert all(p.real < 0 for p in q.points[label_set_indices(q, 1, 1)])
+    assert all(p.imag < 0 for p in q.points[label_set_indices(q, 2, 1)])
+    assert all(p.imag > 0 for p in q.points[label_set_indices(q, 2, 0)])
 
 
 def test_label_sets_partition():
     q = make_qpsk(1.0)
     for j in (1, 2):
-        s0, s1 = label_set(q, j, 0), label_set(q, j, 1)
+        s0, s1 = q.points[label_set_indices(q, j, 0)], q.points[label_set_indices(q, j, 1)]
         assert len(s0) + len(s1) == 4
         assert not set(map(complex, s0)) & set(map(complex, s1))
 
@@ -54,9 +54,9 @@ def test_label_sets_partition():
 def test_label_position_out_of_range():
     q = make_qpsk(1.0)
     with pytest.raises(ValueError):
-        label_set(q, 3, 0)
+        label_set_indices(q, 3, 0)
     with pytest.raises(ValueError):
-        label_set(q, 0, 0)
+        label_set_indices(q, 0, 0)
 
 
 def test_modulate_gray_anchor():

@@ -6,6 +6,8 @@ from gnndsim.channel import sample_gains, transmit
 from gnndsim.config import ExperimentConfig
 from gnndsim.constellation import make_qpsk
 from gnndsim.harness import (
+    SCATTER_CSV_COLUMNS,
+    SweepResult,
     lmmse_estimates,
     run_gmi_sweep,
     run_ldpc_ber,
@@ -67,6 +69,15 @@ def test_gmi_sweep_threads_match_serial():
     parallel = run_gmi_sweep(_small_gmi_cfg(samples=500, threads=2))
     for ra, rb in zip(serial.rows, parallel.rows):
         assert ra == rb
+
+
+def test_finish_writes_numpy_scalars_as_numbers(tmp_path):
+    out = tmp_path / "r.csv"
+    cfg = ExperimentConfig(kind="scatter", seed=1, out=str(out))
+    row = dict(true_re=np.float64(0.5), true_im=np.int64(-2), gnnd_re=0.25, gnnd_im=3,
+               lmmse_re="x", lmmse_im=np.float64(1e-300))
+    SweepResult(cfg, SCATTER_CSV_COLUMNS, [row]).finish(0.0)
+    assert out.read_text().splitlines()[-1] == "0.5,-2,0.25,3,x,1e-300"
 
 
 def test_scatter_rows_and_noiseless_collapse(tmp_path):

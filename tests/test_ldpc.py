@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gnndsim.codec import bp_decode_batch, encode, ldpc_build, syndrome
+from gnndsim.codec import bp_decode_batch, encode, ldpc_build
 from gnndsim.codec.ldpc import parse_base_matrix
 from oracles import (
     dense_parity_check,
@@ -27,7 +27,7 @@ def test_shape_and_rate(code):
 def test_every_codeword_satisfies_checks(code, rng):
     words = encode(code, rng.integers(0, 2, size=(5, 440)))
     assert words.shape == (5, 528)
-    assert not syndrome(code.graph, words).any()
+    assert not (words.astype(np.int64) @ dense_parity_check(code).T % 2).any()
 
 
 def test_parity_check_rank(code):
@@ -69,7 +69,7 @@ def test_converged_output_satisfies_checks(code, rng):
     llr = 4.0 * (1.0 - 2.0 * word) + rng.normal(0, 2.0, size=(10, 528))
     decoded, converged, _ = bp_decode_batch(code.graph, np.clip(llr, -30, 30), 50)
     assert converged.any()
-    assert not syndrome(code.graph, decoded[converged]).any()
+    assert not (decoded[converged].astype(np.int64) @ dense_parity_check(code).T % 2).any()
 
 
 def test_bp_corrects_moderate_noise(code, rng):
@@ -118,15 +118,6 @@ def test_bp_matches_reference_kernel_at_extremes(code, kind, max_iters, early_ex
     llr = 0.0 * signs if kind == "signed zeros" else 30.0 * signs
     _assert_same_bits(bp_decode_batch(code.graph, llr, max_iters, early_exit),
                       reference_bp_decode_batch(code.graph, llr, max_iters, early_exit))
-
-
-def test_syndrome_is_parity_of_any_byte(code, rng):
-    # non-binary bytes count by their lowest bit, as an integer sum mod 2 would
-    words = rng.integers(0, 256, size=(3, 528)).astype(np.uint8)
-    graph = code.graph
-    want = np.add.reduceat(words[:, graph.var_of_edge].astype(np.int64),
-                           graph.check_starts, axis=1) & 1
-    np.testing.assert_array_equal(syndrome(graph, words), want)
 
 
 def test_parse_rejects_bad_shift():
