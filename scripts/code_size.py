@@ -1,6 +1,7 @@
-"""Print the two size figures of the package: its line count, as
-``wc -l src/gnndsim/*.py src/gnndsim/codec/*.py`` gives it, and the number
-of defaulted parameters over every function and lambda, counted with ``ast``.
+"""Print the three size figures of the package: its line count, as
+``wc -l src/gnndsim/*.py src/gnndsim/codec/*.py`` gives it, the number of
+defaulted parameters over every function and lambda, and the number of
+``ExperimentConfig`` fields, its options; the last two are counted with ``ast``.
 
     python scripts/code_size.py [repository root]
 """
@@ -23,11 +24,19 @@ def defaulted_parameters(tree: ast.AST) -> int:
                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
 
 
+def config_fields(tree: ast.AST) -> int:
+    return sum(isinstance(stmt, ast.AnnAssign)
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig"
+               for stmt in node.body)
+
+
 def main(argv: list[str]) -> None:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent
     texts = [p.read_text() for p in package_files(root)]
     print(f"lines {sum(t.count(chr(10)) for t in texts)}")
     print(f"defaulted parameters {sum(defaulted_parameters(ast.parse(t)) for t in texts)}")
+    print(f"config fields {sum(config_fields(ast.parse(t)) for t in texts)}")
 
 
 if __name__ == "__main__":

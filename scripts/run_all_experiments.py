@@ -3,7 +3,9 @@
 
 Pass --paper-scale to switch to the full-scale sampling settings (hours of
 runtime). Individual runs can be reproduced with the gnndsim CLI directly,
-e.g. `gnndsim gmi-sweep --config configs/gmi_sweep_4x4.cfg`.
+e.g. `gnndsim gmi-sweep --config configs/gmi_sweep_4x4.cfg`. The package
+must be importable, as for the CLI: `PYTHONPATH=src python scripts/...`.
+`--threads` goes to the runners that read it, gmi-sweep and viterbi-ber.
 
 After each run it prints one sha256 line per output: the CSV less its
 `# out =` line, and each `train-net` checkpoint over its members' names and
@@ -18,6 +20,8 @@ import sys
 import time
 import zipfile
 from pathlib import Path
+
+from gnndsim.config import THREADED_KINDS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -62,8 +66,9 @@ def main():
         kind = next(line.split("=")[1].strip()
                     for line in text.splitlines()
                     if line.strip().startswith("kind"))
-        cmd = [sys.executable, "-m", "gnndsim.cli", kind,
-               "--config", str(cfg_path), "--threads", str(args.threads)]
+        cmd = [sys.executable, "-m", "gnndsim.cli", kind, "--config", str(cfg_path)]
+        if kind in THREADED_KINDS:  # the other runners reject threads > 1
+            cmd += ["--threads", str(args.threads)]
         if args.paper_scale:
             cmd.append("--paper-scale")
         print(f"== {cfg_path.name}", flush=True)

@@ -87,14 +87,6 @@ class LdpcCode:
                             np.concatenate(checks), np.concatenate(vars_))
         object.__setattr__(self, "graph", graph)
 
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def n_checks(self) -> int:
-        return self.graph.n_checks
-
 
 def ldpc_build() -> LdpcCode:
     """Load the pinned base matrix and check it has the pinned shape."""

@@ -13,6 +13,7 @@ KNOWN_METHODS = ("gnnd", "cl", "mi", "ml")
 RUNNER_METHODS = {"gmi-sweep": ("gnnd", "cl", "mi"),
                   "viterbi-ber": ("gnnd", "cl", "ml"),
                   "ldpc-ber": ("gnnd", "cl")}
+THREADED_KINDS = ("gmi-sweep", "viterbi-ber")  # the runners that read threads
 
 
 class ConfigError(ValueError):
@@ -85,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError(f"sic_order is not read by {self.kind} runs")
         if self.net and self.kind != "ldpc-ber":
             raise ConfigError(f"net is not read by {self.kind} runs")
+        if self.threads > 1 and self.kind not in THREADED_KINDS:
+            raise ConfigError(f"threads is not read by {self.kind} runs")
 
     def user_order(self) -> list[int]:
         if self.sic_order == "natural":

@@ -15,24 +15,26 @@ EXP_FLOOR = -700.0
 
 @dataclass(frozen=True)
 class BitLabeling:
-    """Bijection between length-m bit labels and constellation point indices.
+    """Bijection between m-bit labels and the 2**m constellation point indices.
 
     ``point_to_label[i]`` is the integer whose m-bit binary expansion
     (MSB first) is the label of point ``i``.
     """
 
-    bits_per_symbol: int
     point_to_label: np.ndarray
 
     def __post_init__(self):
         labels = np.asarray(self.point_to_label, dtype=np.int64)
         object.__setattr__(self, "point_to_label", labels)
-        m = self.bits_per_symbol
         n = labels.size
-        if n != 2**m:
-            raise ValueError(f"labeling covers {n} points, expected {2**m}")
+        if n == 0 or n & (n - 1):
+            raise ValueError(f"labeling covers {n} points, not a power of two")
         if sorted(labels.tolist()) != list(range(n)):
             raise ValueError("labeling is not a bijection")
+
+    @property
+    def bits_per_symbol(self) -> int:
+        return self.point_to_label.size.bit_length() - 1
 
     @property
     def label_to_point(self) -> np.ndarray:
@@ -97,7 +99,7 @@ def make_qpsk(power: float) -> Constellation:
         raise ValueError(f"power must be positive, got {power}")
     c = np.sqrt(power / 2.0)
     points = c * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-    labeling = BitLabeling(2, np.array([0b00, 0b01, 0b10, 0b11]))
+    labeling = BitLabeling(np.array([0b00, 0b01, 0b10, 0b11]))
     return Constellation(points, np.full(4, 0.25), float(power), labeling)
 
 

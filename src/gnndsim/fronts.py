@@ -31,15 +31,13 @@ class FrontSolverError(RuntimeError):
 class ClFront:
     """Whitened matched-filter front for one user.
 
-    effective_gain is E[conj(x_k) y | v] / P_k; residual_cov is the
-    second-moment matrix of the uncorrelated remainder. combiner maps an
-    interference-cancelled observation to the scalar channel
-        combiner^H y = scalar_gain * x + w,  w of unit actual variance.
-    The front of a stack of channels holds one of each per channel.
+    combiner maps an interference-cancelled observation to the scalar channel
+        combiner^H y = scalar_gain * x + w,  w of unit actual variance,
+    with combiner * scalar_gain = Delta^-1 h for the user's gains h and the
+    second-moment matrix Delta of the uncorrelated remainder. The front of a
+    stack of channels holds one of each per channel.
     """
 
-    effective_gain: np.ndarray
-    residual_cov: np.ndarray
     combiner: np.ndarray
     scalar_gain: float | np.ndarray
 
@@ -197,5 +195,4 @@ def cl_front(gains, noise_var: float, constellations, user: int, cancelled) -> C
     rho = (h.conj()[..., None, :] @ sol[..., None])[..., 0, 0].real  # h^H Delta^-1 h
     scalar_gain = np.sqrt(rho)
     combiner = sol / scalar_gain[..., None]  # y_s = combiner^H y = scalar_gain * x + w
-    return ClFront(effective_gain=h, residual_cov=delta,
-                   combiner=combiner, scalar_gain=scalar_gain)
+    return ClFront(combiner=combiner, scalar_gain=scalar_gain)

@@ -162,43 +162,38 @@ def run_scatter(cfg: ExperimentConfig) -> SweepResult:
 
 
 class _BerCounter:
-    """Per-method/per-user error counters with the stop rule
-    (at least min_errors aggregate errors, or the block cap)."""
+    """Per-method/per-user error counts of one SNR point with the stop rule:
+    a method closes at ``cfg.min_errors`` aggregate errors or at the block
+    cap ``cfg.blocks``. ``active`` holds the open methods in ``cfg.methods``
+    order; each user sends ``block_bits`` bits per block."""
 
-    def __init__(self, methods, n_users, min_errors, block_cap):
-        self.min_errors = min_errors
-        self.block_cap = block_cap
-        self.frozen = {m: False for m in methods}
-        self.errors = {m: np.zeros(n_users, dtype=np.int64) for m in methods}
-        self.bits = {m: np.zeros(n_users, dtype=np.int64) for m in methods}
-        self.blocks = {m: 0 for m in methods}
+    def __init__(self, cfg, block_bits):
+        self.cfg, self.block_bits = cfg, block_bits
+        self.errors = {m: np.zeros(cfg.users, dtype=np.int64) for m in cfg.methods}
+        self.blocks = {m: 0 for m in cfg.methods}
+        self.active = cfg.methods
 
-    def update(self, method, block_errors, block_bits):
-        if self.frozen[method]:
-            return
-        self.errors[method] += block_errors
-        self.bits[method] += block_bits
-        self.blocks[method] += 1
-        if (self.errors[method].sum() >= self.min_errors
-                or self.blocks[method] >= self.block_cap):
-            self.frozen[method] = True
+    def add(self, block_errors):
+        """Count one block, {method: per-user errors}, for every active method."""
+        for m in self.active:
+            self.errors[m] += block_errors[m]
+            self.blocks[m] += 1
+        self.active = tuple(m for m in self.active
+                            if self.errors[m].sum() < self.cfg.min_errors
+                            and self.blocks[m] < self.cfg.blocks)
 
-    @property
-    def done(self) -> bool:
-        return all(self.frozen.values())
-
-    def rows(self, cfg, kind, snr):
+    def rows(self, kind, snr):
         """The CSV rows of one SNR point: per method, each user's then all users'."""
-        rows = []
+        cfg, rows = self.cfg, []
         for method in cfg.methods:
             base = dict(kind=kind, K=cfg.users, L=cfg.antennas, snr_db=snr,
                         method=method, receiver=cfg.receiver,
                         pilot_power=cfg.pilot_power, blocks=self.blocks[method])
-            errors, bits = self.errors[method], self.bits[method]
+            errors, bits = self.errors[method], self.blocks[method] * self.block_bits
             for u in range(cfg.users):
-                rows.append(dict(base, user=u + 1, errors=int(errors[u]), bits=int(bits[u]),
-                                 ber=float(errors[u] / max(bits[u], 1))))
-            tot_e, tot_b = int(errors.sum()), int(bits.sum())
+                rows.append(dict(base, user=u + 1, errors=int(errors[u]), bits=bits,
+                                 ber=float(errors[u] / max(bits, 1))))
+            tot_e, tot_b = int(errors.sum()), bits * cfg.users
             rows.append(dict(base, user="all", errors=tot_e, bits=tot_b,
                              ber=float(tot_e / max(tot_b, 1))))
         return rows
@@ -306,21 +301,19 @@ def run_viterbi_ber(cfg: ExperimentConfig) -> SweepResult:
     block_seeds = np.random.SeedSequence((cfg.seed, 1)).spawn(cfg.blocks)
     with worker_pool(cfg.threads) as pool:
         for snr in cfg.snr_db:
-            counter = _BerCounter(cfg.methods, cfg.users, cfg.min_errors, cfg.blocks)
-            block_bits = np.full(cfg.users, cfg.info_bits, dtype=np.int64)
+            counter = _BerCounter(cfg, cfg.info_bits)
             next_block = 0
-            while not counter.done and next_block < cfg.blocks:
+            while counter.active:  # the cap closes every method at block cfg.blocks
                 wave = block_seeds[next_block:next_block + VITERBI_WAVE]
-                active = tuple(m for m in cfg.methods if not counter.frozen[m])
                 parts = min(cfg.threads, len(wave))
                 cuts = [len(wave) * i // parts for i in range(parts + 1)]
-                tasks = [(cfg, snr, wave[lo:hi], active) for lo, hi in zip(cuts, cuts[1:])]
+                tasks = [(cfg, snr, wave[lo:hi], counter.active)
+                         for lo, hi in zip(cuts, cuts[1:])]
                 for chunk in parallel_map(_viterbi_block, tasks, pool):
                     for res in chunk:
-                        for method in active:
-                            counter.update(method, res[method], block_bits)
+                        counter.add(res)
                 next_block += len(wave)
-            result.rows += counter.rows(cfg, "viterbi-ber", snr)
+            result.rows += counter.rows("viterbi-ber", snr)
     return result.finish(start)
 
 
@@ -427,17 +420,13 @@ def run_ldpc_ber(cfg: ExperimentConfig) -> SweepResult:
         reals = []
         block_rng = np.random.default_rng(
             np.random.SeedSequence((cfg.seed, 3, int(round(snr * 4096)) & 0xFFFFFFFF)))
-        counter = _BerCounter(cfg.methods, cfg.users, cfg.min_errors, cfg.blocks)
-        block_bits = np.full(cfg.users, code.info_length, dtype=np.int64)
+        counter = _BerCounter(cfg, code.info_length)
         b = 0
-        while not counter.done and b < cfg.blocks:
+        while counter.active:  # the cap closes every method at block cfg.blocks
             if b < cfg.draws:  # realization b is first used by block b
                 reals.append(_LdpcRealization(
                     cfg, snr, np.random.SeedSequence((cfg.seed, 2, b))))
-            active = tuple(m for m in cfg.methods if not counter.frozen[m])
-            res = _ldpc_block(cfg, reals[b % cfg.draws], code, block_rng, active)
-            for method in active:
-                counter.update(method, res[method], block_bits)
+            counter.add(_ldpc_block(cfg, reals[b % cfg.draws], code, block_rng, counter.active))
             b += 1
-        result.rows += counter.rows(cfg, "ldpc-ber", snr)
+        result.rows += counter.rows("ldpc-ber", snr)
     return result.finish(start)

@@ -19,7 +19,7 @@ from .constellation import EXP_FLOOR, lse, per_user
 
 ENUM_CAP = 4**10
 # sets the columns per evaluation at 16 bytes per joint combination
-# (slice_columns), and so the rate chunk and its RNG stream
+# (budget_columns), and so the rate chunk and its RNG stream
 ENUM_SLICE_BYTES = 2**28
 EXACT_BLOCK_BYTES = 2**19  # one cache-sized (n, M_A, M_B) float64 block of the split's exact pass
 MI_FALLBACK_MASS = 1e-250  # marginals below this are recomputed by log-sum-exp
@@ -34,10 +34,11 @@ class EnumerationCapError(ValueError):
     """Joint alphabet too large for exact enumeration."""
 
 
-def _active_channel(gains, noise_var: float, constellations, first_user: int):
+def _active_channel(enum, gains, noise_var: float, constellations, first_user: int):
     """Checked channel of users ``first_user``..K-1: the complex gains (L, K),
-    or a stack of them, every user's constellation and the active users'
-    alphabet sizes."""
+    or a stack of them. Sets on ``enum`` every user's constellation, the
+    first user, the active users' alphabet sizes, their count, the number of
+    their combinations and the noise variance."""
     gains = np.asarray(gains, dtype=np.complex128)
     n_users = gains.shape[-1]
     if not 0 <= first_user < n_users:
@@ -51,7 +52,19 @@ def _active_channel(gains, noise_var: float, constellations, first_user: int):
         raise EnumerationCapError(
             f"joint alphabet size {total} exceeds cap {ENUM_CAP}; "
             "use the neural conditional-mean approximator for this size")
-    return gains, consts, sizes
+    enum.constellations = consts
+    enum.first_user = first_user
+    enum.sizes = sizes
+    enum.n_active = len(sizes)
+    enum.n_combos = total
+    enum.noise_var = float(noise_var)
+    return gains
+
+
+def budget_columns(n_combos: int) -> int:
+    """Observations per evaluation of ``n_combos`` joint combinations, at
+    least one: ENUM_SLICE_BYTES over 16 bytes per combination."""
+    return max(1, ENUM_SLICE_BYTES // (16 * n_combos))
 
 
 def _observations(y, stack) -> np.ndarray:
@@ -96,107 +109,6 @@ def _block_diag(a, b) -> np.ndarray:
     return out
 
 
-class JointEnumeration:
-    """All symbol combinations of users ``first_user``..K-1 of a channel: the
-    complex128 reference for ``SplitEnumeration``.
-
-    Precomputes the candidate received means H x over the joint alphabet so
-    that batches of observations can be scored with one matrix product.
-    Likelihoods are handled in the log domain with per-observation max
-    subtraction, so no overflow occurs even at tiny noise levels, and the
-    exponent is raised to ``EXP_FLOOR`` before it is taken, so no weight
-    underflows into the slow subnormal range.
-    """
-
-    def __init__(self, gains, noise_var: float, constellations, first_user: int):
-        gains, self.constellations, sizes = _active_channel(
-            gains, noise_var, constellations, first_user)
-        active = self.constellations[first_user:]
-        self.first_user = first_user
-        self.n_active = len(active)
-        self.sizes = sizes
-        self.noise_var = float(noise_var)
-
-        # index of each active user's symbol in every combination; axis order
-        # matches self.sizes so reshapes expose one axis per user
-        grids = _grids(sizes)
-        points = _points(active, grids)
-        self.n_combos = grids.shape[1]
-        means = gains[:, first_user:] @ points
-        self._means_ct = np.ascontiguousarray(means.conj().T)
-        self._row_offset = (np.sum(np.abs(means) ** 2, axis=0) / self.noise_var
-                            - _log_prior(active, grids))
-        self.gauss_log_const = -gains.shape[0] * np.log(np.pi * self.noise_var)
-        # one column per joint combination, the layout of the weights that
-        # PosteriorBatch reads
-        self.point_parts = (np.ascontiguousarray(points.real), np.ascontiguousarray(points.imag))
-        self.indicator = _indicator(grids, sizes)
-
-    def marginal_rows(self, user: int) -> slice:
-        """Rows of ``indicator`` (and of ``PosteriorBatch.marginals``) of one user."""
-        k = self.active_index(user)
-        start = sum(self.sizes[:k])
-        return slice(start, start + self.sizes[k])
-
-    def active_index(self, user: int) -> int:
-        k = user - self.first_user
-        if not 0 <= k < self.n_active:
-            raise ValueError(f"user {user} not in enumerated range")
-        return k
-
-    def log_weights(self, y) -> np.ndarray:
-        """Unnormalized log posterior weight of every combination, (M, n)."""
-        y = _observations(y, ())
-        g = self._means_ct @ y  # (M, n)
-        logw = np.multiply(g.real, 2.0 / self.noise_var)
-        logw -= self._row_offset[:, None]
-        logw -= (np.sum(np.abs(y) ** 2, axis=0) / self.noise_var)[None, :]
-        return logw
-
-    def evaluate(self, y) -> "PosteriorBatch":
-        """Normalised posterior weights of a batch of observations.
-
-        The weights are exp(max(logw - top, EXP_FLOOR)): a combination more
-        than -EXP_FLOOR nats below the best one keeps a weight of
-        e**EXP_FLOOR relative to it, mass far below anything the sums
-        resolve. ``PosteriorBatch.log_pmf_at`` compensates where it counts.
-        """
-        logw = self.log_weights(y)
-        top = logw.max(axis=0)
-        w = np.subtract(logw, top[None, :], out=logw)
-        np.maximum(w, EXP_FLOOR, out=w)
-        np.exp(w, out=w)
-        norm = w.sum(axis=0)
-        w /= norm[None, :]
-        batch = PosteriorBatch(self, y, w, np.full(y.shape[1], MI_FALLBACK_MASS))
-        batch.log_evidence = top + np.log(norm) + self.gauss_log_const  # log p(y)
-        return batch
-
-    def exact_log_pmf(self, y, user: int) -> np.ndarray:
-        """log P(x_user = a | y_t) of every candidate a and column of y, (L,
-        n), by log-sum-exp over its unfloored log weights, (m_user, n)."""
-        log_joint = (self.user_log_likelihood(y, [user])[0]
-                     + np.log(self.constellations[user].probabilities)[:, None])
-        return log_joint - lse(log_joint, 0)
-
-    def user_log_likelihood(self, y, users) -> list[np.ndarray]:
-        """log p(y | x_user = a_i) for every candidate a_i, one (m_user, n)
-        table per user of ``users``, from one pass of unfloored log weights.
-
-        Omits the Gaussian normalizer (see ``gauss_log_const``), which
-        cancels in likelihood ratios.
-        """
-        logw = self.log_weights(y)
-        shaped = logw.reshape(self.sizes + [logw.shape[1]])
-        tables = []
-        for user in users:
-            k = self.active_index(user)
-            axes = tuple(a for a in range(self.n_active) if a != k)
-            logp = np.log(self.constellations[user].probabilities)
-            tables.append(lse(shaped, axes) - logp[:, None])
-        return tables
-
-
 class SplitEnumeration:
     """Exact posteriors of users ``first_user``..K-1 from two groups.
 
@@ -228,12 +140,7 @@ class SplitEnumeration:
     """
 
     def __init__(self, gains, noise_var: float, constellations, first_user: int):
-        gains, self.constellations, self.sizes = _active_channel(
-            gains, noise_var, constellations, first_user)
-        self.first_user = first_user
-        self.n_active = len(self.sizes)
-        self.n_combos = int(np.prod(self.sizes, dtype=np.int64))
-        self.noise_var = float(noise_var)
+        gains = _active_channel(self, gains, noise_var, constellations, first_user)
         gains = gains[..., first_user:]
         active = self.constellations[first_user:]
         half = self.n_active // 2
@@ -259,8 +166,17 @@ class SplitEnumeration:
                             _block_diag(*(p.imag for p in points)))
         self.indicator = _block_diag(*indicators)
 
-    active_index = JointEnumeration.active_index
-    marginal_rows = JointEnumeration.marginal_rows
+    def active_index(self, user: int) -> int:
+        k = user - self.first_user
+        if not 0 <= k < self.n_active:
+            raise ValueError(f"user {user} not in enumerated range")
+        return k
+
+    def marginal_rows(self, user: int) -> slice:
+        """Rows of ``indicator`` (and of ``PosteriorBatch.marginals``) of one user."""
+        k = self.active_index(user)
+        start = sum(self.sizes[:k])
+        return slice(start, start + self.sizes[k])
 
     def channel(self, i) -> "SplitEnumeration":
         """The engine of channel ``i`` of the stack, () alone, sharing its arrays."""
@@ -269,18 +185,10 @@ class SplitEnumeration:
         one._coupling, one._kernel = self._coupling[i], self._kernel[i]
         return one
 
-    @property
-    def slice_columns(self) -> int:
-        """Observations per evaluation, at least one: ENUM_SLICE_BYTES over
-        16 bytes per joint combination, |A| |B|. It sets the slices of
-        ``evaluate_sliced`` and caps the rate chunk, and so the rate RNG
-        stream."""
-        return max(1, ENUM_SLICE_BYTES // (16 * self.n_combos))
-
     def evaluate_sliced(self, y, read) -> np.ndarray:
-        """``read(batch)`` of each slice of ``slice_columns`` columns of y,
+        """``read(batch)`` of each slice of ``budget_columns`` columns of y,
         (L, n), joined on the last axis: no batch outgrows the byte budget."""
-        step = self.slice_columns
+        step = budget_columns(self.n_combos)
         return np.concatenate([read(self.evaluate(y[..., i:i + step]))
                                for i in range(0, y.shape[-1], step)], axis=-1)
 
@@ -358,6 +266,92 @@ class SplitEnumeration:
         return PosteriorBatch(self, y, w, fallback_mass)
 
 
+class JointEnumeration:
+    """All symbol combinations of users ``first_user``..K-1 of a channel: the
+    complex128 reference for ``SplitEnumeration``.
+
+    Precomputes the candidate received means H x over the joint alphabet so
+    that batches of observations can be scored with one matrix product.
+    Likelihoods are handled in the log domain with per-observation max
+    subtraction, so no overflow occurs even at tiny noise levels, and the
+    exponent is raised to ``EXP_FLOOR`` before it is taken, so no weight
+    underflows into the slow subnormal range.
+    """
+
+    def __init__(self, gains, noise_var: float, constellations, first_user: int):
+        gains = _active_channel(self, gains, noise_var, constellations, first_user)
+        active = self.constellations[first_user:]
+
+        # index of each active user's symbol in every combination; axis order
+        # matches self.sizes so reshapes expose one axis per user
+        grids = _grids(self.sizes)
+        points = _points(active, grids)
+        means = gains[:, first_user:] @ points
+        self._means_ct = np.ascontiguousarray(means.conj().T)
+        self._row_offset = (np.sum(np.abs(means) ** 2, axis=0) / self.noise_var
+                            - _log_prior(active, grids))
+        self.gauss_log_const = -gains.shape[0] * np.log(np.pi * self.noise_var)
+        # one column per joint combination, the layout of the weights that
+        # PosteriorBatch reads
+        self.point_parts = (np.ascontiguousarray(points.real), np.ascontiguousarray(points.imag))
+        self.indicator = _indicator(grids, self.sizes)
+
+    active_index = SplitEnumeration.active_index
+    marginal_rows = SplitEnumeration.marginal_rows
+
+    def log_weights(self, y) -> np.ndarray:
+        """Unnormalized log posterior weight of every combination, (M, n)."""
+        y = _observations(y, ())
+        g = self._means_ct @ y  # (M, n)
+        logw = np.multiply(g.real, 2.0 / self.noise_var)
+        logw -= self._row_offset[:, None]
+        logw -= (np.sum(np.abs(y) ** 2, axis=0) / self.noise_var)[None, :]
+        return logw
+
+    def evaluate(self, y) -> "PosteriorBatch":
+        """Normalised posterior weights of a batch of observations.
+
+        The weights are exp(max(logw - top, EXP_FLOOR)): a combination more
+        than -EXP_FLOOR nats below the best one keeps a weight of
+        e**EXP_FLOOR relative to it, mass far below anything the sums
+        resolve. ``PosteriorBatch.log_pmf_at`` compensates where it counts.
+        """
+        logw = self.log_weights(y)
+        top = logw.max(axis=0)
+        w = np.subtract(logw, top[None, :], out=logw)
+        np.maximum(w, EXP_FLOOR, out=w)
+        np.exp(w, out=w)
+        norm = w.sum(axis=0)
+        w /= norm[None, :]
+        batch = PosteriorBatch(self, y, w, np.full(y.shape[1], MI_FALLBACK_MASS))
+        batch.log_evidence = top + np.log(norm) + self.gauss_log_const  # log p(y)
+        return batch
+
+    def exact_log_pmf(self, y, user: int) -> np.ndarray:
+        """log P(x_user = a | y_t) of every candidate a and column of y, (L,
+        n), by log-sum-exp over its unfloored log weights, (m_user, n)."""
+        log_joint = (self.user_log_likelihood(y, [user])[0]
+                     + np.log(self.constellations[user].probabilities)[:, None])
+        return log_joint - lse(log_joint, 0)
+
+    def user_log_likelihood(self, y, users) -> list[np.ndarray]:
+        """log p(y | x_user = a_i) for every candidate a_i, one (m_user, n)
+        table per user of ``users``, from one pass of unfloored log weights.
+
+        Omits the Gaussian normalizer (see ``gauss_log_const``), which
+        cancels in likelihood ratios.
+        """
+        logw = self.log_weights(y)
+        shaped = logw.reshape(self.sizes + [logw.shape[1]])
+        tables = []
+        for user in users:
+            k = self.active_index(user)
+            axes = tuple(a for a in range(self.n_active) if a != k)
+            logp = np.log(self.constellations[user].probabilities)
+            tables.append(lse(shaped, axes) - logp[:, None])
+        return tables
+
+
 class PosteriorBatch:
     """Normalized posterior weights for a batch of observations.
 
@@ -403,9 +397,9 @@ class PosteriorBatch:
         return self.marginals()[..., self.enum.marginal_rows(user), :]
 
     def log_pmf_at(self, user: int, idx) -> np.ndarray:
-        """Exact log P(x_user = idx[..., t] | y_t) for every observation t:
-        (n,) for an idx of one symbol per observation, (m_user, n) for every
-        candidate with idx (m_user, 1), the same for each channel of a stack.
+        """Exact log P(x_user = idx[r, t] | y_t) of every row r and
+        observation t, (rows, n), for an idx of (rows, n) or (rows, 1), the
+        same for each channel of a stack.
 
         P is read from the marginals and clamped at 1, since it is a
         probability. Entries below their column's fallback mass
@@ -416,13 +410,11 @@ class PosteriorBatch:
         cols = np.arange(self._y.shape[-1])
         p = np.minimum(self.pmf(user)[..., idx, cols], 1.0)
         log_p = np.log(p)
-        every = p.ndim > self._fallback_mass.ndim  # a candidate axis before the columns'
-        low = p < (self._fallback_mass[..., None, :] if every else self._fallback_mass)
-        low_cols = low.any(axis=-2) if every else low
-        for i in map(tuple, np.argwhere(low_cols.any(axis=-1))):  # each channel with such entries
-            at = np.flatnonzero(low_cols[i])
+        low = p < self._fallback_mass[..., None, :]
+        for i in map(tuple, np.argwhere(low.any(axis=(-2, -1)))):  # each channel with such entries
+            at = np.flatnonzero(low[i].any(axis=0))
             enum = self.enum.channel(i) if i else self.enum
-            rows = np.broadcast_to(idx, low[i].shape)[..., at]
+            rows = np.broadcast_to(idx, low[i].shape)[:, at]
             exact = enum.exact_log_pmf(self._y[i][:, at], user)[rows, np.arange(at.size)]
-            log_p[i][..., at] = np.where(low[i][..., at], exact, log_p[i][..., at])
+            log_p[i][:, at] = np.where(low[i][:, at], exact, log_p[i][:, at])
         return log_p

@@ -10,7 +10,7 @@ import numpy as np
 from .channel import check_channel, transmit
 from .constellation import Constellation, per_user
 from .fronts import ARTANH_CLIP, cl_front, nn_tables, qpsk_estimates, tilted_pmf
-from .posterior import SplitEnumeration
+from .posterior import ENUM_CAP, SplitEnumeration, budget_columns
 
 LN2 = float(np.log(2.0))
 SAMPLE_CHUNK = 16384     # most channel uses per enumeration batch
@@ -145,7 +145,7 @@ def mi_samples(batch, user: int, tx_idx) -> np.ndarray:
     """Per-observation mutual-information integrand (nats) of one user,
     log P(x_user = tx | y) - log p(tx), from ``PosteriorBatch.log_pmf_at``;
     no sample exceeds -log p(tx)."""
-    return (batch.log_pmf_at(user, tx_idx)
+    return (batch.log_pmf_at(user, tx_idx[None])[0]
             - np.log(batch.enum.constellations[user].probabilities)[tx_idx])
 
 
@@ -169,9 +169,12 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
     on the true symbols of users 0..k-1 (the information-theoretic
     successive-cancellation rate); without it one evaluation per chunk
     serves every user. Posteriors come from ``SplitEnumeration``, and a
-    chunk is at most the ``slice_columns`` of its full enumeration, so its
-    fallback columns stay within the byte budget. User powers are read from
-    the constellations, for the CL fronts as for the sampled symbols.
+    chunk is at most the ``budget_columns`` of the largest enumeration the
+    call could build (none above ``ENUM_CAP``), so its fallback columns stay
+    within the byte budget; built or not, so the CL rows do not depend on
+    the other methods. User
+    powers are read from the constellations, for the CL fronts as for the
+    sampled symbols.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
@@ -198,7 +201,8 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
              for f in sorted(set(first.values()))} if need_enum else {}
     fronts = {u: cl_front(gains, noise_var, consts, u, range(first[u])) for u in users}
     acc = {m: {u: [] for u in users} for m in methods}  # cl: (y_scalar, index) pairs
-    chunk = min([SAMPLE_CHUNK] + [e.slice_columns for e in enums.values()])
+    combos = int(np.prod([c.size for c in consts[min(first.values(), default=0):]]))
+    chunk = SAMPLE_CHUNK if combos > ENUM_CAP else min(SAMPLE_CHUNK, budget_columns(combos))
 
     remaining = n_samples
     while remaining > 0:

@@ -9,7 +9,7 @@ def make_square16(power: float) -> Constellation:
     s = np.sqrt(power / 10.0)
     levels = np.array([-3.0, -1.0, 1.0, 3.0]) * s
     pts = (levels[:, None] + 1j * levels[None, :]).ravel()
-    labeling = BitLabeling(4, np.arange(16))
+    labeling = BitLabeling(np.arange(16))
     return Constellation(pts, np.full(16, 1 / 16), float(power), labeling)
 
 

@@ -74,3 +74,45 @@ def test_traced_runner_draws_every_gaussian_through_crandn(run, cfg, draws):
     names = [span[0] for span in tracer.spans]
     assert names.count("channel.crandn") == draws
     assert "fronts.cl_front" in names
+
+
+SHARED_LDPC = {"ldpc.bp", "ldpc.encode", "llr.bit_llrs", "fronts.cl_front",
+               "fronts.qpsk_estimates", "channel.crandn"}
+
+
+@needs_tracing
+@pytest.mark.parametrize("run, cfg, spans", [
+    (harness.run_gmi_sweep,
+     ExperimentConfig(kind="gmi-sweep", seed=3, users=2, antennas=2, snr_db=(5.0,),
+                      draws=1, samples=300),
+     {"channel.crandn", "fronts.cl_front", "posterior.means", "rates.cl_gmi",
+      "rates.engine", "rates.gnnd_gmi"}),
+    (harness.run_viterbi_ber,
+     ExperimentConfig(kind="viterbi-ber", seed=3, users=2, antennas=2, snr_db=(4.0,),
+                      methods=("gnnd", "cl", "ml"), blocks=2, info_bits=8),
+     {"conv.encode", "conv.viterbi", "fronts.cl_front", "fronts.qpsk_estimates",
+      "posterior.means", "channel.crandn"}),
+    (harness.run_ldpc_ber,
+     ExperimentConfig(kind="ldpc-ber", seed=3, users=2, antennas=2, snr_db=(4.0,),
+                      methods=("gnnd", "cl"), draws=1, blocks=1, bp_iters=2),
+     SHARED_LDPC | {"posterior.means"}),
+    (harness.run_ldpc_ber,
+     ExperimentConfig(kind="ldpc-ber", seed=3, users=2, antennas=2, snr_db=(4.0,),
+                      methods=("gnnd", "cl"), draws=1, blocks=1, bp_iters=2, net=True,
+                      net_samples=200, net_epochs=1, net_batch=100),
+     SHARED_LDPC | {"mmse_net.dataset", "mmse_net.train", "mmse_net.predict"}),
+    (harness.run_scatter,
+     ExperimentConfig(kind="scatter", seed=3, users=2, antennas=2, snr_db=(10.0,),
+                      samples=50),
+     {"channel.crandn", "fronts.qpsk_estimates", "posterior.means"}),
+], ids=["gmi-sweep", "viterbi-ber", "ldpc-ber", "ldpc-ber-net", "scatter"])
+def test_each_runner_records_its_spans(run, cfg, spans):
+    # a call site moved out of its traced module loses its span here, where
+    # the tracer's missing list, which sees only names that are gone, cannot
+    tracer = _tracer()
+    try:
+        tracer.install()
+        tracer.call(run, cfg)
+    finally:
+        tracer.uninstall()
+    assert {span[0] for span in tracer.spans} == spans | {"harness"}

@@ -139,6 +139,22 @@ def test_net_read_by_ldpc_only(kind, methods):
     ExperimentConfig(kind="ldpc-ber", seed=1, methods=("gnnd",), net=True)
 
 
+@pytest.mark.parametrize("kind, methods, read", [
+    ("gmi-sweep", ("gnnd",), True), ("viterbi-ber", ("gnnd",), True),
+    ("ldpc-ber", ("gnnd",), False), ("scatter", (), False), ("train-net", (), False),
+])
+def test_threads_read_by_gmi_and_viterbi_only(kind, methods, read):
+    # a runner that starts no worker pool must not be given one
+    ExperimentConfig(kind=kind, seed=1, methods=methods, threads=1)
+    if read:
+        assert ExperimentConfig(kind=kind, seed=1, methods=methods, threads=2).threads == 2
+        return
+    with pytest.raises(ConfigError, match="threads"):
+        ExperimentConfig(kind=kind, seed=1, methods=methods, threads=2)
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config(f"kind = {kind}\nseed = 1\nmethods = {','.join(methods)}\nthreads = 2\n")
+
+
 def test_pilot_power_forms():
     base = dict(kind="ldpc-ber", seed=1, users=2, antennas=2, power=2.0,
                 methods=("gnnd",))

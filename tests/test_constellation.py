@@ -104,4 +104,4 @@ def test_constellation_invariants_enforced():
 
 def test_labeling_must_be_bijection():
     with pytest.raises(ValueError):
-        BitLabeling(2, np.array([0, 1, 1, 3]))
+        BitLabeling(np.array([0, 1, 1, 3]))

@@ -268,7 +268,9 @@ def test_gnnd_metric_argmin_is_sign_decision(rng):
 def test_cl_front_single_user_is_matched_filter(rng):
     q = make_qpsk(2.0)
     front = cl_front(np.array([[1.0 + 0j]]), 1.0, q, 0, ())
-    np.testing.assert_allclose(front.residual_cov, np.eye(1), atol=1e-12)
+    # no interferer: the residual matrix is the unit noise, Delta^-1 h = h
+    np.testing.assert_allclose(front.combiner * front.scalar_gain[..., None], [1.0],
+                               atol=1e-12)
     y = 0.4 - 0.7j
     table = _cl_table(front, [y], q)
     euclid = np.abs(y - q.points) ** 2
@@ -292,8 +294,12 @@ def test_cl_effective_gain_monte_carlo(rng):
     est = prods.mean(axis=1)
     se = prods.std(axis=1).max() / np.sqrt(n)
     assert np.max(np.abs(est - powers[k] * gains[:, k])) < 3 * se
+    # the front combines with Delta^-1 h_k, the other users' powers in Delta
     front = cl_front(gains, 0.8, consts, k, ())
-    np.testing.assert_allclose(front.effective_gain, gains[:, k])
+    delta = 0.8 * np.eye(l_ant) + sum(powers[j] * np.outer(gains[:, j], gains[:, j].conj())
+                                      for j in range(k_users) if j != k)
+    np.testing.assert_allclose(front.combiner * front.scalar_gain[..., None],
+                               np.linalg.solve(delta, gains[:, k]), rtol=1e-12)
 
 
 def test_cl_full_cancellation_equals_single_user(rng):
@@ -301,7 +307,7 @@ def test_cl_full_cancellation_equals_single_user(rng):
     q = make_qpsk(1.0)
     full = cl_front(gains, 0.5, q, 1, [0, 2])
     solo = cl_front(gains[:, 1:2], 0.5, q, 0, ())
-    np.testing.assert_allclose(full.residual_cov, solo.residual_cov, atol=1e-12)
+    np.testing.assert_allclose(full.scalar_gain, solo.scalar_gain, rtol=1e-12)
     np.testing.assert_allclose(full.combiner, solo.combiner, atol=1e-12)
 
 

@@ -20,8 +20,8 @@ def code():
 
 def test_shape_and_rate(code):
     assert code.info_length == 440
-    assert code.n == 528
-    assert code.info_length / code.n == pytest.approx(5 / 6)
+    assert code.graph.n == 528
+    assert code.info_length / code.graph.n == pytest.approx(5 / 6)
 
 
 def test_every_codeword_satisfies_checks(code, rng):
@@ -32,7 +32,7 @@ def test_every_codeword_satisfies_checks(code, rng):
 
 def test_parity_check_rank(code):
     h = dense_parity_check(code)
-    assert gf2_rank(h) == code.n_checks == 88
+    assert gf2_rank(h) == code.graph.n_checks == 88
 
 
 def test_encoding_is_linear(code, rng):

@@ -50,7 +50,7 @@ def test_llr_sign_follows_estimate_sign(rng):
 def test_label_complement_flips_llr_sign(rng):
     q = make_qpsk(2.0)
     flipped_msb = Constellation(q.points, q.probabilities, q.power,
-                                BitLabeling(2, q.labeling.point_to_label ^ 0b10))
+                                BitLabeling(q.labeling.point_to_label ^ 0b10))
     tables = rng.uniform(0, 4, size=(20, 4))
     a = bit_llrs(tables, q, 0.5, LLR_MAX).reshape(-1, 2)
     b = bit_llrs(tables, flipped_msb, 0.5, LLR_MAX).reshape(-1, 2)

@@ -292,11 +292,16 @@ def test_deterministic_given_seed():
             assert a[m][u] == b[m][u]
 
 
-@pytest.mark.parametrize("receiver", ["no-sic", "sic"])
-def test_cl_only_call_skips_enumeration(monkeypatch, receiver):
-    gains = sample_gains(3, 3, np.random.default_rng(28))
+@pytest.mark.parametrize("receiver, n_users", [
+    ("no-sic", 3), ("sic", 3),
+    # 4^6 combinations cap an evaluation at 4,096 columns: the CL-only call
+    # must sample in the same chunks
+    ("no-sic", 6), ("sic", 6),
+], ids=["no-sic", "sic", "no-sic-K6", "sic-K6"])
+def test_cl_only_call_skips_enumeration(monkeypatch, receiver, n_users):
+    gains = sample_gains(n_users, n_users, np.random.default_rng(28))
     noise_var = 0.2
-    q = make_qpsk(1 / 3)
+    q = make_qpsk(1 / n_users)
     both = evaluate_user_rates(gains, noise_var, q, None, ("gnnd", "cl"), receiver, 5_000,
                                np.random.default_rng(43))
 
@@ -324,9 +329,10 @@ def test_cl_reads_user_power_from_the_constellations(monkeypatch, receiver):
     assert len(fronts) == 3
     for u, front in enumerate(fronts):
         others = [j for j in range(u + 1 if receiver == "sic" else 0, 3) if j != u]
-        want = 0.2 * np.eye(3) + sum(powers[j] * np.outer(gains[:, j], gains[:, j].conj())
-                                     for j in others)
-        np.testing.assert_allclose(front.residual_cov, want, rtol=0, atol=1e-12)
+        delta = 0.2 * np.eye(3) + sum(powers[j] * np.outer(gains[:, j], gains[:, j].conj())
+                                      for j in others)
+        np.testing.assert_allclose(front.combiner * front.scalar_gain[..., None],
+                                   np.linalg.solve(delta, gains[:, u]), rtol=1e-12)
 
 
 def test_combine_rates():

@@ -33,7 +33,8 @@ def _assert_same_posteriors(batch, ref, users, tx):
         np.testing.assert_allclose(batch.second_moment(u), ref.second_moment(u),
                                    rtol=0, atol=TOL)
         np.testing.assert_allclose(batch.pmf(u), ref.pmf(u), rtol=0, atol=TOL)
-        np.testing.assert_allclose(batch.log_pmf_at(u, tx[u]), ref.log_pmf_at(u, tx[u]),
+        at = tx[u:u + 1]  # one symbol per column, (1, n)
+        np.testing.assert_allclose(batch.log_pmf_at(u, at), ref.log_pmf_at(u, at),
                                    rtol=0, atol=TOL)
 
 
@@ -88,7 +89,7 @@ def test_split_on_the_mi_fallback_geometry(noise_var):
     assert np.all(alone.pmf(0)[tx, np.arange(tx.size)][wrong] < posterior.MI_FALLBACK_MASS)
     _assert_same_posteriors(alone, JointEnumeration([[1.0]], noise_var, q, 0).evaluate(y),
                             range(1), tx[None, :])
-    np.testing.assert_allclose(alone.log_pmf_at(0, tx)[wrong], -2180.0,
+    np.testing.assert_allclose(alone.log_pmf_at(0, tx[None])[0][wrong], -2180.0,
                                rtol=1e-13)
     # a second, weak user makes both groups non-empty
     gains = [[1.0, 1e-3]]
@@ -109,7 +110,7 @@ def test_log_pmf_of_every_symbol():
     ref = JointEnumeration(gains, 1e-3, q, 0).evaluate(y)
     for u in range(3):
         for a in range(4):
-            at_a = np.full(256, a)
+            at_a = np.full((1, 256), a)
             np.testing.assert_allclose(batch.log_pmf_at(u, at_a), ref.log_pmf_at(u, at_a),
                                        rtol=TOL, atol=TOL)
 
@@ -125,7 +126,7 @@ def test_fallback_stays_within_the_byte_budget(monkeypatch):
     widths = _record_fallbacks(monkeypatch)
     monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 24 * 64 * 16)
     split = SplitEnumeration(gains, 1e-4, q, 0)
-    assert split.slice_columns == 24
+    assert posterior.budget_columns(split.n_combos) == 24
     means = split.evaluate_sliced(y, lambda b: b.means_all())
     assert sum(widths) > 100 and max(widths) <= 24
     np.testing.assert_allclose(means, whole.means_all(), rtol=0, atol=TOL)
@@ -172,7 +173,8 @@ def _reads(batch, users, tx):
     every = np.arange(4)[:, None]
     return [batch.marginals(), batch.means_all()] + [
         read for u in users for read in (batch.mean(u), batch.second_moment(u),
-                                         batch.log_pmf_at(u, every), batch.log_pmf_at(u, tx[u]))]
+                                         batch.log_pmf_at(u, every),
+                                         batch.log_pmf_at(u, tx[u:u + 1]))]
 
 
 @pytest.mark.parametrize("snr_db", [5.0, 25.0])
