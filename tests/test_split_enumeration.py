@@ -116,7 +116,7 @@ def test_log_pmf_of_every_symbol():
 
 
 def test_fallback_stays_within_the_byte_budget(monkeypatch):
-    # K = 3 at 40 dB: most columns fall back; each slice of slice_columns
+    # K = 3 at 40 dB: most columns fall back; each slice of budget_columns
     # observations takes its fallback columns in one exact evaluation
     gains = sample_gains(3, 4, np.random.default_rng(53))
     q = make_qpsk(1 / 3)
