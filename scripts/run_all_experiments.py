@@ -21,7 +21,7 @@ import time
 import zipfile
 from pathlib import Path
 
-from gnndsim.config import THREADED_KINDS
+from gnndsim.config import THREADED_KINDS, ExperimentConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,14 +39,12 @@ def output_digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def outputs(cfg_text: str, kind: str) -> list[Path]:
-    out = next((line.split("=", 1)[1].split("#", 1)[0].strip()
-                for line in cfg_text.splitlines() if line.strip().startswith("out")), "")
-    if not out:
+def outputs(cfg: ExperimentConfig) -> list[Path]:
+    if not cfg.out:
         return []
-    if kind == "train-net":
-        return sorted((ROOT / out).parent.glob(Path(out).name + ".user*.npz"))
-    return [ROOT / out]
+    if cfg.kind == "train-net":
+        return sorted((ROOT / cfg.out).parent.glob(Path(cfg.out).name + ".user*.npz"))
+    return [ROOT / cfg.out]
 
 
 def main():
@@ -62,12 +60,9 @@ def main():
     if args.only:
         configs = [c for c in configs if args.only in c.name]
     for cfg_path in configs:
-        text = cfg_path.read_text()
-        kind = next(line.split("=")[1].strip()
-                    for line in text.splitlines()
-                    if line.strip().startswith("kind"))
-        cmd = [sys.executable, "-m", "gnndsim.cli", kind, "--config", str(cfg_path)]
-        if kind in THREADED_KINDS:  # the other runners reject threads > 1
+        cfg = load_config(cfg_path)
+        cmd = [sys.executable, "-m", "gnndsim.cli", cfg.kind, "--config", str(cfg_path)]
+        if cfg.kind in THREADED_KINDS:  # the other runners reject threads > 1
             cmd += ["--threads", str(args.threads)]
         if args.paper_scale:
             cmd.append("--paper-scale")
@@ -75,7 +70,7 @@ def main():
         t = time.time()
         subprocess.run(cmd, check=True, cwd=ROOT)
         print(f"   done in {time.time() - t:.1f}s", flush=True)
-        for path in outputs(text, kind):
+        for path in outputs(cfg):
             print(f"   sha256 {output_digest(path)}  {path.relative_to(ROOT)}", flush=True)
 
 

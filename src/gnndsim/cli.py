@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import apply_paper_scale, load_config
+from .config import ConfigError, apply_paper_scale, load_config
 from .harness import (
     noise_var_for,
     prepare_receiver,
@@ -59,20 +59,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = load_config(args.config)
-    if cfg.kind != args.command:
-        raise SystemExit(f"config is for kind {cfg.kind!r}, "
-                         f"but subcommand {args.command!r} was invoked")
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:  # a rejected setting, from the file or an override, ends like a usage error
+        cfg = load_config(args.config)
+        if cfg.kind != args.command:
+            raise SystemExit(f"config is for kind {cfg.kind!r}, "
+                             f"but subcommand {args.command!r} was invoked")
+        overrides = {}
+        if args.seed is not None:
+            overrides["seed"] = args.seed
+        if args.out is not None:
+            overrides["out"] = args.out
+        if args.threads is not None:
+            overrides["threads"] = args.threads
+        if overrides:
+            cfg = replace(cfg, **overrides)
+    except ConfigError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     if args.paper_scale:
         cfg = apply_paper_scale(cfg)
     if args.command == "train-net":

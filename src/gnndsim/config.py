@@ -37,14 +37,10 @@ class ExperimentConfig:
     blocks: int = 400
     min_errors: int = 100
     info_bits: int = 128
-    sic_order: str = "natural"
     net: bool = False
     net_samples: int = 100_000
     net_epochs: int = 20
     net_batch: int = 500
-    net_lr: float = 1e-3
-    llr_max: float = 30.0
-    bp_iters: int = 50
     out: str = ""
     threads: int = 1
 
@@ -64,9 +60,11 @@ class ExperimentConfig:
             raise ConfigError("the LDPC experiment runs parallel decoding only")
         if not self.snr_db:
             raise ConfigError("snr grid must not be empty")
+        if len(self.snr_db) > 1 and self.kind in ("scatter", "train-net"):
+            raise ConfigError(f"{self.kind} runs read one snr_db point, got {len(self.snr_db)}")
         positive = ("users", "antennas", "power", "draws", "samples", "blocks",
                     "min_errors", "info_bits", "net_samples", "net_epochs",
-                    "net_batch", "llr_max", "bp_iters", "threads")
+                    "net_batch", "threads")
         for name in positive:
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigError(f"{name} must be positive")
@@ -74,31 +72,16 @@ class ExperimentConfig:
             raise ConfigError("power must be finite")
         if not all(math.isfinite(s) for s in self.snr_db):
             raise ConfigError(f"snr_db entries must be finite, got {self.snr_db}")
-        if not 0 <= self.net_lr < math.inf:
-            raise ConfigError("net_lr must be finite and nonnegative")
         if self.net_samples < self.net_batch:
             raise ConfigError(f"net_samples = {self.net_samples} holds no full "
                               f"batch of net_batch = {self.net_batch}")
         if self.constellation != "qpsk":
             raise ConfigError("only the qpsk constellation is wired into experiments")
         pilot_power_value(self)  # validate the spec early
-        if self.user_order() != list(range(self.users)) and self.kind != "viterbi-ber":
-            raise ConfigError(f"sic_order is not read by {self.kind} runs")
         if self.net and self.kind != "ldpc-ber":
             raise ConfigError(f"net is not read by {self.kind} runs")
         if self.threads > 1 and self.kind not in THREADED_KINDS:
             raise ConfigError(f"threads is not read by {self.kind} runs")
-
-    def user_order(self) -> list[int]:
-        if self.sic_order == "natural":
-            return list(range(self.users))
-        try:
-            order = [int(v) for v in self.sic_order.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad sic_order {self.sic_order!r}") from exc
-        if sorted(order) != list(range(self.users)):
-            raise ConfigError("sic_order must be a permutation of all users")
-        return order
 
 
 def pilot_power_value(cfg: ExperimentConfig) -> float | str:

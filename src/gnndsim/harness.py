@@ -35,6 +35,9 @@ BER_CSV_COLUMNS = ("kind", "K", "L", "snr_db", "method", "receiver", "pilot_powe
 SCATTER_CSV_COLUMNS = ("true_re", "true_im", "gnnd_re", "gnnd_im",
                        "lmmse_re", "lmmse_im")
 SIGMA_U_SAMPLES = 2048
+LLR_MAX = 30.0             # LDPC channel LLRs are clipped to +-LLR_MAX
+BP_ITERS = 50              # belief-propagation iterations per LDPC word
+NET_LR = 1e-3              # Adam step of the conditional-mean networks
 VITERBI_WAVE = 16          # blocks per wave, each first user's engine stack; more cost RSS
 
 
@@ -241,13 +244,11 @@ def _viterbi_block(args):
     cfg, snr_db, seeds, active = args
     code = make_conv_code_57()
     consts = user_constellation(cfg)
-    order = cfg.user_order()
     sic = cfg.receiver == "sic"
     noise_var = noise_var_for(cfg, snr_db)
     n_blocks, n_users, n_steps = len(seeds), cfg.users, cfg.info_bits + code.n_flush
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    # permute users so cancellation order is the natural index order
-    gains = np.stack([sample_gains(n_users, cfg.antennas, rng)[:, order] for rng in rngs])
+    gains = np.stack([sample_gains(n_users, cfg.antennas, rng) for rng in rngs])
     bits = np.stack([rng.integers(0, 2, size=(n_users, cfg.info_bits)) for rng in rngs])
     symbols = modulate(conv_encode(bits.reshape(-1, cfg.info_bits), code),
                        consts).reshape(n_blocks, n_users, n_steps)
@@ -276,7 +277,7 @@ def _viterbi_block(args):
         if sic and k < n_users - 1:  # only later users cancel these decisions
             decided[:, k] = modulate(conv_encode(decoded, code),
                                      consts).reshape(len(blocks), n_steps)
-        errs[:, order[k]] = np.sum(decoded != bits[blocks, k], axis=1)  # original user id
+        errs[:, k] = np.sum(decoded != bits[blocks, k], axis=1)
     errs = errs.reshape(len(active), n_blocks, n_users)
     return [{m: errs[j, b] for j, m in enumerate(active)} for b in range(n_blocks)]
 
@@ -337,7 +338,7 @@ def prepare_receiver(cfg, noise_var, seed_seq, train_nets):
         dataset = make_dataset(gains_hat, consts, noise_var, user, cfg.net_samples,
                                np.random.default_rng((seed, 17)))
         tc = TrainConfig(samples=cfg.net_samples, epochs=cfg.net_epochs,
-                         batch_size=cfg.net_batch, learning_rate=cfg.net_lr,
+                         batch_size=cfg.net_batch, learning_rate=NET_LR,
                          seed=seed)
         nets.append(train(dataset, default_sizes(cfg.antennas), tc))
     return gains, gains_hat, nets
@@ -393,9 +394,9 @@ def _ldpc_block(cfg, real: _LdpcRealization, code, rng, methods):
             tables = _cl_tables(real.gains_hat, real.noise_var, consts, y,
                                 range(cfg.users))
             scales = np.ones(cfg.users)
-        llrs = np.stack([bit_llrs(t, consts, float(s), cfg.llr_max)
+        llrs = np.stack([bit_llrs(t, consts, float(s), LLR_MAX)
                          for t, s in zip(tables, scales)])
-        hard, _, _ = bp_decode_batch(code.graph, llrs, cfg.bp_iters)
+        hard, _, _ = bp_decode_batch(code.graph, llrs, BP_ITERS)
         out[method] = np.sum(hard[:, :code.info_length] != bits, axis=1)
     return out
 

@@ -94,11 +94,11 @@ SHARED_LDPC = {"ldpc.bp", "ldpc.encode", "llr.bit_llrs", "fronts.cl_front",
       "posterior.means", "channel.crandn"}),
     (harness.run_ldpc_ber,
      ExperimentConfig(kind="ldpc-ber", seed=3, users=2, antennas=2, snr_db=(4.0,),
-                      methods=("gnnd", "cl"), draws=1, blocks=1, bp_iters=2),
+                      methods=("gnnd", "cl"), draws=1, blocks=1),
      SHARED_LDPC | {"posterior.means"}),
     (harness.run_ldpc_ber,
      ExperimentConfig(kind="ldpc-ber", seed=3, users=2, antennas=2, snr_db=(4.0,),
-                      methods=("gnnd", "cl"), draws=1, blocks=1, bp_iters=2, net=True,
+                      methods=("gnnd", "cl"), draws=1, blocks=1, net=True,
                       net_samples=200, net_epochs=1, net_batch=100),
      SHARED_LDPC | {"mmse_net.dataset", "mmse_net.train", "mmse_net.predict"}),
     (harness.run_scatter,

@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gnndsim.cli import main
+from gnndsim.cli import build_parser, main
+from gnndsim.config import load_config
 from gnndsim.mmse_net import load_model, predict
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write(path, text):
@@ -45,10 +50,36 @@ def test_cli_kind_mismatch(tmp_path):
         main(["gmi-sweep", "--config", cfg])
 
 
-def test_cli_rejects_unknown_key(tmp_path):
+def test_cli_rejects_unknown_key(tmp_path, capsys):
     cfg = _write(tmp_path / "c.cfg", "kind = gmi-sweep\nseed = 1\nwat = 1\n")
-    with pytest.raises(Exception, match="unknown key"):
+    with pytest.raises(SystemExit) as exc:
         main(["gmi-sweep", "--config", cfg])
+    assert exc.value.code == 2
+    assert "unknown key 'wat'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, flags, match", [
+    # rejected in the file, or by an override of a valid file
+    ("scatter", "threads = 2\n", [], "threads is not read by scatter"),
+    ("scatter", "", ["--threads", "2"], "threads is not read by scatter"),
+    ("train-net", "snr_db = 5, 25\n", [], "one snr_db point"),
+    ("scatter", "snr_db = 5, 25\n", [], "one snr_db point"),
+], ids=["threads-in-file", "threads-override", "train-net-grid", "scatter-grid"])
+def test_cli_reports_config_error_as_usage_error(tmp_path, capsys, command, text, flags,
+                                                 match):
+    cfg = _write(tmp_path / "c.cfg", f"kind = {command}\nseed = 1\nsamples = 10\n{text}")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gnndsim: error: ") and match in err
+    assert err.count("\n") == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_committed_config_names_a_subcommand(path):
+    cfg = load_config(path)
+    assert build_parser().parse_args([cfg.kind, "--config", str(path)]).command == cfg.kind
 
 
 def test_scatter_cli(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from gnndsim.config import (
@@ -5,9 +7,12 @@ from gnndsim.config import (
     ExperimentConfig,
     apply_paper_scale,
     config_echo,
+    load_config,
     parse_config,
     pilot_power_value,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD = """
 # a comment
@@ -37,6 +42,16 @@ def test_parse_good_config():
 def test_unknown_key_reports_line():
     with pytest.raises(ConfigError, match="line 3: unknown key 'bogus'"):
         parse_config("kind = gmi-sweep\nseed = 1\nbogus = 2\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sic_order", "natural"), ("llr_max", "30.0"), ("bp_iters", "50"), ("net_lr", "0.001"),
+])
+def test_retired_settings_are_unknown_keys(key, value):
+    # fixed choices of the runners (harness.LLR_MAX, BP_ITERS, NET_LR and the
+    # natural cancellation order), no longer settable
+    with pytest.raises(ConfigError, match=f"line 3: unknown key '{key}'"):
+        parse_config(f"kind = gmi-sweep\nseed = 1\n{key} = {value}\n")
 
 
 def test_duplicate_key_reports_line():
@@ -99,9 +114,6 @@ INF, NAN = float("inf"), float("nan")
 
 @pytest.mark.parametrize("fields, match", [
     (dict(net_samples=100, net_batch=500), "net_samples"),
-    (dict(net_lr=-1e-3), "net_lr"),
-    (dict(net_lr=float("nan")), "net_lr"),
-    (dict(net_lr=float("inf")), "net_lr"),
     (dict(power=float("nan")), "power"),
     # non-finite inputs, which a run would turn into NaN rows or a failure deep inside
     (dict(power=INF), "power"),
@@ -119,7 +131,7 @@ def test_net_and_float_fields_checked_at_parse(fields, match):
     # the field, not partway through a run
     base = dict(kind="ldpc-ber", seed=1, users=2, antennas=2, methods=("gnnd",),
                 net=True)
-    ExperimentConfig(**base, net_samples=500, net_batch=500, net_lr=0.0)  # boundaries
+    ExperimentConfig(**base, net_samples=500, net_batch=500)  # the boundary
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig(**base, **fields)
     text = "".join(f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
@@ -155,6 +167,23 @@ def test_threads_read_by_gmi_and_viterbi_only(kind, methods, read):
         parse_config(f"kind = {kind}\nseed = 1\nmethods = {','.join(methods)}\nthreads = 2\n")
 
 
+@pytest.mark.parametrize("kind, methods, read", [
+    ("gmi-sweep", ("gnnd",), True), ("viterbi-ber", ("gnnd",), True),
+    ("ldpc-ber", ("gnnd",), True), ("scatter", (), False), ("train-net", (), False),
+])
+def test_snr_grid_read_by_sweeping_runners_only(kind, methods, read):
+    # scatter and train-net run at one point, and must not drop the rest of a grid
+    ExperimentConfig(kind=kind, seed=1, methods=methods, snr_db=(5.0,))
+    if read:
+        assert ExperimentConfig(kind=kind, seed=1, methods=methods,
+                                snr_db=(5.0, 25.0)).snr_db == (5.0, 25.0)
+        return
+    with pytest.raises(ConfigError, match="one snr_db point"):
+        ExperimentConfig(kind=kind, seed=1, methods=methods, snr_db=(5.0, 25.0))
+    with pytest.raises(ConfigError, match="one snr_db point"):
+        parse_config(f"kind = {kind}\nseed = 1\nsnr_db = 5, 25\n")
+
+
 def test_pilot_power_forms():
     base = dict(kind="ldpc-ber", seed=1, users=2, antennas=2, power=2.0,
                 methods=("gnnd",))
@@ -167,38 +196,6 @@ def test_pilot_power_forms():
     with pytest.raises(ConfigError):
         ExperimentConfig(**base, pilot_power="-3P")
 
-
-def test_user_order():
-    base = dict(kind="viterbi-ber", seed=1, users=3, antennas=3,
-                methods=("gnnd", "cl", "ml"))
-    cfg = ExperimentConfig(**base, sic_order="2,0,1")
-    assert cfg.user_order() == [2, 0, 1]
-    assert ExperimentConfig(**base).user_order() == [0, 1, 2]
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**base, sic_order="0,0,1")
-    # an explicit natural order is accepted by runners that do not read it
-    assert ExperimentConfig(**dict(base, kind="gmi-sweep", methods=("gnnd",)),
-                            sic_order="0,1,2").user_order() == [0, 1, 2]
-
-
-@pytest.mark.parametrize("fields", [
-    # not a permutation of the users, caught at parse time
-    dict(kind="viterbi-ber", users=4, antennas=4, receiver="sic",
-         methods=("gnnd", "cl", "ml"), sic_order="0,1"),
-    dict(kind="viterbi-ber", users=3, antennas=3, receiver="sic",
-         methods=("gnnd", "cl", "ml"), sic_order="0,x,1"),
-    # a runner that never reads the order must not be given one
-    dict(kind="gmi-sweep", users=3, antennas=3, receiver="sic", sic_order="2,0,1"),
-    dict(kind="ldpc-ber", users=3, antennas=3, methods=("gnnd",), sic_order="1,0,2"),
-])
-def test_sic_order_checked_at_parse(fields):
-    ExperimentConfig(seed=1, **dict(fields, sic_order="natural"))  # valid otherwise
-    with pytest.raises(ConfigError):
-        ExperimentConfig(seed=1, **fields)
-    text = "\n".join(f"{k} = {','.join(v) if isinstance(v, tuple) else v}"
-                     for k, v in dict(seed=1, **fields).items())
-    with pytest.raises(ConfigError):
-        parse_config(text)
 
 def test_paper_scale_overrides():
     cfg = ExperimentConfig(kind="ldpc-ber", seed=1, users=2, antennas=2,
@@ -217,6 +214,13 @@ def test_echo_is_stable_and_complete():
     assert any(line == "seed = 7" for line in echo)
     assert any(line.startswith("snr_db = 0.0,5.0,10.0") for line in echo)
     assert echo == sorted(echo)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_committed_config_reparses_from_its_echo(path):
+    # a CSV header echoes every field, so the run is reproducible from it alone
+    cfg = load_config(path)
+    assert parse_config("\n".join(config_echo(cfg))) == cfg
 
 
 def test_bool_parsing():

@@ -54,12 +54,6 @@ def test_viterbi_ber_no_sic_golden(tmp_path):
            methods=("gnnd", "cl", "ml"), snr_db=(2.0, 6.0), blocks=3, info_bits=32)
 
 
-def test_viterbi_ber_sic_order_golden(tmp_path):
-    _check(run_viterbi_ber, "viterbi_order_small.csv", tmp_path, kind="viterbi-ber",
-           seed=7, users=3, antennas=3, receiver="sic", sic_order="2,0,1",
-           methods=("gnnd", "cl", "ml"), snr_db=(2.0, 6.0), blocks=3, info_bits=32)
-
-
 def test_ldpc_ber_golden(tmp_path):
     _check(run_ldpc_ber, "ldpc_small.csv", tmp_path, kind="ldpc-ber", seed=7,
            users=2, antennas=4, methods=("gnnd", "cl"), snr_db=(3.0, 6.0),
