@@ -114,6 +114,9 @@ INF, NAN = float("inf"), float("nan")
 
 @pytest.mark.parametrize("fields, match", [
     (dict(net_samples=100, net_batch=500), "net_samples"),
+    (dict(net_samples=0), "net_samples"),
+    (dict(net_epochs=0), "net_epochs"),
+    (dict(net_batch=-500), "net_batch"),
     (dict(power=float("nan")), "power"),
     # non-finite inputs, which a run would turn into NaN rows or a failure deep inside
     (dict(power=INF), "power"),
