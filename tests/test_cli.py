@@ -1,13 +1,8 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from gnndsim.cli import build_parser, main
-from gnndsim.config import load_config
+from gnndsim.cli import main
 from gnndsim.mmse_net import load_model, predict
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write(path, text):
@@ -74,12 +69,6 @@ def test_cli_reports_config_error_as_usage_error(tmp_path, capsys, command, text
     err = capsys.readouterr().err
     assert err.startswith("gnndsim: error: ") and match in err
     assert err.count("\n") == 1  # one line, no traceback
-
-
-@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
-def test_committed_config_names_a_subcommand(path):
-    cfg = load_config(path)
-    assert build_parser().parse_args([cfg.kind, "--config", str(path)]).command == cfg.kind
 
 
 def test_scatter_cli(tmp_path, capsys):

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from gnndsim.cli import build_parser
 from gnndsim.config import (
     ConfigError,
     ExperimentConfig,
@@ -217,6 +218,12 @@ def test_echo_is_stable_and_complete():
     assert any(line == "seed = 7" for line in echo)
     assert any(line.startswith("snr_db = 0.0,5.0,10.0") for line in echo)
     assert echo == sorted(echo)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_committed_config_names_a_subcommand(path):
+    cfg = load_config(path)
+    assert build_parser().parse_args([cfg.kind, "--config", str(path)]).command == cfg.kind
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
