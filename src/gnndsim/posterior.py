@@ -18,9 +18,13 @@ import numpy as np
 from .constellation import EXP_FLOOR, lse, per_user
 
 ENUM_CAP = 4**10
-# sets the columns per evaluation at 16 bytes per joint combination
-# (budget_columns), and so the rate chunk and its RNG stream
+# caps the columns per evaluation at 16 bytes per joint combination
+# (budget_columns), and so sets the rate chunk and its RNG stream
 ENUM_SLICE_BYTES = 2**28
+# the |A| + |B| float64 group weights of the columns of one split slice
+# (SplitEnumeration.slices): cache-sized, it bounds the memory of a batch
+# and leaves the chunk, and so the RNG stream, as it is
+WEIGHT_SLICE_BYTES = 2**20
 EXACT_BLOCK_BYTES = 2**19  # one cache-sized (n, M_A, M_B) float64 block of the split's exact pass
 MI_FALLBACK_MASS = 1e-250  # marginals below this are recomputed by log-sum-exp
 SPLIT_Z_MIN = 1e-200       # split columns whose normaliser is below this are enumerated in full
@@ -62,8 +66,8 @@ def _active_channel(enum, gains, noise_var: float, constellations, first_user: i
 
 
 def budget_columns(n_combos: int) -> int:
-    """Observations per evaluation of ``n_combos`` joint combinations, at
-    least one: ENUM_SLICE_BYTES over 16 bytes per combination."""
+    """Most observations per evaluation of ``n_combos`` joint combinations,
+    at least one: ENUM_SLICE_BYTES over 16 bytes per combination."""
     return max(1, ENUM_SLICE_BYTES // (16 * n_combos))
 
 
@@ -185,12 +189,26 @@ class SplitEnumeration:
         one._coupling, one._kernel = self._coupling[i], self._kernel[i]
         return one
 
+    def slices(self, n: int) -> list[slice]:
+        """Column slices of n observations: the joint alphabet's
+        ``budget_columns`` or, if fewer, the columns whose group weights fill
+        WEIGHT_SLICE_BYTES, rounded down to a multiple of 8 (at least 8).
+        The products of such widths read the same bits as one wide batch's;
+        the last few columns of a width that is not a multiple of 8 do so
+        only in a batch wide enough for BLAS's general kernel, so a ragged
+        last slice joins the one before it where the budget allows."""
+        budget = budget_columns(self.n_combos)
+        step = min(budget, max(8, WEIGHT_SLICE_BYTES // (8 * self.indicator.shape[1]) // 8 * 8))
+        starts = list(range(0, n, step))
+        if len(starts) > 1 and (n - starts[-1]) % 8 and n - starts[-2] <= budget:
+            starts.pop()
+        return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
     def evaluate_sliced(self, y, read) -> np.ndarray:
-        """``read(batch)`` of each slice of ``budget_columns`` columns of y,
-        (L, n), joined on the last axis: no batch outgrows the byte budget."""
-        step = budget_columns(self.n_combos)
-        return np.concatenate([read(self.evaluate(y[..., i:i + step]))
-                               for i in range(0, y.shape[-1], step)], axis=-1)
+        """``read(batch)`` of each of the ``slices`` of y, (L, n), joined on
+        the last axis: no batch outgrows a slice."""
+        return np.concatenate([read(self.evaluate(y[..., cols]))
+                               for cols in self.slices(y.shape[-1])], axis=-1)
 
     def _factors(self, y):
         """Each group's log factor u_G - max u_G, unfloored, and its factor
@@ -201,7 +219,10 @@ class SplitEnumeration:
             u -= offset[..., None]
             u -= u.max(axis=-2, keepdims=True)
             us.append(u)
-        return us, [np.exp(np.maximum(u, EXP_FLOOR)) for u in us]
+        es = [np.maximum(u, EXP_FLOOR) for u in us]
+        for e in es:
+            np.exp(e, out=e)
+        return us, es
 
     def _log_joint(self, u_a, u_b):
         """Log weight u_A + u_B + C of every combination of each column of
@@ -245,12 +266,15 @@ class SplitEnumeration:
         observations, (L, n) per channel; see the class notes."""
         y = _observations(y, self._coupling.shape[:-2])
         (u_a, u_b), (e_a, e_b) = self._factors(y)
-        w_a, w_b = self._kernel @ e_b, np.swapaxes(self._kernel, -1, -2) @ e_a
+        # [A rows | B rows] of one array: (E e_B) e_A and (E^T e_A) e_B
+        w = np.empty(e_a.shape[:-2] + (e_a.shape[-2] + e_b.shape[-2], e_a.shape[-1]))
+        w_a, w_b = w[..., :e_a.shape[-2], :], w[..., e_a.shape[-2]:, :]
+        np.matmul(self._kernel, e_b, out=w_a)
+        np.matmul(np.swapaxes(self._kernel, -1, -2), e_a, out=w_b)
         w_a *= e_a
         w_b *= e_b
-        del e_a, e_b  # before the join, which sets the peak memory of a stack
-        w = np.concatenate([w_a, w_b], axis=-2)
-        z = w[..., :u_a.shape[-2], :].sum(axis=-2)  # Z e**-SPLIT_KERNEL_FLOOR
+        del e_a, e_b
+        z = w_a.sum(axis=-2)  # Z e**-SPLIT_KERNEL_FLOOR
         log_z = np.log(z) + SPLIT_KERNEL_FLOOR
         low = log_z < np.log(SPLIT_Z_MIN)
         # the split weights resolve mass down to about e**SPLIT_KERNEL_FLOOR / Z

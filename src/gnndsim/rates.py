@@ -93,25 +93,36 @@ def gmi_from_tables(tables, tx_idx, probabilities) -> tuple[RateEstimate, float]
     Returns the estimate and the maximizing theta.
     """
     tables = np.asarray(tables, dtype=np.float64)
+    n, n_alpha = tables.shape
     # (|A|, n): reductions over the short candidate axis run along rows
-    d = (tables - tables[np.arange(tables.shape[0]), tx_idx][:, None]).T.copy()
+    d = np.subtract(tables.T, tables[np.arange(n), tx_idx], out=np.empty((n_alpha, n)))
     logp = np.log(np.asarray(probabilities, dtype=np.float64))[:, None]
+    # every (|A|, n) array of the fit: the iterate's and a trial's tilted
+    # pmfs and one scratch for the moments, each written in place with the
+    # same ufuncs, in the same order, as fresh arrays would be
+    q, q_new, work = np.empty((3, n_alpha, n))
 
-    def tilt(theta):
-        """Tilted pmfs q (|A|, n) and per-observation samples at theta."""
-        z = theta * d + logp
-        top = z.max(axis=0)
-        w = np.exp(z - top)
-        total = w.sum(axis=0)
-        return w / total, -top - np.log(total)
+    def tilt(theta, q):
+        """Tilted pmfs at theta, written into q, and the per-observation samples."""
+        np.multiply(theta, d, out=q)
+        q += logp
+        top = q.max(axis=0)
+        q -= top
+        np.exp(q, out=q)
+        total = q.sum(axis=0)
+        q /= total
+        return -top - np.log(total)
 
     theta = -1.0
-    q, samples = tilt(theta)
+    samples = tilt(theta, q)
     eps = np.finfo(np.float64).eps
     for _ in range(THETA_ITERS):
-        mean_d = np.sum(q * d, axis=0)
+        mean_d = np.sum(np.multiply(q, d, out=work), axis=0)
         slope = -mean_d.mean()
-        var_d = np.mean(np.sum(q * (d - mean_d) ** 2, axis=0))  # -f''
+        np.subtract(d, mean_d, out=work)
+        work **= 2
+        work *= q
+        var_d = np.mean(np.sum(work, axis=0))  # -f''
         if var_d <= 0.0:
             break
         step = min(slope / var_d, -theta / 2.0)  # theta stays negative
@@ -119,13 +130,14 @@ def gmi_from_tables(tables, tx_idx, probabilities) -> tuple[RateEstimate, float]
         if abs(slope * step) <= eps * abs(value):  # the gain is at rounding level
             break
         while abs(step) > eps * abs(theta):
-            q_new, samples_new = tilt(theta + step)
+            samples_new = tilt(theta + step, q_new)
             if samples_new.mean() >= value:
                 break
             step /= 2.0
         else:  # no step above rounding level raises the objective
             break
-        theta, q, samples = theta + step, q_new, samples_new
+        theta, samples = theta + step, samples_new
+        q, q_new = q_new, q
     return _estimate_from_nats(samples), theta
 
 
@@ -168,13 +180,13 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
     same sampled transmissions. With receiver="sic", user k is conditioned
     on the true symbols of users 0..k-1 (the information-theoretic
     successive-cancellation rate); without it one evaluation per chunk
-    serves every user. Posteriors come from ``SplitEnumeration``, and a
-    chunk is at most the ``budget_columns`` of the largest enumeration the
-    call could build (none above ``ENUM_CAP``), so its fallback columns stay
-    within the byte budget; built or not, so the CL rows do not depend on
-    the other methods. User
-    powers are read from the constellations, for the CL fronts as for the
-    sampled symbols.
+    serves every user. The samples are drawn in chunks of at most the
+    ``budget_columns`` of the largest enumeration the call could build (none
+    above ``ENUM_CAP``), built or not, so the CL rows do not depend on the
+    other methods. Posteriors come from ``SplitEnumeration``, read in its
+    cache-sized ``slices`` of each chunk, and only the per-observation
+    integrands outlive a slice. User powers are read from the
+    constellations, for the CL fronts as for the sampled symbols.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
@@ -200,43 +212,63 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
     enums = {f: SplitEnumeration(gains, noise_var, consts, f)
              for f in sorted(set(first.values()))} if need_enum else {}
     fronts = {u: cl_front(gains, noise_var, consts, u, range(first[u])) for u in users}
-    acc = {m: {u: [] for u in users} for m in methods}  # cl: (y_scalar, index) pairs
     combos = int(np.prod([c.size for c in consts[min(first.values(), default=0):]]))
     chunk = SAMPLE_CHUNK if combos > ENUM_CAP else min(SAMPLE_CHUNK, budget_columns(combos))
+    # per-observation samples (nats) of gnnd, kl and mi; CL's scalar outputs and indices
+    nats = {m: {u: np.empty(n_samples) for u in users} for m in methods if m != "cl"}
+    if "cl" in methods:
+        cl_y = {u: np.empty(n_samples, dtype=np.complex128) for u in users}
+        cl_tx = {u: np.empty(n_samples, dtype=np.int64) for u in users}
 
-    remaining = n_samples
-    while remaining > 0:
-        c = min(chunk, remaining)
-        remaining -= c
-        idx = np.stack([rng.choice(consts[u].size, size=c, p=consts[u].probabilities)
-                        for u in range(n_users)])
-        x = np.stack([consts[u].points[idx[u]] for u in range(n_users)])
-        y = transmit(gains, noise_var, x, rng)
-
-        batch = None
-        for u in users:
-            y_u = y - gains[:, :u] @ x[:u] if sic else y
-            if need_enum and (sic or batch is None):
-                batch = enums[first[u]].evaluate(y_u)
+    def read(batch, group, tx, at):
+        """The integrands of one slice's ``batch`` for the users of ``group``,
+        sent ``tx`` (K, columns), into the samples' columns ``at``."""
+        for u in group:
             if "gnnd" in methods or "kl" in methods:
                 means = batch.mean(u)
             if "gnnd" in methods:
-                acc["gnnd"][u].append(gnnd_gmi_samples(means, consts[u].power))
+                nats["gnnd"][u][at] = gnnd_gmi_samples(means, consts[u].power)
             if "kl" in methods:
                 g = qpsk_estimates(means, consts[u].power)
                 tilted = tilted_pmf(g, 1.0, consts[u]).T
-                acc["kl"][u].append(_kl_samples(batch.pmf(u), tilted))
+                nats["kl"][u][at] = _kl_samples(batch.pmf(u), tilted)
             if "mi" in methods:
-                acc["mi"][u].append(mi_samples(batch, u, idx[u]))
+                nats["mi"][u][at] = mi_samples(batch, u, tx[u])
+
+    # one posterior pass per first user: every user's without SIC, each user's alone with it
+    groups = [(u, [u]) for u in users] if sic else [(0, users)]
+
+    def draw_chunk(done, c):
+        """Draw c channel uses and read them into the samples' columns from
+        ``done`` on; the draws go with the call, before the CL fits."""
+        idx = np.stack([rng.choice(consts[u].size, size=c, p=consts[u].probabilities)
+                        for u in range(n_users)])
+
+        def symbols(k):  # the points sent by users 0..k-1, (k, c)
+            return np.stack([consts[u].points[idx[u]] for u in range(k)])
+
+        y = transmit(gains, noise_var, symbols(n_users), rng)
+        for f, group in groups:
+            # removing no users leaves y as it is, bit for bit
+            y_f = y - gains[:, :f] @ symbols(f) if sic and f else y
+            if need_enum:
+                for cols in enums[f].slices(c):
+                    read(enums[f].evaluate(y_f[:, cols]), group, idx[:, cols],
+                         slice(done + cols.start, done + cols.stop))
             if "cl" in methods:
-                acc["cl"][u].append((fronts[u].apply(y_u), idx[u]))
+                for u in group:
+                    cl_y[u][done:done + c] = fronts[u].apply(y_f)
+                    cl_tx[u][done:done + c] = idx[u]
+
+    for done in range(0, n_samples, chunk):
+        draw_chunk(done, min(chunk, n_samples - done))
 
     out = {m: {} for m in methods}
     for m in methods:
         for u in users:
             if m == "cl":
-                ys, tx = (np.concatenate(part) for part in zip(*acc[m][u]))
-                out[m][u], _ = cl_gmi_from_scalar(ys, tx, fronts[u].scalar_gain, consts[u])
+                out[m][u], _ = cl_gmi_from_scalar(cl_y[u], cl_tx[u], fronts[u].scalar_gain,
+                                                  consts[u])
             else:
-                out[m][u] = _estimate_from_nats(np.concatenate(acc[m][u]))
+                out[m][u] = _estimate_from_nats(nats[m][u])
     return out

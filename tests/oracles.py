@@ -12,7 +12,13 @@ from gnndsim.mmse_net import (
     TrainingDivergedError,
     init_model,
 )
-from gnndsim.rates import LN2, RateEstimate, _estimate_from_nats, gnnd_gmi_samples
+from gnndsim.rates import (
+    LN2,
+    THETA_ITERS,
+    RateEstimate,
+    _estimate_from_nats,
+    gnnd_gmi_samples,
+)
 
 GOLDEN_ITERS = 60        # golden-section steps of the metric-temperature fit
 BRACKET_DOUBLINGS = 40
@@ -307,6 +313,48 @@ def reference_train(dataset, sizes, config):
 def gnnd_gmi_from_means(means, power: float) -> RateEstimate:
     """Optimal-front QPSK GMI from sampled conditional means."""
     return _estimate_from_nats(gnnd_gmi_samples(means, power))
+
+
+def reference_gmi_from_tables(tables, tx_idx, probabilities, events):
+    """The metric-temperature fit that ``rates.gmi_from_tables`` replaced,
+    kept as its reference: a fresh array for every tilt and moment. Appends
+    to ``events`` "halved" for each halved step and "flat" for an exit on
+    a nonpositive curvature."""
+    tables = np.asarray(tables, dtype=np.float64)
+    d = (tables - tables[np.arange(tables.shape[0]), tx_idx][:, None]).T.copy()
+    logp = np.log(np.asarray(probabilities, dtype=np.float64))[:, None]
+
+    def tilt(theta):
+        z = theta * d + logp
+        top = z.max(axis=0)
+        w = np.exp(z - top)
+        total = w.sum(axis=0)
+        return w / total, -top - np.log(total)
+
+    theta = -1.0
+    q, samples = tilt(theta)
+    eps = np.finfo(np.float64).eps
+    for _ in range(THETA_ITERS):
+        mean_d = np.sum(q * d, axis=0)
+        slope = -mean_d.mean()
+        var_d = np.mean(np.sum(q * (d - mean_d) ** 2, axis=0))
+        if var_d <= 0.0:
+            events.append("flat")
+            break
+        step = min(slope / var_d, -theta / 2.0)
+        value = samples.mean()
+        if abs(slope * step) <= eps * abs(value):
+            break
+        while abs(step) > eps * abs(theta):
+            q_new, samples_new = tilt(theta + step)
+            if samples_new.mean() >= value:
+                break
+            events.append("halved")
+            step /= 2.0
+        else:
+            break
+        theta, q, samples = theta + step, q_new, samples_new
+    return _estimate_from_nats(samples), theta
 
 
 def average_sum_rows(result: SweepResult, method: str, snr_db: float):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,12 @@ from gnndsim.rates import (
     evaluate_user_rates,
     gmi_from_tables,
 )
-from oracles import cl_gmi_cosh_form, gnnd_gmi_from_means, mi_samples_lse
+from oracles import (
+    cl_gmi_cosh_form,
+    gnnd_gmi_from_means,
+    mi_samples_lse,
+    reference_gmi_from_tables,
+)
 
 
 def _single_user_channel(snr_db, power=1.0, h=1.0 + 0j):
@@ -442,3 +449,99 @@ def test_rate_chunk_follows_enumeration_budget(monkeypatch, receiver, per_chunk)
     monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 2**40)
     monkeypatch.setattr(rates, "SAMPLE_CHUNK", 30)
     assert chunks(100) == [30, 30, 30, 10]
+
+
+def _gmi_cases():
+    """(tables, tx, probabilities, event) of the fit cases: the event that
+    the reference fit must show, or None."""
+    rng = np.random.default_rng(61)
+    gains = sample_gains(3, 3, rng)
+    q = make_qpsk(1 / 3)
+    cl, tx = _sampled_tables(gains, 0.3, q, 0, 3000, rng, "ml")
+    rng = np.random.default_rng(10)  # unrelated metrics: the first Newton step overshoots
+    noise = rng.standard_normal((500, 4)) ** 2
+    noise_tx = rng.integers(0, 4, 500)
+    rng = np.random.default_rng(62)
+    c16 = make_square16(1.0)
+    skewed = rng.random(16) + 0.2
+    tx16 = rng.integers(0, 16, 700)
+    near = np.abs(rng.standard_normal(700)[:, None] + c16.points[tx16][:, None]
+                  - c16.points[None, :]) ** 2
+    return [
+        (cl, tx, q.probabilities, None),
+        (noise, noise_tx, np.full(4, 0.25), "halved"),
+        (near, tx16, skewed / skewed.sum(), None),
+        (np.ones((200, 4)), np.zeros(200, dtype=np.int64), np.full(4, 0.25), "flat"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["ml", "step-halving", "16-point", "flat"])
+def test_gmi_from_tables_matches_reference_fit(case):
+    # the fit in reused arrays runs every tilt and moment as the fresh-array
+    # fit did, so every iterate, and so the rate and theta, is the same
+    tables, tx, probabilities, event = _gmi_cases()[case]
+    events = []
+    want = reference_gmi_from_tables(tables, tx, probabilities, events)
+    assert gmi_from_tables(tables, tx, probabilities) == want
+    if event:
+        assert event in events
+
+
+def _rates_at(monkeypatch, weight_bytes, receiver, snr_db):
+    """Every rate of a K = L = 4 call, with WEIGHT_SLICE_BYTES set, and the
+    widths of its evaluations."""
+    widths = []
+    evaluate = SplitEnumeration.evaluate
+    monkeypatch.setattr(SplitEnumeration, "evaluate",
+                        lambda self, y: widths.append(y.shape[-1]) or evaluate(self, y))
+    monkeypatch.setattr(posterior, "WEIGHT_SLICE_BYTES", weight_bytes)
+    gains = sample_gains(4, 4, np.random.default_rng(71))
+    res = evaluate_user_rates(gains, 10 ** (-snr_db / 10), make_qpsk(0.25), None,
+                              rates.RATE_METHODS, receiver, 1200, np.random.default_rng(72))
+    return {m: {u: (e.value, e.std_error, e.samples) for u, e in r.items()}
+            for m, r in res.items()}, widths
+
+
+@pytest.mark.parametrize("receiver", ["no-sic", "sic"])
+@pytest.mark.parametrize("snr_db", [5.0, 25.0])  # 25 dB takes the split fallback
+def test_rates_equal_at_every_slice_width(monkeypatch, receiver, snr_db):
+    whole, widths = _rates_at(monkeypatch, 2**40, receiver, snr_db)
+    assert max(widths) == 1200  # one evaluation per chunk and first user
+    default, widths = _rates_at(monkeypatch, posterior.WEIGHT_SLICE_BYTES, receiver, snr_db)
+    assert default == whole
+    narrow, widths = _rates_at(monkeypatch, 1, receiver, snr_db)
+    assert set(widths) == {8}
+    assert narrow == whole
+
+
+def test_ragged_chunk_tail_reads_as_in_one_batch(monkeypatch):
+    # the second chunk, 5,003 columns, is wider than a 4,096-column slice;
+    # its last 3 columns keep their one-batch bits only in a slice as wide
+    # as the chunk, so the ragged remainder joins the slice before it
+    gains = sample_gains(4, 4, np.random.default_rng(5))
+    enum = SplitEnumeration(gains, 1.0, make_qpsk(0.25), 0)
+    assert enum.slices(5003) == [slice(0, 5003)]
+
+    def rows(weight_bytes):
+        monkeypatch.setattr(posterior, "WEIGHT_SLICE_BYTES", weight_bytes)
+        res = evaluate_user_rates(gains, 10 ** 0.5, make_qpsk(0.25), None, ("kl", "mi"),
+                                  "no-sic", rates.SAMPLE_CHUNK + 5003, np.random.default_rng(6))
+        return {m: {u: (e.value, e.std_error) for u, e in r.items()} for m, r in res.items()}
+
+    assert rows(posterior.WEIGHT_SLICE_BYTES) == rows(2**40)
+
+
+def test_rate_engine_memory_stays_within_a_slice():
+    # the gmi-4x4 benchmark's call: one 16,384-column chunk read through
+    # 4,096-column slices peaks at about 7.2 MiB of traced allocations, where
+    # whole-chunk posteriors peaked at about 16 MiB
+    gains = sample_gains(4, 4, np.random.default_rng(7))
+    args = (gains, 10 ** -0.5, make_qpsk(0.25), None, ("gnnd", "cl", "mi"), "no-sic", 16384)
+    evaluate_user_rates(*args, np.random.default_rng(8))  # first-call set-up
+    tracemalloc.start()
+    try:
+        evaluate_user_rates(*args, np.random.default_rng(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9 * 2**20

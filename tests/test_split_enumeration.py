@@ -132,6 +132,24 @@ def test_fallback_stays_within_the_byte_budget(monkeypatch):
     np.testing.assert_allclose(means, whole.means_all(), rtol=0, atol=TOL)
 
 
+def test_slices_are_cache_sized_multiples_of_8(monkeypatch):
+    rng = np.random.default_rng(55)
+    # 16 + 16 group weights at K = 4: 4,096 columns fill WEIGHT_SLICE_BYTES
+    four = SplitEnumeration(sample_gains(4, 4, rng), 1.0, make_qpsk(0.25), 0)
+    assert four.slices(16384) == [slice(i, i + 4096) for i in range(0, 16384, 4096)]
+    assert four.slices(8200) == [slice(0, 4096), slice(4096, 8192), slice(8192, 8200)]
+    assert four.slices(8195) == [slice(0, 4096), slice(4096, 8195)]  # a ragged tail joins
+    assert four.slices(300) == [slice(0, 300)]
+    # 256 + 256 at K = 8: the cache width equals budget_columns, as before
+    eight = SplitEnumeration(sample_gains(8, 8, rng), 1.0, make_qpsk(1 / 8), 0)
+    assert posterior.budget_columns(eight.n_combos) == 256
+    assert eight.slices(600) == [slice(0, 256), slice(256, 512), slice(512, 600)]
+    # the byte budget caps every slice: a ragged tail joins only within it
+    assert eight.slices(601) == [slice(0, 256), slice(256, 512), slice(512, 601)]
+    monkeypatch.setattr(posterior, "ENUM_SLICE_BYTES", 24 * 256 * 16)
+    assert four.slices(50) == [slice(0, 24), slice(24, 48), slice(48, 50)]
+
+
 @pytest.mark.parametrize("snr_db", [20.0, 25.0])
 def test_no_subnormal_factor_kernel_product_or_weight(monkeypatch, snr_db):
     gains = sample_gains(4, 4, np.random.default_rng(41))
