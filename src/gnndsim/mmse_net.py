@@ -111,6 +111,20 @@ def _loss(outputs, targets) -> float:
     return float(np.sum(diff**2) / outputs.shape[0])
 
 
+def _probe_loss(model: MlpModel, inputs, targets, ws: _Workspace) -> float:
+    """``_loss`` of the model's outputs on all rows of ``inputs``, whose
+    forward pass runs in blocks of the workspace's rows through its
+    activations into one (rows, 2) output, so that no activation outgrows
+    a training step's."""
+    n, block = inputs.shape[0], ws.inputs.shape[0]
+    out = np.empty((n, model.sizes[-1]))
+    for lo in range(0, n, block):
+        rows = slice(lo, min(lo + block, n))
+        m = rows.stop - lo
+        model.forward(inputs[rows], [a[:m] for a in ws.acts[:-1]] + [out[rows]])
+    return _loss(out, targets)
+
+
 def _loss_and_grads(model: MlpModel, inputs, targets, ws: _Workspace):
     """Quadratic loss and its gradients, written into the workspace."""
     n = inputs.shape[0]
@@ -152,7 +166,7 @@ def train(dataset, sizes, config: TrainConfig):
     scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
     ws = _Workspace(model.sizes, config.batch_size)
     probe = slice(0, min(n, 4096))
-    initial_loss = _loss(model.forward(inputs[probe], None), targets[probe])
+    initial_loss = _probe_loss(model, inputs[probe], targets[probe], ws)
     step = 0
     trace = []
     bad_epochs = 0

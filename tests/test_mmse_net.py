@@ -7,6 +7,9 @@ from gnndsim.mmse_net import (
     MlpModel,
     TrainConfig,
     TrainingDivergedError,
+    _loss,
+    _probe_loss,
+    _Workspace,
     default_sizes,
     init_model,
     load_model,
@@ -136,6 +139,23 @@ def test_train_matches_reference_loop(rows, samples, batch, epochs):
     assert trace == ref_trace
     for got, want in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows, batch", [(4000, 512), (1050, 100), (300, 7)])
+def test_divergence_probe_runs_in_workspace_blocks(rows, batch):
+    # the probe's rows are not a multiple of the batch: the last block is short
+    rng = np.random.default_rng(17)
+    inputs, targets = make_dataset(sample_gains(4, 8, rng), make_qpsk(0.25), 0.1, 0, rows, rng)
+    sizes = default_sizes(8)
+    model = init_model(sizes, rng)
+    want = _loss(model.forward(inputs, None), targets)
+    ws = _Workspace(sizes, batch)
+    before = [a.copy() for a in (inputs, targets)]
+    # the blocked products can round a row's outputs differently in the
+    # last bit, which the sum of squares nearly always absorbs
+    assert _probe_loss(model, inputs, targets, ws) == pytest.approx(want, rel=1e-14)
+    for got, kept in zip((inputs, targets), before):
+        np.testing.assert_array_equal(got, kept)
 
 
 def test_divergence_matches_reference_loop(rng):
