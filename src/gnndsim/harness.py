@@ -4,7 +4,6 @@ and coded BER measurements for convolutional and LDPC links."""
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -69,8 +68,12 @@ class SweepResult:
 def worker_pool(threads: int):
     """Context manager giving a process pool of ``threads`` workers, or None
     for threads <= 1. A runner holds one for its whole call, so workers
-    start once and none outlives it."""
-    return ProcessPoolExecutor(max_workers=threads) if threads > 1 else nullcontext()
+    start once and none outlives it. The pool's module is imported here,
+    only when one starts, which spares every serial run its import."""
+    if threads <= 1:
+        return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=threads)
 
 
 def parallel_map(fn, tasks, pool):

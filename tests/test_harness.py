@@ -1,3 +1,8 @@
+import concurrent.futures
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -183,12 +188,12 @@ def test_viterbi_ber_pairs_blocks_across_snr(monkeypatch, threads):
 def test_viterbi_ber_starts_one_pool_per_call(monkeypatch, threads, pools):
     started = []
 
-    class CountingPool(harness.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             started.append(self)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     cfg = ExperimentConfig(kind="viterbi-ber", seed=6, users=2, antennas=2,
                            receiver="sic", methods=("cl",), snr_db=(3.0, 9.0),
                            blocks=2 * harness.VITERBI_WAVE + 1, min_errors=10**6,
@@ -196,6 +201,16 @@ def test_viterbi_ber_starts_one_pool_per_call(monkeypatch, threads, pools):
     rows = run_viterbi_ber(cfg).rows
     assert {r["blocks"] for r in rows} == {cfg.blocks}  # three waves per SNR point
     assert len(started) == pools
+
+
+def test_harness_import_leaves_the_process_pool_out():
+    # worker_pool imports it when a pool starts, so serial runs never pay for it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gnndsim.harness; "
+            "print('concurrent.futures.process' in sys.modules)")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("receiver", ["sic", "no-sic"])
