@@ -30,8 +30,6 @@ RUNNERS = {
 
 def _train_net_command(cfg):
     """Train one conditional-mean model per user and save checkpoints."""
-    if not cfg.out:
-        raise SystemExit("train-net requires an output path (--out or out =)")
     _, _, nets = prepare_receiver(cfg, noise_var_for(cfg, cfg.snr_db[0]),
                                   np.random.SeedSequence((cfg.seed, 3)), True)
     for user, (model, trace) in enumerate(nets, start=1):
@@ -64,8 +62,8 @@ def main(argv=None) -> int:
     try:  # a rejected setting, from the file or an override, ends like a usage error
         cfg = load_config(args.config)
         if cfg.kind != args.command:
-            raise SystemExit(f"config is for kind {cfg.kind!r}, "
-                             f"but subcommand {args.command!r} was invoked")
+            raise ConfigError(f"config is for kind {cfg.kind!r}, "
+                              f"but subcommand {args.command!r} was invoked")
         overrides = {}
         if args.seed is not None:
             overrides["seed"] = args.seed
@@ -75,6 +73,8 @@ def main(argv=None) -> int:
             overrides["threads"] = args.threads
         if overrides:
             cfg = replace(cfg, **overrides)
+        if args.command == "train-net" and not cfg.out:
+            raise ConfigError("train-net requires an output path (--out or out =)")
     except ConfigError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     if args.paper_scale:

@@ -39,10 +39,22 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert a != b
 
 
-def test_cli_kind_mismatch(tmp_path):
+def test_cli_kind_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path / "c.cfg", "kind = scatter\nseed = 1\nsamples = 10\n")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["gmi-sweep", "--config", cfg])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ("gnndsim: error: config is for kind 'scatter', "
+                                       "but subcommand 'gmi-sweep' was invoked\n")
+
+
+def test_cli_train_net_without_output_path(tmp_path, capsys):
+    cfg = _write(tmp_path / "c.cfg", "kind = train-net\nseed = 1\nsnr_db = 9\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["train-net", "--config", cfg])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ("gnndsim: error: train-net requires an output "
+                                       "path (--out or out =)\n")
 
 
 def test_cli_rejects_unknown_key(tmp_path, capsys):
