@@ -7,7 +7,8 @@ e.g. `gnndsim gmi-sweep --config configs/gmi_sweep_4x4.cfg`. The package
 must be importable, as for the CLI: `PYTHONPATH=src python scripts/...`.
 `--threads` goes to the runners that read it, gmi-sweep and viterbi-ber.
 
-After each run it prints one sha256 line per output: the CSV less its
+After each run it prints the run's wall time and the peak resident memory
+of its process, then one sha256 line per output: the CSV less its
 `# out =` line, and each `train-net` checkpoint over its members' names and
 bytes (the zip container stamps the time of writing). Two runs wrote the
 same outputs when their logs show the same digests.
@@ -15,6 +16,7 @@ same outputs when their logs show the same digests.
 
 import argparse
 import hashlib
+import os
 import subprocess
 import sys
 import time
@@ -47,6 +49,19 @@ def outputs(cfg: ExperimentConfig) -> list[Path]:
     return [ROOT / cfg.out]
 
 
+def run_child(cmd) -> tuple[float, float]:
+    """Run ``cmd`` from the repository root; return its wall time (s) and
+    its own peak RSS (MiB), from the rusage of its wait: RUSAGE_CHILDREN
+    would give the largest over every child so far."""
+    start = time.time()
+    proc = subprocess.Popen(cmd, cwd=ROOT)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, cmd)
+    return time.time() - start, usage.ru_maxrss / 1024.0
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--paper-scale", action="store_true")
@@ -67,9 +82,8 @@ def main():
         if args.paper_scale:
             cmd.append("--paper-scale")
         print(f"== {cfg_path.name}", flush=True)
-        t = time.time()
-        subprocess.run(cmd, check=True, cwd=ROOT)
-        print(f"   done in {time.time() - t:.1f}s", flush=True)
+        seconds, peak_mib = run_child(cmd)
+        print(f"   done in {seconds:.1f}s, peak RSS {peak_mib:.1f} MiB", flush=True)
         for path in outputs(cfg):
             print(f"   sha256 {output_digest(path)}  {path.relative_to(ROOT)}", flush=True)
 
