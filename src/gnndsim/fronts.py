@@ -85,8 +85,8 @@ def solve_front(means, seconds, prior: Constellation):
     under the row's tilted pmf. Every row takes its own Armijo step and
     freezes once its moment residuals are under NEWTON_TOL. When no step
     above rounding level strictly lowers a row's objective, its gain is
-    below what the objective resolves (``gmi_from_tables`` stops there); the
-    row takes its full step, and its moment residuals decide. For
+    below what the objective resolves (``rates.maximize_theta`` stops
+    there); the row takes its full step, and its moment residuals decide. For
     constant-modulus alphabets the |a|^2 statistic is degenerate, gamma is
     a flat direction, and it is pinned to 1. A row whose gamma ends at or
     below 0 has no nearest-neighbor form and gets the constant metric

@@ -1,26 +1,35 @@
-"""Monte-Carlo information-rate estimators: optimal-front GMI, channel
-linearization GMI, mutual information, and the posterior/tilted KL gap."""
+"""Information rates: Monte-Carlo estimators of the optimal-front GMI, the
+mutual information and the posterior/tilted KL gap, and the exact channel
+linearization GMI by quadrature."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import check_channel, transmit
 from .constellation import Constellation, per_user
-from .fronts import ARTANH_CLIP, cl_front, nn_tables, qpsk_estimates, tilted_pmf
-from .posterior import ENUM_CAP, SplitEnumeration, budget_columns
+from .fronts import ARTANH_CLIP, cl_front, qpsk_estimates, tilted_pmf
+from .posterior import ENUM_CAP, EnumerationCapError, SplitEnumeration, budget_columns
 
 LN2 = float(np.log(2.0))
 SAMPLE_CHUNK = 16384     # most channel uses per enumeration batch
 THETA_ITERS = 100        # Newton steps of the metric-temperature fit
 RATE_METHODS = ("gnnd", "cl", "mi", "kl")
+# the exact CL GMI's grid: points per noise deviation and per half-width of
+# the strip where its integrand is analytic, the deviations it reaches past
+# the interference values, and the bytes of each float64 array of a slice
+CL_GRID_STEPS = 8
+CL_TAIL = 10
+CL_SLICE_BYTES = 2**20
 
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """A rate in bits per channel use with its Monte-Carlo standard error."""
+    """A rate in bits per channel use with its Monte-Carlo standard error,
+    0 for a rate computed exactly."""
 
     value: float
     std_error: float
@@ -72,85 +81,178 @@ def gnnd_gmi_samples(means, power: float) -> np.ndarray:
     return out
 
 
-def gmi_from_tables(tables, tx_idx, probabilities) -> tuple[RateEstimate, float]:
-    """Generalized mutual information of an arbitrary metric.
+def maximize_theta(moments) -> tuple[float, float]:
+    """Maximum over the metric temperature theta < 0 of a concave GMI
+    objective (Ganti, Lapidoth & Telatar 2000), and its maximizer.
 
-    ``tables[t, i]`` is the metric of candidate i at observation t and
-    ``tx_idx[t]`` the transmitted index. With d[t, a] = tables[t, a] -
-    tables[t, tx_idx[t]], the GMI is the maximum over the metric
-    temperature theta < 0 of the mean of the per-observation samples
-        -log sum_a p(a) exp(theta d[t, a]),
-    a concave function of theta (Ganti, Lapidoth & Telatar 2000). Taking
-    the metric relative to the transmitted candidate's cancels a term common
-    to every candidate, such as the |y|^2 of a nearest-neighbor metric,
-    before theta multiplies it, and keeps the transmitted term at exactly
-    log p(tx), so no sample exceeds -log p(tx) at any theta. With q the
-    tilted pmf at theta, the slope is -mean E_q[d] and the curvature
-    -mean Var_q[d]. Newton runs from theta = -1, each step halved until the
-    objective does not fall, so the fit cannot fail: after THETA_ITERS
-    steps, or once a step or its predicted gain is at rounding level, the
-    last iterate is used.
-    Returns the estimate and the maximizing theta.
+    ``moments(theta)`` returns the objective, its slope and its curvature
+    negated. Newton runs from theta = -1, the matched temperature of a
+    nearest-neighbor metric whose noise has unit variance. A step at most
+    doubles or halves theta, and it is halved until the objective does not
+    fall, so the fit cannot fail: after
+    THETA_ITERS steps, or once a step or its predicted gain is at rounding
+    level, the last iterate is used. Returns (theta, objective).
     """
-    tables = np.asarray(tables, dtype=np.float64)
-    n, n_alpha = tables.shape
-    # (|A|, n): reductions over the short candidate axis run along rows
-    d = np.subtract(tables.T, tables[np.arange(n), tx_idx], out=np.empty((n_alpha, n)))
-    logp = np.log(np.asarray(probabilities, dtype=np.float64))[:, None]
-    # every (|A|, n) array of the fit: the iterate's and a trial's tilted
-    # pmfs and one scratch for the moments, each written in place with the
-    # same ufuncs, in the same order, as fresh arrays would be
-    q, q_new, work = np.empty((3, n_alpha, n))
-
-    def tilt(theta, q):
-        """Tilted pmfs at theta, written into q, and the per-observation samples."""
-        np.multiply(theta, d, out=q)
-        q += logp
-        top = q.max(axis=0)
-        q -= top
-        np.exp(q, out=q)
-        total = q.sum(axis=0)
-        q /= total
-        return -top - np.log(total)
-
     theta = -1.0
-    samples = tilt(theta, q)
+    value, slope, curvature = moments(theta)
     eps = np.finfo(np.float64).eps
     for _ in range(THETA_ITERS):
-        mean_d = np.sum(np.multiply(q, d, out=work), axis=0)
-        slope = -mean_d.mean()
-        np.subtract(d, mean_d, out=work)
-        work **= 2
-        work *= q
-        var_d = np.mean(np.sum(work, axis=0))  # -f''
-        if var_d <= 0.0:
+        if curvature <= 0.0:
             break
-        step = min(slope / var_d, -theta / 2.0)  # theta stays negative
-        value = samples.mean()
+        # theta stays negative, and |theta| at most doubles or halves
+        step = min(max(slope / curvature, theta), -theta / 2.0)
         if abs(slope * step) <= eps * abs(value):  # the gain is at rounding level
             break
         while abs(step) > eps * abs(theta):
-            samples_new = tilt(theta + step, q_new)
-            if samples_new.mean() >= value:
+            trial = moments(theta + step)
+            if trial[0] >= value:
                 break
             step /= 2.0
         else:  # no step above rounding level raises the objective
             break
-        theta, samples = theta + step, samples_new
-        q, q_new = q_new, q
-    return _estimate_from_nats(samples), theta
+        theta += step
+        value, slope, curvature = trial
+    return theta, value
 
 
-def cl_gmi_from_scalar(y_scalar, tx_idx, gain: float,
-                       c: Constellation) -> tuple[RateEstimate, float]:
-    """GMI of the linearized-channel metric |y_s - gain a|^2 on any alphabet.
+def product_factors(c: Constellation):
+    """The real and the imaginary factor, each (levels, probabilities), of a
+    product alphabet: one whose points are every pair of a real and an
+    imaginary level, with the product of their probabilities, as QPSK and
+    square QAM grids are. Raises NotImplementedError for any other."""
+    factors = []
+    for part in (c.points.real, c.points.imag):
+        levels, at = np.unique(part, return_inverse=True)
+        factors.append((levels, at, np.bincount(at, c.probabilities, levels.size)))
+    (re, at_re, p_re), (im, at_im, p_im) = factors
+    if re.size * im.size != c.size or not np.allclose(c.probabilities, p_re[at_re] * p_im[at_im],
+                                                      rtol=1e-12, atol=0.0):
+        raise NotImplementedError("the CL rate is implemented for product (PAM x PAM) alphabets")
+    return (re, p_re), (im, p_im)
 
-    ``y_scalar`` is the whitened/combined scalar observation, ``tx_idx`` the
-    index of the transmitted point of ``c``, ``gain`` the scalar channel
-    coefficient.
+
+def _mixture_weights(centres, probs, s: float, step: float):
+    """Trapezoid weights step f(lo + k step), k = 0, 1, ..., of the density f
+    of sum_l probs_l N(centres_l, s^2), and lo. Each term is read within
+    CL_TAIL deviations of its centre, and the centres are walked in slices
+    of CL_SLICE_BYTES."""
+    half = math.ceil(CL_TAIL * s / step)
+    lo = centres.min() - (half + 1) * step
+    weights = np.zeros(int((centres.max() - centres.min()) / step) + 2 * half + 4)
+    offsets = np.arange(-half, half + 1)
+    per = max(1, CL_SLICE_BYTES // (8 * offsets.size))
+    for at in range(0, centres.size, per):
+        c = centres[at:at + per]
+        k = np.rint((c - lo) / step).astype(np.int64)[:, None] + offsets
+        u = (lo + k * step - c[:, None]) / s
+        weights += np.bincount(k.ravel(), (probs[at:at + per, None] * np.exp(-0.5 * u * u)).ravel(),
+                               weights.size)
+    return lo, weights * (step / (s * math.sqrt(2.0 * math.pi)))
+
+
+def cl_gmi_from_scalar(front, gains, noise_var: float, constellations, user: int,
+                       first: int) -> float:
+    """Exact GMI, in bits, of ``user``'s linearized-channel metric
+    |y_s - g a|^2 on the front's scalar channel y_s = combiner^H y, with the
+    users before ``first`` cancelled from y and g the front's scalar gain.
+
+    Given every active user's symbol, y_s is complex Gaussian: its mean is
+    g x + sum_j (combiner^H h_j) x_j over the interferers, the active users
+    other than ``user``, and its variance noise_var |combiner|^2, half in
+    each real dimension. For a product alphabet (``product_factors``) the
+    metric, and so the GMI objective at each temperature theta < 0,
+        E[-log sum_a p(a) exp(theta (|y_s - g a|^2 - |y_s - g x|^2))],
+    is a sum of a real and an imaginary term. Each is the mean over the sent
+    level of an integral over z = y_s - g x, whose density is a Gaussian
+    mixture over the interference values, and is read by the trapezoid rule
+    on a uniform grid in z. The rule's error falls exponentially with the
+    grid's points per noise deviation and per half-width of the strip where
+    the integrand is analytic, pi / (2 |theta| g (largest level spread)).
+    With CL_GRID_STEPS of each it is at rounding level: a grid four times
+    finer moves the rate by about 1e-15 bits. The grid is refined by
+    halving as theta grows, and each grid is built once. ``maximize_theta``
+    fits theta, and no sample is drawn.
+
+    The interferers are enumerated in two halves. The density on the grid
+    is either that of every pair of the halves' values, or, when it costs
+    less, the convolution of the halves' own densities, each with half the
+    noise variance: a cost that grows with the square root of the number
+    of interference values, and with the square of the grid's length.
     """
-    tables = nn_tables(np.asarray(y_scalar, dtype=np.complex128), c.points, gain)
-    return gmi_from_tables(tables, tx_idx, c.probabilities)
+    n_users = gains.shape[1]
+    consts = per_user(constellations, n_users)
+    dims = product_factors(consts[user])
+    others = [j for j in range(first, n_users) if j != user]
+    coef = front.combiner.conj() @ gains
+    # the interference of each half of the interferers, enumerated apart:
+    # values and probabilities
+    halves = []
+    for group in (others[:len(others) // 2], others[len(others) // 2:]):
+        if np.prod([consts[j].size for j in group], dtype=np.int64) > ENUM_CAP:
+            raise EnumerationCapError(f"the CL rate enumerates at most {ENUM_CAP} symbols "
+                                      "of each half of the interferers")
+        values, probs = np.zeros(1, dtype=np.complex128), np.ones(1)
+        for j in group:
+            values = (values[:, None] + coef[j] * consts[j].points).ravel()
+            probs = (probs[:, None] * consts[j].probabilities).ravel()
+        halves.append((values, probs))
+    gain = float(front.scalar_gain)
+    s = math.sqrt(noise_var * np.vdot(front.combiner, front.combiner).real / 2.0)
+    spread = max(np.ptp(levels) for levels, _ in dims)
+    # per dimension: the level probabilities, the gain times each level
+    # difference (sent i, candidate b) and the candidates' log probabilities
+    parts = [(p, gain * (levels[:, None] - levels[None, :])[..., None], np.log(p)[:, None])
+             for levels, p in dims]
+    grids = {}
+
+    def density(part, step):
+        """Nodes and trapezoid weights of the density of ``part`` (np.real
+        or np.imag) of z on a grid of ``step``, where it is not 0."""
+        (v_a, p_a), (v_b, p_b) = ((part(v), p) for v, p in halves)
+        window = 2 * CL_TAIL * s / step  # grid points of one mixture term
+        pairs = v_a.size * v_b.size
+        convolution = (np.ptp(v_a) / step + window) * (np.ptp(v_b) / step + window)
+        if pairs > ENUM_CAP or convolution < pairs * window:
+            (lo_a, w_a), (lo_b, w_b) = (_mixture_weights(v, p, s / math.sqrt(2.0), step)
+                                        for v, p in ((v_a, p_a), (v_b, p_b)))
+            lo, w = lo_a + lo_b, np.convolve(w_a, w_b)
+        else:
+            lo, w = _mixture_weights((v_a[:, None] + v_b).ravel(), (p_a[:, None] * p_b).ravel(),
+                                     s, step)
+        keep = np.flatnonzero(w)
+        return lo + keep * step, w[keep]
+
+    def grid(theta):
+        """Each dimension's nodes and weights at theta."""
+        ratio = 2.0 * abs(theta) * gain * spread * s / math.pi  # noise deviation / strip
+        level = math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
+        if level not in grids:
+            grids[level] = [density(part, s / (CL_GRID_STEPS << level))
+                            for part in (np.real, np.imag)]
+        return grids[level]
+
+    def moments(theta):
+        total = np.zeros(3)
+        for (p, delta, log_p), (z, w) in zip(parts, grid(theta)):
+            per = max(1, CL_SLICE_BYTES // (8 * p.size**2))
+            for at in range(0, z.size, per):
+                # e[i, b]: the metric of level b less that of the sent level i
+                e = delta * (2.0 * z[at:at + per] + delta)
+                a = theta * e + log_p
+                top = a.max(axis=1)
+                q = np.exp(a - top[:, None])
+                norm = q.sum(axis=1)
+                q /= norm[:, None]
+                mean_e = np.sum(q * e, axis=1)
+                var_e = np.sum(q * (e - mean_e[:, None]) ** 2, axis=1)
+                wt = p[:, None] * w[at:at + per]
+                total += (np.sum(wt * (-top - np.log(norm))), -np.sum(wt * mean_e),
+                          np.sum(wt * var_e))
+        return total
+
+    # no GMI exceeds the input entropy, which the summed weights could pass by rounding
+    entropy = -sum(np.sum(p[p > 0] * np.log(p[p > 0])) for _, p in dims)
+    return float(min(maximize_theta(moments)[1], entropy) / LN2)
 
 
 def mi_samples(batch, user: int, tx_idx) -> np.ndarray:
@@ -172,21 +274,22 @@ def _kl_samples(pmf, tilted) -> np.ndarray:
 
 def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
                         receiver: str, n_samples: int, rng) -> dict:
-    """Shared Monte-Carlo engine for all per-user rate quantities.
+    """Shared engine for all per-user rate quantities.
 
     Returns {method: {user: RateEstimate}} for ``users``, or for every user
     when it is None; method "kl" estimates the mutual-information/GMI gap
-    of the optimal front. All requested quantities are evaluated on the
-    same sampled transmissions. With receiver="sic", user k is conditioned
-    on the true symbols of users 0..k-1 (the information-theoretic
-    successive-cancellation rate); without it one evaluation per chunk
-    serves every user. The samples are drawn in chunks of at most the
-    ``budget_columns`` of the largest enumeration the call could build (none
-    above ``ENUM_CAP``), built or not, so the CL rows do not depend on the
-    other methods. Posteriors come from ``SplitEnumeration``, read in its
-    cache-sized ``slices`` of each chunk, and only the per-observation
-    integrands outlive a slice. User powers are read from the
-    constellations, for the CL fronts as for the sampled symbols.
+    of the optimal front. With receiver="sic", user k is conditioned on the
+    true symbols of users 0..k-1 (the information-theoretic
+    successive-cancellation rate). The "cl" rows are exact
+    (``cl_gmi_from_scalar``): they draw nothing and carry a standard error
+    of 0 and ``n_samples`` as their sample count. The other methods are
+    evaluated on the same sampled transmissions; without SIC one evaluation
+    per chunk serves every user. The samples are drawn in chunks of at most
+    the ``budget_columns`` of the largest enumeration the call builds.
+    Posteriors come from ``SplitEnumeration``, read in its cache-sized
+    ``slices`` of each chunk, and only the per-observation integrands
+    outlive a slice. User powers are read from the constellations, for the
+    CL fronts as for the sampled symbols.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
@@ -207,18 +310,20 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
 
     sic = receiver == "sic"
     first = {u: u if sic else 0 for u in users}
-    # the CL metric reads no posterior: a CL-only call enumerates nothing
-    need_enum = bool({"gnnd", "kl", "mi"} & set(methods))
-    enums = {f: SplitEnumeration(gains, noise_var, consts, f)
-             for f in sorted(set(first.values()))} if need_enum else {}
-    fronts = {u: cl_front(gains, noise_var, consts, u, range(first[u])) for u in users}
-    combos = int(np.prod([c.size for c in consts[min(first.values(), default=0):]]))
-    chunk = SAMPLE_CHUNK if combos > ENUM_CAP else min(SAMPLE_CHUNK, budget_columns(combos))
-    # per-observation samples (nats) of gnnd, kl and mi; CL's scalar outputs and indices
-    nats = {m: {u: np.empty(n_samples) for u in users} for m in methods if m != "cl"}
+    out = {m: {} for m in methods}
     if "cl" in methods:
-        cl_y = {u: np.empty(n_samples, dtype=np.complex128) for u in users}
-        cl_tx = {u: np.empty(n_samples, dtype=np.int64) for u in users}
+        for u in users:
+            front = cl_front(gains, noise_var, consts, u, range(first[u]))
+            out["cl"][u] = RateEstimate(
+                cl_gmi_from_scalar(front, gains, noise_var, consts, u, first[u]), 0.0, n_samples)
+    sampled = [m for m in methods if m != "cl"]
+    if not sampled:
+        return out
+
+    enums = {f: SplitEnumeration(gains, noise_var, consts, f) for f in sorted(set(first.values()))}
+    chunk = min(SAMPLE_CHUNK, budget_columns(enums[min(enums)].n_combos))
+    # per-observation samples (nats) of gnnd, kl and mi
+    nats = {m: {u: np.empty(n_samples) for u in users} for m in sampled}
 
     def read(batch, group, tx, at):
         """The integrands of one slice's ``batch`` for the users of ``group``,
@@ -239,8 +344,7 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
     groups = [(u, [u]) for u in users] if sic else [(0, users)]
 
     def draw_chunk(done, c):
-        """Draw c channel uses and read them into the samples' columns from
-        ``done`` on; the draws go with the call, before the CL fits."""
+        """Draw c channel uses and read them into the samples' columns from ``done`` on."""
         idx = np.stack([rng.choice(consts[u].size, size=c, p=consts[u].probabilities)
                         for u in range(n_users)])
 
@@ -251,24 +355,13 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
         for f, group in groups:
             # removing no users leaves y as it is, bit for bit
             y_f = y - gains[:, :f] @ symbols(f) if sic and f else y
-            if need_enum:
-                for cols in enums[f].slices(c):
-                    read(enums[f].evaluate(y_f[:, cols]), group, idx[:, cols],
-                         slice(done + cols.start, done + cols.stop))
-            if "cl" in methods:
-                for u in group:
-                    cl_y[u][done:done + c] = fronts[u].apply(y_f)
-                    cl_tx[u][done:done + c] = idx[u]
+            for cols in enums[f].slices(c):
+                read(enums[f].evaluate(y_f[:, cols]), group, idx[:, cols],
+                     slice(done + cols.start, done + cols.stop))
 
     for done in range(0, n_samples, chunk):
         draw_chunk(done, min(chunk, n_samples - done))
-
-    out = {m: {} for m in methods}
-    for m in methods:
+    for m in sampled:
         for u in users:
-            if m == "cl":
-                out[m][u], _ = cl_gmi_from_scalar(cl_y[u], cl_tx[u], fronts[u].scalar_gain,
-                                                  consts[u])
-            else:
-                out[m][u] = _estimate_from_nats(nats[m][u])
+            out[m][u] = _estimate_from_nats(nats[m][u])
     return out

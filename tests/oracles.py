@@ -14,10 +14,10 @@ from gnndsim.mmse_net import (
 )
 from gnndsim.rates import (
     LN2,
-    THETA_ITERS,
     RateEstimate,
     _estimate_from_nats,
     gnnd_gmi_samples,
+    maximize_theta,
 )
 
 GOLDEN_ITERS = 60        # golden-section steps of the metric-temperature fit
@@ -139,7 +139,8 @@ def _logcosh(z):
 
 def maximize_concave(fn, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximum of a concave fn on [lo, hi], expanding lo
-    by doubling while the objective still improves at the left edge."""
+    by doubling while the objective still improves at the left edge. Once
+    fn(2 lo) <= fn(lo), concavity puts the maximum in [2 lo, hi]."""
     f_lo = fn(lo)
     for _ in range(BRACKET_DOUBLINGS):
         f_2 = fn(2.0 * lo)
@@ -149,7 +150,7 @@ def maximize_concave(fn, lo: float, hi: float) -> tuple[float, float]:
     else:
         raise RuntimeError("bracket expansion failed: objective keeps improving")
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 2.0 * lo, hi
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = fn(c), fn(d)
@@ -169,7 +170,7 @@ def maximize_concave(fn, lo: float, hi: float) -> tuple[float, float]:
 def cl_gmi_cosh_form(y_scalar, x, gain: float,
                      power: float) -> tuple[RateEstimate, float]:
     """GMI of the linearized-channel metric for QPSK, cosh form, fitted by
-    golden section: the reference for ``rates.cl_gmi_from_scalar``.
+    golden section: the sampled reference for ``rates.cl_gmi_from_scalar``.
 
     ``y_scalar`` is the whitened/combined scalar observation, ``x`` the
     transmitted symbol, ``gain`` the scalar channel coefficient.
@@ -315,13 +316,23 @@ def gnnd_gmi_from_means(means, power: float) -> RateEstimate:
     return _estimate_from_nats(gnnd_gmi_samples(means, power))
 
 
-def reference_gmi_from_tables(tables, tx_idx, probabilities, events):
-    """The metric-temperature fit that ``rates.gmi_from_tables`` replaced,
-    kept as its reference: a fresh array for every tilt and moment. Appends
-    to ``events`` "halved" for each halved step and "flat" for an exit on
-    a nonpositive curvature."""
+def gmi_from_tables(tables, tx_idx, probabilities) -> tuple[RateEstimate, float]:
+    """Monte-Carlo generalized mutual information of an arbitrary metric:
+    the sampled reference for the exact CL rate and for the matched metric.
+
+    ``tables[t, i]`` is the metric of candidate i at observation t and
+    ``tx_idx[t]`` the transmitted index. With d[t, a] = tables[t, a] -
+    tables[t, tx_idx[t]], the GMI is the maximum over theta < 0 of the mean
+    of the per-observation samples -log sum_a p(a) exp(theta d[t, a]).
+    Taking the metric relative to the transmitted candidate's keeps the
+    transmitted term at exactly log p(tx), so no sample exceeds -log p(tx).
+    With q the tilted pmf at theta, the slope is -mean E_q[d] and the
+    curvature -mean Var_q[d]; ``rates.maximize_theta`` fits theta. Since
+    theta is picked on the samples it averages, the estimate is biased
+    upward. Returns the estimate and the maximizing theta.
+    """
     tables = np.asarray(tables, dtype=np.float64)
-    d = (tables - tables[np.arange(tables.shape[0]), tx_idx][:, None]).T.copy()
+    d = (tables - tables[np.arange(tables.shape[0]), tx_idx][:, None]).T
     logp = np.log(np.asarray(probabilities, dtype=np.float64))[:, None]
 
     def tilt(theta):
@@ -331,30 +342,14 @@ def reference_gmi_from_tables(tables, tx_idx, probabilities, events):
         total = w.sum(axis=0)
         return w / total, -top - np.log(total)
 
-    theta = -1.0
-    q, samples = tilt(theta)
-    eps = np.finfo(np.float64).eps
-    for _ in range(THETA_ITERS):
+    def moments(theta):
+        q, samples = tilt(theta)
         mean_d = np.sum(q * d, axis=0)
-        slope = -mean_d.mean()
-        var_d = np.mean(np.sum(q * (d - mean_d) ** 2, axis=0))
-        if var_d <= 0.0:
-            events.append("flat")
-            break
-        step = min(slope / var_d, -theta / 2.0)
-        value = samples.mean()
-        if abs(slope * step) <= eps * abs(value):
-            break
-        while abs(step) > eps * abs(theta):
-            q_new, samples_new = tilt(theta + step)
-            if samples_new.mean() >= value:
-                break
-            events.append("halved")
-            step /= 2.0
-        else:
-            break
-        theta, q, samples = theta + step, q_new, samples_new
-    return _estimate_from_nats(samples), theta
+        return (samples.mean(), -mean_d.mean(),
+                np.mean(np.sum(q * (d - mean_d) ** 2, axis=0)))
+
+    theta, _ = maximize_theta(moments)
+    return _estimate_from_nats(tilt(theta)[1]), theta
 
 
 def average_sum_rows(result: SweepResult, method: str, snr_db: float):

@@ -7,22 +7,22 @@ from conftest import make_square16
 from gnndsim import posterior, rates
 from gnndsim.channel import sample_gains, transmit
 from gnndsim.config import ExperimentConfig
-from gnndsim.constellation import make_qpsk, sample_symbols
-from gnndsim.fronts import qpsk_estimates
+from gnndsim.constellation import Constellation, make_qpsk, per_user, sample_symbols
+from gnndsim.fronts import cl_front, qpsk_estimates
 from gnndsim.harness import nn_tables, run_gmi_sweep
-from gnndsim.posterior import JointEnumeration, SplitEnumeration
+from gnndsim.posterior import EnumerationCapError, JointEnumeration, SplitEnumeration
 from gnndsim.rates import (
     LN2,
     RateEstimate,
     combine_rates,
     evaluate_user_rates,
-    gmi_from_tables,
 )
 from oracles import (
     cl_gmi_cosh_form,
+    gmi_from_tables,
     gnnd_gmi_from_means,
+    maximize_concave,
     mi_samples_lse,
-    reference_gmi_from_tables,
 )
 
 
@@ -136,58 +136,173 @@ def test_any_metric_bounded_by_mi():
     assert est.value <= mi.value + 2 * np.hypot(est.std_error, mi.std_error) + 5e-3
 
 
-def _cl_fits(monkeypatch, run):
-    """Inputs and results of every CL GMI fit that ``run()`` makes."""
-    fits = []
-    real = rates.cl_gmi_from_scalar
-
-    def recording(*args):
-        out = real(*args)
-        fits.append((args, out))
-        return out
-
-    with monkeypatch.context() as m:
-        m.setattr(rates, "cl_gmi_from_scalar", recording)
-        run()
-    return fits
+def _cl_samples(gains, noise_var, consts, user, first, n, rng):
+    """n sampled CL observations of ``user`` with users 0..first-1 cancelled:
+    the front's scalar outputs, the sent indices and the front."""
+    gains = np.asarray(gains, dtype=np.complex128)
+    consts = per_user(consts, gains.shape[1])
+    idx = np.stack([rng.choice(c.size, size=n, p=c.probabilities) for c in consts])
+    x = np.stack([c.points[i] for c, i in zip(consts, idx)])
+    y = transmit(gains, noise_var, x, rng) - gains[:, :first] @ x[:first]
+    front = cl_front(gains, noise_var, consts, user, range(first))
+    return front.apply(y), idx[user], front
 
 
-def _gmi_sweep_cl(**fields):
-    return lambda: run_gmi_sweep(ExperimentConfig(kind="gmi-sweep", methods=("cl",),
-                                                  draws=1, **fields))
+def _exact_cl(gains, noise_var, consts, user, first):
+    gains = np.asarray(gains, dtype=np.complex128)
+    front = cl_front(gains, noise_var, consts, user, range(first))
+    return rates.cl_gmi_from_scalar(front, gains, noise_var, consts, user, first)
 
 
-def _single_call_cl(gains, noise_var, power, n, seed):
-    return lambda: evaluate_user_rates(gains, noise_var, make_qpsk(power), None, ("cl",),
-                                       "no-sic", n, np.random.default_rng(seed))
-
-
-def test_cl_cosh_form_agrees_with_table_form(monkeypatch):
-    cases = [  # (run, number of CL fits, index of a saturated fit)
+def test_cl_cosh_form_agrees_with_table_form():
+    # the two sampled references of the CL rate read the same samples alike
+    cases = [  # (gains, noise_var, power, user, first, samples, seed)
         # two users without cancellation at moderate noise
-        (_single_call_cl(sample_gains(2, 2, np.random.default_rng(12)), 0.3, 0.5, 20_000, 13),
-         2, None),
-        # the four fits of tests/golden/gmi_sweep_sic_small.csv
-        (_gmi_sweep_cl(seed=7, users=2, antennas=2, receiver="sic", snr_db=(0.0, 10.0),
-                       samples=2000), 4, None),
-        # draw 0 of a saturated run: no sample of user 2 at 10 dB is in error
-        (_gmi_sweep_cl(seed=129, users=4, antennas=4, receiver="no-sic",
-                       snr_db=(-5.0, 0.0, 5.0, 10.0, 15.0, 20.0), samples=4096), 24, 13),
+        (sample_gains(2, 2, np.random.default_rng(12)), 0.3, 0.5, 0, 0, 20_000, 13),
+        # the second user of two with the first cancelled
+        (sample_gains(2, 2, np.random.default_rng(12)), 0.3, 0.5, 1, 1, 20_000, 14),
+        # saturated: no sample is in error
+        ([[1.0]], 1e-3, 1.0, 0, 0, 4096, 15),
         # a rate of nearly zero
-        (_single_call_cl([[1.0]], 1e7, 1.0, 20_000, 0), 1, None),
+        ([[1.0]], 1e7, 1.0, 0, 0, 20_000, 0),
     ]
-    for run, n_fits, saturated in cases:
-        fits = _cl_fits(monkeypatch, run)
-        assert len(fits) == n_fits
-        for (ys, tx, gain, c), (table_est, theta) in fits:
-            cosh_est, _ = cl_gmi_cosh_form(ys, c.points[tx], gain, c.power)
-            assert abs(table_est.value - cosh_est.value) <= 1e-11
-            assert abs(table_est.std_error - cosh_est.std_error) <= 1e-8
-            assert theta < 0
-            # every sample is at most -log p(tx): no rate above log2 |A|, even by rounding
-            assert table_est.value <= np.log2(c.size)
-        if saturated is not None:
-            assert fits[saturated][1][0].value > 2.0 - 1e-9
+    for i, (gains, noise_var, power, user, first, n, seed) in enumerate(cases):
+        q = make_qpsk(power)
+        ys, tx, front = _cl_samples(gains, noise_var, q, user, first, n,
+                                    np.random.default_rng(seed))
+        table_est, theta = gmi_from_tables(nn_tables(ys, q.points, front.scalar_gain), tx,
+                                           q.probabilities)
+        cosh_est, _ = cl_gmi_cosh_form(ys, q.points[tx], front.scalar_gain, q.power)
+        assert abs(table_est.value - cosh_est.value) <= 1e-11
+        assert abs(table_est.std_error - cosh_est.std_error) <= 1e-8
+        assert theta < 0
+        # every sample is at most -log p(tx): no rate above log2 |A|, even by rounding
+        assert table_est.value <= np.log2(q.size)
+        if i == 2:
+            assert table_est.value > 2.0 - 1e-9
+
+
+def _reference_cases():
+    """(gains, noise_var, constellation, receiver) of the exact CL rate's
+    checks: one or more users, with and without SIC, -5 to 20 dB."""
+    def channel(k):
+        return sample_gains(k, k, np.random.default_rng(80 + k))
+
+    def nv(snr_db):
+        return 10 ** (-snr_db / 10)
+
+    return {
+        "K1-qpsk--5dB": ([[1.0]], nv(-5.0), make_qpsk(1.0), "no-sic"),
+        "K1-qpsk-10dB": ([[1.0]], nv(10.0), make_qpsk(1.0), "no-sic"),
+        "K1-qpsk-20dB": ([[0.6 - 0.3j]], nv(20.0), make_qpsk(1.0), "no-sic"),
+        "K1-square16-0dB": ([[1.0]], nv(0.0), make_square16(1.0), "no-sic"),
+        "K1-square16-10dB": ([[1.0]], nv(10.0), make_square16(1.0), "no-sic"),
+        "K1-square16-20dB": ([[1.0]], nv(20.0), make_square16(1.0), "no-sic"),
+        "K2-no-sic--5dB": (channel(2), nv(-5.0), make_qpsk(0.5), "no-sic"),
+        "K2-sic-0dB": (channel(2), nv(0.0), make_qpsk(0.5), "sic"),
+        "K3-no-sic-5dB": (channel(3), nv(5.0), make_qpsk(1 / 3), "no-sic"),
+        "K3-sic-10dB": (channel(3), nv(10.0), make_qpsk(1 / 3), "sic"),
+        "K4-no-sic-15dB": (channel(4), nv(15.0), make_qpsk(0.25), "no-sic"),
+        "K4-sic-20dB": (channel(4), nv(20.0), make_qpsk(0.25), "sic"),
+        # 16 and 64 values in the two halves of the interferers: their
+        # densities are convolved
+        "K6-no-sic-0dB": (channel(6), nv(0.0), make_qpsk(1 / 6), "no-sic"),
+    }
+
+
+@pytest.mark.parametrize("case", list(_reference_cases()))
+def test_exact_cl_within_3_se_of_the_sampled_fit(case):
+    # 200,000 sampled CL observations per user, fitted by the cosh form for
+    # QPSK and by the table form for the 16-point grid; at saturation no
+    # sample is in error, the sampled fit's standard error is about 1e-16
+    # and its upward bias about 1e-11 bits, so 1e-9 bits is the floor
+    gains, noise_var, c, receiver = _reference_cases()[case]
+    n_users = np.shape(gains)[1]
+    exact = evaluate_user_rates(gains, noise_var, c, None, ("cl",), receiver, 200_000,
+                                np.random.default_rng(0))["cl"]
+    for u in range(n_users):
+        first = u if receiver == "sic" else 0
+        ys, tx, front = _cl_samples(gains, noise_var, c, u, first, 200_000,
+                                    np.random.default_rng(90 + u))
+        if c.size == 4:
+            sampled, _ = cl_gmi_cosh_form(ys, c.points[tx], front.scalar_gain, c.power)
+        else:
+            sampled, _ = gmi_from_tables(nn_tables(ys, c.points, front.scalar_gain), tx,
+                                         c.probabilities)
+        assert exact[u] == RateEstimate(_exact_cl(gains, noise_var, c, u, first), 0.0, 200_000)
+        assert abs(exact[u].value - sampled.value) <= 3 * sampled.std_error + 1e-9
+
+
+@pytest.mark.parametrize("case", ["K1-qpsk-10dB", "K1-qpsk-20dB", "K1-square16-20dB",
+                                  "K2-no-sic--5dB", "K3-sic-10dB", "K4-no-sic-15dB"])
+def test_exact_cl_agrees_with_a_four_times_finer_grid(monkeypatch, case):
+    gains, noise_var, c, receiver = _reference_cases()[case]
+    n_users = np.shape(gains)[1]
+    firsts = [u if receiver == "sic" else 0 for u in range(n_users)]
+    want = [_exact_cl(gains, noise_var, c, u, f) for u, f in enumerate(firsts)]
+    monkeypatch.setattr(rates, "CL_GRID_STEPS", 4 * rates.CL_GRID_STEPS)
+    for u, f in enumerate(firsts):
+        assert abs(_exact_cl(gains, noise_var, c, u, f) - want[u]) <= 1e-9
+
+
+@pytest.mark.parametrize("receiver", ["no-sic", "sic"])
+@pytest.mark.parametrize("snr_db", [-5.0, 10.0, 25.0])
+def test_exact_cl_reads_the_same_from_convolved_halves(monkeypatch, receiver, snr_db):
+    # K = L = 4 enumerates every pair of the halves' interference values;
+    # with a cap of 16 values the halves' densities are convolved instead
+    gains = sample_gains(4, 4, np.random.default_rng(85))
+    q = make_qpsk(0.25)
+    firsts = [u if receiver == "sic" else 0 for u in range(4)]
+    calls = []
+    mixture = rates._mixture_weights
+    monkeypatch.setattr(rates, "_mixture_weights", lambda *args: calls.append(0) or mixture(*args))
+    joint = [_exact_cl(gains, 10 ** (-snr_db / 10), q, u, f) for u, f in enumerate(firsts)]
+    n_joint = len(calls)
+    monkeypatch.setattr(rates, "ENUM_CAP", 16)
+    for u, f in enumerate(firsts):
+        assert abs(_exact_cl(gains, 10 ** (-snr_db / 10), q, u, f) - joint[u]) <= 1e-12
+    assert len(calls) - n_joint > n_joint  # two mixtures per convolved density
+
+
+def test_exact_cl_at_extreme_snr():
+    # the grid refines as theta grows: a saturated user reads log2 |A| bits
+    # and no more, and a user drowned in noise reads nearly 0
+    q = make_qpsk(1.0)
+    assert 2.0 - 1e-12 < _exact_cl([[1.0]], 1e-4, q, 0, 0) <= 2.0
+    assert 4.0 - 1e-12 < _exact_cl([[1.0]], 1e-4, make_square16(1.0), 0, 0) <= 4.0
+    assert 0.0 <= _exact_cl([[1.0]], 1e7, q, 0, 0) < 1e-6
+
+
+def test_cl_stays_below_mi_where_the_sampled_fit_saturated():
+    # draw 0 of the gmi-4x4 config at seed 129 with 4 draws x 4096 samples:
+    # no sample of user 2 at 10 dB was in error, and the sampled CL fit read
+    # 1.99999999999956 bits, above the 1.99974 of mi
+    cfg = ExperimentConfig(kind="gmi-sweep", seed=129, users=4, antennas=4, receiver="no-sic",
+                           snr_db=(-5.0, 0.0, 5.0, 10.0, 15.0, 20.0), methods=("cl", "mi"),
+                           draws=1, samples=4096)
+    rate = {r["method"]: r["rate_bits"] for r in run_gmi_sweep(cfg).rows
+            if r["snr_db"] == 10.0 and r["user"] == 2}
+    assert rate["cl"] <= rate["mi"]
+    assert rate["cl"] < 2.0
+
+
+def test_cl_rejects_a_non_product_alphabet():
+    q = make_qpsk(1.0)
+    rotated = Constellation(q.points * np.exp(0.3j), q.probabilities, 1.0)
+    skewed = Constellation(q.points, [0.4, 0.1, 0.1, 0.4], 1.0)
+    for c in (rotated, skewed):
+        with pytest.raises(NotImplementedError):
+            evaluate_user_rates([[1.0]], 0.1, c, None, ("cl",), "no-sic", 100,
+                                np.random.default_rng(0))
+    assert rates.product_factors(q)[0][1].tolist() == [0.5, 0.5]
+
+
+def test_cl_enumerates_each_half_of_the_interferers_within_the_cap():
+    # 22 interferers: 4^11 values in each half
+    gains = sample_gains(23, 23, np.random.default_rng(0))
+    with pytest.raises(EnumerationCapError):
+        evaluate_user_rates(gains, 0.1, make_qpsk(1 / 23), [0], ("cl",), "no-sic", 100,
+                            np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("noise_var", [0.3, 0.01])
@@ -301,8 +416,8 @@ def test_deterministic_given_seed():
 
 @pytest.mark.parametrize("receiver, n_users", [
     ("no-sic", 3), ("sic", 3),
-    # 4^6 combinations cap an evaluation at 4,096 columns: the CL-only call
-    # must sample in the same chunks
+    # 4^6 combinations cap an evaluation at 4,096 columns, a chunk rule the
+    # exact CL rows do not depend on
     ("no-sic", 6), ("sic", 6),
 ], ids=["no-sic", "sic", "no-sic-K6", "sic-K6"])
 def test_cl_only_call_skips_enumeration(monkeypatch, receiver, n_users):
@@ -321,6 +436,16 @@ def test_cl_only_call_skips_enumeration(monkeypatch, receiver, n_users):
     cl = evaluate_user_rates(gains, noise_var, q, None, ("cl",), receiver, 5_000,
                              np.random.default_rng(43))
     assert cl["cl"] == both["cl"]
+
+
+@pytest.mark.parametrize("receiver", ["no-sic", "sic"])
+def test_cl_only_call_leaves_the_rng_untouched(receiver):
+    rng = np.random.default_rng(45)
+    state = rng.bit_generator.state
+    res = evaluate_user_rates(sample_gains(3, 3, np.random.default_rng(28)), 0.2, make_qpsk(1 / 3),
+                              None, ("cl",), receiver, 5_000, rng)
+    assert rng.bit_generator.state == state
+    assert all(e.std_error == 0.0 and e.samples == 5_000 for e in res["cl"].values())
 
 
 @pytest.mark.parametrize("receiver", ["no-sic", "sic"])
@@ -452,8 +577,7 @@ def test_rate_chunk_follows_enumeration_budget(monkeypatch, receiver, per_chunk)
 
 
 def _gmi_cases():
-    """(tables, tx, probabilities, event) of the fit cases: the event that
-    the reference fit must show, or None."""
+    """(tables, tx, probabilities) of the fit cases."""
     rng = np.random.default_rng(61)
     gains = sample_gains(3, 3, rng)
     q = make_qpsk(1 / 3)
@@ -468,23 +592,32 @@ def _gmi_cases():
     near = np.abs(rng.standard_normal(700)[:, None] + c16.points[tx16][:, None]
                   - c16.points[None, :]) ** 2
     return [
-        (cl, tx, q.probabilities, None),
-        (noise, noise_tx, np.full(4, 0.25), "halved"),
-        (near, tx16, skewed / skewed.sum(), None),
-        (np.ones((200, 4)), np.zeros(200, dtype=np.int64), np.full(4, 0.25), "flat"),
+        (cl, tx, q.probabilities),
+        (noise, noise_tx, np.full(4, 0.25)),
+        (near, tx16, skewed / skewed.sum()),
+        (np.ones((200, 4)), np.zeros(200, dtype=np.int64), np.full(4, 0.25)),
     ]
 
 
 @pytest.mark.parametrize("case", range(4), ids=["ml", "step-halving", "16-point", "flat"])
 def test_gmi_from_tables_matches_reference_fit(case):
-    # the fit in reused arrays runs every tilt and moment as the fresh-array
-    # fit did, so every iterate, and so the rate and theta, is the same
-    tables, tx, probabilities, event = _gmi_cases()[case]
-    events = []
-    want = reference_gmi_from_tables(tables, tx, probabilities, events)
-    assert gmi_from_tables(tables, tx, probabilities) == want
-    if event:
-        assert event in events
+    # the safeguarded Newton of rates.maximize_theta, which fits the exact CL
+    # rate, reaches the golden-section maximum of each sampled objective,
+    # through an overshooting first step and on a flat objective
+    tables, tx, probabilities = _gmi_cases()[case]
+    est, theta = gmi_from_tables(tables, tx, probabilities)
+    d = (tables - tables[np.arange(len(tx)), tx][:, None]).T
+    log_p = np.log(probabilities)[:, None]
+
+    def objective(th):
+        z = th * d + log_p
+        top = z.max(axis=0)
+        return np.mean(-top - np.log(np.exp(z - top).sum(axis=0))) / LN2
+
+    _, golden = maximize_concave(objective, -2.0, -1e-6)
+    assert theta < 0
+    assert est.value >= golden - 1e-12
+    assert est.value <= golden + 1e-9
 
 
 def _rates_at(monkeypatch, weight_bytes, receiver, snr_db):
@@ -533,7 +666,7 @@ def test_ragged_chunk_tail_reads_as_in_one_batch(monkeypatch):
 
 def test_rate_engine_memory_stays_within_a_slice():
     # the gmi-4x4 benchmark's call: one 16,384-column chunk read through
-    # 4,096-column slices peaks at about 7.2 MiB of traced allocations, where
+    # 4,096-column slices peaks at about 5.7 MiB of traced allocations, where
     # whole-chunk posteriors peaked at about 16 MiB
     gains = sample_gains(4, 4, np.random.default_rng(7))
     args = (gains, 10 ** -0.5, make_qpsk(0.25), None, ("gnnd", "cl", "mi"), "no-sic", 16384)
@@ -545,3 +678,19 @@ def test_rate_engine_memory_stays_within_a_slice():
     finally:
         tracemalloc.stop()
     assert peak < 9 * 2**20
+
+
+def test_rate_engine_memory_does_not_grow_with_cl():
+    # at 200,000 samples the call keeps the gnnd and mi integrands, 16 bytes
+    # per user and sample, beside one chunk; the exact CL rows store no
+    # sample, where the sampled CL fit peaked at 70 MiB
+    gains = sample_gains(4, 4, np.random.default_rng(7))
+    args = (gains, 10 ** -0.5, make_qpsk(0.25), None, ("gnnd", "cl", "mi"), "no-sic")
+    evaluate_user_rates(*args, 1000, np.random.default_rng(8))  # first-call set-up
+    tracemalloc.start()
+    try:
+        evaluate_user_rates(*args, 200_000, np.random.default_rng(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
