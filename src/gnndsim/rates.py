@@ -89,9 +89,9 @@ def maximize_theta(moments) -> tuple[float, float]:
     negated. Newton runs from theta = -1, the matched temperature of a
     nearest-neighbor metric whose noise has unit variance. A step at most
     doubles or halves theta, and it is halved until the objective does not
-    fall, so the fit cannot fail: after
-    THETA_ITERS steps, or once a step or its predicted gain is at rounding
-    level, the last iterate is used. Returns (theta, objective).
+    fall, so the fit cannot fail: after THETA_ITERS steps, or once a step
+    or its predicted gain is at rounding level, the last iterate is used.
+    Returns (theta, objective).
     """
     theta = -1.0
     value, slope, curvature = moments(theta)
@@ -208,13 +208,13 @@ def cl_gmi_from_scalar(front, gains, noise_var: float, constellations, user: int
     def density(part, step):
         """Nodes and trapezoid weights of the density of ``part`` (np.real
         or np.imag) of z on a grid of ``step``, where it is not 0."""
-        (v_a, p_a), (v_b, p_b) = ((part(v), p) for v, p in halves)
+        (v_a, p_a), (v_b, p_b) = both = [(part(v), p) for v, p in halves]
         window = 2 * CL_TAIL * s / step  # grid points of one mixture term
         pairs = v_a.size * v_b.size
         convolution = (np.ptp(v_a) / step + window) * (np.ptp(v_b) / step + window)
         if pairs > ENUM_CAP or convolution < pairs * window:
             (lo_a, w_a), (lo_b, w_b) = (_mixture_weights(v, p, s / math.sqrt(2.0), step)
-                                        for v, p in ((v_a, p_a), (v_b, p_b)))
+                                        for v, p in both)
             lo, w = lo_a + lo_b, np.convolve(w_a, w_b)
         else:
             lo, w = _mixture_weights((v_a[:, None] + v_b).ravel(), (p_a[:, None] * p_b).ravel(),
