@@ -17,6 +17,7 @@ from gnndsim.rates import (
     combine_rates,
     evaluate_user_rates,
 )
+import oracles
 from oracles import (
     cl_gmi_cosh_form,
     gmi_from_tables,
@@ -264,11 +265,17 @@ def test_exact_cl_reads_the_same_from_convolved_halves(monkeypatch, receiver, sn
     assert len(calls) - n_joint > n_joint  # two mixtures per convolved density
 
 
-def test_exact_cl_at_extreme_snr():
-    # the grid refines as theta grows: a saturated user reads log2 |A| bits
-    # and no more, and a user drowned in noise reads nearly 0
+def test_exact_cl_at_extreme_snr(monkeypatch):
+    # a saturated user reads log2 |A| bits and no more, on a grid refined
+    # below CL_GRID_STEPS points per noise deviation since its metric's
+    # strip is narrow; a user drowned in noise reads nearly 0
     q = make_qpsk(1.0)
+    steps = []  # grid step per noise deviation of every mixture
+    mixture = rates._mixture_weights
+    monkeypatch.setattr(rates, "_mixture_weights",
+                        lambda c, p, dev, step: steps.append(step / dev) or mixture(c, p, dev, step))
     assert 2.0 - 1e-12 < _exact_cl([[1.0]], 1e-4, q, 0, 0) <= 2.0
+    assert max(steps) <= 0.5 / rates.CL_GRID_STEPS
     assert 4.0 - 1e-12 < _exact_cl([[1.0]], 1e-4, make_square16(1.0), 0, 0) <= 4.0
     assert 0.0 <= _exact_cl([[1.0]], 1e7, q, 0, 0) < 1e-6
 
@@ -600,12 +607,16 @@ def _gmi_cases():
 
 
 @pytest.mark.parametrize("case", range(4), ids=["ml", "step-halving", "16-point", "flat"])
-def test_gmi_from_tables_matches_reference_fit(case):
+def test_gmi_from_tables_matches_reference_fit(monkeypatch, case):
     # the safeguarded Newton of rates.maximize_theta, which fits the exact CL
-    # rate, reaches the golden-section maximum of each sampled objective,
-    # through an overshooting first step and on a flat objective
+    # rate, reaches the golden-section maximum of each sampled objective
     tables, tx, probabilities = _gmi_cases()[case]
+    calls = []
+    monkeypatch.setattr(oracles, "maximize_theta", lambda moments: rates.maximize_theta(
+        lambda th: calls.append(th) or moments(th)))
     est, theta = gmi_from_tables(tables, tx, probabilities)
+    if case == 3:
+        assert calls == [-1.0]  # zero curvature: no step
     d = (tables - tables[np.arange(len(tx)), tx][:, None]).T
     log_p = np.log(probabilities)[:, None]
 
@@ -618,6 +629,24 @@ def test_gmi_from_tables_matches_reference_fit(case):
     assert theta < 0
     assert est.value >= golden - 1e-12
     assert est.value <= golden + 1e-9
+
+
+@pytest.mark.parametrize("peak", [-0.3, -5.0])
+def test_maximize_theta_halves_overshooting_steps(peak):
+    # -sqrt(c^2 + (theta - peak)^2): far from its peak a Newton step lands
+    # beyond it, where the objective is lower, so steps must be halved
+    values = []
+
+    def moments(theta):
+        u, c = theta - peak, 0.01
+        r = np.hypot(c, u)
+        values.append(-r)
+        return -r, -u / r, c * c / r**3
+
+    theta, value = rates.maximize_theta(moments)
+    assert abs(theta - peak) < 1e-9
+    assert value == max(values)
+    assert any(v < max(values[:i]) for i, v in enumerate(values) if i)
 
 
 def _rates_at(monkeypatch, weight_bytes, receiver, snr_db):
