@@ -171,31 +171,23 @@ def cl_gmi_from_scalar(front, gains, noise_var: float, constellations, user: int
     With CL_GRID_STEPS of each it is at rounding level: a grid four times
     finer moves the rate by about 1e-15 bits. The grid is refined by
     halving as theta grows, and each grid is built once. ``maximize_theta``
-    fits theta, and no sample is drawn.
-
-    The interferers are enumerated in two halves. The density on the grid
-    is either that of every pair of the halves' values, or, when it costs
-    less, the convolution of the halves' own densities, each with half the
-    noise variance: a cost that grows with the square root of the number
-    of interference values, and with the square of the grid's length.
+    fits theta, and no sample is drawn. The interferers are enumerated
+    once, at most ENUM_CAP joint symbols like every enumeration.
     """
     n_users = gains.shape[1]
     consts = per_user(constellations, n_users)
     dims = product_factors(consts[user])
     others = [j for j in range(first, n_users) if j != user]
     coef = front.combiner.conj() @ gains
-    # the interference of each half of the interferers, enumerated apart:
-    # values and probabilities
-    halves = []
-    for group in (others[:len(others) // 2], others[len(others) // 2:]):
-        if np.prod([consts[j].size for j in group], dtype=np.int64) > ENUM_CAP:
-            raise EnumerationCapError(f"the CL rate enumerates at most {ENUM_CAP} symbols "
-                                      "of each half of the interferers")
-        values, probs = np.zeros(1, dtype=np.complex128), np.ones(1)
-        for j in group:
-            values = (values[:, None] + coef[j] * consts[j].points).ravel()
-            probs = (probs[:, None] * consts[j].probabilities).ravel()
-        halves.append((values, probs))
+    total = int(np.prod([consts[j].size for j in others], dtype=np.int64))
+    if total > ENUM_CAP:
+        raise EnumerationCapError(f"the CL rate's {total} interferer symbols exceed "
+                                  f"cap {ENUM_CAP}")
+    # the interference values and their probabilities
+    values, probs = np.zeros(1, dtype=np.complex128), np.ones(1)
+    for j in others:
+        values = (values[:, None] + coef[j] * consts[j].points).ravel()
+        probs = (probs[:, None] * consts[j].probabilities).ravel()
     gain = float(front.scalar_gain)
     s = math.sqrt(noise_var * np.vdot(front.combiner, front.combiner).real / 2.0)
     spread = max(np.ptp(levels) for levels, _ in dims)
@@ -208,17 +200,7 @@ def cl_gmi_from_scalar(front, gains, noise_var: float, constellations, user: int
     def density(part, step):
         """Nodes and trapezoid weights of the density of ``part`` (np.real
         or np.imag) of z on a grid of ``step``, where it is not 0."""
-        (v_a, p_a), (v_b, p_b) = both = [(part(v), p) for v, p in halves]
-        window = 2 * CL_TAIL * s / step  # grid points of one mixture term
-        pairs = v_a.size * v_b.size
-        convolution = (np.ptp(v_a) / step + window) * (np.ptp(v_b) / step + window)
-        if pairs > ENUM_CAP or convolution < pairs * window:
-            (lo_a, w_a), (lo_b, w_b) = (_mixture_weights(v, p, s / math.sqrt(2.0), step)
-                                        for v, p in both)
-            lo, w = lo_a + lo_b, np.convolve(w_a, w_b)
-        else:
-            lo, w = _mixture_weights((v_a[:, None] + v_b).ravel(), (p_a[:, None] * p_b).ravel(),
-                                     s, step)
+        lo, w = _mixture_weights(part(values), probs, s, step)
         keep = np.flatnonzero(w)
         return lo + keep * step, w[keep]
 
