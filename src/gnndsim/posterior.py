@@ -155,8 +155,12 @@ class SplitEnumeration:
             grids = _grids(sizes)
             points.append(_points(consts, grids))
             means.append(gains[..., users] @ points[-1])
-            # conj received means (M_G, L) and offset |H_G g|^2 / noise_var - log p(g)
-            self._scores.append((np.ascontiguousarray(np.swapaxes(means[-1].conj(), -1, -2)),
+            # 2 / noise_var [Re m, Im m] of each received mean m = H_G g, (M_G, 2 L),
+            # whose product with [Re y; Im y] is 2 Re(m^H y) / noise_var, and
+            # the offset |m|^2 / noise_var - log p(g)
+            parts = np.concatenate([means[-1].real, means[-1].imag], axis=-2)
+            self._scores.append((np.ascontiguousarray(np.swapaxes(parts, -1, -2))
+                                 * (2.0 / self.noise_var),
                                  np.sum(np.abs(means[-1]) ** 2, axis=-2) / self.noise_var
                                  - _log_prior(consts, grids)))
             indicators.append(_indicator(grids, sizes))
@@ -185,7 +189,7 @@ class SplitEnumeration:
     def channel(self, i) -> "SplitEnumeration":
         """The engine of channel ``i`` of the stack, () alone, sharing its arrays."""
         one = copy.copy(self)
-        one._scores = [(means_ct[i], offset[i]) for means_ct, offset in self._scores]
+        one._scores = [(scale[i], offset[i]) for scale, offset in self._scores]
         one._coupling, one._kernel = self._coupling[i], self._kernel[i]
         return one
 
@@ -212,10 +216,12 @@ class SplitEnumeration:
 
     def _factors(self, y):
         """Each group's log factor u_G - max u_G, unfloored, and its factor
-        e_G = exp(max(u_G - max u_G, EXP_FLOOR)), (M_G, n) per channel."""
+        e_G = exp(max(u_G - max u_G, EXP_FLOOR)), (M_G, n) per channel, each
+        from one real product with [Re y; Im y]."""
+        y = np.concatenate([y.real, y.imag], axis=-2)
         us = []
-        for means_ct, offset in self._scores:
-            u = np.multiply((means_ct @ y).real, 2.0 / self.noise_var)
+        for scale, offset in self._scores:
+            u = scale @ y
             u -= offset[..., None]
             u -= u.max(axis=-2, keepdims=True)
             us.append(u)
