@@ -155,14 +155,14 @@ class SplitEnumeration:
             grids = _grids(sizes)
             points.append(_points(consts, grids))
             means.append(gains[..., users] @ points[-1])
-            # 2 / noise_var [Re m, Im m] of each received mean m = H_G g, (M_G, 2 L),
-            # whose product with [Re y; Im y] is 2 Re(m^H y) / noise_var, and
-            # the offset |m|^2 / noise_var - log p(g)
-            parts = np.concatenate([means[-1].real, means[-1].imag], axis=-2)
-            self._scores.append((np.ascontiguousarray(np.swapaxes(parts, -1, -2))
-                                 * (2.0 / self.noise_var),
-                                 np.sum(np.abs(means[-1]) ** 2, axis=-2) / self.noise_var
-                                 - _log_prior(consts, grids)))
+            # [2 Re m, 2 Im m, -|m|^2] / noise_var + [0, 0, log p(g)] of each
+            # received mean m = H_G g, (M_G, 2 L + 1), whose product with
+            # [Re y; Im y; 1] is the log weight of g alone less |y|^2 / noise_var
+            scores = np.concatenate([2.0 * means[-1].real, 2.0 * means[-1].imag,
+                                     -np.sum(np.abs(means[-1]) ** 2, axis=-2, keepdims=True)],
+                                    axis=-2) / self.noise_var
+            scores[..., -1, :] += _log_prior(consts, grids)
+            self._scores.append(np.ascontiguousarray(np.swapaxes(scores, -1, -2)))
             indicators.append(_indicator(grids, sizes))
         coupling = -2.0 * (np.swapaxes(means[0].conj(), -1, -2) @ means[1]).real / self.noise_var
         self._coupling = coupling - coupling.max(axis=(-2, -1), keepdims=True)
@@ -189,7 +189,7 @@ class SplitEnumeration:
     def channel(self, i) -> "SplitEnumeration":
         """The engine of channel ``i`` of the stack, () alone, sharing its arrays."""
         one = copy.copy(self)
-        one._scores = [(scale[i], offset[i]) for scale, offset in self._scores]
+        one._scores = [scores[i] for scores in self._scores]
         one._coupling, one._kernel = self._coupling[i], self._kernel[i]
         return one
 
@@ -217,12 +217,11 @@ class SplitEnumeration:
     def _factors(self, y):
         """Each group's log factor u_G - max u_G, unfloored, and its factor
         e_G = exp(max(u_G - max u_G, EXP_FLOOR)), (M_G, n) per channel, each
-        from one real product with [Re y; Im y]."""
-        y = np.concatenate([y.real, y.imag], axis=-2)
+        from one real product with [Re y; Im y; 1]."""
+        y = np.concatenate([y.real, y.imag, np.ones(y.shape[:-2] + (1, y.shape[-1]))], axis=-2)
         us = []
-        for scale, offset in self._scores:
-            u = scale @ y
-            u -= offset[..., None]
+        for scores in self._scores:
+            u = scores @ y
             u -= u.max(axis=-2, keepdims=True)
             us.append(u)
         es = [np.maximum(u, EXP_FLOOR) for u in us]
