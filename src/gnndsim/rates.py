@@ -18,11 +18,12 @@ LN2 = float(np.log(2.0))
 SAMPLE_CHUNK = 16384     # most channel uses per enumeration batch
 THETA_ITERS = 100        # Newton steps of the metric-temperature fit
 RATE_METHODS = ("gnnd", "cl", "mi", "kl")
-# the exact CL GMI's grid: points per noise deviation and per half-width of
-# the strip where its integrand is analytic, the deviations it reaches past
-# the interference values, and the bytes of each float64 array of a slice
-CL_GRID_STEPS = 8
-CL_TAIL = 10
+# the exact CL GMI's grid, the smallest whose rates stay within 1e-14 bits of
+# a finer one's: points per noise deviation and per half-width of the strip
+# where its integrand is analytic, and deviations read past the interference
+# values; and the bytes of each float64 array of a slice
+CL_GRID_STEPS = 5
+CL_TAIL = 9
 CL_SLICE_BYTES = 2**20
 
 
@@ -58,12 +59,10 @@ def combine_rates(estimates) -> RateEstimate:
 
 
 def is_equiprobable_qpsk(c: Constellation) -> bool:
-    if c.size != 4 or not np.allclose(c.probabilities, 0.25, atol=1e-12):
-        return False
     amp = np.sqrt(c.power / 2.0)
-    want = amp * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
-    return bool(np.allclose(np.sort_complex(c.points), np.sort_complex(want),
-                            atol=1e-9 * max(amp, 1.0)))
+    want = amp * np.array([-1 - 1j, -1 + 1j, 1 - 1j, 1 + 1j])  # sorted
+    return c.size == 4 and bool(np.allclose(c.probabilities, 0.25, atol=1e-12) and np.allclose(
+        np.sort_complex(c.points), want, atol=1e-9 * max(amp, 1.0)))
 
 
 def gnnd_gmi_samples(means, power: float) -> np.ndarray:
@@ -81,37 +80,37 @@ def gnnd_gmi_samples(means, power: float) -> np.ndarray:
     return out
 
 
-def maximize_theta(moments) -> tuple[float, float]:
-    """Maximum over the metric temperature theta < 0 of a concave GMI
-    objective (Ganti, Lapidoth & Telatar 2000), and its maximizer.
-
-    ``moments(theta)`` returns the objective, its slope and its curvature
-    negated. Newton runs from theta = -1, the matched temperature of a
-    nearest-neighbor metric whose noise has unit variance. A step at most
-    doubles or halves theta, and it is halved until the objective does not
-    fall, so the fit cannot fail: after THETA_ITERS steps, or once a step
-    or its predicted gain is at rounding level, the last iterate is used.
-    Returns (theta, objective).
-    """
-    theta = -1.0
-    value, slope, curvature = moments(theta)
+def maximize_theta(moments, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Maximizers over the metric temperature theta < 0 of n concave GMI
+    objectives (Ganti, Lapidoth & Telatar 2000) and the maxima, each (n,).
+    ``moments(theta, live)`` gives the objectives indexed by ``live`` at
+    ``theta``, their slopes and their curvatures negated. Each runs its own
+    Newton from theta = -1, the matched temperature of a unit-variance
+    nearest-neighbor metric; a step at most doubles or halves theta and is
+    halved until the objective does not fall, and a fit stops after
+    THETA_ITERS steps or once a step or its predicted gain is at rounding
+    level."""
     eps = np.finfo(np.float64).eps
+    theta, live = np.full(n, -1.0), np.arange(n)
+    reads = value, slope, curvature = np.array(moments(theta, live), dtype=np.float64)
     for _ in range(THETA_ITERS):
-        if curvature <= 0.0:
+        live = live[curvature[live] > 0.0]
+        t = theta[live]  # stays negative, and |theta| at most doubles or halves
+        step = np.minimum(np.maximum(slope[live] / curvature[live], t), -t / 2.0)
+        gain = np.abs(slope[live] * step) > eps * np.abs(value[live])  # else at rounding level
+        todo, step, moved = live[gain], step[gain], []
+        # each stops once no step above rounding level raises its objective
+        while (big := np.abs(step) > eps * np.abs(theta[todo])).any():
+            todo, step = todo[big], step[big]
+            trial = np.asarray(moments(theta[todo] + step, todo))
+            up = trial[0] >= value[todo]
+            theta[todo[up]] += step[up]
+            reads[:, todo[up]] = trial[:, up]
+            moved.append(todo[up])
+            todo, step = todo[~up], step[~up] / 2.0
+        if not moved:
             break
-        # theta stays negative, and |theta| at most doubles or halves
-        step = min(max(slope / curvature, theta), -theta / 2.0)
-        if abs(slope * step) <= eps * abs(value):  # the gain is at rounding level
-            break
-        while abs(step) > eps * abs(theta):
-            trial = moments(theta + step)
-            if trial[0] >= value:
-                break
-            step /= 2.0
-        else:  # no step above rounding level raises the objective
-            break
-        theta += step
-        value, slope, curvature = trial
+        live = np.sort(np.concatenate(moved))
     return theta, value
 
 
@@ -120,127 +119,139 @@ def product_factors(c: Constellation):
     product alphabet: one whose points are every pair of a real and an
     imaginary level, with the product of their probabilities, as QPSK and
     square QAM grids are. Raises NotImplementedError for any other."""
-    factors = []
-    for part in (c.points.real, c.points.imag):
-        levels, at = np.unique(part, return_inverse=True)
-        factors.append((levels, at, np.bincount(at, c.probabilities, levels.size)))
-    (re, at_re, p_re), (im, at_im, p_im) = factors
-    if re.size * im.size != c.size or not np.allclose(c.probabilities, p_re[at_re] * p_im[at_im],
-                                                      rtol=1e-12, atol=0.0):
+    (re, at_re), (im, at_im) = (np.unique(part, return_inverse=True)
+                                for part in (c.points.real, c.points.imag))
+    p_re, p_im = np.bincount(at_re, c.probabilities), np.bincount(at_im, c.probabilities)
+    want = p_re[at_re] * p_im[at_im]
+    if re.size * im.size != c.size or np.any(np.abs(c.probabilities - want) > 1e-12 * want):
         raise NotImplementedError("the CL rate is implemented for product (PAM x PAM) alphabets")
     return (re, p_re), (im, p_im)
 
 
-def _mixture_weights(centres, probs, s: float, step: float):
+def _mixture_weights(values, probs, s: float, step: float):
     """Trapezoid weights step f(lo + k step), k = 0, 1, ..., of the density f
-    of sum_l probs_l N(centres_l, s^2), and lo. Each term is read within
-    CL_TAIL deviations of its centre, and the centres are walked in slices
-    of CL_SLICE_BYTES."""
+    of sum_l probs_l N(centres_l, s^2), centred on the real and on the
+    imaginary parts of ``values``, and each one's lo: (2,) and (2, nodes). A
+    term is read CL_TAIL deviations out: at offset j from the node nearest
+    its centre, f steps away, exp(-((j + f) h)^2 / 2) with h = step / s is
+    exp(-(j h)^2 / 2) exp(-j f h^2 - (f h)^2 / 2). Slices of CL_SLICE_BYTES."""
     half = math.ceil(CL_TAIL * s / step)
-    lo = centres.min() - (half + 1) * step
-    weights = np.zeros(int((centres.max() - centres.min()) / step) + 2 * half + 4)
+    h = step / s
+    parts = (values.real, values.imag)
+    lo = np.array([part.min() for part in parts]) - (half + 1) * step
+    size = int(max(np.ptp(part) for part in parts) / step) + 2 * half + 4
     offsets = np.arange(-half, half + 1)
-    per = max(1, CL_SLICE_BYTES // (8 * offsets.size))
-    for at in range(0, centres.size, per):
-        c = centres[at:at + per]
-        k = np.rint((c - lo) / step).astype(np.int64)[:, None] + offsets
-        u = (lo + k * step - c[:, None]) / s
-        weights += np.bincount(k.ravel(), (probs[at:at + per, None] * np.exp(-0.5 * u * u)).ravel(),
-                               weights.size)
-    return lo, weights * (step / (s * math.sqrt(2.0 * math.pi)))
+    kernel = np.exp(-0.5 * (h * offsets) ** 2)
+    weights = np.zeros(2 * size)
+    per = max(1, CL_SLICE_BYTES // (16 * offsets.size))
+    for at in range(0, values.size, per):
+        c = values[at:at + per]
+        pos = (np.stack([c.real, c.imag]) - lo[:, None]) / step
+        k = np.rint(pos)
+        f = k - pos
+        g = np.exp(np.multiply.outer(-h * h * f, offsets))
+        g *= kernel
+        g *= (probs[at:at + per] * np.exp(-0.5 * (h * f) ** 2))[..., None]
+        k = k.astype(np.int64) + np.array([[0], [size]])
+        weights += np.bincount((k[..., None] + offsets).ravel(), g.ravel(), weights.size)
+    return lo, weights.reshape(2, size) * (h / math.sqrt(2.0 * math.pi))
 
 
-def cl_gmi_from_scalar(front, gains, noise_var: float, constellations, user: int,
-                       first: int) -> float:
-    """Exact GMI, in bits, of ``user``'s linearized-channel metric
-    |y_s - g a|^2 on the front's scalar channel y_s = combiner^H y, with the
-    users before ``first`` cancelled from y and g the front's scalar gain.
+def cl_gmi_from_scalar(fronts, gains, noise_var: float, constellations, users, firsts):
+    """Exact GMI, in bits, of the linearized-channel metric |y_s - g a|^2 of
+    each user of ``users`` on the scalar channel y_s = combiner^H y of its
+    front in ``fronts``, g the front's scalar gain, with the users before
+    its entry of ``firsts`` cancelled from y. (users,).
 
     Given every active user's symbol, y_s is complex Gaussian: its mean is
     g x + sum_j (combiner^H h_j) x_j over the interferers, the active users
-    other than ``user``, and its variance noise_var |combiner|^2, half in
+    other than the user, and its variance noise_var |combiner|^2, half in
     each real dimension. For a product alphabet (``product_factors``) the
-    metric, and so the GMI objective at each temperature theta < 0,
+    GMI objective at each temperature theta < 0,
         E[-log sum_a p(a) exp(theta (|y_s - g a|^2 - |y_s - g x|^2))],
-    is a sum of a real and an imaginary term. Each is the mean over the sent
-    level of an integral over z = y_s - g x, whose density is a Gaussian
-    mixture over the interference values, and is read by the trapezoid rule
-    on a uniform grid in z. The rule's error falls exponentially with the
-    grid's points per noise deviation and per half-width of the strip where
-    the integrand is analytic, pi / (2 |theta| g (largest level spread)).
-    With CL_GRID_STEPS of each it is at rounding level: a grid four times
-    finer moves the rate by about 1e-15 bits. The grid is refined by
-    halving as theta grows, and each grid is built once. ``maximize_theta``
-    fits theta, and no sample is drawn. The interferers are enumerated
-    once, at most ENUM_CAP joint symbols like every enumeration.
+    is a real and an imaginary term, each the mean over the sent level of an
+    integral over z = y_s - g x, whose density is a Gaussian mixture over
+    the interference values, read by the trapezoid rule on a uniform grid.
+    Its error falls exponentially with the points per noise deviation and
+    per half-width of the strip where the integrand is analytic, pi / (2
+    |theta| g (largest level spread)): with CL_GRID_STEPS of each and the
+    mixture read CL_TAIL deviations out, a grid four times finer and three
+    deviations wider moves no rate by 1e-14 bits. A user's grid is halved as
+    its theta grows, each built once from its interferers, enumerated
+    afresh under ENUM_CAP. One ``maximize_theta`` fits every user's theta.
     """
     n_users = gains.shape[1]
     consts = per_user(constellations, n_users)
-    dims = product_factors(consts[user])
-    others = [j for j in range(first, n_users) if j != user]
-    coef = front.combiner.conj() @ gains
-    total = int(np.prod([consts[j].size for j in others], dtype=np.int64))
-    if total > ENUM_CAP:
-        raise EnumerationCapError(f"the CL rate's {total} interferer symbols exceed "
-                                  f"cap {ENUM_CAP}")
-    # the interference values and their probabilities
-    values, probs = np.zeros(1, dtype=np.complex128), np.ones(1)
-    for j in others:
-        values = (values[:, None] + coef[j] * consts[j].points).ravel()
-        probs = (probs[:, None] * consts[j].probabilities).ravel()
-    gain = float(front.scalar_gain)
-    s = math.sqrt(noise_var * np.vdot(front.combiner, front.combiner).real / 2.0)
-    spread = max(np.ptp(levels) for levels, _ in dims)
-    # per dimension: the level probabilities, the gain times each level
-    # difference (sent i, candidate b) and the candidates' log probabilities
-    parts = [(p, gain * (levels[:, None] - levels[None, :])[..., None], np.log(p)[:, None])
-             for levels, p in dims]
+    setup = []  # per user: coefficients, interferers, gain, noise deviation, strip, factors
+    for front, user, first in zip(fronts, users, firsts):
+        dims = product_factors(consts[user])
+        others = [j for j in range(first, n_users) if j != user]
+        total = int(np.prod([consts[j].size for j in others], dtype=np.int64))
+        if total > ENUM_CAP:
+            raise EnumerationCapError(f"{total} CL interferer symbols exceed cap {ENUM_CAP}")
+        gain = float(front.scalar_gain)
+        s = math.sqrt(noise_var * np.vdot(front.combiner, front.combiner).real / 2.0)
+        strip = 2.0 * gain * max(np.ptp(levels) for levels, _ in dims) * s / math.pi
+        setup.append((front.combiner.conj() @ gains, others, gain, s, strip, dims))
+    # every dimension's candidates are padded to one count
+    width = max(levels.size for *_, dims in setup for levels, _ in dims)
+    rows = CL_SLICE_BYTES // (8 * width)
     grids = {}
 
-    def density(part, step):
-        """Nodes and trapezoid weights of the density of ``part`` (np.real
-        or np.imag) of z on a grid of ``step``, where it is not 0."""
-        lo, w = _mixture_weights(part(values), probs, s, step)
-        keep = np.flatnonzero(w)
-        return lo + keep * step, w[keep]
-
-    def grid(theta):
-        """Each dimension's nodes and weights at theta."""
-        ratio = 2.0 * abs(theta) * gain * spread * s / math.pi  # noise deviation / strip
+    def grid(i, theta):
+        """User i's rows at theta per dimension: metric differences (candidate,
+        (sent level, node)), candidate log probabilities, trapezoid weights;
+        a padded candidate repeats the last level at probability 0."""
+        coef, others, gain, s, strip, dims = setup[i]
+        ratio = abs(theta) * strip  # noise deviation / strip half-width
         level = math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
-        if level not in grids:
-            grids[level] = [density(part, s / (CL_GRID_STEPS << level))
-                            for part in (np.real, np.imag)]
-        return grids[level]
+        if (i, level) not in grids:
+            values, probs = np.zeros(1, dtype=np.complex128), np.ones(1)
+            for j in others:
+                values = (values[:, None] + coef[j] * consts[j].points).ravel()
+                probs = (probs[:, None] * consts[j].probabilities).ravel()
+            step = s / (CL_GRID_STEPS << level)
+            grids[i, level] = []
+            for lo, w, (levels, p) in zip(*_mixture_weights(values, probs, s, step), dims):
+                keep = np.flatnonzero(w)
+                pad = (0, width - levels.size)
+                delta = gain * (levels[None, :] - np.pad(levels, pad, "edge")[:, None])[..., None]
+                e = (delta * (2.0 * (lo + keep * step) + delta)).reshape(width, -1)
+                log_p = np.pad(np.log(p), pad, constant_values=-np.inf)[:, None]
+                wt = (p[:, None] * w[keep]).ravel()
+                grids[i, level].append((e, np.broadcast_to(log_p, e.shape), wt))
+        return grids[i, level]
 
-    def moments(theta):
-        total = np.zeros(3)
-        for (p, delta, log_p), (z, w) in zip(parts, grid(theta)):
-            per = max(1, CL_SLICE_BYTES // (8 * p.size**2))
-            for at in range(0, z.size, per):
-                # e[i, b]: the metric of level b less that of the sent level i
-                e = delta * (2.0 * z[at:at + per] + delta)
-                a = theta * e + log_p
-                top = a.max(axis=1)
-                q = np.exp(a - top[:, None])
-                norm = q.sum(axis=1)
-                q /= norm[:, None]
-                mean_e = np.sum(q * e, axis=1)
-                var_e = np.sum(q * (e - mean_e[:, None]) ** 2, axis=1)
-                wt = p[:, None] * w[at:at + per]
-                total += (np.sum(wt * (-top - np.log(norm))), -np.sum(wt * mean_e),
-                          np.sum(wt * var_e))
-        return total
+    def moments(theta, live):
+        # each live user's rows per dimension, in pieces of at most `rows`:
+        # all read at once if they fit in `rows`, else one by one
+        pieces = [(2 * k + d, t, *(x[..., at:at + rows] for x in part))
+                  for k, (i, t) in enumerate(zip(live, theta)) for d, part in enumerate(grid(i, t))
+                  for at in range(0, part[2].size, rows)]
+        sums = np.zeros((3, 2 * live.size))
+        for run in [pieces] if sum(p[4].size for p in pieces) <= rows else [[p] for p in pieces]:
+            sizes = [p[4].size for p in run]
+            e, log_p, wt = (np.concatenate([p[k] for p in run], axis=-1) for k in (2, 3, 4))
+            a = np.repeat([p[1] for p in run], sizes) * e + log_p
+            top = a.max(axis=0)
+            q = np.exp(a - top)
+            norm = q.sum(axis=0)
+            q /= norm
+            mean_e = np.sum(q * e, axis=0)
+            var_e = np.sum(q * (e - mean_e) ** 2, axis=0)
+            np.add.at(sums, (slice(None), [p[0] for p in run]), np.add.reduceat(
+                [wt * (-top - np.log(norm)), -wt * mean_e, wt * var_e],
+                np.cumsum([0] + sizes[:-1]), axis=1))
+        return sums[:, 0::2] + sums[:, 1::2]
 
     # no GMI exceeds the input entropy, which the summed weights could pass by rounding
-    entropy = -sum(np.sum(p[p > 0] * np.log(p[p > 0])) for _, p in dims)
-    return float(min(maximize_theta(moments)[1], entropy) / LN2)
+    entropy = [-sum(np.sum(p[p > 0] * np.log(p[p > 0])) for _, p in dims) for *_, dims in setup]
+    return np.minimum(maximize_theta(moments, len(setup))[1], entropy) / LN2
 
 
 def mi_samples(batch, user: int, tx_idx) -> np.ndarray:
-    """Per-observation mutual-information integrand (nats) of one user,
-    log P(x_user = tx | y) - log p(tx), from ``PosteriorBatch.log_pmf_at``;
-    no sample exceeds -log p(tx)."""
+    """Per-observation mutual-information integrand (nats) of one user, log
+    P(x_user = tx | y) - log p(tx) (``PosteriorBatch.log_pmf_at``), at most -log p(tx)."""
     return (batch.log_pmf_at(user, tx_idx[None])[0]
             - np.log(batch.enum.constellations[user].probabilities)[tx_idx])
 
@@ -248,10 +259,8 @@ def mi_samples(batch, user: int, tx_idx) -> np.ndarray:
 def _kl_samples(pmf, tilted) -> np.ndarray:
     """Per-observation KL between the exact posterior pmf over one user's
     symbols and the tilted pmf of its front, both (|A|, n)."""
-    log_ratio = np.where(pmf > 0.0,
-                         np.log(np.maximum(pmf, 1e-300)) - np.log(np.maximum(tilted, 1e-300)),
-                         0.0)
-    return np.sum(pmf * log_ratio, axis=0)
+    log_ratio = np.log(np.maximum(pmf, 1e-300)) - np.log(np.maximum(tilted, 1e-300))
+    return np.sum(pmf * np.where(pmf > 0.0, log_ratio, 0.0), axis=0)
 
 
 def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
@@ -263,15 +272,13 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
     of the optimal front. With receiver="sic", user k is conditioned on the
     true symbols of users 0..k-1 (the information-theoretic
     successive-cancellation rate). The "cl" rows are exact
-    (``cl_gmi_from_scalar``): they draw nothing and carry a standard error
-    of 0 and ``n_samples`` as their sample count. The other methods are
-    evaluated on the same sampled transmissions; without SIC one evaluation
-    per chunk serves every user. The samples are drawn in chunks of at most
-    the ``budget_columns`` of the largest enumeration the call builds.
-    Posteriors come from ``SplitEnumeration``, read in its cache-sized
-    ``slices`` of each chunk, and only the per-observation integrands
-    outlive a slice. User powers are read from the constellations, for the
-    CL fronts as for the sampled symbols.
+    (``cl_gmi_from_scalar``): they draw nothing, and carry a standard error
+    of 0 and ``n_samples`` samples. The others share the sampled channel
+    uses, drawn in chunks of at most the ``budget_columns`` of the largest
+    enumeration the call builds; without SIC one evaluation per chunk
+    serves every user. Posteriors come from ``SplitEnumeration``, read in
+    its cache-sized ``slices``, and only the per-observation integrands
+    outlive a slice. User powers are read from the constellations.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
@@ -282,11 +289,9 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
     consts = per_user(constellations, n_users)
     users = list(range(n_users)) if users is None else list(users)
     methods = list(methods)
-    for m in methods:
-        if m not in RATE_METHODS:
-            raise ValueError(f"unknown method {m!r}")
-    if {"gnnd", "kl"} & set(methods) and not all(is_equiprobable_qpsk(consts[u])
-                                                 for u in users):
+    if unknown := [m for m in methods if m not in RATE_METHODS]:
+        raise ValueError(f"unknown method {unknown[0]!r}")
+    if {"gnnd", "kl"} & set(methods) and not all(is_equiprobable_qpsk(consts[u]) for u in users):
         raise NotImplementedError(
             "optimal-front rate estimation is implemented for equiprobable QPSK")
 
@@ -294,10 +299,9 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
     first = {u: u if sic else 0 for u in users}
     out = {m: {} for m in methods}
     if "cl" in methods:
-        for u in users:
-            front = cl_front(gains, noise_var, consts, u, range(first[u]))
-            out["cl"][u] = RateEstimate(
-                cl_gmi_from_scalar(front, gains, noise_var, consts, u, first[u]), 0.0, n_samples)
+        fronts = [cl_front(gains, noise_var, consts, u, range(first[u])) for u in users]
+        bits = cl_gmi_from_scalar(fronts, gains, noise_var, consts, users, list(first.values()))
+        out["cl"] = {u: RateEstimate(float(b), 0.0, n_samples) for u, b in zip(users, bits)}
     sampled = [m for m in methods if m != "cl"]
     if not sampled:
         return out

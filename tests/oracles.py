@@ -342,13 +342,13 @@ def gmi_from_tables(tables, tx_idx, probabilities) -> tuple[RateEstimate, float]
         total = w.sum(axis=0)
         return w / total, -top - np.log(total)
 
-    def moments(theta):
-        q, samples = tilt(theta)
+    def moments(theta, live):  # a batch of one
+        q, samples = tilt(theta[0])
         mean_d = np.sum(q * d, axis=0)
-        return (samples.mean(), -mean_d.mean(),
-                np.mean(np.sum(q * (d - mean_d) ** 2, axis=0)))
+        return np.array([[samples.mean()], [-mean_d.mean()],
+                         [np.mean(np.sum(q * (d - mean_d) ** 2, axis=0))]])
 
-    theta, _ = maximize_theta(moments)
+    theta = float(maximize_theta(moments, 1)[0][0])
     return _estimate_from_nats(tilt(theta)[1]), theta
 
 

@@ -152,7 +152,7 @@ def _cl_samples(gains, noise_var, consts, user, first, n, rng):
 def _exact_cl(gains, noise_var, consts, user, first):
     gains = np.asarray(gains, dtype=np.complex128)
     front = cl_front(gains, noise_var, consts, user, range(first))
-    return rates.cl_gmi_from_scalar(front, gains, noise_var, consts, user, first)
+    return rates.cl_gmi_from_scalar([front], gains, noise_var, consts, [user], [first])[0]
 
 
 def test_cl_cosh_form_agrees_with_table_form():
@@ -243,6 +243,79 @@ def test_exact_cl_agrees_with_a_four_times_finer_grid(monkeypatch, case):
     monkeypatch.setattr(rates, "CL_GRID_STEPS", 4 * rates.CL_GRID_STEPS)
     for u, f in enumerate(firsts):
         assert abs(_exact_cl(gains, noise_var, c, u, f) - want[u]) <= 1e-9
+
+
+def _cl_rows(gains, noise_var, c, users, receiver):
+    """The exact CL rows of one CL-only call, {user: RateEstimate}."""
+    return evaluate_user_rates(gains, noise_var, c, users, ("cl",), receiver, 100,
+                               np.random.default_rng(0))["cl"]
+
+
+@pytest.mark.parametrize("n_users", [1, 2, 3, 4])
+@pytest.mark.parametrize("alphabet", ["qpsk", "square16"])
+def test_exact_cl_within_1e14_bits_of_a_finer_and_wider_grid(monkeypatch, n_users, alphabet):
+    # four times the points per deviation and per strip, read three
+    # deviations further out, -5 to 40 dB, with and without SIC; the 16-point
+    # K = 4 case stops at 25 dB, since its reference grid takes 8 s at 40 dB
+    gains = sample_gains(n_users, n_users, np.random.default_rng(40 + n_users))
+    c = (make_qpsk if alphabet == "qpsk" else make_square16)(1 / n_users)
+    snrs = (-5, 5, 15, 25) if (alphabet, n_users) == ("square16", 4) else (-5, 5, 15, 25, 40)
+
+    def rows():
+        return np.array([e.value for receiver in ("no-sic", "sic") for snr in snrs
+                         for e in _cl_rows(gains, 10 ** (-snr / 10), c, None, receiver).values()])
+
+    want = rows()
+    monkeypatch.setattr(rates, "CL_GRID_STEPS", 4 * rates.CL_GRID_STEPS)
+    monkeypatch.setattr(rates, "CL_TAIL", rates.CL_TAIL + 3)
+    assert np.max(np.abs(rows() - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("case", ["K2-no-sic--5dB", "K2-sic-0dB", "K3-no-sic-5dB", "K3-sic-10dB",
+                                  "K4-no-sic-15dB", "K4-sic-20dB", "K6-no-sic-0dB", "mixed"])
+def test_cl_row_of_a_multi_user_call_equals_the_user_fitted_alone(case):
+    if case == "mixed":  # a 16-point user between two QPSK users, at other powers
+        gains, noise_var, receiver = sample_gains(3, 3, np.random.default_rng(83)), 0.05, "no-sic"
+        c = [make_qpsk(0.2), make_square16(0.5), make_qpsk(0.3)]
+    else:
+        gains, noise_var, c, receiver = _reference_cases()[case]
+    together = _cl_rows(gains, noise_var, c, None, receiver)
+    for u, est in together.items():
+        assert _cl_rows(gains, noise_var, c, [u], receiver)[u] == est
+
+
+def test_cl_fit_stops_each_user_on_its_own(monkeypatch):
+    # draw 0 of the gmi-4x4 config at seed 129, 10 dB, where the sampled
+    # fit of user 2 saturated, with user 4's column scaled to a rate near
+    # 0: each user's Newton iterates, and so its stop, are those of its fit
+    # alone, and the users' grids are at more than one level
+    gains = sample_gains(4, 4, np.random.default_rng(np.random.SeedSequence((129, 0))))
+    gains[:, 3] *= 1e-4
+    q = make_qpsk(0.25)
+    trials, steps = [], set()  # (user, theta) of every objective read; grid steps per deviation
+    fit, mixture, entry = rates.maximize_theta, rates._mixture_weights, rates.cl_gmi_from_scalar
+    monkeypatch.setattr(rates, "_mixture_weights",
+                        lambda v, p, dev, step: steps.add(step / dev) or mixture(v, p, dev, step))
+
+    def traced(fronts, gains, noise_var, consts, users, firsts):
+        def traced_fit(moments, n):
+            return fit(lambda theta, live: trials.extend(
+                (users[i], float(t)) for i, t in zip(live, theta)) or moments(theta, live), n)
+
+        monkeypatch.setattr(rates, "maximize_theta", traced_fit)
+        return entry(fronts, gains, noise_var, consts, users, firsts)
+
+    monkeypatch.setattr(rates, "cl_gmi_from_scalar", traced)
+    together = _cl_rows(gains, 0.1, q, None, "no-sic")
+    batch, levels = list(trials), len(steps)
+    for u in range(4):
+        trials.clear()
+        assert _cl_rows(gains, 0.1, q, [u], "no-sic")[u] == together[u]
+        assert trials == [t for t in batch if t[0] == u]
+    assert 1.99 < together[1].value < 2.0
+    assert 0.0 <= together[3].value < 1e-6
+    assert len({sum(t[0] == u for t in batch) for u in range(4)}) > 1  # reads per user
+    assert levels > 1
 
 
 def test_exact_cl_at_extreme_snr(monkeypatch):
@@ -595,8 +668,8 @@ def test_gmi_from_tables_matches_reference_fit(monkeypatch, case):
     # rate, reaches the golden-section maximum of each sampled objective
     tables, tx, probabilities = _gmi_cases()[case]
     calls = []
-    monkeypatch.setattr(oracles, "maximize_theta", lambda moments: rates.maximize_theta(
-        lambda th: calls.append(th) or moments(th)))
+    monkeypatch.setattr(oracles, "maximize_theta", lambda moments, n: rates.maximize_theta(
+        lambda th, live: calls.append(th) or moments(th, live), n))
     est, theta = gmi_from_tables(tables, tx, probabilities)
     if case == 3:
         assert calls == [-1.0]  # zero curvature: no step
@@ -620,13 +693,13 @@ def test_maximize_theta_halves_overshooting_steps(peak):
     # beyond it, where the objective is lower, so steps must be halved
     values = []
 
-    def moments(theta):
+    def moments(theta, live):
         u, c = theta - peak, 0.01
         r = np.hypot(c, u)
         values.append(-r)
         return -r, -u / r, c * c / r**3
 
-    theta, value = rates.maximize_theta(moments)
+    theta, value = rates.maximize_theta(moments, 1)
     assert abs(theta - peak) < 1e-9
     assert value == max(values)
     assert any(v < max(values[:i]) for i, v in enumerate(values) if i)
