@@ -43,13 +43,6 @@ class RateEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def _estimate_from_nats(samples_nats: np.ndarray) -> RateEstimate:
-    samples_nats = np.asarray(samples_nats, dtype=np.float64)
-    n = samples_nats.size
-    se = samples_nats.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
-    return RateEstimate(float(samples_nats.mean() / LN2), float(se / LN2), n)
-
-
 def combine_rates(estimates) -> RateEstimate:
     """Sum of independent rate estimates with errors added in quadrature."""
     estimates = list(estimates)
@@ -277,8 +270,9 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
     uses, drawn in chunks of at most the ``budget_columns`` of the largest
     enumeration the call builds; without SIC one evaluation per chunk
     serves every user. Posteriors come from ``SplitEnumeration``, read in
-    its cache-sized ``slices``, and only the per-observation integrands
-    outlive a slice. User powers are read from the constellations.
+    its cache-sized ``slices``, and each chunk's integrands are merged into
+    a running count, mean and sum of squared deviations per method and
+    user. User powers are read from the constellations.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
@@ -308,12 +302,13 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
 
     enums = {f: SplitEnumeration(gains, noise_var, consts, f) for f in sorted(set(first.values()))}
     chunk = min(SAMPLE_CHUNK, budget_columns(enums[min(enums)].n_combos))
-    # per-observation samples (nats) of gnnd, kl and mi
-    nats = {m: {u: np.empty(n_samples) for u in users} for m in sampled}
+    # per method and user: one chunk's integrands (nats), and the count,
+    # mean and sum of squared deviations of those of the chunks before
+    nats = {m: {u: np.empty(chunk) for u in users} for m in sampled}
+    stats = {m: dict.fromkeys(users, (0, 0.0, 0.0)) for m in sampled}
 
     def read(batch, group, tx, at):
-        """The integrands of one slice's ``batch`` for the users of ``group``,
-        sent ``tx`` (K, columns), into the samples' columns ``at``."""
+        """The integrands of ``group``'s users, sent ``tx``, into the chunk's columns ``at``."""
         for u in group:
             if "gnnd" in methods or "kl" in methods:
                 means = batch.mean(u)
@@ -329,8 +324,8 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
     # one posterior pass per first user: every user's without SIC, each user's alone with it
     groups = [(u, [u]) for u in users] if sic else [(0, users)]
 
-    def draw_chunk(done, c):
-        """Draw c channel uses and read them into the samples' columns from ``done`` on."""
+    def draw_chunk(c):
+        """Draw c channel uses and read their integrands into ``nats``."""
         idx = np.stack([rng.choice(consts[u].size, size=c, p=consts[u].probabilities)
                         for u in range(n_users)])
 
@@ -342,12 +337,17 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
             # removing no users leaves y as it is, bit for bit
             y_f = y - gains[:, :f] @ symbols(f) if sic and f else y
             for cols in enums[f].slices(c):
-                read(enums[f].evaluate(y_f[:, cols]), group, idx[:, cols],
-                     slice(done + cols.start, done + cols.stop))
+                read(enums[f].evaluate(y_f[:, cols]), group, idx[:, cols], cols)
 
     for done in range(0, n_samples, chunk):
-        draw_chunk(done, min(chunk, n_samples - done))
+        draw_chunk(c := min(chunk, n_samples - done))
+        for m in sampled:  # Chan, Golub & LeVeque's pairwise update
+            for u in users:
+                (n, mean, m2), z = stats[m][u], nats[m][u][:c]
+                delta, total = z.mean() - mean, n + c
+                stats[m][u] = (total, mean + delta * (c / total),
+                               m2 + np.sum((z - z.mean()) ** 2) + delta * delta * n * c / total)
     for m in sampled:
-        for u in users:
-            out[m][u] = _estimate_from_nats(nats[m][u])
+        out[m] = {u: RateEstimate(float(mean / LN2), math.sqrt(m2 / (n - 1)) / math.sqrt(n) / LN2
+                                  if n > 1 else 0.0, n) for u, (n, mean, m2) in stats[m].items()}
     return out

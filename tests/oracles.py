@@ -15,7 +15,6 @@ from gnndsim.mmse_net import (
 from gnndsim.rates import (
     LN2,
     RateEstimate,
-    _estimate_from_nats,
     gnnd_gmi_samples,
     maximize_theta,
 )
@@ -309,6 +308,14 @@ def reference_train(dataset, sizes, config):
             raise TrainingDivergedError(
                 f"loss {trace[-1]:.3g} exceeded 10x initial for 3 epochs", trace)
     return model, trace
+
+
+def _estimate_from_nats(samples_nats) -> RateEstimate:
+    """Mean of per-observation samples in nats, in bits, with its standard error."""
+    samples_nats = np.asarray(samples_nats, dtype=np.float64)
+    n = samples_nats.size
+    se = samples_nats.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
+    return RateEstimate(float(samples_nats.mean() / LN2), float(se / LN2), n)
 
 
 def gnnd_gmi_from_means(means, power: float) -> RateEstimate:

@@ -765,17 +765,38 @@ def test_rate_engine_memory_stays_within_a_slice():
     assert peak < 9 * 2**20
 
 
-def test_rate_engine_memory_does_not_grow_with_cl():
-    # at 200,000 samples the call keeps the gnnd and mi integrands, 16 bytes
-    # per user and sample, beside one chunk; the exact CL rows store no
-    # sample, where the sampled CL fit peaked at 70 MiB
+def test_rate_engine_memory_does_not_grow_with_samples():
+    # the gnnd and mi integrands live one chunk, merged into running sums,
+    # and the exact CL rows store no sample: 200,000 samples peak where
+    # 50,000 do, where the stored integrands peaked at 16.9 MiB and the
+    # sampled CL fit at 70 MiB
     gains = sample_gains(4, 4, np.random.default_rng(7))
     args = (gains, 10 ** -0.5, make_qpsk(0.25), None, ("gnnd", "cl", "mi"), "no-sic")
     evaluate_user_rates(*args, 1000, np.random.default_rng(8))  # first-call set-up
-    tracemalloc.start()
-    try:
-        evaluate_user_rates(*args, 200_000, np.random.default_rng(8))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    peaks = []
+    for n in (50_000, 200_000):
+        tracemalloc.start()
+        try:
+            evaluate_user_rates(*args, n, np.random.default_rng(8))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 6 * 2**20
+    assert abs(peaks[1] - peaks[0]) <= 2**19
+
+
+def test_running_sums_match_the_stored_samples(monkeypatch):
+    # three chunks of 16,384 and one of 848, each merged into the running
+    # sums, read the mean and standard error of all 50,000 samples at once
+    seen = {"gnnd": [], "mi": []}
+    for method, fn in (("gnnd", "gnnd_gmi_samples"), ("mi", "mi_samples")):
+        monkeypatch.setattr(rates, fn, lambda *args, build=getattr(rates, fn), kept=seen[method]:
+                            kept.append(build(*args)) or kept[-1])
+    res = evaluate_user_rates(sample_gains(3, 3, np.random.default_rng(9)), 0.2, make_qpsk(1 / 3),
+                              [1], ("gnnd", "mi"), "no-sic", 50_000, np.random.default_rng(10))
+    for method, kept in seen.items():
+        want = oracles._estimate_from_nats(np.concatenate(kept))
+        got = res[method][1]
+        assert got.samples == want.samples == 50_000
+        assert got.value == pytest.approx(want.value, rel=1e-13, abs=1e-15)
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-10)
