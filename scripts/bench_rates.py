@@ -8,14 +8,16 @@ no SIC and 16,384 samples, on the gains of draw 0 of seed 7 as the
 method alone, and gnnd, cl and mi together as the workload asks for them,
 is timed over ROUNDS rounds of the six points, after one warm-up round;
 the methods take turns within each round. The line gives, per method, the
-median and best call in milliseconds. BLAS is pinned to one thread before
-numpy loads. The package is imported from this checkout's ``src``.
+median and best call in milliseconds and the median minor page faults per
+call (``resource.getrusage``). BLAS is pinned to one thread before numpy
+loads. The package is imported from this checkout's ``src``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -40,20 +42,25 @@ def main() -> None:
     gains = sample_gains(4, 4, np.random.default_rng(np.random.SeedSequence((7, 0))))
     qpsk = make_qpsk(0.25)
     secs = {name: [] for name in METHODS}
+    faults = {name: [] for name in METHODS}
     for round_ in range(ROUNDS + 1):
         for name, methods in METHODS.items():
             for i, snr in enumerate(SNR_DB):
                 rng = np.random.default_rng(i)
+                minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.perf_counter()
                 evaluate_user_rates(gains, 10 ** (-snr / 10), qpsk, None, methods, "no-sic",
                                     SAMPLES, rng)
                 if round_:
                     secs[name].append(time.perf_counter() - start)
+                    faults[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                                        - minflt)
     out = {"samples": SAMPLES, "calls": ROUNDS * len(SNR_DB), "numpy": np.__version__,
            "blas_threads": 1}
     for name, s in secs.items():
         out[name] = {"median_ms": round(float(np.median(s)) * 1e3, 3),
-                     "best_ms": round(min(s) * 1e3, 3)}
+                     "best_ms": round(min(s) * 1e3, 3),
+                     "minflt_per_call": float(np.median(faults[name]))}
     print(json.dumps(out))
 
 
