@@ -14,8 +14,12 @@ def sample_gains(n_users: int, n_antennas: int, rng: np.random.Generator) -> np.
 
 
 def crandn(shape, rng: np.random.Generator) -> np.ndarray:
-    """Circularly symmetric complex Gaussian, unit variance per entry."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Circularly symmetric complex Gaussian, unit variance per entry; the
+    real parts are drawn first, and each part is scaled into the output."""
+    out = np.empty(shape, dtype=np.complex128)
+    for part in (out.real, out.imag):
+        np.multiply(rng.standard_normal(shape), 1.0 / np.sqrt(2.0), out=part)
+    return out
 
 
 def check_channel(gains, noise_var: float) -> np.ndarray:
@@ -39,7 +43,8 @@ def transmit(gains, noise_var: float, x, rng: np.random.Generator) -> np.ndarray
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 2 or x.shape[0] != gains.shape[1]:
         raise ValueError(f"x has shape {x.shape}, expected ({gains.shape[1]}, n)")
-    return gains @ x + np.sqrt(noise_var) * crandn((gains.shape[0], x.shape[1]), rng)
+    y = crandn((gains.shape[0], x.shape[1]), rng)
+    return np.add(np.multiply(y, np.sqrt(noise_var), out=y), gains @ x, out=y)
 
 
 def estimate_channel(gains, pilot_power, noise_var: float,
