@@ -215,19 +215,15 @@ class SplitEnumeration:
                                for cols in self.slices(y.shape[-1])], axis=-1)
 
     def _factors(self, y):
-        """Each group's log factor u_G - max u_G, unfloored, and its factor
-        e_G = exp(max(u_G - max u_G, EXP_FLOOR)), (M_G, n) per channel, each
-        from one real product with [Re y; Im y; 1]."""
+        """Each group's log factor u_G - max u_G, unfloored, (M_G, n) per
+        channel, each from one real product with [Re y; Im y; 1]."""
         y = np.concatenate([y.real, y.imag, np.ones(y.shape[:-2] + (1, y.shape[-1]))], axis=-2)
         us = []
         for scores in self._scores:
             u = scores @ y
             u -= u.max(axis=-2, keepdims=True)
             us.append(u)
-        es = [np.maximum(u, EXP_FLOOR) for u in us]
-        for e in es:
-            np.exp(e, out=e)
-        return us, es
+        return us
 
     def _log_joint(self, u_a, u_b):
         """Log weight u_A + u_B + C of every combination of each column of
@@ -259,7 +255,7 @@ class SplitEnumeration:
         """log P(x_user = a | y_t) of every candidate a and column of y, (L,
         n), of one channel, by log-sum-exp over its unfloored log weights,
         (m_user, n)."""
-        (u_a, u_b), _ = self._factors(_observations(y, ()))
+        u_a, u_b = self._factors(_observations(y, ()))
         others = tuple(a + 1 for a in range(self.n_active) if a != self.active_index(user))
         # each block reshaped: one axis per active user after the column's
         own = np.concatenate([lse(logw.reshape([-1] + self.sizes), others)
@@ -270,7 +266,10 @@ class SplitEnumeration:
         """Posterior weights of the group combinations for a batch of
         observations, (L, n) per channel; see the class notes."""
         y = _observations(y, self._coupling.shape[:-2])
-        (u_a, u_b), (e_a, e_b) = self._factors(y)
+        e_a, e_b = self._factors(y)
+        for e in (e_a, e_b):  # the factors e_G = exp(max(u_G - max u_G, EXP_FLOOR)), in place
+            np.maximum(e, EXP_FLOOR, out=e)
+            np.exp(e, out=e)
         # [A rows | B rows] of one array: (E e_B) e_A and (E^T e_A) e_B
         w = np.empty(e_a.shape[:-2] + (e_a.shape[-2] + e_b.shape[-2], e_a.shape[-1]))
         w_a, w_b = w[..., :e_a.shape[-2], :], w[..., e_a.shape[-2]:, :]
@@ -284,7 +283,10 @@ class SplitEnumeration:
         low = log_z < np.log(SPLIT_Z_MIN)
         # the split weights resolve mass down to about e**SPLIT_KERNEL_FLOOR / Z
         fallback_mass = MI_FALLBACK_MASS / np.exp(np.clip(log_z, np.log(SPLIT_Z_MIN), 0.0))
-        for i in map(tuple, np.argwhere(low.any(axis=-1))):  # each channel with low columns, alone
+        lows = np.argwhere(low.any(axis=-1))
+        if len(lows):  # the log factors again, bit for bit
+            u_a, u_b = self._factors(y)
+        for i in map(tuple, lows):  # each channel with low columns, alone
             cols = np.flatnonzero(low[i])
             w[i][:, cols], z[i][cols] = self.channel(i)._exact(u_a[i][:, cols], u_b[i][:, cols])
             fallback_mass[i][cols] = MI_FALLBACK_MASS

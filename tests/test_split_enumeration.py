@@ -160,7 +160,8 @@ def test_no_subnormal_factor_kernel_product_or_weight(monkeypatch, snr_db):
     y = transmit(gains, noise_var, q.points[idx], rng)
     split = SplitEnumeration(gains, noise_var, q, 0)
     floored = split.evaluate(y)
-    logs, (e_a, e_b) = split._factors(y)
+    logs = split._factors(y)
+    e_a, e_b = (np.exp(np.maximum(u, posterior.EXP_FLOOR)) for u in logs)  # as evaluate forms them
     kernel = split._kernel
     tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
     # the stored factors and kernel, every term of the two kernel products,
