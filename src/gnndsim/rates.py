@@ -74,15 +74,12 @@ def gnnd_gmi_samples(means, power: float) -> np.ndarray:
 
 
 def maximize_theta(moments, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Maximizers over the metric temperature theta < 0 of n concave GMI
-    objectives (Ganti, Lapidoth & Telatar 2000) and the maxima, each (n,).
-    ``moments(theta, live)`` gives the objectives indexed by ``live`` at
-    ``theta``, their slopes and their curvatures negated. Each runs its own
-    Newton from theta = -1, the matched temperature of a unit-variance
-    nearest-neighbor metric; a step at most doubles or halves theta and is
-    halved until the objective does not fall, and a fit stops after
-    THETA_ITERS steps or once a step or its predicted gain is at rounding
-    level."""
+    """Maximizers over theta < 0 of n concave GMI objectives (Ganti, Lapidoth
+    & Telatar 2000) and the maxima, (n,) each, given ``moments(theta, live)``:
+    the objectives indexed by ``live`` at ``theta``, their slopes and their
+    curvatures negated. Each runs its own Newton from theta = -1; a step at
+    most doubles or halves theta and is halved until the objective does not
+    fall, and a fit stops after THETA_ITERS steps or at rounding level."""
     eps = np.finfo(np.float64).eps
     theta, live = np.full(n, -1.0), np.arange(n)
     reads = value, slope, curvature = np.array(moments(theta, live), dtype=np.float64)
@@ -156,22 +153,19 @@ def cl_gmi_from_scalar(fronts, gains, noise_var: float, constellations, users, f
     front in ``fronts``, g the front's scalar gain, with the users before
     its entry of ``firsts`` cancelled from y. (users,).
 
-    Given every active user's symbol, y_s is complex Gaussian: its mean is
-    g x + sum_j (combiner^H h_j) x_j over the interferers, the active users
-    other than the user, and its variance noise_var |combiner|^2, half in
-    each real dimension. For a product alphabet (``product_factors``) the
-    GMI objective at each temperature theta < 0,
+    Given every active user's symbol, y_s is complex Gaussian: mean g x +
+    sum_j (combiner^H h_j) x_j over the other active users, variance
+    noise_var |combiner|^2. For a product alphabet (``product_factors``) the
+    GMI objective at theta < 0,
         E[-log sum_a p(a) exp(theta (|y_s - g a|^2 - |y_s - g x|^2))],
-    is a real and an imaginary term, each the mean over the sent level of an
+    is a real plus an imaginary term, each a mean over the sent level of an
     integral over z = y_s - g x, whose density is a Gaussian mixture over
-    the interference values, read by the trapezoid rule on a uniform grid.
-    Its error falls exponentially with the points per noise deviation and
-    per half-width of the strip where the integrand is analytic, pi / (2
-    |theta| g (largest level spread)): with CL_GRID_STEPS of each and the
-    mixture read CL_TAIL deviations out, a grid four times finer and three
-    deviations wider moves no rate by 1e-14 bits. A user's grid is halved as
-    its theta grows, each built once from its interferers, enumerated
-    afresh under ENUM_CAP. One ``maximize_theta`` fits every user's theta.
+    the interference values, read by the trapezoid rule on a uniform grid:
+    CL_GRID_STEPS points per noise deviation and per half-width of the strip
+    where the integrand is analytic, pi / (2 |theta| g (largest level
+    spread)), and CL_TAIL deviations out. A user's grid is halved as its
+    theta grows, each built once from its interferers, enumerated afresh
+    under ENUM_CAP. One ``maximize_theta`` fits every user's theta.
     """
     n_users = gains.shape[1]
     consts = per_user(constellations, n_users)
@@ -192,9 +186,9 @@ def cl_gmi_from_scalar(fronts, gains, noise_var: float, constellations, users, f
     grids = {}
 
     def grid(i, theta):
-        """User i's rows at theta per dimension: metric differences (candidate,
-        (sent level, node)), candidate log probabilities, trapezoid weights;
-        a padded candidate repeats the last level at probability 0."""
+        """User i's rows at theta: metric differences (candidate, (dimension,
+        sent level, node)), candidate log probabilities, trapezoid weights; a
+        padded candidate repeats the last level at probability 0."""
         coef, others, gain, s, strip, dims = setup[i]
         ratio = abs(theta) * strip  # noise deviation / strip half-width
         level = math.ceil(math.log2(ratio)) if ratio > 1.0 else 0
@@ -204,38 +198,39 @@ def cl_gmi_from_scalar(fronts, gains, noise_var: float, constellations, users, f
                 values = (values[:, None] + coef[j] * consts[j].points).ravel()
                 probs = (probs[:, None] * consts[j].probabilities).ravel()
             step = s / (CL_GRID_STEPS << level)
-            grids[i, level] = []
+            parts = []
             for lo, w, (levels, p) in zip(*_mixture_weights(values, probs, s, step), dims):
                 keep = np.flatnonzero(w)
-                pad = (0, width - levels.size)
-                delta = gain * (levels[None, :] - np.pad(levels, pad, "edge")[:, None])[..., None]
+                pad = width - levels.size
+                delta = gain * (levels - np.append(levels, [levels[-1]] * pad)[:, None])[..., None]
                 e = (delta * (2.0 * (lo + keep * step) + delta)).reshape(width, -1)
-                log_p = np.pad(np.log(p), pad, constant_values=-np.inf)[:, None]
-                wt = (p[:, None] * w[keep]).ravel()
-                grids[i, level].append((e, np.broadcast_to(log_p, e.shape), wt))
+                log_p = np.append(np.log(p), [-np.inf] * pad)[:, None]
+                parts.append((e, np.broadcast_to(log_p, e.shape), (p[:, None] * w[keep]).ravel()))
+            grids[i, level] = [np.concatenate(x, axis=-1) for x in zip(*parts)]
         return grids[i, level]
 
     def moments(theta, live):
-        # each live user's rows per dimension, in pieces of at most `rows`:
-        # all read at once if they fit in `rows`, else one by one
-        pieces = [(2 * k + d, t, *(x[..., at:at + rows] for x in part))
-                  for k, (i, t) in enumerate(zip(live, theta)) for d, part in enumerate(grid(i, t))
-                  for at in range(0, part[2].size, rows)]
-        sums = np.zeros((3, 2 * live.size))
+        # each live user's rows in pieces of at most `rows`: all read at
+        # once if they fit in `rows`, else one by one
+        pieces = [(k, t, e[:, at:at + rows], log_p[:, at:at + rows], wt[at:at + rows])
+                  for k, (i, t) in enumerate(zip(live, theta)) for e, log_p, wt in [grid(i, t)]
+                  for at in range(0, wt.size, rows)]
+        sums = np.zeros((3, live.size))
         for run in [pieces] if sum(p[4].size for p in pieces) <= rows else [[p] for p in pieces]:
-            sizes = [p[4].size for p in run]
-            e, log_p, wt = (np.concatenate([p[k] for p in run], axis=-1) for k in (2, 3, 4))
-            a = np.repeat([p[1] for p in run], sizes) * e + log_p
+            k, t, e, log_p, wt = zip(*run)
+            sizes = [w.size for w in wt]
+            e, log_p, wt = (np.concatenate(x, axis=-1) for x in (e, log_p, wt))
+            a = np.repeat(t, sizes) * e + log_p
             top = a.max(axis=0)
             q = np.exp(a - top)
             norm = q.sum(axis=0)
             q /= norm
             mean_e = np.sum(q * e, axis=0)
             var_e = np.sum(q * (e - mean_e) ** 2, axis=0)
-            np.add.at(sums, (slice(None), [p[0] for p in run]), np.add.reduceat(
+            np.add.at(sums, (slice(None), list(k)), np.add.reduceat(
                 [wt * (-top - np.log(norm)), -wt * mean_e, wt * var_e],
                 np.cumsum([0] + sizes[:-1]), axis=1))
-        return sums[:, 0::2] + sums[:, 1::2]
+        return sums
 
     # no GMI exceeds the input entropy, which the summed weights could pass by rounding
     entropy = [-sum(np.sum(p[p > 0] * np.log(p[p > 0])) for _, p in dims) for *_, dims in setup]
@@ -266,13 +261,11 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
     true symbols of users 0..k-1 (the information-theoretic
     successive-cancellation rate). The "cl" rows are exact
     (``cl_gmi_from_scalar``): they draw nothing, and carry a standard error
-    of 0 and ``n_samples`` samples. The others share the sampled channel
-    uses, drawn in chunks of at most the ``budget_columns`` of the largest
-    enumeration the call builds; without SIC one evaluation per chunk
-    serves every user. Posteriors come from ``SplitEnumeration``, read in
-    its cache-sized ``slices``, and each chunk's integrands are merged into
-    a running count, mean and sum of squared deviations per method and
-    user. User powers are read from the constellations.
+    of 0 and ``n_samples`` samples. The others share the channel uses,
+    drawn in chunks of at most the ``budget_columns`` of the largest
+    enumeration the call builds and read from ``SplitEnumeration`` in its
+    ``slices``; each chunk's integrands are merged into a running count,
+    mean and sum of squared deviations per method and user.
     """
     if rng is None:
         raise ValueError("an explicit rng is required for reproducibility")
@@ -341,12 +334,13 @@ def evaluate_user_rates(gains, noise_var: float, constellations, users, methods,
 
     for done in range(0, n_samples, chunk):
         draw_chunk(c := min(chunk, n_samples - done))
-        for m in sampled:  # Chan, Golub & LeVeque's pairwise update
+        for m in sampled:  # Chan, Golub & LeVeque's pairwise update, z's squares in place
             for u in users:
                 (n, mean, m2), z = stats[m][u], nats[m][u][:c]
-                delta, total = z.mean() - mean, n + c
+                delta, total = (mu := z.mean()) - mean, n + c
+                z -= mu
                 stats[m][u] = (total, mean + delta * (c / total),
-                               m2 + np.sum((z - z.mean()) ** 2) + delta * delta * n * c / total)
+                               m2 + np.square(z, out=z).sum() + delta * delta * n * c / total)
     for m in sampled:
         out[m] = {u: RateEstimate(float(mean / LN2), math.sqrt(m2 / (n - 1)) / math.sqrt(n) / LN2
                                   if n > 1 else 0.0, n) for u, (n, mean, m2) in stats[m].items()}
