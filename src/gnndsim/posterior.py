@@ -266,10 +266,8 @@ class SplitEnumeration:
         """Posterior weights of the group combinations for a batch of
         observations, (L, n) per channel; see the class notes."""
         y = _observations(y, self._coupling.shape[:-2])
-        e_a, e_b = self._factors(y)
-        for e in (e_a, e_b):  # the factors e_G = exp(max(u_G - max u_G, EXP_FLOOR)), in place
-            np.maximum(e, EXP_FLOOR, out=e)
-            np.exp(e, out=e)
+        # the factors e_G = exp(max(u_G - max u_G, EXP_FLOOR)), in place
+        e_a, e_b = (np.exp(np.maximum(u, EXP_FLOOR, out=u), out=u) for u in self._factors(y))
         # [A rows | B rows] of one array: (E e_B) e_A and (E^T e_A) e_B
         w = np.empty(e_a.shape[:-2] + (e_a.shape[-2] + e_b.shape[-2], e_a.shape[-1]))
         w_a, w_b = w[..., :e_a.shape[-2], :], w[..., e_a.shape[-2]:, :]
