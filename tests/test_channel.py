@@ -51,6 +51,16 @@ def test_transmit_draws_noise_as_crandn(n_users, n_antennas):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("shape", [(4, 16384), (3, 7), (1,)])
+def test_crandn_reads_the_bits_of_the_complex_form(shape):
+    # every seeded CSV rests on these bits: real parts first, both over sqrt(2)
+    ref_rng = np.random.default_rng(6)
+    want = (ref_rng.standard_normal(shape) + 1j * ref_rng.standard_normal(shape)) / np.sqrt(2.0)
+    got = crandn(shape, np.random.default_rng(6))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_transmit_second_moment(rng):
     # E||y||^2 = sum_k P_k ||h_k||^2 + L sigma^2 for independent zero-mean users
     k_users, l_ant, noise_var = 3, 4, 0.7
