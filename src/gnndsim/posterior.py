@@ -130,8 +130,8 @@ class SplitEnumeration:
     e**-SPLIT_KERNEL_FLOOR, and each weight is floored at e**EXP_FLOOR, so
     no factor, kernel entry, product or weight is subnormal.
 
-    ``gains`` is one channel (L, K) or a stack (B, L, K), whose group means,
-    offsets, coupling and kernel carry its leading axis and whose batches
+    ``gains`` is one channel (L, K) or a stack (B, L, K), whose group scores,
+    coupling and kernel carry its leading axis and whose batches
     read (B, L, n); the stack shares the point tables and indicator. Each
     channel of a stack reads what it reads alone, bit for bit.
 
